@@ -3,17 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-
-
-def _apply_thread_limit():
-    """Propagate WAVESLAB_THREADS to the BLAS thread knobs if numerics are
-    not loaded yet; existing settings win."""
-    count = os.environ.get("WAVESLAB_THREADS")
-    if count:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ.setdefault(var, count)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -31,7 +21,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _apply_thread_limit()
     try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:

@@ -92,24 +92,19 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int, order_fn=None) -> np
     if order_fn is None:
         order_fn = lambda p: 2 * p + 3
     grid, space = sol.grid, sol.space
-    X = space.gauss_x[:, None]
-    Y = space.gauss_y[None, :]
     out = np.zeros(grid.n_intervals)
     for n in range(m + 1):
         p = int(grid.degrees[n])
         tau = grid.tau(n)
         a, _ = grid.interval(n)
         xq, wq = gauss_legendre(order_fn(p))
-        times = a + 0.5 * tau * (xq + 1.0)
-        samples = np.stack([np.broadcast_to(
-            np.asarray(data.f(t, X, Y), dtype=float),
-            (len(space.gauss_x), len(space.gauss_y)),
-        ) for t in times])
+        samples = space.grid_eval(data.f, a + 0.5 * tau * (xq + 1.0))
+        flat = samples.reshape(len(xq), -1)
         vander = npleg.legvander(xq, p - 1)  # (nq, p)
         scale = 0.5 * (2.0 * np.arange(p) + 1.0)
-        modes = np.einsum("q,qk,qij->kij", wq, vander, samples) * scale[:, None, None]
-        defect = samples - np.einsum("qk,kij->qij", vander, modes)
-        norms = np.array([space.l2_norm(defect[q]) for q in range(len(xq))])
+        modes = scale[:, None] * ((vander * wq[:, None]).T @ flat)
+        defect = (flat - vander @ modes).reshape(samples.shape)
+        norms = space.l2_norm(defect)
         l1 = 0.5 * tau * float(wq @ norms)
         if n == m:
             out[n] = 2.0 * tau * l1

@@ -28,6 +28,7 @@ time column.
 from __future__ import annotations
 
 import csv
+import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,14 +99,18 @@ class Config:
 def parse_config(source) -> Config:
     """Load and validate a study configuration.
 
-    `source` is a mapping, a YAML string, or a path to a YAML file.
-    Raises ConfigError listing every violation.
+    `source` is a mapping, YAML text (any `str`) or the path of a YAML file
+    (any `os.PathLike`, such as `pathlib.Path`); a `str` is never taken as a
+    file name.  Raises ConfigError listing every violation.
     """
     if isinstance(source, dict):
         raw = dict(source)
+    elif isinstance(source, os.PathLike):
+        raw = yaml.safe_load(Path(source).read_text())
+    elif isinstance(source, str):
+        raw = yaml.safe_load(source)
     else:
-        text = Path(source).read_text() if Path(str(source)).exists() else str(source)
-        raw = yaml.safe_load(text)
+        raise ConfigError([f"cannot read a configuration from {type(source).__name__}"])
     if not isinstance(raw, dict):
         raise ConfigError(["configuration must be a flat mapping"])
 
@@ -257,8 +262,7 @@ def _level_row(level, h, tau, p_x, p_t, grid, space, errs, report, wall):
     return row
 
 
-def _uniform_level(case, config, h, tau, p_x, p_t, T=None):
-    T = config.T if T is None else T
+def _uniform_level(case, config, h, tau, p_x, p_t, T):
     n = round(T / tau)
     space = TensorSpace(round(2.0 / h), round(2.0 / h), p_x)
     grid = TimeGrid.uniform(T, n, p_t)
@@ -271,55 +275,28 @@ def _uniform_level(case, config, h, tau, p_x, p_t, T=None):
     return grid, space, errs, report, wall
 
 
+def _level_specs(config: Config) -> list:
+    """The (h, tau, p_x, p_t, T) of each level of a uniform suite, in row order."""
+    c = config
+    if c.suite == "tau_refine":
+        return [(c.h, tau, c.p_x, c.p_t, c.T) for tau in c.tau_list]
+    if c.suite == "spacetime_refine":
+        return [(tau, tau, c.p_t + 1, c.p_t, c.T) for tau in c.tau_list]
+    if c.suite == "p_refine":
+        return [(c.h, c.tau, c.p_x, p_t, c.T) for p_t in c.p_t_list]
+    if c.suite == "long_time":
+        return [(c.h, c.tau, c.p_x, c.p_t, T) for T in c.T_list]
+    if c.suite == "effectivity":
+        return [(c.h, tau, c.p_x, p_t, c.T) for p_t in c.p_t_list for tau in c.tau_list]
+    raise ConfigError([f"suite {c.suite!r} is not implemented"])
+
+
 def run_suite(config: Config) -> ExperimentResult:
     """Execute the configured study and collect one row per level."""
     case = _build_case(config)
     rows = []
 
-    if config.suite in ("tau_refine", "spacetime_refine"):
-        for level, tau in enumerate(config.tau_list):
-            if config.suite == "spacetime_refine":
-                h, p_x = tau, config.p_t + 1
-            else:
-                h, p_x = config.h, config.p_x
-            grid, space, errs, report, wall = _uniform_level(
-                case, config, h, tau, p_x, config.p_t,
-            )
-            rows.append(_level_row(
-                level, h, grid.T / grid.n_intervals, p_x, config.p_t,
-                grid, space, errs, report, wall,
-            ))
-    elif config.suite == "p_refine":
-        for level, p_t in enumerate(config.p_t_list):
-            grid, space, errs, report, wall = _uniform_level(
-                case, config, config.h, config.tau, config.p_x, p_t,
-            )
-            rows.append(_level_row(
-                level, config.h, grid.T / grid.n_intervals, config.p_x, p_t,
-                grid, space, errs, report, wall,
-            ))
-    elif config.suite == "long_time":
-        for level, T in enumerate(config.T_list):
-            grid, space, errs, report, wall = _uniform_level(
-                case, config, config.h, config.tau, config.p_x, config.p_t, T=T,
-            )
-            rows.append(_level_row(
-                level, config.h, grid.T / grid.n_intervals, config.p_x, config.p_t,
-                grid, space, errs, report, wall,
-            ))
-    elif config.suite == "effectivity":
-        level = 0
-        for p_t in config.p_t_list:
-            for tau in config.tau_list:
-                grid, space, errs, report, wall = _uniform_level(
-                    case, config, config.h, tau, config.p_x, p_t,
-                )
-                rows.append(_level_row(
-                    level, config.h, grid.T / grid.n_intervals, config.p_x, p_t,
-                    grid, space, errs, report, wall,
-                ))
-                level += 1
-    elif config.suite == "adaptive":
+    if config.suite == "adaptive":
         nx = round(2.0 / config.h)
         space = TensorSpace(nx, nx, config.p_x)
         grid = TimeGrid.uniform(config.T, config.initial_n, config.p_t)
@@ -342,7 +319,11 @@ def run_suite(config: Config) -> ExperimentResult:
             row.update(rec.errors.as_dict())
             rows.append(row)
     else:
-        raise ConfigError([f"suite {config.suite!r} is not implemented"])
+        for level, (h, tau, p_x, p_t, T) in enumerate(_level_specs(config)):
+            grid, space, errs, report, wall = _uniform_level(case, config, h, tau, p_x, p_t, T)
+            rows.append(_level_row(
+                level, h, grid.T / grid.n_intervals, p_x, p_t, grid, space, errs, report, wall,
+            ))
 
     return ExperimentResult(columns=COLUMNS, rows=rows, config=config)
 

@@ -71,8 +71,10 @@ class TimeGrid:
 class ProblemData:
     """Wave equation data on (-1, 1)^2 with homogeneous Dirichlet walls.
 
-    All callables are vectorized over numpy arrays; `f` takes (t, x, y) with
-    scalar t.  `exact` may hold a manufactured solution for error studies.
+    All callables are vectorized over numpy arrays.  `f` takes (t, x, y)
+    and must broadcast over an array t of shape (nt, 1, 1) against x and y
+    of shapes (nx, 1) and (1, ny): a slab's time samples are evaluated in
+    one call.  `exact` may hold a manufactured solution for error studies.
 
     `singular_load` declares that f has limited smoothness at t = 0 (a
     fractional power of t, say).  The load integral on the slab touching
@@ -95,6 +97,14 @@ def reference_blocks(p: int):
 
     Rows are indexed by the p Legendre test functions, columns by the p + 1
     Lagrange trial nodes.  Integrals are exact through modal orthogonality.
+
+    For sampling a slab, `leg_q`/`dleg_q` hold the Legendre polynomials up
+    to degree p and their reference derivatives at the order 2p + 3 Gauss
+    points `xq`, and `leg_e`/`dleg_e` the same at the 2p + 3 equispaced
+    points `xe` (endpoints included).  Rows are points, so one product with
+    the modes `nodal_to_modal(p) @ block` samples the slab.  Going through
+    the modes keeps the round-off of pointwise Legendre evaluation; a
+    direct nodal derivative matrix loses a factor of about three at p = 10.
     """
     to_modal = nodal_to_modal(p)  # column j: modes of trial basis j
     mode_weights = 2.0 / (2.0 * np.arange(p) + 1.0)
@@ -108,10 +118,15 @@ def reference_blocks(p: int):
     psi_left = (-1.0) ** np.arange(p)
     xq, wq = gauss_legendre(2 * p + 3)
     psi_q = npleg.legvander(xq, p - 1).T  # (p, nq)
+    xe = np.linspace(-1.0, 1.0, 2 * p + 3)
+    eye_der = npleg.legder(np.eye(p + 1), axis=0)
     return {
         "A0": A0, "B0": B0,
         "dphi_left": dphi_left, "dphi_right": dphi_right,
         "psi_left": psi_left, "xq": xq, "wq": wq, "psi_q": psi_q,
+        "leg_q": npleg.legvander(xq, p), "dleg_q": npleg.legval(xq, eye_der).T,
+        "xe": xe,
+        "leg_e": npleg.legvander(xe, p), "dleg_e": npleg.legval(xe, eye_der).T,
     }
 
 
@@ -128,22 +143,20 @@ def _graded_load(data: ProblemData, space: TensorSpace, p: int, a: float, b: flo
 
     Panels shrink geometrically toward the left endpoint, so an integrable
     power singularity of f at t = a is resolved to near machine precision
-    independently of the slab length.
+    independently of the slab length.  Panels are laid out in the relative
+    coordinate theta = (t - a) / (b - a), so samples near a keep their full
+    relative precision.
     """
     sigma, levels = 0.3, 45
-    cuts = [a + (b - a) * sigma**k for k in range(levels, 0, -1)]
-    panels = [(a, cuts[0])] + list(zip(cuts[:-1], cuts[1:])) + [(cuts[-1], b)]
+    cuts = [0.0] + [sigma**k for k in range(levels, 0, -1)] + [1.0]
     xq, wq = gauss_legendre(max(2 * p + 3, 23))
+    tau = b - a
     F = np.zeros((p, space.n_dofs))
-    for pa, pb in panels:
-        tq = pa + 0.5 * (pb - pa) * (xq + 1.0)
-        s = 2.0 * (tq - a) / (b - a) - 1.0
-        psi = npleg.legvander(s, p - 1).T
-        loads = np.stack([
-            space.load_vector(space.grid_eval(lambda X, Y, t=t: data.f(t, X, Y)))
-            for t in tq
-        ])
-        F += (0.5 * (pb - pa)) * (psi * wq) @ loads
+    for lo, hi in zip(cuts[:-1], cuts[1:]):
+        theta = lo + 0.5 * (hi - lo) * (xq + 1.0)
+        psi = npleg.legvander(2.0 * theta - 1.0, p - 1).T
+        loads = space.load_vector(space.grid_eval(data.f, a + tau * theta))
+        F += (0.5 * tau * (hi - lo)) * (psi * wq) @ loads
     return F
 
 
@@ -165,6 +178,23 @@ class SlabSolution:
 
     def poly(self, n: int) -> IntervalPoly:
         return IntervalPoly.from_nodal(self.grid.interval(n), self.blocks[n])
+
+    def sample(self, n: int, points: str):
+        """Times, values and time derivatives of interval n at its samples.
+
+        `points` is "gauss" (the order 2p + 3 Gauss rule) or "equispaced"
+        (2p + 3 points, endpoints included).  Returns t of shape (k,) and
+        two coefficient stacks of shape (k, n_dofs).
+        """
+        p = int(self.grid.degrees[n])
+        ref = reference_blocks(p)
+        x, leg, dleg = {
+            "gauss": (ref["xq"], ref["leg_q"], ref["dleg_q"]),
+            "equispaced": (ref["xe"], ref["leg_e"], ref["dleg_e"]),
+        }[points]
+        a, tau = float(self.grid.nodes[n]), self.grid.tau(n)
+        modes = nodal_to_modal(p) @ self.blocks[n]
+        return a + 0.5 * tau * (x + 1.0), leg @ modes, (2.0 / tau) * (dleg @ modes)
 
     def end_deriv(self, n: int) -> np.ndarray:
         """Time derivative at the right endpoint of interval n (one sided)."""
@@ -188,12 +218,21 @@ class SlabSolution:
         return self.start_deriv(n) - incoming
 
 
+def _check_finite(values: np.ndarray, n: int, stage: str) -> None:
+    if not np.all(np.isfinite(values)):
+        raise FloatingPointError(f"non-finite values in the {stage} of slab {n}")
+
+
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution:
     """Solve the wave problem slab by slab over the whole grid.
 
     The initial displacement is projected in the Dirichlet inner product and
     the initial velocity in L2.  The factorized slab operator is reused
-    whenever (degree, length) repeats.
+    whenever the degree repeats and the length agrees to 12 significant
+    digits, so slabs of a uniform or bisected grid share it.
+
+    Raises FloatingPointError naming the slab and the stage ("load" or
+    "solve") at the first non-finite value.
     """
     gx, gy = data.grad_u0
     u0h = space.elliptic_project(gx, gy)
@@ -202,7 +241,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
 
     d = space.n_dofs
     M, K = space.M, space.K
-    lu_cache: dict[tuple[int, float], object] = {}
+    lu_cache: dict[tuple[int, str], object] = {}
     prev_value, prev_deriv = u0h, u1h
 
     for n in range(grid.n_intervals):
@@ -212,7 +251,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
         ref = reference_blocks(p)
         A, B = time_matrices(p, tau)
 
-        key = (p, tau)
+        key = (p, f"{tau:.11e}")
         if key not in lu_cache:
             system = sp.kron(sp.csc_matrix(A[:, 1:]), M) + sp.kron(
                 sp.csc_matrix(B[:, 1:]), K
@@ -223,11 +262,9 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
             rhs = _graded_load(data, space, p, a, b)
         else:
             tq = a + 0.5 * tau * (ref["xq"] + 1.0)
-            loads = np.stack(
-                [space.load_vector(space.grid_eval(lambda X, Y, t=t: data.f(t, X, Y)))
-                 for t in tq]
-            )
+            loads = space.load_vector(space.grid_eval(data.f, tq))
             rhs = (0.5 * tau) * (ref["psi_q"] * ref["wq"]) @ loads
+        _check_finite(rhs, n, "load")
         rhs += np.outer(ref["psi_left"], M @ prev_deriv)
         rhs -= np.outer(A[:, 0], M @ prev_value) + np.outer(B[:, 0], K @ prev_value)
 
@@ -235,6 +272,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
         block = np.empty((p + 1, d))
         block[0] = prev_value
         block[1:] = coeffs.reshape(p, d)
+        _check_finite(block, n, "solve")
         sol.blocks.append(block)
 
         prev_value = block[-1]
@@ -257,17 +295,10 @@ def slab_energy(sol: SlabSolution, n: int) -> float:
 
     Sampled at 2p + 3 equispaced times, endpoints included.
     """
-    p = int(sol.grid.degrees[n])
-    a, b = sol.grid.interval(n)
-    ts = np.linspace(a, b, 2 * p + 3)
-    poly = sol.poly(n)
-    vals = poly.eval(ts)
-    ders = poly.deriv(ts)
-    best = 0.0
-    for k in range(len(ts)):
-        e = float(ders[k] @ (sol.space.M @ ders[k])) + float(vals[k] @ (sol.space.K @ vals[k]))
-        best = max(best, e)
-    return best
+    _, vals, ders = sol.sample(n, "equispaced")
+    M, K = sol.space.M, sol.space.K
+    energy = np.sum(ders.T * (M @ ders.T), axis=0) + np.sum(vals.T * (K @ vals.T), axis=0)
+    return max(0.0, float(np.max(energy)))
 
 
 def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
@@ -294,14 +325,10 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     l2_u1 = space.l2_norm(space.grid_eval(data.u1))
     f_sq = 0.0
     for n in range(m + 1):
-        p = int(grid.degrees[n])
+        ref = reference_blocks(int(grid.degrees[n]))
         tau = grid.tau(n)
-        a, _ = grid.interval(n)
-        xq, wq = gauss_legendre(2 * p + 3)
-        for x, w in zip(xq, wq):
-            t = a + 0.5 * tau * (x + 1.0)
-            fv = space.grid_eval(lambda X, Y: data.f(t, X, Y))
-            f_sq += 0.5 * tau * w * space.l2_norm(fv) ** 2
+        tq = float(grid.nodes[n]) + 0.5 * tau * (ref["xq"] + 1.0)
+        f_sq += 0.5 * tau * float(ref["wq"] @ space.l2_norm(space.grid_eval(data.f, tq)) ** 2)
     rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (t_m / mu) * f_sq
 
     return StabilityReport(

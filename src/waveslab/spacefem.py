@@ -9,6 +9,11 @@ Because both the mesh and the boundary are tensor products, the interior
 degrees of freedom form a product set and every 2D operator is assembled as a
 Kronecker combination of 1D factors.  All quadrature uses tensor Gauss rules
 exact to order 2 * degree + 3 per direction.
+
+The same structure makes evaluation cheap: values, gradients and broken
+Laplacians at the Gauss points, and load vectors from Gauss-point values, are
+two 1D matrix products each (sum factorization), and each accepts a leading
+axis of time samples so a whole slab is handled in one call.
 """
 
 from __future__ import annotations
@@ -37,6 +42,11 @@ def _reference_basis(degree: int, points: np.ndarray):
     else:
         der2 = np.zeros_like(vals)
     return vals, der, der2
+
+
+def _sqrt_pos(value):
+    out = np.sqrt(np.maximum(value, 0.0))
+    return float(out) if np.ndim(out) == 0 else out
 
 
 class TensorSpace:
@@ -88,17 +98,8 @@ class TensorSpace:
         self.gauss_wx = np.tile(0.5 * self.hx * wg, nx)
         self.gauss_wy = np.tile(0.5 * self.hy * wg, ny)
 
-        # node index of local dof i in element e is e * p + i
-        self.elem_ix = (np.arange(nx)[:, None] * p + np.arange(p + 1)[None, :])
-        self.elem_iy = (np.arange(ny)[:, None] * p + np.arange(p + 1)[None, :])
-
         self.M1x, self.K1x = self._assemble_1d(nx, self.hx)
         self.M1y, self.K1y = self._assemble_1d(ny, self.hy)
-        self.M_full = sp.kron(sp.csr_matrix(self.M1x), sp.csr_matrix(self.M1y), format="csr")
-        self.K_full = (
-            sp.kron(sp.csr_matrix(self.K1x), sp.csr_matrix(self.M1y), format="csr")
-            + sp.kron(sp.csr_matrix(self.M1x), sp.csr_matrix(self.K1y), format="csr")
-        )
 
         # interior dofs are a product of the per-direction interior ranges
         self.n_int_x = len(self.nodes_x) - 2
@@ -112,6 +113,11 @@ class TensorSpace:
             sp.kron(sp.csr_matrix(Kix), sp.csr_matrix(Miy), format="csr")
             + sp.kron(sp.csr_matrix(Mix), sp.csr_matrix(Kiy), format="csr")
         )
+
+        # interior basis, its first and its second derivative at the global
+        # Gauss points of each direction: rows are points, columns dofs
+        self.Ex, self.Dx, self.DDx = self._gauss_matrices(nx, self.hx)
+        self.Ey, self.Dy, self.DDy = self._gauss_matrices(ny, self.hy)
         self._solve_M = None
         self._solve_K = None
 
@@ -129,6 +135,17 @@ class TensorSpace:
             K[idx, idx] += Ke
         return M, K
 
+    def _gauss_matrices(self, n_elem: int, h: float):
+        p, ng = self.degree, len(self.ref_gauss)
+        mats = []
+        for basis, scale in ((self.basis_val, 1.0), (self.basis_der, 2.0 / h),
+                             (self.basis_der2, (2.0 / h) ** 2)):
+            full = np.zeros((n_elem * ng, n_elem * p + 1))
+            for e in range(n_elem):
+                full[e * ng:(e + 1) * ng, e * p:e * p + p + 1] = scale * basis.T
+            mats.append(full[:, 1:-1])
+        return mats
+
     @property
     def n_dofs(self) -> int:
         return self.n_int_x * self.n_int_y
@@ -143,29 +160,47 @@ class TensorSpace:
             full[1:-1, 1:-1] = np.asarray(vec).reshape(self.n_int_x, self.n_int_y)
         return full
 
-    def grid_eval(self, f) -> np.ndarray:
-        """Evaluate a callable f(x, y) on the global Gauss grid."""
-        vals = np.asarray(f(self.gauss_x[:, None], self.gauss_y[None, :]), dtype=float)
+    def grid_eval(self, f, t=None) -> np.ndarray:
+        """Sample a callable on the global Gauss grid.
+
+        Without `t`, f is called as f(x, y) and the result has shape
+        (ngx, ngy).  With a 1D array of times, f is called once as
+        f(t, x, y) with t of shape (nt, 1, 1) and the result has shape
+        (nt, ngx, ngy).
+        """
         shape = (len(self.gauss_x), len(self.gauss_y))
+        X, Y = self.gauss_x[:, None], self.gauss_y[None, :]
+        if t is None:
+            vals = f(X, Y)
+        else:
+            t = np.asarray(t, dtype=float)
+            shape = t.shape + shape
+            vals = f(t[:, None, None], X, Y)
+        vals = np.asarray(vals, dtype=float)
         if vals.shape != shape:
             vals = np.broadcast_to(vals, shape).copy()
         return vals
 
-    def _contract(self, vec, bx, by, scale):
-        full = self.embed(vec)
-        local = full[self.elem_ix[:, :, None, None], self.elem_iy[None, None, :, :]]
-        vals = np.einsum("aibj,iq,jr->aqbr", local, bx, by)
-        ng = len(self.ref_gauss)
-        return scale * vals.reshape(self.nx * ng, self.ny * ng)
+    # Evaluation and assembly below act on one coefficient vector of shape
+    # (n_dofs,) or on a stack (nt, n_dofs), and on one Gauss-grid array of
+    # shape (ngx, ngy) or a stack (nt, ngx, ngy).  Each is one 1D matrix
+    # product per direction.
+
+    def _eval(self, vec, bx, by):
+        vec = np.asarray(vec, dtype=float)
+        U = vec.reshape(vec.shape[:-1] + (self.n_int_x, self.n_int_y))
+        return bx @ U @ by.T
+
+    def _assemble(self, values, bx, by):
+        load = (self.gauss_wx[:, None] * bx).T @ values @ (self.gauss_wy[:, None] * by)
+        return load.reshape(load.shape[:-2] + (self.n_dofs,))
 
     def eval_gauss(self, vec: np.ndarray) -> np.ndarray:
         """Finite element function values on the global Gauss grid."""
-        return self._contract(vec, self.basis_val, self.basis_val, 1.0)
+        return self._eval(vec, self.Ex, self.Ey)
 
     def eval_grad_gauss(self, vec: np.ndarray):
-        ux = self._contract(vec, self.basis_der, self.basis_val, 2.0 / self.hx)
-        uy = self._contract(vec, self.basis_val, self.basis_der, 2.0 / self.hy)
-        return ux, uy
+        return self._eval(vec, self.Dx, self.Ey), self._eval(vec, self.Ex, self.Dy)
 
     def eval_laplacian_gauss(self, vec: np.ndarray) -> np.ndarray:
         """Elementwise second derivatives summed, on the global Gauss grid.
@@ -173,53 +208,26 @@ class TensorSpace:
         This is the broken Laplacian: no continuity across element faces is
         implied or required.
         """
-        uxx = self._contract(vec, self.basis_der2, self.basis_val, (2.0 / self.hx) ** 2)
-        uyy = self._contract(vec, self.basis_val, self.basis_der2, (2.0 / self.hy) ** 2)
-        return uxx + uyy
+        return self._eval(vec, self.DDx, self.Ey) + self._eval(vec, self.Ex, self.DDy)
 
-    def integrate(self, values: np.ndarray) -> float:
-        """Integrate Gauss-grid values over the domain."""
-        return float(self.gauss_wx @ values @ self.gauss_wy)
+    def integrate(self, values: np.ndarray):
+        """Integrate Gauss-grid values over the domain (one per time sample)."""
+        out = self.gauss_wx @ values @ self.gauss_wy
+        return float(out) if np.ndim(out) == 0 else out
 
-    def l2_norm(self, values: np.ndarray) -> float:
-        return float(np.sqrt(max(self.integrate(values * values), 0.0)))
+    def l2_norm(self, values: np.ndarray):
+        return _sqrt_pos(self.integrate(values * values))
 
-    def h1_semi_norm(self, vx: np.ndarray, vy: np.ndarray) -> float:
-        return float(np.sqrt(max(self.integrate(vx * vx + vy * vy), 0.0)))
+    def h1_semi_norm(self, vx: np.ndarray, vy: np.ndarray):
+        return _sqrt_pos(self.integrate(vx * vx + vy * vy))
 
     def load_vector(self, values: np.ndarray) -> np.ndarray:
         """Assemble (f, phi_a) for interior basis functions from Gauss values."""
-        ng = len(self.ref_gauss)
-        F = values.reshape(self.nx, ng, self.ny, ng)
-        local = np.einsum(
-            "aqbr,iq,jr,q,r->aibj",
-            F, self.basis_val, self.basis_val, self.ref_weights, self.ref_weights,
-        ) * (0.25 * self.hx * self.hy)
-        return self._scatter(local)
+        return self._assemble(values, self.Ex, self.Ey)
 
     def load_vector_grad(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Assemble (v, grad phi_a) for interior basis functions."""
-        ng = len(self.ref_gauss)
-        FX = vx.reshape(self.nx, ng, self.ny, ng)
-        FY = vy.reshape(self.nx, ng, self.ny, ng)
-        local = np.einsum(
-            "aqbr,iq,jr,q,r->aibj",
-            FX, self.basis_der, self.basis_val, self.ref_weights, self.ref_weights,
-        ) * (0.5 * self.hy)
-        local += np.einsum(
-            "aqbr,iq,jr,q,r->aibj",
-            FY, self.basis_val, self.basis_der, self.ref_weights, self.ref_weights,
-        ) * (0.5 * self.hx)
-        return self._scatter(local)
-
-    def _scatter(self, local: np.ndarray) -> np.ndarray:
-        full = np.zeros((len(self.nodes_x), len(self.nodes_y)))
-        np.add.at(
-            full,
-            (self.elem_ix[:, :, None, None], self.elem_iy[None, None, :, :]),
-            local,
-        )
-        return full[1:-1, 1:-1].ravel()
+        return self._assemble(vx, self.Dx, self.Ey) + self._assemble(vy, self.Ex, self.Dy)
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         if self.n_dofs == 0:

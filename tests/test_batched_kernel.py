@@ -1,0 +1,175 @@
+"""The batched space-time evaluation kernel against slow references.
+
+`slow_reference` keeps the element-by-element contractions and the
+per-time-point loops; every fast path must agree with them to 1e-12
+relative to the size of the compared quantity.
+"""
+
+import numpy as np
+import pytest
+
+import slow_reference as slow
+from waveslab import (
+    ProblemData,
+    TensorSpace,
+    TimeGrid,
+    compute_errors,
+    make_case,
+    march,
+    problem_data,
+    stability_check,
+)
+from waveslab.estimator import osc_terms
+
+rng = np.random.default_rng(20261018)
+
+RTOL = 1e-12
+
+
+def assert_close(fast, ref, rtol=RTOL):
+    fast, ref = np.asarray(fast, dtype=float), np.asarray(ref, dtype=float)
+    assert fast.shape == ref.shape, (fast.shape, ref.shape)
+    scale = max(float(np.max(np.abs(ref))), 1e-300) if ref.size else 1.0
+    assert float(np.max(np.abs(fast - ref), initial=0.0)) <= rtol * scale
+
+
+def anisotropic_space(degree):
+    return TensorSpace(3, 2, degree, domain=((0.0, 2.0), (-0.5, 0.5)))
+
+
+# ------------------------------------------------------------------ space
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_space_kernel_matches_element_loops(degree):
+    space = anisotropic_space(degree)
+    assert space.n_int_x != space.n_int_y
+    nt = 3
+    vecs = rng.standard_normal((nt, space.n_dofs))
+    vals = rng.standard_normal((nt, len(space.gauss_x), len(space.gauss_y)))
+    wals = rng.standard_normal(vals.shape)
+
+    batched = {
+        "eval": space.eval_gauss(vecs),
+        "grad": np.stack(space.eval_grad_gauss(vecs), axis=1),
+        "lap": space.eval_laplacian_gauss(vecs),
+        "load": space.load_vector(vals),
+        "load_grad": space.load_vector_grad(vals, wals),
+        "integrate": space.integrate(vals),
+        "l2": space.l2_norm(vals),
+        "h1": space.h1_semi_norm(vals, wals),
+    }
+    for k in range(nt):
+        v, f, g = vecs[k], vals[k], wals[k]
+        single = {
+            "eval": space.eval_gauss(v),
+            "grad": np.stack(space.eval_grad_gauss(v)),
+            "lap": space.eval_laplacian_gauss(v),
+            "load": space.load_vector(f),
+            "load_grad": space.load_vector_grad(f, g),
+            "integrate": space.integrate(f),
+            "l2": space.l2_norm(f),
+            "h1": space.h1_semi_norm(f, g),
+        }
+        ref = {
+            "eval": slow.eval_gauss(space, v),
+            "grad": np.stack(slow.eval_grad_gauss(space, v)),
+            "lap": slow.eval_laplacian_gauss(space, v),
+            "load": slow.load_vector(space, f),
+            "load_grad": slow.load_vector_grad(space, f, g),
+            "integrate": slow.integrate(space, f),
+            "l2": slow.l2_norm(space, f),
+            "h1": slow.h1_semi_norm(space, f, g),
+        }
+        for key in ref:
+            assert_close(single[key], ref[key])
+            assert_close(batched[key][k], ref[key])
+    for key in ("integrate", "l2", "h1"):
+        assert isinstance(single[key], float)
+
+
+def test_grid_eval_over_times():
+    space = anisotropic_space(2)
+    f = lambda t, x, y: np.cos(3.0 * t) * x * (2.0 - x) + t**2 * y
+    ts = np.array([0.0, 0.3, 1.7])
+    got = space.grid_eval(f, ts)
+    assert got.shape == (3, len(space.gauss_x), len(space.gauss_y))
+    for k, t in enumerate(ts):
+        assert np.array_equal(got[k], slow.grid_eval_at(space, f, t))
+    # a callable that ignores t is broadcast over the time axis
+    flat = space.grid_eval(lambda t, x, y: x + 0.0 * y, ts)
+    assert flat.shape == got.shape and np.all(flat[0] == flat[2])
+
+
+# ------------------------------------------------------------------- time
+
+def mixed_degree_run():
+    """case2 on a mixed-degree grid with the graded singular first slab, on a
+    Q1 mesh whose spatial error keeps every norm well above round-off."""
+    case = make_case("case2", alpha=1.75)
+    data = problem_data(case)
+    assert data.singular_load
+    space = TensorSpace(4, 3, 1)
+    grid = TimeGrid(np.array([0.0, 0.15, 0.4, 0.55, 1.0]), np.array([2, 5, 3, 10]))
+    return case, data, space, grid
+
+
+def test_march_matches_per_point_loads():
+    case, data, space, grid = mixed_degree_run()
+    fast = march(data, space, grid)
+    ref = slow.march(data, space, grid)
+    assert_close(fast.u0h, ref.u0h)
+    assert_close(fast.u1h, ref.u1h)
+    for n in range(grid.n_intervals):
+        assert_close(fast.blocks[n], ref.blocks[n])
+
+
+def test_errors_osc_and_stability_match_per_point_loops():
+    case, data, space, grid = mixed_degree_run()
+    sol = march(data, space, grid)
+
+    errs = compute_errors(sol, case).as_dict()
+    ref = slow.compute_errors(sol, case)
+    for key in ref:
+        assert_close(errs[key], ref[key])
+
+    for m in (grid.n_intervals - 1, 1):
+        assert_close(osc_terms(data, sol, m), slow.osc_terms(data, sol, m))
+
+    report = stability_check(sol, data)
+    lhs, rhs, m, energies = slow.stability_check(sol, data)
+    assert report.m == m
+    assert_close(report.slab_energy, energies)
+    assert_close(report.lhs, lhs)
+    assert_close(report.rhs, rhs)
+
+
+def test_callables_are_called_once_per_slab_or_panel():
+    case, data, space, grid = mixed_degree_run()
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    counted_case = type(case)(**{
+        **vars(case),
+        **{key: counted(key, getattr(case, key)) for key in ("u", "du", "ux", "uy", "f")},
+    })
+    counted_data = ProblemData(u0=data.u0, grad_u0=data.grad_u0, u1=data.u1,
+                               f=counted_case.f, exact=counted_case, singular_load=True)
+    n_slabs = grid.n_intervals
+    graded_panels = 46
+
+    sol = march(counted_data, space, grid)
+    assert calls == {"f": graded_panels + n_slabs - 1}
+    calls.clear()
+    compute_errors(sol, counted_case)
+    assert calls == {"u": n_slabs, "du": 2 * n_slabs, "ux": 2 * n_slabs, "uy": 2 * n_slabs}
+    calls.clear()
+    osc_terms(counted_data, sol, n_slabs - 1)
+    assert calls == {"f": n_slabs}
+    calls.clear()
+    report = stability_check(sol, counted_data)
+    assert calls == {"f": report.m + 1}

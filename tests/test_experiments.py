@@ -1,10 +1,16 @@
 """Config parsing, suite execution, CSV output, and the command line."""
 
 import csv
+import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import waveslab
 import waveslab.experiments as experiments
 from waveslab.cli import main
 from waveslab.experiments import (
@@ -90,6 +96,19 @@ def test_parse_accepts_mapping_string_and_file(tmp_path):
     assert from_file.seed == 7
     with pytest.raises(ConfigError, match="flat mapping"):
         parse_config("- 1\n- 2\n")
+
+
+def test_long_yaml_text_is_not_taken_for_a_path():
+    text = (
+        "# Smooth-case time refinement on the coarse mesh; this comment makes\n"
+        "# the document longer than the 255 bytes a file name may have, so the\n"
+        "# text must be parsed as YAML and never looked up on disk.\n"
+        "suite: tau_refine\ncase: case1\nh: 1.0\np_t: 2\n"
+        "tau_list: [0.5, 0.25, 0.125]\nseed: 7\n"
+    )
+    assert 256 <= len(text.encode()) <= 320
+    cfg = parse_config(text)
+    assert cfg.tau_list == [0.5, 0.25, 0.125] and cfg.seed == 7
 
 
 def _tiny_tau_config():
@@ -232,6 +251,43 @@ def test_cli_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(experiments, "run_from_file", boom)
     assert main(["run", str(cfg)]) == 2
     assert "run failed" in capsys.readouterr().err
+
+
+def test_cli_non_finite_forcing_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(
+        tmp_path,
+        "suite: tau_refine\ncase: case1\nh: 1.0\ntau_list: [0.5]\n",
+    )
+    build = experiments._build_case
+
+    def nan_forcing(config):
+        return dataclasses.replace(build(config), f=lambda t, x, y: np.nan * (t + x + y))
+
+    monkeypatch.setattr(experiments, "_build_case", nan_forcing)
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "non-finite values in the load of slab 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _import_env(**overrides):
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("WAVESLAB_THREADS", "OMP_NUM_THREADS")}
+    src = str(Path(waveslab.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env.update(overrides)
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import os, waveslab; print(os.environ.get('OMP_NUM_THREADS'))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    return done.stdout.strip()
+
+
+def test_waveslab_threads_caps_blas_on_import():
+    assert _import_env(WAVESLAB_THREADS="3") == "3"
+    assert _import_env(WAVESLAB_THREADS="3", OMP_NUM_THREADS="1") == "1"
+    assert _import_env() == "None"
 
 
 def test_run_from_file_overrides(tmp_path):

@@ -12,6 +12,8 @@ from waveslab import (
     march,
     stability_check,
 )
+from waveslab import slabsolver
+from waveslab.adaptive import bisect
 from waveslab.slabsolver import _graded_load
 
 rng = np.random.default_rng(20240814)
@@ -164,6 +166,51 @@ def test_variational_residual_per_slab():
             moment += (-1.0) ** k * (M @ (poly.deriv(a) - incoming))
             scale = max(1.0, float(np.max(np.abs(M @ poly.deriv(a)))))
             assert np.max(np.abs(moment)) < 1e-9 * scale, (n, k)
+
+
+def count_factorizations(monkeypatch, grid):
+    """Number of sparse-LU factorizations one march on `grid` makes."""
+    real = slabsolver.spla
+    calls = []
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def splu(self, matrix):
+            calls.append(matrix.shape)
+            return real.splu(matrix)
+
+    monkeypatch.setattr(slabsolver, "spla", Counting())
+    march(zero_data(), TensorSpace(2, 2, 1), grid)
+    monkeypatch.setattr(slabsolver, "spla", real)
+    return len(calls)
+
+
+def test_factorization_reused_across_equal_slabs(monkeypatch):
+    # np.linspace steps differ in their last bits; those slabs still share
+    assert count_factorizations(monkeypatch, TimeGrid.uniform(1.0, 40, 2)) == 1
+    assert count_factorizations(monkeypatch, TimeGrid.uniform(1.0, 160, 2)) == 1
+    # a bisected grid factorizes once per distinct (degree, length)
+    grid = bisect(bisect(TimeGrid.uniform(1.0, 5, 3), [0, 2, 3]), [0, 1])
+    lengths = {round(float(tau), 9) for tau in np.diff(grid.nodes)}
+    assert lengths == {0.05, 0.1, 0.2}
+    assert count_factorizations(monkeypatch, grid) == 3
+    mixed = TimeGrid(grid.nodes, np.where(np.arange(grid.n_intervals) < 5, 2, 3))
+    assert count_factorizations(monkeypatch, mixed) == 4
+
+
+def test_non_finite_load_or_solution_stops_the_march():
+    space = TensorSpace(3, 3, 2)
+    grid = TimeGrid.uniform(1.0, 4, 2)
+    late_nan = lambda t, x, y: np.where(t > 0.6, np.nan, 1.0) * bump(x, y)
+    data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=late_nan)
+    with pytest.raises(FloatingPointError, match="load of slab 2"):
+        march(data, space, grid)
+    nan2 = lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.nan)
+    data = ProblemData(u0=nan2, grad_u0=(nan2, nan2), u1=zero2, f=zero3)
+    with pytest.raises(FloatingPointError, match="solve of slab 0"):
+        march(data, space, grid)
 
 
 def test_load_sees_only_low_temporal_modes():
