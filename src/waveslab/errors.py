@@ -175,9 +175,8 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
         ey = space.grid_eval(case.uy, t) - gy
         max_h1 = max(max_h1, float(np.max(space.h1_semi_norm(ex, ey))))
 
-    jump_sq = sum(
-        float(sol.jump(n) @ (space.M @ sol.jump(n))) for n in range(grid.n_intervals)
-    )
+    jumps = sol.jumps()
+    jump_sq = float(np.sum(space.m_inner(jumps, jumps)))
     return ErrorBundle(
         max_W1inf_L2=max_w1inf,
         max_Linf_H1=max_h1,

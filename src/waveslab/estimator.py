@@ -25,59 +25,57 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 from .slabsolver import ProblemData, SlabSolution
-from .timebasis import c3_constant, c4_constant, gauss_legendre, reconstruction_constants
+from .timebasis import (
+    c3_constant, c4_constant, gauss_legendre, legendre_eval, nodal_to_modal,
+    reconstruction_constants,
+)
 
 
 def eta1(sol: SlabSolution) -> tuple[float, int]:
-    """Jump estimator: worst slab value and the first slab attaining it."""
-    best, arg = -1.0, 0
-    for n in range(sol.grid.n_intervals):
-        p = int(sol.grid.degrees[n])
-        c1_sq, c2_sq, _ = reconstruction_constants(p)
-        jump = sol.jump(n)
-        val = sol.grid.tau(n) * (c1_sq * c2_sq) ** 0.25 * sol.space.m_norm(jump)
-        if val > best * (1.0 + 1e-14):
-            best, arg = val, n
-    return best, arg
+    """Jump estimator: worst slab value and the first slab attaining it.
 
-
-def _top_mode_l1(sol: SlabSolution, n: int, order: int) -> float:
-    """Time L1 norm of the broken-Laplacian L2 norm of the top temporal mode.
-
-    The defect of the slab polynomial against its temporal L2 projection one
-    degree down is exactly the top Legendre mode, so the norm integrand is
-    the absolute mapped Legendre value times a fixed spatial norm.
+    Values within a relative 1e-14 of the worst count as attaining it.
     """
-    p = int(sol.grid.degrees[n])
-    top = sol.poly(n).modes[p]
-    lap_norm = sol.space.l2_norm(sol.space.eval_laplacian_gauss(top))
-    xq, wq = gauss_legendre(order)
-    coeff = np.zeros(p + 1)
-    coeff[p] = 1.0
-    leg_l1 = 0.5 * sol.grid.tau(n) * float(wq @ np.abs(npleg.legval(xq, coeff)))
-    return leg_l1 * lap_norm
+    grid = sol.grid
+    weights = np.array([
+        (c1_sq * c2_sq) ** 0.25
+        for c1_sq, c2_sq, _ in map(reconstruction_constants, grid.degrees)
+    ])
+    vals = np.diff(grid.nodes) * weights * sol.space.m_norm(sol.jumps())
+    arg = int(np.argmax(vals * (1.0 + 1e-14) >= np.max(vals)))
+    return float(vals[arg]), arg
 
 
 def eta2_terms(sol: SlabSolution, m: int, order_fn=None) -> np.ndarray:
-    """Per-slab consistency terms for target slab index m (zero past m)."""
+    """Per-slab consistency terms for target slab index m (zero past m).
+
+    The defect of a slab polynomial against its temporal L2 projection one
+    degree down is exactly its top Legendre mode, so that term is the time
+    L1 norm of the mapped Legendre polynomial times the broken-Laplacian L2
+    norm of the top mode.  The top modes and the jumps of slabs 0..m each
+    go through the space kernel as one stack.
+    """
     if order_fn is None:
         order_fn = lambda p: 2 * p + 3
     grid, space = sol.grid, sol.space
     t_m = float(grid.nodes[m + 1])
+    degrees = [int(p) for p in grid.degrees[: m + 1]]
+    tops = np.array([nodal_to_modal(p)[p] @ block for p, block in zip(degrees, sol.blocks)])
+    top_lap = space.l2_norm(space.eval_laplacian_gauss(tops))
+    jump_lap = space.l2_norm(space.eval_laplacian_gauss(sol.jumps()[: m + 1]))
     out = np.zeros(grid.n_intervals)
-    for n in range(m + 1):
-        p = int(grid.degrees[n])
+    for n, p in enumerate(degrees):
         tau = grid.tau(n)
         _, c2_sq, _ = reconstruction_constants(p)
-        lap_l1 = _top_mode_l1(sol, n, order_fn(p))
-        jump_lap = space.l2_norm(space.eval_laplacian_gauss(sol.jump(n)))
+        xq, wq = gauss_legendre(order_fn(p))
+        lap_l1 = 0.5 * tau * float(wq @ np.abs(legendre_eval(p, xq))) * top_lap[n]
         if n == m:
-            out[n] = 2.0 * (tau * lap_l1 + np.sqrt(c2_sq) * tau**3 * jump_lap)
+            out[n] = 2.0 * (tau * lap_l1 + np.sqrt(c2_sq) * tau**3 * jump_lap[n])
         else:
             c4 = c4_constant(p, t_m, float(grid.nodes[n]), tau)
             out[n] = (2.0 / np.pi) * (
                 tau * c3_constant(p - 1) * lap_l1
-                + tau**3 * np.sqrt(c2_sq) * c4 * jump_lap
+                + tau**3 * np.sqrt(c2_sq) * c4 * jump_lap[n]
             )
     return out
 

@@ -251,6 +251,7 @@ class ExperimentResult:
 
 
 def _level_row(level, h, tau, p_x, p_t, grid, space, errs, report, wall):
+    """One CSV row; kappa is inf when the max-in-time L2 error is zero."""
     kappa = report.eta / errs.Linf_L2 if errs.Linf_L2 > 0 else float("inf")
     row = {
         "level": level, "h": h, "tau": tau, "p_x": p_x, "p_t": p_t,
@@ -306,18 +307,10 @@ def run_suite(config: Config) -> ExperimentResult:
             eta_tol=config.eta_tol, include_osc=config.include_osc,
         )
         for level, rec in enumerate(result.history):
-            taus = np.diff(rec.grid.nodes)
-            row = {
-                "level": level, "h": config.h, "tau": float(taus.min()),
-                "p_x": config.p_x, "p_t": config.p_t,
-                "N": rec.grid.n_intervals, "dofs": rec.dofs,
-                "eta": rec.report.eta, "eta1": rec.report.eta1,
-                "osc": rec.report.osc,
-                "kappa": rec.kappa if rec.kappa is not None else float("nan"),
-                "wall_time": rec.wall_time,
-            }
-            row.update(rec.errors.as_dict())
-            rows.append(row)
+            rows.append(_level_row(
+                level, config.h, float(np.diff(rec.grid.nodes).min()), config.p_x,
+                config.p_t, rec.grid, space, rec.errors, rec.report, rec.wall_time,
+            ))
     else:
         for level, (h, tau, p_x, p_t, T) in enumerate(_level_specs(config)):
             grid, space, errs, report, wall = _uniform_level(case, config, h, tau, p_x, p_t, T)

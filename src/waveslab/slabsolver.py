@@ -196,31 +196,26 @@ class SlabSolution:
         modes = nodal_to_modal(p) @ self.blocks[n]
         return a + 0.5 * tau * (x + 1.0), leg @ modes, (2.0 / tau) * (dleg @ modes)
 
-    def end_deriv(self, n: int) -> np.ndarray:
-        """Time derivative at the right endpoint of interval n (one sided)."""
-        p = self.grid.degrees[n]
-        ref = reference_blocks(p)
-        return (2.0 / self.grid.tau(n)) * (ref["dphi_right"] @ self.blocks[n])
+    def jumps(self) -> np.ndarray:
+        """Derivative jumps at the left node of every interval, shape (N, n_dofs).
 
-    def start_deriv(self, n: int) -> np.ndarray:
-        """Time derivative at the left endpoint of interval n (one sided)."""
-        p = self.grid.degrees[n]
-        ref = reference_blocks(p)
-        return (2.0 / self.grid.tau(n)) * (ref["dphi_left"] @ self.blocks[n])
-
-    def jump(self, n: int) -> np.ndarray:
-        """Derivative jump at the left node of interval n.
-
-        For n = 0 the prescribed projected velocity acts as the incoming
-        derivative.
+        Row n is the one-sided time derivative of interval n at t_n minus
+        that of interval n - 1; for n = 0 the prescribed projected velocity
+        acts as the incoming derivative.
         """
-        incoming = self.u1h if n == 0 else self.end_deriv(n - 1)
-        return self.start_deriv(n) - incoming
+        out = np.empty((self.grid.n_intervals, self.space.n_dofs))
+        incoming = self.u1h
+        for n in range(self.grid.n_intervals):
+            ref = reference_blocks(int(self.grid.degrees[n]))
+            scale = 2.0 / self.grid.tau(n)
+            out[n] = scale * (ref["dphi_left"] @ self.blocks[n]) - incoming
+            incoming = scale * (ref["dphi_right"] @ self.blocks[n])
+        return out
 
 
-def _check_finite(values: np.ndarray, n: int, stage: str) -> None:
+def _check_finite(values: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(values)):
-        raise FloatingPointError(f"non-finite values in the {stage} of slab {n}")
+        raise FloatingPointError(f"non-finite values in the {where}")
 
 
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution:
@@ -231,12 +226,15 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     whenever the degree repeats and the length agrees to 12 significant
     digits, so slabs of a uniform or bisected grid share it.
 
-    Raises FloatingPointError naming the slab and the stage ("load" or
-    "solve") at the first non-finite value.
+    Raises FloatingPointError at the first non-finite value, naming the
+    projected initial displacement or velocity, or the slab and the stage
+    ("load" or "solve").
     """
     gx, gy = data.grad_u0
     u0h = space.elliptic_project(gx, gy)
+    _check_finite(u0h, "projected initial displacement")
     u1h = space.l2_project(data.u1)
+    _check_finite(u1h, "projected initial velocity")
     sol = SlabSolution(grid=grid, space=space, u0h=u0h, u1h=u1h)
 
     d = space.n_dofs
@@ -264,7 +262,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
             tq = a + 0.5 * tau * (ref["xq"] + 1.0)
             loads = space.load_vector(space.grid_eval(data.f, tq))
             rhs = (0.5 * tau) * (ref["psi_q"] * ref["wq"]) @ loads
-        _check_finite(rhs, n, "load")
+        _check_finite(rhs, f"load of slab {n}")
         rhs += np.outer(ref["psi_left"], M @ prev_deriv)
         rhs -= np.outer(A[:, 0], M @ prev_value) + np.outer(B[:, 0], K @ prev_value)
 
@@ -272,11 +270,11 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
         block = np.empty((p + 1, d))
         block[0] = prev_value
         block[1:] = coeffs.reshape(p, d)
-        _check_finite(block, n, "solve")
+        _check_finite(block, f"solve of slab {n}")
         sol.blocks.append(block)
 
         prev_value = block[-1]
-        prev_deriv = sol.end_deriv(n)
+        prev_deriv = (2.0 / tau) * (ref["dphi_right"] @ block)
 
     return sol
 
@@ -315,10 +313,8 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     mu = mu_n(p_m)
     t_m = grid.nodes[m + 1]
 
-    jumps_sq = sum(
-        float(sol.jump(n) @ (space.M @ sol.jump(n))) for n in range(m + 1)
-    )
-    lhs = mu * energies[m] + 0.25 * jumps_sq
+    jumps = sol.jumps()[: m + 1]
+    lhs = mu * energies[m] + 0.25 * float(np.sum(space.m_inner(jumps, jumps)))
 
     gx, gy = data.grad_u0
     h1_u0 = space.h1_semi_norm(space.grid_eval(gx), space.grid_eval(gy))

@@ -259,11 +259,11 @@ class TensorSpace:
             f(self.nodes_x[1:-1, None], self.nodes_y[None, 1:-1]), dtype=float
         ).ravel()
 
-    def m_inner(self, u: np.ndarray, v: np.ndarray) -> float:
-        return float(u @ (self.M @ v))
+    def m_inner(self, u: np.ndarray, v: np.ndarray):
+        """Mass inner product of two vectors, or of matching rows of two stacks."""
+        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
+        out = np.sum(u * (self.M @ v.T).T, axis=-1)
+        return float(out) if np.ndim(out) == 0 else out
 
-    def m_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(self.m_inner(v, v), 0.0)))
-
-    def k_norm(self, v: np.ndarray) -> float:
-        return float(np.sqrt(max(v @ (self.K @ v), 0.0)))
+    def m_norm(self, v: np.ndarray):
+        return _sqrt_pos(self.m_inner(v, v))

@@ -19,10 +19,12 @@ import numpy as np
 from numpy.polynomial import legendre as npleg
 
 
+@lru_cache(maxsize=None)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [-1, 1] exact for polynomials of `order`.
 
-    The node count is the smallest n with 2n - 1 >= order.
+    The node count is the smallest n with 2n - 1 >= order.  Rules are
+    cached per order and returned as read-only arrays shared by all callers.
 
     Args:
         order: polynomial degree the rule must integrate exactly (>= 0).
@@ -33,7 +35,10 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     if order < 0:
         raise ValueError(f"quadrature order must be >= 0, got {order}")
     n = max(1, -(-(order + 1) // 2))
-    return npleg.leggauss(n)
+    nodes, weights = npleg.leggauss(n)
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return nodes, weights
 
 
 def legendre_eval(degree: int, x) -> np.ndarray:

@@ -3,9 +3,9 @@
 These are the element-by-element space contractions and the per-time-point
 loops that `spacefem`, `slabsolver`, `estimator` and `errors` used before
 their evaluation was batched.  They exist only to check the fast paths on
-small problems: every function here evaluates one time sample at a time,
-gathers element coefficients with index arrays and scatters loads with
-`np.add.at`.
+small problems: every function here evaluates one time sample or one slab
+at a time, gathers element coefficients with index arrays and scatters
+loads with `np.add.at`.
 """
 
 import numpy as np
@@ -13,7 +13,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 
-from waveslab import IntervalPoly, SlabSolution, gauss_legendre, mu_n
+from waveslab import (
+    IntervalPoly,
+    SlabSolution,
+    c3_constant,
+    c4_constant,
+    gauss_legendre,
+    mu_n,
+    reconstruction_constants,
+)
 from waveslab.slabsolver import reference_blocks, time_matrices
 
 
@@ -95,6 +103,24 @@ def grid_eval_at(space, f, t):
 
 # ------------------------------------------------------------------- time
 
+def end_deriv(sol, n):
+    """One-sided time derivative at the right endpoint of interval n."""
+    ref = reference_blocks(int(sol.grid.degrees[n]))
+    return (2.0 / sol.grid.tau(n)) * (ref["dphi_right"] @ sol.blocks[n])
+
+
+def jump(sol, n):
+    """Derivative jump at the left node of interval n, one slab at a time."""
+    ref = reference_blocks(int(sol.grid.degrees[n]))
+    incoming = sol.u1h if n == 0 else end_deriv(sol, n - 1)
+    return (2.0 / sol.grid.tau(n)) * (ref["dphi_left"] @ sol.blocks[n]) - incoming
+
+
+def jump_sq(sol, stop):
+    """Sum of the squared mass norms of the jumps of intervals 0..stop-1."""
+    return sum(float(jump(sol, n) @ (sol.space.M @ jump(sol, n))) for n in range(stop))
+
+
 def _graded_load(data, space, p, a, b):
     sigma, levels = 0.3, 45
     cuts = [a + (b - a) * sigma**k for k in range(levels, 0, -1)]
@@ -140,7 +166,7 @@ def march(data, space, grid):
         block[1:] = spla.splu(system.tocsc()).solve(rhs.ravel()).reshape(p, d)
         sol.blocks.append(block)
         prev_value = block[-1]
-        prev_deriv = sol.end_deriv(n)
+        prev_deriv = end_deriv(sol, n)
     return sol
 
 
@@ -173,19 +199,62 @@ def compute_errors(sol, case):
             ex = grid_eval_at(space, case.ux, t) - gx
             ey = grid_eval_at(space, case.uy, t) - gy
             max_h1 = max(max_h1, h1_semi_norm(space, ex, ey))
-    jump_sq = sum(float(sol.jump(n) @ (space.M @ sol.jump(n)))
-                  for n in range(grid.n_intervals))
     return {
         "max_W1inf_L2": max_w1inf, "max_Linf_H1": max_h1,
         "L2_H1": float(np.sqrt(sq_h1)), "H1deriv_L2L2": float(np.sqrt(sq_dl2)),
-        "Linf_L2": max_l2, "jump": float(np.sqrt(jump_sq)),
+        "Linf_L2": max_l2, "jump": float(np.sqrt(jump_sq(sol, grid.n_intervals))),
     }
+
+
+def eta1(sol):
+    """Jump estimator of `estimator.eta1`, one slab at a time."""
+    best, arg = -1.0, 0
+    for n in range(sol.grid.n_intervals):
+        c1_sq, c2_sq, _ = reconstruction_constants(int(sol.grid.degrees[n]))
+        j = jump(sol, n)
+        m_norm = float(np.sqrt(max(float(j @ (sol.space.M @ j)), 0.0)))
+        val = sol.grid.tau(n) * (c1_sq * c2_sq) ** 0.25 * m_norm
+        if val > best * (1.0 + 1e-14):
+            best, arg = val, n
+    return best, arg
+
+
+def _top_mode_l1(sol, n, order):
+    """Time L1 norm of the broken-Laplacian L2 norm of the top temporal mode."""
+    p = int(sol.grid.degrees[n])
+    top = sol.poly(n).modes[p]
+    lap_norm = l2_norm(sol.space, eval_laplacian_gauss(sol.space, top))
+    xq, wq = gauss_legendre(order)
+    coeff = np.zeros(p + 1)
+    coeff[p] = 1.0
+    leg_l1 = 0.5 * sol.grid.tau(n) * float(wq @ np.abs(npleg.legval(xq, coeff)))
+    return leg_l1 * lap_norm
+
+
+def eta2_terms(sol, m, order_fn=lambda p: 2 * p + 3):
+    """Consistency terms of `estimator.eta2_terms`, one slab at a time."""
+    grid, space = sol.grid, sol.space
+    t_m = float(grid.nodes[m + 1])
+    out = np.zeros(grid.n_intervals)
+    for n in range(m + 1):
+        p = int(grid.degrees[n])
+        tau = grid.tau(n)
+        _, c2_sq, _ = reconstruction_constants(p)
+        lap_l1 = _top_mode_l1(sol, n, order_fn(p))
+        jump_lap = l2_norm(space, eval_laplacian_gauss(space, jump(sol, n)))
+        if n == m:
+            out[n] = 2.0 * (tau * lap_l1 + np.sqrt(c2_sq) * tau**3 * jump_lap)
+        else:
+            c4 = c4_constant(p, t_m, float(grid.nodes[n]), tau)
+            out[n] = (2.0 / np.pi) * (
+                tau * c3_constant(p - 1) * lap_l1
+                + tau**3 * np.sqrt(c2_sq) * c4 * jump_lap
+            )
+    return out
 
 
 def osc_terms(data, sol, m):
     """Per-slab data oscillation of `estimator.osc_terms`, one sample at a time."""
-    from waveslab import c3_constant
-
     grid, space = sol.grid, sol.space
     out = np.zeros(grid.n_intervals)
     for n in range(m + 1):
@@ -224,8 +293,7 @@ def stability_check(sol, data):
     energies = np.array([slab_energy(sol, n) for n in range(grid.n_intervals)])
     m = int(np.argmax(energies))
     mu = mu_n(int(grid.degrees[m]))
-    jumps_sq = sum(float(sol.jump(n) @ (space.M @ sol.jump(n))) for n in range(m + 1))
-    lhs = mu * energies[m] + 0.25 * jumps_sq
+    lhs = mu * energies[m] + 0.25 * jump_sq(sol, m + 1)
     gx, gy = data.grad_u0
     h1_u0 = h1_semi_norm(space, space.grid_eval(gx), space.grid_eval(gy))
     l2_u1 = l2_norm(space, space.grid_eval(data.u1))

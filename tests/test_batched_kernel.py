@@ -14,12 +14,13 @@ from waveslab import (
     TensorSpace,
     TimeGrid,
     compute_errors,
+    gauss_legendre,
     make_case,
     march,
     problem_data,
     stability_check,
 )
-from waveslab.estimator import osc_terms
+from waveslab.estimator import eta1, eta2_terms, osc_terms
 
 rng = np.random.default_rng(20261018)
 
@@ -141,6 +142,57 @@ def test_errors_osc_and_stability_match_per_point_loops():
     assert_close(report.slab_energy, energies)
     assert_close(report.lhs, lhs)
     assert_close(report.rhs, rhs)
+
+
+def test_jumps_and_estimator_match_per_slab_loops():
+    case, data, space, grid = mixed_degree_run()
+    sol = march(data, space, grid)
+
+    jumps = sol.jumps()
+    assert jumps.shape == (grid.n_intervals, space.n_dofs)
+    norms = space.m_norm(jumps)
+    for n in range(grid.n_intervals):
+        assert np.array_equal(jumps[n], slow.jump(sol, n))
+        assert_close(norms[n], space.m_norm(jumps[n]))
+
+    value, arg = eta1(sol)
+    ref_value, ref_arg = slow.eta1(sol)
+    assert arg == ref_arg
+    assert_close(value, ref_value)
+
+    doubled = lambda p: 4 * p + 6
+    for m in (grid.n_intervals - 1, 1):
+        assert_close(eta2_terms(sol, m), slow.eta2_terms(sol, m))
+        assert_close(eta2_terms(sol, m, order_fn=doubled),
+                     slow.eta2_terms(sol, m, order_fn=doubled))
+
+
+def test_eta2_makes_two_laplacian_evaluations(monkeypatch):
+    case, data, space, grid = mixed_degree_run()
+    sol = march(data, space, grid)
+    calls = []
+    real = TensorSpace.eval_laplacian_gauss
+
+    def counted(self, vec):
+        calls.append(np.shape(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(TensorSpace, "eval_laplacian_gauss", counted)
+    for m in range(grid.n_intervals):
+        calls.clear()
+        eta2_terms(sol, m)
+        assert calls == [(m + 1, space.n_dofs)] * 2
+
+
+def test_gauss_rule_is_shared_and_read_only():
+    x, w = gauss_legendre(7)
+    again = gauss_legendre(7)
+    assert again[0] is x and again[1] is w
+    assert len(x) == 4
+    for arr in (x, w):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_callables_are_called_once_per_slab_or_panel():

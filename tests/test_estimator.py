@@ -83,7 +83,7 @@ def test_single_slab_consistency_term_closed_form():
     # 2 tau * (tau/2)(tau^2/6)|L_2|_1 * |Lap bump|
     tau = 0.7
     sol, space, c = quadratic_in_time_solution(tau)
-    assert np.max(np.abs(sol.jump(0))) < 1e-14
+    assert np.max(np.abs(sol.jumps()[0])) < 1e-14
     terms = eta2_terms(sol, 0)
     expect = 2.0 * tau * (0.5 * tau * tau**2 / 6.0 * L1_LEG2) * LAP_BUMP
     assert abs(terms[0] - expect) < 1e-12 * expect
@@ -109,9 +109,9 @@ def test_kinked_solution_jump_terms():
     # c4-weighted jump of the broken Laplacian on the middle slab
     tau, beta = 0.3, 0.9
     sol, space, c = quadratic_in_time_solution(tau, slabs=3, kink=beta, kink_at=1)
-    jump = sol.jump(1)
-    assert np.allclose(jump, beta * c, atol=1e-10)
-    assert np.max(np.abs(sol.jump(2))) < 1e-10
+    jumps = sol.jumps()
+    assert np.allclose(jumps[1], beta * c, atol=1e-10)
+    assert np.max(np.abs(jumps[2])) < 1e-10
 
     _, c2_sq, _ = reconstruction_constants(2)
     l1 = 0.5 * tau * tau**2 / 6.0 * L1_LEG2 * LAP_BUMP
@@ -156,8 +156,9 @@ def test_equal_jumps_pick_the_first_slab():
     sol.blocks.append(np.zeros((3, space.n_dofs)))
     ts = np.linspace(tau, 2 * tau, 3)
     sol.blocks.append(np.outer(beta * (ts - tau), c))
-    assert np.allclose(sol.jump(0), beta * c, atol=1e-12)
-    assert np.allclose(sol.jump(1), beta * c, atol=1e-12)
+    jumps = sol.jumps()
+    assert np.allclose(jumps[0], beta * c, atol=1e-12)
+    assert np.allclose(jumps[1], beta * c, atol=1e-12)
     _, arg = eta1(sol)
     assert arg == 0
 

@@ -11,7 +11,9 @@ import numpy as np
 import pytest
 
 import waveslab
+import waveslab.adaptive
 import waveslab.experiments as experiments
+from waveslab import ErrorBundle
 from waveslab.cli import main
 from waveslab.experiments import (
     COLUMNS,
@@ -179,6 +181,21 @@ def test_remaining_suites_produce_sane_rows():
     assert adrow[-1]["tau"] < adrow[0]["tau"]
 
 
+def test_zero_error_gives_infinite_kappa_in_every_suite(monkeypatch):
+    # no demo config reaches a zero error, so force one: both row builders
+    # must write the same kappa
+    exact = ErrorBundle(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(experiments, "compute_errors", lambda sol, case: exact)
+    monkeypatch.setattr(waveslab.adaptive, "compute_errors", lambda sol, case: exact)
+    for config in (
+        {"suite": "tau_refine", "case": "case1", "h": 1.0, "tau_list": [0.5]},
+        {"suite": "adaptive", "case": "case2", "h": 1.0, "initial_n": 2, "max_iters": 2},
+    ):
+        rows = run_suite(parse_config(config)).rows
+        assert rows and all(r["eta"] > 0 for r in rows)
+        assert all(r["kappa"] == float("inf") for r in rows), config
+
+
 def test_csv_round_trip(tmp_path):
     result = run_suite(_tiny_tau_config())
     path = emit_csv(result, tmp_path / "out.csv")
@@ -267,6 +284,23 @@ def test_cli_non_finite_forcing_exits_2(tmp_path, capsys, monkeypatch):
     out = tmp_path / "rows.csv"
     assert main(["run", str(cfg), "--out", str(out)]) == 2
     assert "non-finite values in the load of slab 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_non_finite_initial_velocity_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(
+        tmp_path,
+        "suite: tau_refine\ncase: case1\nh: 1.0\ntau_list: [0.5]\n",
+    )
+    build = experiments._build_case
+
+    def nan_velocity(config):
+        return dataclasses.replace(build(config), u1=lambda x, y: np.nan * (x + y))
+
+    monkeypatch.setattr(experiments, "_build_case", nan_velocity)
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 2
+    assert "non-finite values in the projected initial velocity" in capsys.readouterr().err
     assert not out.exists()
 
 
