@@ -263,17 +263,15 @@ def _level_row(level, h, tau, p_x, p_t, grid, space, errs, report, wall):
     return row
 
 
-def _uniform_level(case, config, h, tau, p_x, p_t, T):
-    n = round(T / tau)
-    space = TensorSpace(round(2.0 / h), round(2.0 / h), p_x)
-    grid = TimeGrid.uniform(T, n, p_t)
+def _uniform_level(case, config, space, tau, p_t, T):
+    grid = TimeGrid.uniform(T, round(T / tau), p_t)
     data = problem_data(case)
     started = time.perf_counter()
     sol = march(data, space, grid)
     report = estimate(sol, data, include_osc=config.include_osc)
     errs = compute_errors(sol, case)
     wall = time.perf_counter() - started
-    return grid, space, errs, report, wall
+    return grid, errs, report, wall
 
 
 def _level_specs(config: Config) -> list:
@@ -312,8 +310,13 @@ def run_suite(config: Config) -> ExperimentResult:
                 config.p_t, rec.grid, space, rec.errors, rec.report, rec.wall_time,
             ))
     else:
+        spaces = {}  # levels on the same mesh and degree share one space
         for level, (h, tau, p_x, p_t, T) in enumerate(_level_specs(config)):
-            grid, space, errs, report, wall = _uniform_level(case, config, h, tau, p_x, p_t, T)
+            nx = round(2.0 / h)
+            if (nx, p_x) not in spaces:
+                spaces[nx, p_x] = TensorSpace(nx, nx, p_x)
+            space = spaces[nx, p_x]
+            grid, errs, report, wall = _uniform_level(case, config, space, tau, p_t, T)
             rows.append(_level_row(
                 level, h, grid.T / grid.n_intervals, p_x, p_t, grid, space, errs, report, wall,
             ))

@@ -233,14 +233,15 @@ class TensorSpace:
         if self.n_dofs == 0:
             return self.zero()
         if self._solve_M is None:
-            self._solve_M = spla.factorized(self.M.tocsc())
+            # minimum degree on A + A^T suits the symmetric pattern, as in the slab LU
+            self._solve_M = spla.splu(self.M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
         return self._solve_M(rhs)
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
         if self.n_dofs == 0:
             return self.zero()
         if self._solve_K is None:
-            self._solve_K = spla.factorized(self.K.tocsc())
+            self._solve_K = spla.splu(self.K.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
         return self._solve_K(rhs)
 
     def l2_project(self, f) -> np.ndarray:

@@ -181,6 +181,38 @@ def test_remaining_suites_produce_sane_rows():
     assert adrow[-1]["tau"] < adrow[0]["tau"]
 
 
+def test_levels_on_one_mesh_share_one_space(monkeypatch):
+    built = []
+
+    class Counting(waveslab.TensorSpace):
+        def __init__(self, *args, **kwargs):
+            built.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "TensorSpace", Counting)
+    base = {"case": "case1", "h": 1.0, "tau": 0.5, "T_list": [0.5, 1.0]}
+    rows = {}
+    for suite, lists, spaces in [
+        ("effectivity", {"tau_list": [0.5, 0.25], "p_t_list": [2, 3]}, [(2, 2, 2)]),
+        ("tau_refine", {"tau_list": [0.5, 0.25]}, [(2, 2, 2)]),
+        ("p_refine", {"p_t_list": [2, 3]}, [(2, 2, 2)]),
+        ("long_time", {}, [(2, 2, 2)]),
+        ("spacetime_refine", {"tau_list": [0.5, 0.25]}, [(4, 4, 3), (8, 8, 3)]),
+    ]:
+        built.clear()
+        rows[suite] = run_suite(parse_config({**base, "suite": suite, **lists})).rows
+        assert built == spaces, suite
+    # a shared space gives the rows of a space built for the level alone
+    for row in rows["effectivity"]:
+        alone = run_suite(parse_config({
+            "suite": "tau_refine", "case": "case1", "h": row["h"], "p_x": row["p_x"],
+            "p_t": row["p_t"], "tau_list": [row["tau"]],
+        })).rows[0]
+        for key in COLUMNS:
+            if key not in ("level", "wall_time"):
+                assert row[key] == alone[key], key
+
+
 def test_zero_error_gives_infinite_kappa_in_every_suite(monkeypatch):
     # no demo config reaches a zero error, so force one: both row builders
     # must write the same kappa

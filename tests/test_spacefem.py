@@ -75,6 +75,23 @@ def test_member_function_is_reproduced():
     assert np.allclose(gy, space.grid_eval(bump_y), atol=1e-11)
 
 
+def test_projections_match_dense_solves():
+    space = TensorSpace(5, 4, 3, domain=((0.0, 2.0), (-0.5, 0.5)))
+    f = lambda x, y: np.sin(2.0 * x) * np.exp(y)
+    fx = lambda x, y: 2.0 * np.cos(2.0 * x) * np.exp(y)
+    fy = f
+    for got, matrix, load in [
+        (space.l2_project(f), space.M, space.load_vector(space.grid_eval(f))),
+        (
+            space.elliptic_project(fx, fy),
+            space.K,
+            space.load_vector_grad(space.grid_eval(fx), space.grid_eval(fy)),
+        ),
+    ]:
+        dense = np.linalg.solve(matrix.toarray(), load)
+        assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
 def test_mass_solve_round_trip():
     space = TensorSpace(3, 3, 2)
     v = rng.standard_normal(space.n_dofs)
