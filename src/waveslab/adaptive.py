@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ErrorBundle, compute_errors
-from .estimator import EstimatorReport, estimate
+from .estimator import EstimatorReport, effectivity, estimate
 from .slabsolver import ProblemData, SlabSolution, TimeGrid, march
 from .spacefem import TensorSpace
 
@@ -109,7 +109,7 @@ def run_adaptive(
         sol = march(data, space, grid)
         report = estimate(sol, data, include_osc=include_osc, localized=True)
         errs = compute_errors(sol, data.exact) if data.exact is not None else None
-        kappa = report.eta / errs.Linf_L2 if errs is not None and errs.Linf_L2 > 0 else None
+        kappa = effectivity(report, errs.Linf_L2) if errs is not None else None
         result.history.append(AdaptiveRecord(
             grid=grid,
             dofs=total_dofs(grid, space),

@@ -16,7 +16,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to a YAML configuration")
     run.add_argument("--out", help="output CSV path (overrides the config)")
     run.add_argument("--suite", help="suite name (overrides the config)")
-    run.add_argument("--seed", type=int, help="unsigned seed recorded in the run")
+    run.add_argument("--seed", type=int, help="unsigned seed, validated and kept on the "
+                     "config; runs are deterministic")
     return parser
 
 

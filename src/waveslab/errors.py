@@ -155,7 +155,7 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     max_l2 = 0.0
     for n in range(grid.n_intervals):
         tau = grid.tau(n)
-        wq = reference_blocks(int(grid.degrees[n]))["wq"]
+        _, wq, _, _ = reference_blocks(int(grid.degrees[n]))["gauss"]
 
         t, coeff, dcoeff = sol.sample(n, "gauss")
         gx, gy = space.eval_grad_gauss(coeff)

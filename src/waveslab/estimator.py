@@ -22,13 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.polynomial import legendre as npleg
 
-from .slabsolver import ProblemData, SlabSolution
-from .timebasis import (
-    c3_constant, c4_constant, gauss_legendre, legendre_eval, nodal_to_modal,
-    reconstruction_constants,
-)
+from .slabsolver import ProblemData, SlabSolution, reference_blocks
+from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
 
 
 def eta1(sol: SlabSolution) -> tuple[float, int]:
@@ -46,17 +42,16 @@ def eta1(sol: SlabSolution) -> tuple[float, int]:
     return float(vals[arg]), arg
 
 
-def eta2_terms(sol: SlabSolution, m: int, order_fn=None) -> np.ndarray:
+def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
     """Per-slab consistency terms for target slab index m (zero past m).
 
     The defect of a slab polynomial against its temporal L2 projection one
     degree down is exactly its top Legendre mode, so that term is the time
     L1 norm of the mapped Legendre polynomial times the broken-Laplacian L2
     norm of the top mode.  The top modes and the jumps of slabs 0..m each
-    go through the space kernel as one stack.
+    go through the space kernel as one stack.  `points` names the Gauss
+    point set of `reference_blocks` that integrates the Legendre L1 norm.
     """
-    if order_fn is None:
-        order_fn = lambda p: 2 * p + 3
     grid, space = sol.grid, sol.space
     t_m = float(grid.nodes[m + 1])
     degrees = [int(p) for p in grid.degrees[: m + 1]]
@@ -67,8 +62,8 @@ def eta2_terms(sol: SlabSolution, m: int, order_fn=None) -> np.ndarray:
     for n, p in enumerate(degrees):
         tau = grid.tau(n)
         _, c2_sq, _ = reconstruction_constants(p)
-        xq, wq = gauss_legendre(order_fn(p))
-        lap_l1 = 0.5 * tau * float(wq @ np.abs(legendre_eval(p, xq))) * top_lap[n]
+        _, w, leg, _ = reference_blocks(p)[points]
+        lap_l1 = 0.5 * tau * float(w @ np.abs(leg[:, p])) * top_lap[n]
         if n == m:
             out[n] = 2.0 * (tau * lap_l1 + np.sqrt(c2_sq) * tau**3 * jump_lap[n])
         else:
@@ -80,30 +75,28 @@ def eta2_terms(sol: SlabSolution, m: int, order_fn=None) -> np.ndarray:
     return out
 
 
-def osc_terms(data: ProblemData, sol: SlabSolution, m: int, order_fn=None) -> np.ndarray:
+def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
     """Per-slab data oscillation: defect of f against its temporal projection.
 
     The projection onto degree p - 1 is taken per spatial quadrature point
-    from time-quadrature samples; norms follow the same conventions as the
-    estimator terms.
+    from samples at the Gauss point set `points` of `reference_blocks`;
+    norms follow the same conventions as the estimator terms.
     """
-    if order_fn is None:
-        order_fn = lambda p: 2 * p + 3
     grid, space = sol.grid, sol.space
     out = np.zeros(grid.n_intervals)
     for n in range(m + 1):
         p = int(grid.degrees[n])
         tau = grid.tau(n)
         a, _ = grid.interval(n)
-        xq, wq = gauss_legendre(order_fn(p))
-        samples = space.grid_eval(data.f, a + 0.5 * tau * (xq + 1.0))
-        flat = samples.reshape(len(xq), -1)
-        vander = npleg.legvander(xq, p - 1)  # (nq, p)
+        x, w, leg, _ = reference_blocks(p)[points]
+        samples = space.grid_eval(data.f, a + 0.5 * tau * (x + 1.0))
+        flat = samples.reshape(len(x), -1)
+        vander = leg[:, :p]  # (nq, p)
         scale = 0.5 * (2.0 * np.arange(p) + 1.0)
-        modes = scale[:, None] * ((vander * wq[:, None]).T @ flat)
+        modes = scale[:, None] * ((vander * w[:, None]).T @ flat)
         defect = (flat - vander @ modes).reshape(samples.shape)
         norms = space.l2_norm(defect)
-        l1 = 0.5 * tau * float(wq @ norms)
+        l1 = 0.5 * tau * float(w @ norms)
         if n == m:
             out[n] = 2.0 * tau * l1
         else:
@@ -174,23 +167,22 @@ def estimate(
 
 
 def effectivity(report: EstimatorReport, linf_l2_error: float) -> float:
-    """Ratio of the estimator to the max-in-time L2 error."""
-    return report.eta / linf_l2_error
+    """Ratio of the estimator to the max-in-time L2 error; inf when it is zero."""
+    return report.eta / linf_l2_error if linf_l2_error > 0 else float("inf")
 
 
 def quadrature_check(sol: SlabSolution, data: ProblemData, report: EstimatorReport,
                      tol: float = 1e-6) -> float:
-    """Recompute the quadrature-dependent terms at doubled order.
+    """Recompute the quadrature-dependent terms on the "gauss_doubled" points.
 
     Returns the worst relative difference and warns when it exceeds `tol`.
     The integrands contain absolute values, so some sensitivity to the rule
     is expected and worth surfacing.
     """
-    doubled = lambda p: 4 * p + 6
     ref = np.concatenate([report.eta2_n, report.osc_n])
     new = np.concatenate([
-        eta2_terms(sol, report.m, order_fn=doubled),
-        osc_terms(data, sol, report.m, order_fn=doubled),
+        eta2_terms(sol, report.m, points="gauss_doubled"),
+        osc_terms(data, sol, report.m, points="gauss_doubled"),
     ])
     denom = np.maximum(np.maximum(np.abs(ref), np.abs(new)), 1e-300)
     worst = float(np.max(np.abs(new - ref) / denom)) if len(ref) else 0.0

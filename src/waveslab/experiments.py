@@ -17,8 +17,8 @@ A study is described by a flat YAML mapping.  Common keys:
   (default 0.0), ``initial_n`` (default 5): adaptive loop controls.
 - ``include_osc``: add data oscillation to the reported total (default
   false; the oscillation column is always filled).
-- ``out``: output CSV path; ``seed``: optional unsigned integer recorded
-  for reproducibility.
+- ``out``: output CSV path; ``seed``: optional unsigned integer, validated
+  and kept on the ``Config`` (no study draws random numbers).
 
 Unknown keys are rejected, and all validation problems are reported at
 once.  A fixed configuration yields identical CSV output up to the wall
@@ -38,7 +38,7 @@ import yaml
 
 from .adaptive import run_adaptive, total_dofs
 from .errors import compute_errors, make_case, problem_data
-from .estimator import estimate
+from .estimator import effectivity, estimate
 from .slabsolver import TimeGrid, march
 from .spacefem import MAX_DEGREE, TensorSpace
 
@@ -96,23 +96,32 @@ class Config:
             raise AttributeError(key) from exc
 
 
+def _read_yaml(text: str) -> dict:
+    try:
+        raw = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"malformed YAML: {exc}"]) from exc
+    if not isinstance(raw, dict):
+        raise ConfigError(["configuration must be a flat mapping"])
+    return raw
+
+
 def parse_config(source) -> Config:
     """Load and validate a study configuration.
 
     `source` is a mapping, YAML text (any `str`) or the path of a YAML file
     (any `os.PathLike`, such as `pathlib.Path`); a `str` is never taken as a
-    file name.  Raises ConfigError listing every violation.
+    file name.  Raises ConfigError listing every violation, or naming the
+    YAML syntax error when the text does not parse.
     """
     if isinstance(source, dict):
         raw = dict(source)
     elif isinstance(source, os.PathLike):
-        raw = yaml.safe_load(Path(source).read_text())
+        raw = _read_yaml(Path(source).read_text())
     elif isinstance(source, str):
-        raw = yaml.safe_load(source)
+        raw = _read_yaml(source)
     else:
         raise ConfigError([f"cannot read a configuration from {type(source).__name__}"])
-    if not isinstance(raw, dict):
-        raise ConfigError(["configuration must be a flat mapping"])
 
     problems = []
     for key in sorted(set(raw) - _KNOWN_KEYS):
@@ -252,12 +261,11 @@ class ExperimentResult:
 
 def _level_row(level, h, tau, p_x, p_t, grid, space, errs, report, wall):
     """One CSV row; kappa is inf when the max-in-time L2 error is zero."""
-    kappa = report.eta / errs.Linf_L2 if errs.Linf_L2 > 0 else float("inf")
     row = {
         "level": level, "h": h, "tau": tau, "p_x": p_x, "p_t": p_t,
         "N": grid.n_intervals, "dofs": total_dofs(grid, space),
         "eta": report.eta, "eta1": report.eta1, "osc": report.osc,
-        "kappa": kappa, "wall_time": wall,
+        "kappa": effectivity(report, errs.Linf_L2), "wall_time": wall,
     }
     row.update(errs.as_dict())
     return row
@@ -344,9 +352,7 @@ def emit_csv(result: ExperimentResult, path) -> Path:
 
 def run_from_file(config_path, out=None, suite=None, seed=None) -> Path:
     """Parse a config file, run its suite, and write the CSV."""
-    raw = yaml.safe_load(Path(config_path).read_text())
-    if not isinstance(raw, dict):
-        raise ConfigError(["configuration must be a flat mapping"])
+    raw = _read_yaml(Path(config_path).read_text())
     if suite is not None:
         raw["suite"] = suite
     if seed is not None:

@@ -77,10 +77,10 @@ class ProblemData:
     one call.  `exact` may hold a manufactured solution for error studies.
 
     `singular_load` declares that f has limited smoothness at t = 0 (a
-    fractional power of t, say).  The load integral on the slab touching
-    t = 0 is then computed with a composite rule graded toward the origin;
-    a single fixed-order Gauss rule there would cap the convergence rate of
-    the whole march at the quadrature's own algebraic rate.
+    fractional power of t, say).  The slab touching t = 0 then takes its
+    load from the "graded_load" rule of `reference_blocks`; a single
+    fixed-order Gauss rule there would cap the convergence rate of the
+    whole march at the quadrature's own algebraic rate.
     """
 
     u0: object
@@ -93,18 +93,25 @@ class ProblemData:
 
 @lru_cache(maxsize=None)
 def reference_blocks(p: int):
-    """Reference-interval matrices for trial degree p, cached per degree.
+    """Reference-interval matrices and every temporal rule for trial degree p.
 
-    Rows are indexed by the p Legendre test functions, columns by the p + 1
-    Lagrange trial nodes.  Integrals are exact through modal orthogonality.
+    Rows of `A0`/`B0` are indexed by the p Legendre test functions, columns
+    by the p + 1 Lagrange trial nodes; integrals are exact through modal
+    orthogonality.  Time quadrature is chosen here and nowhere else.
 
-    For sampling a slab, `leg_q`/`dleg_q` hold the Legendre polynomials up
-    to degree p and their reference derivatives at the order 2p + 3 Gauss
-    points `xq`, and `leg_e`/`dleg_e` the same at the 2p + 3 equispaced
-    points `xe` (endpoints included).  Rows are points, so one product with
-    the modes `nodal_to_modal(p) @ block` samples the slab.  Going through
-    the modes keeps the round-off of pointwise Legendre evaluation; a
-    direct nodal derivative matrix loses a factor of about three at p = 10.
+    Point sets "gauss" (order 2p + 3), "gauss_doubled" (order 4p + 6) and
+    "equispaced" (2p + 3 points with both ends, no weights) are tuples
+    `(x, w, leg, dleg)`: `leg`/`dleg` hold the Legendre polynomials up to
+    degree p and their reference derivatives at x, rows being points.
+    Sampling through the modes, `leg @ nodal_to_modal(p) @ block`, keeps
+    pointwise Legendre round-off; a nodal derivative matrix loses a factor
+    of about three at p = 10.
+
+    Load rules "gauss_load" (one "gauss" panel) and "graded_load" (46 panels
+    shrinking by 0.3 toward the left end, resolving a power singularity of f
+    there to near machine precision) are tuples of panels `(theta, weights)`:
+    points in theta = (t - a) / tau, which keeps samples near a precise, and
+    the test functions times the quadrature weights, shape (p, len(theta)).
     """
     to_modal = nodal_to_modal(p)  # column j: modes of trial basis j
     mode_weights = 2.0 / (2.0 * np.arange(p) + 1.0)
@@ -115,18 +122,28 @@ def reference_blocks(p: int):
     B0 = to_modal[:p, :] * mode_weights[:, None]
     dphi_left = npleg.legval(-1.0, npleg.legder(to_modal, axis=0))
     dphi_right = npleg.legval(1.0, npleg.legder(to_modal, axis=0))
-    psi_left = (-1.0) ** np.arange(p)
-    xq, wq = gauss_legendre(2 * p + 3)
-    psi_q = npleg.legvander(xq, p - 1).T  # (p, nq)
-    xe = np.linspace(-1.0, 1.0, 2 * p + 3)
     eye_der = npleg.legder(np.eye(p + 1), axis=0)
+
+    def point_set(x, w=None):
+        return x, w, npleg.legvander(x, p), npleg.legval(x, eye_der).T
+
+    def panel(lo, hi, x, w):
+        theta = lo + 0.5 * (hi - lo) * (x + 1.0)
+        psi = npleg.legvander(2.0 * theta - 1.0, p - 1).T  # (p, nq)
+        return theta, (0.5 * (hi - lo)) * psi * w
+
+    cuts = [0.0] + [0.3**k for k in range(45, 0, -1)] + [1.0]
+    graded_rule = gauss_legendre(max(2 * p + 3, 23))
     return {
         "A0": A0, "B0": B0,
         "dphi_left": dphi_left, "dphi_right": dphi_right,
-        "psi_left": psi_left, "xq": xq, "wq": wq, "psi_q": psi_q,
-        "leg_q": npleg.legvander(xq, p), "dleg_q": npleg.legval(xq, eye_der).T,
-        "xe": xe,
-        "leg_e": npleg.legvander(xe, p), "dleg_e": npleg.legval(xe, eye_der).T,
+        "psi_left": (-1.0) ** np.arange(p),
+        "gauss": point_set(*gauss_legendre(2 * p + 3)),
+        "gauss_doubled": point_set(*gauss_legendre(4 * p + 6)),
+        "equispaced": point_set(np.linspace(-1.0, 1.0, 2 * p + 3)),
+        "gauss_load": (panel(0.0, 1.0, *gauss_legendre(2 * p + 3)),),
+        "graded_load": tuple(panel(lo, hi, *graded_rule)
+                             for lo, hi in zip(cuts[:-1], cuts[1:])),
     }
 
 
@@ -138,26 +155,17 @@ def time_matrices(p: int, tau: float):
     return A, B
 
 
-def _graded_load(data: ProblemData, space: TensorSpace, p: int, a: float, b: float):
-    """Load moments on (a, b) by a composite rule graded toward a.
+def _load(data: ProblemData, space: TensorSpace, a: float, tau: float, rule):
+    """Load moments (f, psi_k phi_i) on the slab (a, a + tau) by a load rule.
 
-    Panels shrink geometrically toward the left endpoint, so an integrable
-    power singularity of f at t = a is resolved to near machine precision
-    independently of the slab length.  Panels are laid out in the relative
-    coordinate theta = (t - a) / (b - a), so samples near a keep their full
-    relative precision.
+    Time moments of f are formed on the Gauss grid one panel at a time, which
+    holds one panel's samples at once, then assembled by one load_vector.
     """
-    sigma, levels = 0.3, 45
-    cuts = [0.0] + [sigma**k for k in range(levels, 0, -1)] + [1.0]
-    xq, wq = gauss_legendre(max(2 * p + 3, 23))
-    tau = b - a
-    F = np.zeros((p, space.n_dofs))
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        theta = lo + 0.5 * (hi - lo) * (xq + 1.0)
-        psi = npleg.legvander(2.0 * theta - 1.0, p - 1).T
-        loads = space.load_vector(space.grid_eval(data.f, a + tau * theta))
-        F += (0.5 * tau * (hi - lo)) * (psi * wq) @ loads
-    return F
+    moments = 0.0
+    for theta, weights in rule:
+        samples = space.grid_eval(data.f, a + tau * theta)
+        moments = moments + weights @ samples.reshape(len(theta), -1)
+    return space.load_vector((tau * moments).reshape((-1,) + samples.shape[1:]))
 
 
 @dataclass
@@ -182,16 +190,12 @@ class SlabSolution:
     def sample(self, n: int, points: str):
         """Times, values and time derivatives of interval n at its samples.
 
-        `points` is "gauss" (the order 2p + 3 Gauss rule) or "equispaced"
-        (2p + 3 points, endpoints included).  Returns t of shape (k,) and
-        two coefficient stacks of shape (k, n_dofs).
+        `points` names a point set of `reference_blocks`: "gauss",
+        "gauss_doubled" or "equispaced".  Returns t of shape (k,) and two
+        coefficient stacks of shape (k, n_dofs).
         """
         p = int(self.grid.degrees[n])
-        ref = reference_blocks(p)
-        x, leg, dleg = {
-            "gauss": (ref["xq"], ref["leg_q"], ref["dleg_q"]),
-            "equispaced": (ref["xe"], ref["leg_e"], ref["dleg_e"]),
-        }[points]
+        x, _, leg, dleg = reference_blocks(p)[points]
         a, tau = float(self.grid.nodes[n]), self.grid.tau(n)
         modes = nodal_to_modal(p) @ self.blocks[n]
         return a + 0.5 * tau * (x + 1.0), leg @ modes, (2.0 / tau) * (dleg @ modes)
@@ -248,7 +252,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     for n in range(grid.n_intervals):
         p = int(grid.degrees[n])
         tau = grid.tau(n)
-        a, b = grid.interval(n)
+        a = float(grid.nodes[n])
         ref = reference_blocks(p)
         A, B = time_matrices(p, tau)
 
@@ -257,12 +261,8 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
             system = sp.kron(A[:, 1:], M, format="csc") + sp.kron(B[:, 1:], K, format="csc")
             lu_cache[key] = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
 
-        if data.singular_load and a == float(grid.nodes[0]):
-            rhs = _graded_load(data, space, p, a, b)
-        else:
-            tq = a + 0.5 * tau * (ref["xq"] + 1.0)
-            loads = space.load_vector(space.grid_eval(data.f, tq))
-            rhs = (0.5 * tau) * (ref["psi_q"] * ref["wq"]) @ loads
+        graded = data.singular_load and a == float(grid.nodes[0])
+        rhs = _load(data, space, a, tau, ref["graded_load" if graded else "gauss_load"])
         _check_finite(rhs, f"load of slab {n}")
         rhs += np.outer(ref["psi_left"], M @ prev_deriv)
         rhs -= np.outer(A[:, 0], M @ prev_value) + np.outer(B[:, 0], K @ prev_value)
@@ -322,10 +322,10 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     l2_u1 = space.l2_norm(space.grid_eval(data.u1))
     f_sq = 0.0
     for n in range(m + 1):
-        ref = reference_blocks(int(grid.degrees[n]))
+        x, w, _, _ = reference_blocks(int(grid.degrees[n]))["gauss"]
         tau = grid.tau(n)
-        tq = float(grid.nodes[n]) + 0.5 * tau * (ref["xq"] + 1.0)
-        f_sq += 0.5 * tau * float(ref["wq"] @ space.l2_norm(space.grid_eval(data.f, tq)) ** 2)
+        tq = float(grid.nodes[n]) + 0.5 * tau * (x + 1.0)
+        f_sq += 0.5 * tau * float(w @ space.l2_norm(space.grid_eval(data.f, tq)) ** 2)
     rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (t_m / mu) * f_sq
 
     return StabilityReport(

@@ -156,9 +156,10 @@ def march(data, space, grid):
         if data.singular_load and n == 0:
             rhs = _graded_load(data, space, p, a, b)
         else:
-            tq = a + 0.5 * tau * (ref["xq"] + 1.0)
+            xq, wq, leg, _ = ref["gauss"]
+            tq = a + 0.5 * tau * (xq + 1.0)
             loads = np.stack([load_vector(space, grid_eval_at(space, data.f, t)) for t in tq])
-            rhs = (0.5 * tau) * (ref["psi_q"] * ref["wq"]) @ loads
+            rhs = (0.5 * tau) * (leg[:, :p].T * wq) @ loads
         rhs += np.outer(ref["psi_left"], M @ prev_deriv)
         rhs -= np.outer(A[:, 0], M @ prev_value) + np.outer(B[:, 0], K @ prev_value)
         block = np.empty((p + 1, d))

@@ -5,7 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
+import waveslab.adaptive
 from waveslab import (
+    ErrorBundle,
     ProblemData,
     TensorSpace,
     TimeGrid,
@@ -95,6 +97,18 @@ def test_zero_data_stops_immediately():
     assert result.final_solution is not None
     with pytest.raises(ValueError):
         run_adaptive(data, space, TimeGrid.uniform(1.0, 4, 2), max_iters=0)
+
+
+def test_zero_error_gives_infinite_kappa(monkeypatch):
+    # kappa is None only without an exact solution; a zero error gives inf
+    exact = ErrorBundle(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    monkeypatch.setattr(waveslab.adaptive, "compute_errors", lambda sol, case: exact)
+    data = problem_data(make_case("case2", alpha=1.75))
+    result = run_adaptive(data, TensorSpace(2, 2, 2), TimeGrid.uniform(1.0, 2, 2),
+                          max_iters=2)
+    assert len(result.history) == 2
+    for rec in result.history:
+        assert rec.report.eta > 0.0 and rec.kappa == float("inf")
 
 
 def test_eta_tolerance_stops_the_loop():

@@ -7,6 +7,7 @@ relative to the size of the compared quantity.
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 import slow_reference as slow
 from waveslab import (
@@ -20,7 +21,7 @@ from waveslab import (
     problem_data,
     stability_check,
 )
-from waveslab.estimator import eta1, eta2_terms, osc_terms
+from waveslab.estimator import estimate, eta1, eta2_terms, osc_terms, quadrature_check
 
 rng = np.random.default_rng(20261018)
 
@@ -163,7 +164,7 @@ def test_jumps_and_estimator_match_per_slab_loops():
     doubled = lambda p: 4 * p + 6
     for m in (grid.n_intervals - 1, 1):
         assert_close(eta2_terms(sol, m), slow.eta2_terms(sol, m))
-        assert_close(eta2_terms(sol, m, order_fn=doubled),
+        assert_close(eta2_terms(sol, m, points="gauss_doubled"),
                      slow.eta2_terms(sol, m, order_fn=doubled))
 
 
@@ -225,3 +226,36 @@ def test_callables_are_called_once_per_slab_or_panel():
     calls.clear()
     report = stability_check(sol, counted_data)
     assert calls == {"f": report.m + 1}
+
+
+def test_one_load_assembly_per_slab_and_no_rule_rebuilt_when_warm(monkeypatch):
+    case, data, space, grid = mixed_degree_run()
+
+    def run_all():
+        sol = march(data, space, grid)
+        report = estimate(sol, data)
+        compute_errors(sol, case)
+        stability_check(sol, data)
+        quadrature_check(sol, data, report, tol=np.inf)
+
+    run_all()  # builds the per-degree tables
+    calls = {}
+
+    def counted(name, owner):
+        real = getattr(owner, name)
+
+        def wrapped(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapped)
+
+    counted("load_vector", TensorSpace)
+    counted("legvander", npleg)
+    counted("leggauss", npleg)
+
+    # one per slab, the graded one included, plus the initial velocity
+    march(data, space, grid)
+    assert calls == {"load_vector": grid.n_intervals + 1}
+    calls.clear()
+    run_all()
+    assert calls.get("legvander", 0) == 0 and calls.get("leggauss", 0) == 0

@@ -288,6 +288,19 @@ def test_cli_config_problems_exit_1(tmp_path, capsys):
     assert main(["frobnicate"]) == 1
 
 
+def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
+    text = "suite: tau_refine\ncase: case1\ntau_list: [0.5, 0.25\n"
+    cfg = _write_config(tmp_path, text)
+    for source in (text, cfg):
+        with pytest.raises(ConfigError, match="malformed YAML"):
+            parse_config(source)
+    with pytest.raises(ConfigError, match="malformed YAML"):
+        run_from_file(cfg, out=tmp_path / "x.csv")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "config error: malformed YAML" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_cli_runtime_failure_exits_2(tmp_path, capsys, monkeypatch):
     cfg = _write_config(
         tmp_path,

@@ -18,7 +18,7 @@ from waveslab import (
 )
 from waveslab import slabsolver
 from waveslab.adaptive import bisect
-from waveslab.slabsolver import _graded_load
+from waveslab.slabsolver import _load, reference_blocks
 
 rng = np.random.default_rng(20240814)
 
@@ -286,7 +286,7 @@ def test_graded_first_slab_load_moments():
                        singular_load=True)
     tau = 0.37
     for p in (2, 3):
-        got = _graded_load(data, space, p, 0.0, tau)
+        got = _load(data, space, 0.0, tau, reference_blocks(p)["graded_load"])
         load_bump = space.load_vector(space.grid_eval(bump))
         load_curv = space.load_vector(space.grid_eval(neg_lap_bump))
         for k in range(p):
