@@ -36,7 +36,7 @@ print("\nper-slab indicators localize where the error sits (localized mode):")
 sol = march(data, space, TimeGrid.uniform(1.0, 5, 2))
 local = estimate(sol, data, localized=True)
 for n, val in enumerate(local.local_n):
-    bar = "#" * int(60 * val / local.local_n.max())
+    bar = "#" * int(60 * (val / local.local_n.max()))  # the largest bar is always full
     print(f"  slab {n}: {val:9.3e} {bar}")
 print(f"  sum of indicators = {local.local_n.sum():.6e} = eta = {local.eta:.6e}")
 print(f"  (slabs past the target m = {local.m} carry nothing by construction)")

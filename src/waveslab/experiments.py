@@ -12,7 +12,9 @@ A study is described by a flat YAML mapping.  Common keys:
   are decimal roundings of 1/N).
 - ``p_t`` or ``p_t_list``: temporal degree(s), between 2 and 10.
 - ``p_x``: spatial degree (default 2, at most 5); ``h``: spatial mesh size
-  on (-1, 1)^2 (default 0.4), must similarly divide the side length 2.
+  on (-1, 1)^2 (default 0.4), must similarly divide the side length 2, as
+  must every step of ``spacetime_refine``, which sets h = tau.  The ``h``
+  column reports the mesh that ran, 2 / round(2 / h).
 - ``theta`` (default 0.5), ``max_iters`` (default 25), ``eta_tol``
   (default 0.0), ``initial_n`` (default 5): adaptive loop controls.
 - ``include_osc``: add data oscillation to the reported total (default
@@ -234,6 +236,13 @@ def parse_config(source) -> Config:
             problems.append(
                 f"spacetime_refine pairs p_x = p_t + 1 and needs p_t <= {MAX_DEGREE - 1}"
             )
+    if suite == "spacetime_refine" and isinstance(values.get("tau_list"), list):
+        for t in values["tau_list"]:
+            if isinstance(t, (int, float)) and _steps_per(2.0, float(t)) is None:
+                problems.append(
+                    f"spacetime_refine sets h = tau, so tau_list entry must divide "
+                    f"the domain side 2, got {t}"
+                )
     if case == "case2" and suite in ("spacetime_refine",):
         problems.append("spacetime_refine is meant for case3")
 
@@ -259,10 +268,10 @@ class ExperimentResult:
     config: Config
 
 
-def _level_row(level, h, tau, p_x, p_t, grid, space, errs, report, wall):
-    """One CSV row; kappa is inf when the max-in-time L2 error is zero."""
+def _level_row(level, tau, p_x, p_t, grid, space, errs, report, wall):
+    """One CSV row; `h` is the mesh's own, kappa is inf at zero max-in-time L2 error."""
     row = {
-        "level": level, "h": h, "tau": tau, "p_x": p_x, "p_t": p_t,
+        "level": level, "h": space.hx, "tau": tau, "p_x": p_x, "p_t": p_t,
         "N": grid.n_intervals, "dofs": total_dofs(grid, space),
         "eta": report.eta, "eta1": report.eta1, "osc": report.osc,
         "kappa": effectivity(report, errs.Linf_L2), "wall_time": wall,
@@ -314,7 +323,7 @@ def run_suite(config: Config) -> ExperimentResult:
         )
         for level, rec in enumerate(result.history):
             rows.append(_level_row(
-                level, config.h, float(np.diff(rec.grid.nodes).min()), config.p_x,
+                level, float(np.diff(rec.grid.nodes).min()), config.p_x,
                 config.p_t, rec.grid, space, rec.errors, rec.report, rec.wall_time,
             ))
     else:
@@ -326,7 +335,7 @@ def run_suite(config: Config) -> ExperimentResult:
             space = spaces[nx, p_x]
             grid, errs, report, wall = _uniform_level(case, config, space, tau, p_t, T)
             rows.append(_level_row(
-                level, h, grid.T / grid.n_intervals, p_x, p_t, grid, space, errs, report, wall,
+                level, grid.T / grid.n_intervals, p_x, p_t, grid, space, errs, report, wall,
             ))
 
     return ExperimentResult(columns=COLUMNS, rows=rows, config=config)

@@ -5,25 +5,25 @@ rectangular mesh, with homogeneous Dirichlet conditions eliminated from the
 algebraic system.  The element degree is kept small (at most 5) and nodes are
 equispaced within each element, so no special point distributions are needed.
 
-Because both the mesh and the boundary are tensor products, the interior
-degrees of freedom form a product set and every 2D operator is assembled as a
-Kronecker combination of 1D factors.  All quadrature uses tensor Gauss rules
-exact to order 2 * degree + 3 per direction.
-
-The same structure makes evaluation cheap: values, gradients and broken
-Laplacians at the Gauss points, and load vectors from Gauss-point values, are
-two 1D matrix products each (sum factorization), and each accepts a leading
-axis of time samples so a whole slab is handled in one call.
+All of it is built from the 1D basis and its first two derivatives at the
+global Gauss points of each direction (rules exact to order 2 * degree + 3).
+The 1D mass and stiffness matrices are their Gram matrices in the Gauss
+weights; every 2D operator is a Kronecker combination of 1D factors, and its
+solves go through the 1D generalized eigenbases (fast diagonalization), with
+no sparse factorization.  Values, gradients and broken Laplacians at the Gauss
+points, and load vectors from Gauss-point values, are two 1D matrix products
+each (sum factorization), and each accepts a leading axis of time samples so
+a whole slab is handled in one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 
-from .timebasis import equispaced_nodes, gauss_legendre, nodal_to_modal
+from .timebasis import gauss_legendre, nodal_to_modal
 
 MAX_DEGREE = 5
 
@@ -74,16 +74,10 @@ class TensorSpace:
         self.hy = (y1 - y0) / ny
 
         p = degree
-        self.nodes_x = x0 + 0.5 * self.hx * (
-            np.repeat(np.arange(nx), p)[: nx * p] * 2
-            + np.tile(equispaced_nodes(p)[:-1] + 1.0, nx)
-        )
-        self.nodes_x = np.append(self.nodes_x, x1)
-        self.nodes_y = y0 + 0.5 * self.hy * (
-            np.repeat(np.arange(ny), p)[: ny * p] * 2
-            + np.tile(equispaced_nodes(p)[:-1] + 1.0, ny)
-        )
-        self.nodes_y = np.append(self.nodes_y, y1)
+        self.nodes_x = np.linspace(x0, x1, nx * p + 1)
+        self.nodes_y = np.linspace(y0, y1, ny * p + 1)
+        self.n_int_x = nx * p - 1
+        self.n_int_y = ny * p - 1
 
         xg, wg = gauss_legendre(2 * p + 3)
         self.ref_gauss, self.ref_weights = xg, wg
@@ -98,42 +92,28 @@ class TensorSpace:
         self.gauss_wx = np.tile(0.5 * self.hx * wg, nx)
         self.gauss_wy = np.tile(0.5 * self.hy * wg, ny)
 
-        self.M1x, self.K1x = self._assemble_1d(nx, self.hx)
-        self.M1y, self.K1y = self._assemble_1d(ny, self.hy)
+        # basis, first and second derivative at the global Gauss points of each
+        # direction (rows are points, columns nodes); the 1D mass and stiffness
+        # on all nodes are their Gram matrices in the Gauss weights
+        Ex, Dx, DDx = self._gauss_matrices(nx, self.hx)
+        Ey, Dy, DDy = self._gauss_matrices(ny, self.hy)
+        wx, wy = self.gauss_wx[:, None], self.gauss_wy[:, None]
+        self.M1x, self.K1x = Ex.T @ (wx * Ex), Dx.T @ (wx * Dx)
+        self.M1y, self.K1y = Ey.T @ (wy * Ey), Dy.T @ (wy * Dy)
 
         # interior dofs are a product of the per-direction interior ranges
-        self.n_int_x = len(self.nodes_x) - 2
-        self.n_int_y = len(self.nodes_y) - 2
-        Mix = self.M1x[1:-1, 1:-1]
-        Miy = self.M1y[1:-1, 1:-1]
-        Kix = self.K1x[1:-1, 1:-1]
-        Kiy = self.K1y[1:-1, 1:-1]
-        self.M = sp.kron(sp.csr_matrix(Mix), sp.csr_matrix(Miy), format="csr")
-        self.K = (
-            sp.kron(sp.csr_matrix(Kix), sp.csr_matrix(Miy), format="csr")
-            + sp.kron(sp.csr_matrix(Mix), sp.csr_matrix(Kiy), format="csr")
-        )
+        self.Ex, self.Dx, self.DDx = Ex[:, 1:-1], Dx[:, 1:-1], DDx[:, 1:-1]
+        self.Ey, self.Dy, self.DDy = Ey[:, 1:-1], Dy[:, 1:-1], DDy[:, 1:-1]
+        Mix, Kix = self.M1x[1:-1, 1:-1], self.K1x[1:-1, 1:-1]
+        Miy, Kiy = self.M1y[1:-1, 1:-1], self.K1y[1:-1, 1:-1]
+        self.M = sp.kron(Mix, Miy, format="csr")
+        self.K = sp.kron(Kix, Miy, format="csr") + sp.kron(Mix, Kiy, format="csr")
 
-        # interior basis, its first and its second derivative at the global
-        # Gauss points of each direction: rows are points, columns dofs
-        self.Ex, self.Dx, self.DDx = self._gauss_matrices(nx, self.hx)
-        self.Ey, self.Dy, self.DDy = self._gauss_matrices(ny, self.hy)
-        self._solve_M = None
-        self._solve_K = None
-
-    def _assemble_1d(self, n_elem: int, h: float):
-        p = self.degree
-        wg = self.ref_weights
-        Me = 0.5 * h * (self.basis_val * wg) @ self.basis_val.T
-        Ke = (2.0 / h) * (self.basis_der * wg) @ self.basis_der.T
-        n = n_elem * p + 1
-        M = np.zeros((n, n))
-        K = np.zeros((n, n))
-        for e in range(n_elem):
-            idx = slice(e * p, e * p + p + 1)
-            M[idx, idx] += Me
-            K[idx, idx] += Ke
-        return M, K
+        # K1 V = M1 V diag(lam), V^T M1 V = I per direction; with V = Vx kron Vy
+        # this gives M^-1 = V V^T and K^-1 = V diag(1 / (lam_x + lam_y)) V^T
+        lam_x, self.Vx = sla.eigh(Kix, Mix)
+        lam_y, self.Vy = sla.eigh(Kiy, Miy)
+        self.stiffness_eigs = lam_x[:, None] + lam_y[None, :]
 
     def _gauss_matrices(self, n_elem: int, h: float):
         p, ng = self.degree, len(self.ref_gauss)
@@ -143,7 +123,7 @@ class TensorSpace:
             full = np.zeros((n_elem * ng, n_elem * p + 1))
             for e in range(n_elem):
                 full[e * ng:(e + 1) * ng, e * p:e * p + p + 1] = scale * basis.T
-            mats.append(full[:, 1:-1])
+            mats.append(full)
         return mats
 
     @property
@@ -229,20 +209,19 @@ class TensorSpace:
         """Assemble (v, grad phi_a) for interior basis functions."""
         return self._assemble(vx, self.Dx, self.Ey) + self._assemble(vy, self.Ex, self.Dy)
 
+    def _modal_solve(self, rhs, eigs=1.0):
+        rhs = np.asarray(rhs, dtype=float)
+        R = rhs.reshape(rhs.shape[:-1] + (self.n_int_x, self.n_int_y))
+        C = (self.Vx.T @ R @ self.Vy) / eigs
+        return (self.Vx @ C @ self.Vy.T).reshape(rhs.shape)
+
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        if self.n_dofs == 0:
-            return self.zero()
-        if self._solve_M is None:
-            # minimum degree on A + A^T suits the symmetric pattern, as in the slab LU
-            self._solve_M = spla.splu(self.M.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-        return self._solve_M(rhs)
+        """M^-1 rhs, for one right-hand side or a stack (nt, n_dofs)."""
+        return self._modal_solve(rhs)
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
-        if self.n_dofs == 0:
-            return self.zero()
-        if self._solve_K is None:
-            self._solve_K = spla.splu(self.K.tocsc(), permc_spec="MMD_AT_PLUS_A").solve
-        return self._solve_K(rhs)
+        """K^-1 rhs, for one right-hand side or a stack (nt, n_dofs)."""
+        return self._modal_solve(rhs, self.stiffness_eigs)
 
     def l2_project(self, f) -> np.ndarray:
         """Coefficients of the L2-orthogonal projection of f(x, y)."""

@@ -2,10 +2,11 @@
 
 These are the element-by-element space contractions and the per-time-point
 loops that `spacefem`, `slabsolver`, `estimator` and `errors` used before
-their evaluation was batched.  They exist only to check the fast paths on
-small problems: every function here evaluates one time sample or one slab
-at a time, gathers element coefficients with index arrays and scatters
-loads with `np.add.at`.
+their evaluation was batched, and the element loop that assembled the 1D
+mass and stiffness matrices before they became Gram matrices of the Gauss
+matrices.  They exist only to check the fast paths on small problems: every
+function here evaluates one time sample or one slab at a time, gathers
+element coefficients with index arrays and scatters loads with `np.add.at`.
 """
 
 import numpy as np
@@ -45,6 +46,21 @@ def _scatter(space, local):
     full = np.zeros((len(space.nodes_x), len(space.nodes_y)))
     np.add.at(full, _element_index(space), local)
     return full[1:-1, 1:-1].ravel()
+
+
+def assemble_1d(space, n_elem, h):
+    """1D mass and stiffness on all nodes, summed one element matrix at a time."""
+    p, wg = space.degree, space.ref_weights
+    Me = 0.5 * h * (space.basis_val * wg) @ space.basis_val.T
+    Ke = (2.0 / h) * (space.basis_der * wg) @ space.basis_der.T
+    n = n_elem * p + 1
+    M = np.zeros((n, n))
+    K = np.zeros((n, n))
+    for e in range(n_elem):
+        idx = slice(e * p, e * p + p + 1)
+        M[idx, idx] += Me
+        K[idx, idx] += Ke
+    return M, K
 
 
 def eval_gauss(space, vec):

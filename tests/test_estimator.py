@@ -267,3 +267,25 @@ def test_quadrature_check_reports_rule_sensitivity():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert quadrature_check(zsol, data, zreport) == 0.0
+
+
+def test_estimator_reliable_on_geometric_variable_degree_grids():
+    # case2 (alpha 1.75, singular at t = 0) on a space that is exact for it:
+    # nodes 0, 0.2^L, ..., 0.2, 1 with degrees 2, ..., L + 2
+    case = make_case("case2", alpha=1.75)
+    data = problem_data(case)
+    space = TensorSpace(5, 5, 2)
+    kappas = []
+    for levels in range(1, 9):
+        nodes = np.concatenate(([0.0], 0.2 ** np.arange(levels, 0, -1), [1.0]))
+        grid = TimeGrid(nodes, np.arange(2, levels + 3))
+        sol = march(data, space, grid)
+        error = compute_errors(sol, case).Linf_L2
+        report = estimate(sol, data)
+        assert report.eta >= error, (levels, report.eta, error)
+        kappas.append(effectivity(report, error))
+    assert max(kappas) / min(kappas) <= 2.0, kappas
+    # 54 temporal DoFs beat 160 uniform ones of degree 2
+    assert grid.degrees.sum() == 54
+    uniform = march(data, space, TimeGrid.uniform(1.0, 80, 2))
+    assert error < compute_errors(uniform, case).Linf_L2

@@ -181,6 +181,23 @@ def test_remaining_suites_produce_sane_rows():
     assert adrow[-1]["tau"] < adrow[0]["tau"]
 
 
+def test_reported_h_is_the_mesh_that_ran(tmp_path, capsys):
+    # spacetime_refine sets h = tau: a tau that does not divide 2 would run
+    # a 7x7 mesh (h = 2/7) while reporting h = 0.3
+    bad = {"suite": "spacetime_refine", "case": "case3", "T": 0.9,
+           "tau_list": [0.3], "p_t": 2}
+    with pytest.raises(ConfigError, match="tau_list entry must divide the domain side 2"):
+        parse_config(bad)
+    cfg = _write_config(tmp_path, "".join(f"{k}: {v}\n" for k, v in bad.items()))
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+    # h = 0.99 passes the 2 percent allowance and runs the 2x2 mesh, h = 1
+    for extra in ({"suite": "tau_refine", "tau_list": [0.5]},
+                  {"suite": "adaptive", "initial_n": 2, "max_iters": 2}):
+        rows = run_suite(parse_config({"case": "case1", "h": 0.99, **extra})).rows
+        assert rows and all(row["h"] == 1.0 for row in rows)
+
+
 def test_levels_on_one_mesh_share_one_space(monkeypatch):
     built = []
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
+import slow_reference as slow
 from waveslab import TensorSpace
 
 rng = np.random.default_rng(20240812)
@@ -90,6 +92,42 @@ def test_projections_match_dense_solves():
     ]:
         dense = np.linalg.solve(matrix.toarray(), load)
         assert np.max(np.abs(got - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+ANISOTROPIC = ((0.0, 2.0), (-0.5, 0.5))
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_solves_match_dense_solves_for_vectors_and_stacks(degree):
+    space = TensorSpace(3, 2, degree, domain=ANISOTROPIC)
+    rhs = rng.standard_normal((4, space.n_dofs))
+    for solve, matrix in ((space.solve_mass, space.M), (space.solve_stiffness, space.K)):
+        dense = np.linalg.solve(matrix.toarray(), rhs.T).T
+        scale = np.max(np.abs(dense))
+        assert np.max(np.abs(solve(rhs) - dense)) <= 1e-12 * scale
+        assert np.max(np.abs(solve(rhs[1]) - dense[1])) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_1d_matrices_match_element_loop(degree):
+    space = TensorSpace(3, 2, degree, domain=ANISOTROPIC)
+    for got, ref in zip(
+        (space.M1x, space.K1x, space.M1y, space.K1y),
+        slow.assemble_1d(space, space.nx, space.hx) + slow.assemble_1d(space, space.ny, space.hy),
+    ):
+        assert np.array_equal(got != 0.0, ref != 0.0)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_projections_need_no_sparse_factorization(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("sparse LU called")
+
+    monkeypatch.setattr(spla, "splu", refuse)
+    space = TensorSpace(3, 4, 2)
+    coeffs = space.interpolate(bump)
+    assert np.allclose(space.l2_project(bump), coeffs, atol=1e-11)
+    assert np.allclose(space.elliptic_project(bump_x, bump_y), coeffs, atol=1e-10)
 
 
 def test_mass_solve_round_trip():
