@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slabsolver import ProblemData, SlabSolution, reference_blocks
+from .slabsolver import ProblemData, SlabSolution, _chunks, _sample_times, reference_blocks
 from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
 
 
@@ -80,27 +80,24 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss
 
     The projection onto degree p - 1 is taken per spatial quadrature point
     from samples at the Gauss point set `points` of `reference_blocks`;
-    norms follow the same conventions as the estimator terms.
+    norms follow the same conventions as the estimator terms.  Slabs of one
+    degree are sampled together, in chunks under `slabsolver.STACK_BUDGET`,
+    and one projector takes the defect of the whole chunk.
     """
     grid, space = sol.grid, sol.space
     out = np.zeros(grid.n_intervals)
-    for n in range(m + 1):
-        p = int(grid.degrees[n])
-        tau = grid.tau(n)
-        a, _ = grid.interval(n)
+    for p, slabs in _chunks(space, grid, range(m + 1), points):
         x, w, leg, _ = reference_blocks(p)[points]
-        samples = space.grid_eval(data.f, a + 0.5 * tau * (x + 1.0))
-        flat = samples.reshape(len(x), -1)
         vander = leg[:, :p]  # (nq, p)
         scale = 0.5 * (2.0 * np.arange(p) + 1.0)
-        modes = scale[:, None] * ((vander * w[:, None]).T @ flat)
-        defect = (flat - vander @ modes).reshape(samples.shape)
-        norms = space.l2_norm(defect)
-        l1 = 0.5 * tau * float(w @ norms)
-        if n == m:
-            out[n] = 2.0 * tau * l1
-        else:
-            out[n] = (2.0 * tau / np.pi) * c3_constant(p - 1) * l1
+        to_defect = np.eye(len(x)) - vander @ (scale[:, None] * (vander * w[:, None]).T)
+        samples = space.grid_eval(data.f, _sample_times(grid, slabs, x).ravel())
+        defect = to_defect @ samples.reshape(len(slabs), len(x), -1)
+        norms = space.l2_norm(defect.reshape(samples.shape)).reshape(len(slabs), len(x))
+        tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
+        l1 = 0.5 * tau * (norms @ w)
+        weight = np.where(slabs == m, 2.0 * tau, (2.0 * tau / np.pi) * c3_constant(p - 1))
+        out[slabs] = weight * l1
     return out
 
 

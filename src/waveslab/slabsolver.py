@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 
@@ -73,8 +72,9 @@ class ProblemData:
 
     All callables are vectorized over numpy arrays.  `f` takes (t, x, y)
     and must broadcast over an array t of shape (nt, 1, 1) against x and y
-    of shapes (nx, 1) and (1, ny): a slab's time samples are evaluated in
-    one call.  `exact` may hold a manufactured solution for error studies.
+    of shapes (nx, 1) and (1, ny): the time samples of a chunk of slabs of
+    one degree (see `STACK_BUDGET`) are evaluated in one call.  `exact` may
+    hold a manufactured solution for error studies.
 
     `singular_load` declares that f has limited smoothness at t = 0 (a
     fractional power of t, say).  The slab touching t = 0 then takes its
@@ -112,6 +112,8 @@ def reference_blocks(p: int):
     there to near machine precision) are tuples of panels `(theta, weights)`:
     points in theta = (t - a) / tau, which keeps samples near a precise, and
     the test functions times the quadrature weights, shape (p, len(theta)).
+
+    Every array is read-only: the tables are shared by every caller.
     """
     to_modal = nodal_to_modal(p)  # column j: modes of trial basis j
     mode_weights = 2.0 / (2.0 * np.arange(p) + 1.0)
@@ -134,7 +136,7 @@ def reference_blocks(p: int):
 
     cuts = [0.0] + [0.3**k for k in range(45, 0, -1)] + [1.0]
     graded_rule = gauss_legendre(max(2 * p + 3, 23))
-    return {
+    tables = {
         "A0": A0, "B0": B0,
         "dphi_left": dphi_left, "dphi_right": dphi_right,
         "psi_left": (-1.0) ** np.arange(p),
@@ -145,6 +147,16 @@ def reference_blocks(p: int):
         "graded_load": tuple(panel(lo, hi, *graded_rule)
                              for lo, hi in zip(cuts[:-1], cuts[1:])),
     }
+    _freeze(tuple(tables.values()))
+    return tables
+
+
+def _freeze(item) -> None:
+    if isinstance(item, np.ndarray):
+        item.flags.writeable = False
+    elif isinstance(item, tuple):
+        for part in item:
+            _freeze(part)
 
 
 def time_matrices(p: int, tau: float):
@@ -155,17 +167,80 @@ def time_matrices(p: int, tau: float):
     return A, B
 
 
-def _load(data: ProblemData, space: TensorSpace, a: float, tau: float, rule):
-    """Load moments (f, psi_k phi_i) on the slab (a, a + tau) by a load rule.
+# Gauss-grid values per stacked array in the batched passes over slabs: the
+# loads, error norms, stability check and oscillation send the slabs of one
+# degree through the space kernel together, in chunks of at most this many
+# values (at least one slab each).  On the d = 81 acceptance-study levels
+# (1 400 slabs, p = 2 to 10) budgets from 2**14 to 2**20 ran within noise of
+# each other, while peak memory rose from 77 MB at 2**16 to 86 MB at 2**18
+# and 109 MB at 2**20.
+STACK_BUDGET = 1 << 16
 
-    Time moments of f are formed on the Gauss grid one panel at a time, which
-    holds one panel's samples at once, then assembled by one load_vector.
+
+def _chunks(space: TensorSpace, grid: TimeGrid, slabs, points: str):
+    """Slab indices grouped by degree and split to `STACK_BUDGET`.
+
+    Yields (p, indices), the indices an ascending array of slabs of degree
+    p whose samples at the point set `points` of `reference_blocks` fill at
+    most `STACK_BUDGET` Gauss-grid values, or a single slab.
     """
+    slabs = np.asarray(slabs, dtype=int)
+    degrees = grid.degrees[slabs]
+    grid_values = space.gauss_x.size * space.gauss_y.size
+    for p in np.unique(degrees):
+        group = slabs[degrees == p]
+        samples = len(reference_blocks(int(p))[points][0])
+        size = max(1, STACK_BUDGET // (samples * grid_values))
+        for start in range(0, len(group), size):
+            yield int(p), group[start:start + size]
+
+
+def _sample_times(grid: TimeGrid, slabs: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Times of the reference points x on each of the slabs, shape (S, len(x))."""
+    a = grid.nodes[slabs][:, None]
+    return a + 0.5 * (grid.nodes[slabs + 1][:, None] - a) * (x + 1.0)
+
+
+def _load(data: ProblemData, space: TensorSpace, a, tau, rule):
+    """Load moments (f, psi_k phi_i) on slabs (a, a + tau) by a load rule.
+
+    `a` and `tau` are scalars, giving moments of shape (p, n_dofs), or
+    arrays over S slabs of one degree, giving shape (S, p, n_dofs).  Time
+    moments of f are formed on the Gauss grid one panel at a time, with one
+    call of f for all slabs, which holds one panel's samples at once; one
+    load_vector call assembles them all.
+    """
+    a, tau = np.asarray(a, dtype=float), np.asarray(tau, dtype=float)
+    lead = a.shape
+    a, tau = a.reshape(-1, 1), tau.reshape(-1, 1)
     moments = 0.0
     for theta, weights in rule:
-        samples = space.grid_eval(data.f, a + tau * theta)
-        moments = moments + weights @ samples.reshape(len(theta), -1)
-    return space.load_vector((tau * moments).reshape((-1,) + samples.shape[1:]))
+        samples = space.grid_eval(data.f, (a + tau * theta).ravel())
+        moments = moments + weights @ samples.reshape(len(a), len(theta), -1)
+    values = (tau[:, :, None] * moments).reshape((-1,) + samples.shape[1:])
+    return space.load_vector(values).reshape(lead + (len(weights), space.n_dofs))
+
+
+def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> list:
+    """Load moments of every slab, shape (p_n, n_dofs) each.
+
+    The first slab of a singular load takes the graded rule on its own;
+    every other slab is loaded with the one-panel Gauss rule, a chunk of
+    slabs of one degree at a time (that panel is the "gauss" point set).
+    """
+    loads = [None] * grid.n_intervals
+    slabs = np.arange(grid.n_intervals)
+    if data.singular_load:
+        rule = reference_blocks(int(grid.degrees[0]))["graded_load"]
+        loads[0] = _load(data, space, grid.nodes[0], grid.tau(0), rule)
+        slabs = slabs[1:]
+    for p, chunk in _chunks(space, grid, slabs, "gauss"):
+        a = grid.nodes[chunk]
+        moments = _load(data, space, a, grid.nodes[chunk + 1] - a,
+                        reference_blocks(p)["gauss_load"])
+        for n, slab_moments in zip(chunk, moments):
+            loads[n] = slab_moments
+    return loads
 
 
 @dataclass
@@ -187,18 +262,24 @@ class SlabSolution:
     def poly(self, n: int) -> IntervalPoly:
         return IntervalPoly.from_nodal(self.grid.interval(n), self.blocks[n])
 
-    def sample(self, n: int, points: str):
-        """Times, values and time derivatives of interval n at its samples.
+    def sample(self, slabs, points: str):
+        """Times, values and time derivatives of intervals at their samples.
 
-        `points` names a point set of `reference_blocks`: "gauss",
-        "gauss_doubled" or "equispaced".  Returns t of shape (k,) and two
-        coefficient stacks of shape (k, n_dofs).
+        `slabs` is one interval index or an array of indices of intervals of
+        one degree; `points` names a point set of `reference_blocks`:
+        "gauss", "gauss_doubled" or "equispaced".  Returns t of shape
+        (S * k,) and two coefficient stacks of shape (S * k, n_dofs) for S
+        intervals of k samples each, interval by interval.
         """
-        p = int(self.grid.degrees[n])
+        slabs = np.atleast_1d(np.asarray(slabs, dtype=int))
+        p = int(self.grid.degrees[slabs[0]])
         x, _, leg, dleg = reference_blocks(p)[points]
-        a, tau = float(self.grid.nodes[n]), self.grid.tau(n)
-        modes = nodal_to_modal(p) @ self.blocks[n]
-        return a + 0.5 * tau * (x + 1.0), leg @ modes, (2.0 / tau) * (dleg @ modes)
+        t = _sample_times(self.grid, slabs, x)
+        tau = self.grid.nodes[slabs + 1] - self.grid.nodes[slabs]
+        modes = nodal_to_modal(p) @ np.stack([self.blocks[n] for n in slabs])
+        shape = (t.size, self.space.n_dofs)
+        ders = (2.0 / tau)[:, None, None] * (dleg @ modes)
+        return t.ravel(), (leg @ modes).reshape(shape), ders.reshape(shape)
 
     def jumps(self) -> np.ndarray:
         """Derivative jumps at the left node of every interval, shape (N, n_dofs).
@@ -226,12 +307,13 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     """Solve the wave problem slab by slab over the whole grid.
 
     The initial displacement is projected in the Dirichlet inner product and
-    the initial velocity in L2.  The factorized slab operator is reused
-    whenever the degree repeats and the length agrees to 12 significant
-    digits, so slabs of a uniform or bisected grid share it.  Its pattern is
-    symmetric, so SuperLU orders it by minimum degree on A + A^T, which
-    leaves fewer than half the factor entries of the default ordering at
-    d = 7 921, p = 3.
+    the initial velocity in L2.  Every slab's load is formed before the
+    sequential solves, a chunk of slabs of one degree at a time.  The
+    factorized slab operator is reused whenever the degree repeats and the
+    length agrees to 12 significant digits, so slabs of a uniform or
+    bisected grid share it.  Its pattern is symmetric, so SuperLU orders it
+    by minimum degree on A + A^T, which leaves fewer than half the factor
+    entries of the default ordering at d = 7 921, p = 3.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -246,23 +328,22 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
 
     d = space.n_dofs
     M, K = space.M, space.K
+    loads = _slab_loads(data, space, grid)
     lu_cache: dict[tuple[int, str], object] = {}
     prev_value, prev_deriv = u0h, u1h
 
     for n in range(grid.n_intervals):
         p = int(grid.degrees[n])
         tau = grid.tau(n)
-        a = float(grid.nodes[n])
         ref = reference_blocks(p)
         A, B = time_matrices(p, tau)
 
         key = (p, f"{tau:.11e}")
         if key not in lu_cache:
-            system = sp.kron(A[:, 1:], M, format="csc") + sp.kron(B[:, 1:], K, format="csc")
+            system = space.block_operator(A[:, 1:], B[:, 1:])
             lu_cache[key] = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
 
-        graded = data.singular_load and a == float(grid.nodes[0])
-        rhs = _load(data, space, a, tau, ref["graded_load" if graded else "gauss_load"])
+        rhs = loads[n]
         _check_finite(rhs, f"load of slab {n}")
         rhs += np.outer(ref["psi_left"], M @ prev_deriv)
         rhs -= np.outer(A[:, 0], M @ prev_value) + np.outer(B[:, 0], K @ prev_value)
@@ -289,26 +370,24 @@ class StabilityReport:
     slab_energy: np.ndarray
 
 
-def slab_energy(sol: SlabSolution, n: int) -> float:
-    """Max over the slab of squared L2 velocity plus squared H1 seminorm.
-
-    Sampled at 2p + 3 equispaced times, endpoints included.
-    """
-    _, vals, ders = sol.sample(n, "equispaced")
-    M, K = sol.space.M, sol.space.K
-    energy = np.sum(ders.T * (M @ ders.T), axis=0) + np.sum(vals.T * (K @ vals.T), axis=0)
-    return max(0.0, float(np.max(energy)))
-
-
 def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     """Evaluate the unconditional stability bound on a computed solution.
 
     The left side weights the worst slab energy by its degree-dependent
     factor and adds the accumulated squared derivative jumps; the right side
     holds the data norms.  The flag reports plain lhs <= rhs.
+
+    A slab's energy is the max over the slab of squared L2 velocity plus
+    squared H1 seminorm, sampled at 2p + 3 equispaced times, endpoints
+    included.
     """
     space, grid = sol.space, sol.grid
-    energies = np.array([slab_energy(sol, n) for n in range(grid.n_intervals)])
+    M, K = space.M, space.K
+    energies = np.empty(grid.n_intervals)
+    for _, slabs in _chunks(space, grid, range(grid.n_intervals), "equispaced"):
+        _, vals, ders = sol.sample(slabs, "equispaced")
+        energy = np.sum(ders.T * (M @ ders.T), axis=0) + np.sum(vals.T * (K @ vals.T), axis=0)
+        energies[slabs] = np.maximum(np.max(energy.reshape(len(slabs), -1), axis=1), 0.0)
     m = int(np.argmax(energies))
     p_m = int(grid.degrees[m])
     mu = mu_n(p_m)
@@ -321,11 +400,11 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     h1_u0 = space.h1_semi_norm(space.grid_eval(gx), space.grid_eval(gy))
     l2_u1 = space.l2_norm(space.grid_eval(data.u1))
     f_sq = 0.0
-    for n in range(m + 1):
-        x, w, _, _ = reference_blocks(int(grid.degrees[n]))["gauss"]
-        tau = grid.tau(n)
-        tq = float(grid.nodes[n]) + 0.5 * tau * (x + 1.0)
-        f_sq += 0.5 * tau * float(w @ space.l2_norm(space.grid_eval(data.f, tq)) ** 2)
+    for p, slabs in _chunks(space, grid, range(m + 1), "gauss"):
+        x, w, _, _ = reference_blocks(p)["gauss"]
+        tq = _sample_times(grid, slabs, x)
+        weights = 0.5 * (grid.nodes[slabs + 1] - grid.nodes[slabs])[:, None] * w
+        f_sq += float(weights.ravel() @ space.l2_norm(space.grid_eval(data.f, tq.ravel())) ** 2)
     rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (t_m / mu) * f_sq
 
     return StabilityReport(

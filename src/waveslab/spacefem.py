@@ -13,7 +13,9 @@ solves go through the 1D generalized eigenbases (fast diagonalization), with
 no sparse factorization.  Values, gradients and broken Laplacians at the Gauss
 points, and load vectors from Gauss-point values, are two 1D matrix products
 each (sum factorization), and each accepts a leading axis of time samples so
-a whole slab is handled in one call.
+many slabs' samples are handled in one call.  The block operators
+a (x) M + b (x) K of the slab march are filled into a pattern kept per block
+count.
 """
 
 from __future__ import annotations
@@ -114,6 +116,8 @@ class TensorSpace:
         lam_x, self.Vx = sla.eigh(Kix, Mix)
         lam_y, self.Vy = sla.eigh(Kiy, Miy)
         self.stiffness_eigs = lam_x[:, None] + lam_y[None, :]
+
+        self._block_patterns: dict[int, tuple] = {}  # see block_operator
 
     def _gauss_matrices(self, n_elem: int, h: float):
         p, ng = self.degree, len(self.ref_gauss)
@@ -238,6 +242,44 @@ class TensorSpace:
         return np.asarray(
             f(self.nodes_x[1:-1, None], self.nodes_y[None, 1:-1]), dtype=float
         ).ravel()
+
+    def block_operator(self, a: np.ndarray, b: np.ndarray):
+        """a (x) M + b (x) K in CSC form, for square a and b of one size p.
+
+        Every p x p block carries the pattern of M and K.  The pattern is
+        built on the first call for each p and kept; later calls only fill
+        in the values, each the same product sum as the Kronecker form's.
+        """
+        p = a.shape[0]
+        if p not in self._block_patterns:
+            self._block_patterns[p] = self._block_pattern(p)
+        block_row, rows, m_vals, k_vals, indptr = self._block_patterns[p]
+        data = np.take(a.T, block_row, axis=1)  # row j: block column j
+        data *= m_vals
+        stiff = np.take(b.T, block_row, axis=1)
+        stiff *= k_vals
+        data += stiff
+        size = p * self.n_dofs
+        return sp.csc_matrix((data.ravel(), np.tile(rows, p), indptr), shape=(size, size))
+
+    def _block_pattern(self, p: int):
+        """Per stored value of one block column: block row, row, M and K values.
+
+        All p block columns share that layout; the column pointers returned
+        last cover the whole operator.
+        """
+        # The complex sum holds M and K on the union of their patterns (real
+        # and imaginary parts cannot cancel); on this mesh the two coincide.
+        MK = (self.M + 1j * self.K).tocsc()
+        ids = sp.csc_matrix((np.arange(1.0, MK.nnz + 1.0), MK.indices, MK.indptr),
+                            shape=MK.shape)
+        column = sp.kron(np.ones((p, 1)), ids, format="csc")
+        column.sort_indices()
+        entry = column.data.astype(np.int64) - 1
+        block_row = column.indices // max(self.n_dofs, 1)
+        starts = np.arange(p)[:, None] * column.nnz + column.indptr[:-1]
+        indptr = np.append(starts.ravel(), p * column.nnz)
+        return block_row, column.indices, MK.data.real[entry], MK.data.imag[entry], indptr
 
     def m_inner(self, u: np.ndarray, v: np.ndarray):
         """Mass inner product of two vectors, or of matching rows of two stacks."""

@@ -21,7 +21,9 @@ from waveslab import (
     problem_data,
     stability_check,
 )
+from waveslab import slabsolver
 from waveslab.estimator import estimate, eta1, eta2_terms, osc_terms, quadrature_check
+from waveslab.slabsolver import reference_blocks
 
 rng = np.random.default_rng(20261018)
 
@@ -145,6 +147,45 @@ def test_errors_osc_and_stability_match_per_point_loops():
     assert_close(report.rhs, rhs)
 
 
+def repeated_degree_run():
+    """case2 with the graded first slab on a non-uniform grid whose degrees
+    repeat, so slabs of one degree are batched."""
+    case = make_case("case2", alpha=1.75)
+    data = problem_data(case)
+    space = TensorSpace(4, 3, 1)
+    nodes = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.8, 1.0])
+    grid = TimeGrid(nodes, np.array([2, 2, 3, 2, 3, 3, 2]))
+    return case, data, space, grid
+
+
+def test_repeated_degrees_in_split_chunks_match_per_point_loops(monkeypatch):
+    case, data, space, grid = repeated_degree_run()
+    # 14 time samples of the 12 x 9 Gauss grid: two or three slabs per chunk
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 108)
+    for points in ("gauss", "equispaced"):
+        chunks = list(slabsolver._chunks(space, grid, range(grid.n_intervals), points))
+        assert max(len(slabs) for _, slabs in chunks) > 1
+        assert len(chunks) > len(set(grid.degrees))  # some degree group is split
+        assert sorted(np.concatenate([slabs for _, slabs in chunks])) == list(range(7))
+
+    sol = march(data, space, grid)
+    ref = slow.march(data, space, grid)
+    for n in range(grid.n_intervals):
+        assert_close(sol.blocks[n], ref.blocks[n])
+
+    errs = compute_errors(sol, case).as_dict()
+    for key, value in slow.compute_errors(sol, case).items():
+        assert_close(errs[key], value)
+    for m in (grid.n_intervals - 1, 3):
+        assert_close(osc_terms(data, sol, m), slow.osc_terms(data, sol, m))
+    report = stability_check(sol, data)
+    lhs, rhs, m, energies = slow.stability_check(sol, data)
+    assert report.m == m
+    assert_close(report.slab_energy, energies)
+    assert_close(report.lhs, lhs)
+    assert_close(report.rhs, rhs)
+
+
 def test_jumps_and_estimator_match_per_slab_loops():
     case, data, space, grid = mixed_degree_run()
     sol = march(data, space, grid)
@@ -194,6 +235,61 @@ def test_gauss_rule_is_shared_and_read_only():
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_reference_tables_are_read_only():
+    ref = reference_blocks(4)
+    leg = ref["gauss"][2]
+    for arr in (ref["A0"], ref["B0"], leg):
+        with pytest.raises(ValueError):
+            arr[0, 0] = 0.0
+    theta, weights = ref["graded_load"][0]
+    for arr in (theta, weights, ref["equispaced"][0], ref["psi_left"]):
+        assert not arr.flags.writeable
+
+
+@pytest.mark.parametrize("budget", [None, 1000])
+def test_callables_are_called_once_per_chunk(monkeypatch, budget):
+    if budget is not None:
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+    case = make_case("case1")
+    space = TensorSpace(2, 2, 1)  # 6 x 6 Gauss grid
+    grid = TimeGrid.uniform(1.0, 40, 2)
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    counted_case = type(case)(**{
+        **vars(case),
+        **{key: counted(key, getattr(case, key)) for key in ("u", "du", "ux", "uy", "f")},
+    })
+    data = problem_data(counted_case)
+
+    def n_chunks(slabs, points):
+        per_slab = len(reference_blocks(2)[points][0]) * 36
+        return -(-slabs // max(1, slabsolver.STACK_BUDGET // per_slab))
+
+    gauss, equi = n_chunks(40, "gauss"), n_chunks(40, "equispaced")
+    assert (gauss, equi) == ((1, 1) if budget is None else (7, 14))
+
+    monkeypatch.setattr(TensorSpace, "load_vector",
+                        counted("load_vector", TensorSpace.load_vector))
+    sol = march(data, space, grid)
+    # one load_vector per chunk, and one for the initial velocity's projection
+    assert calls == {"f": gauss, "load_vector": gauss + 1}
+    calls.clear()
+    compute_errors(sol, counted_case)
+    assert calls == {"u": equi, "du": gauss + equi, "ux": gauss + equi, "uy": gauss + equi}
+    calls.clear()
+    osc_terms(data, sol, grid.n_intervals - 1)
+    assert calls == {"f": gauss}
+    calls.clear()
+    report = stability_check(sol, data)
+    assert calls == {"f": n_chunks(report.m + 1, "gauss")}
 
 
 def test_callables_are_called_once_per_slab_or_panel():
