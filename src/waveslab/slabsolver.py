@@ -113,6 +113,11 @@ def reference_blocks(p: int):
     points in theta = (t - a) / tau, which keeps samples near a precise, and
     the test functions times the quadrature weights, shape (p, len(theta)).
 
+    `history` (p, 3) weighs the previous slab's end values M u', M u and
+    K u in each test function's right-hand side; on a slab of length tau
+    its columns scale by 1, 2 / tau and tau / 2 (the first columns of the
+    coupling matrices of `time_matrices`).
+
     Every array is read-only: the tables are shared by every caller.
     """
     to_modal = nodal_to_modal(p)  # column j: modes of trial basis j
@@ -125,6 +130,8 @@ def reference_blocks(p: int):
     dphi_left = npleg.legval(-1.0, npleg.legder(to_modal, axis=0))
     dphi_right = npleg.legval(1.0, npleg.legder(to_modal, axis=0))
     eye_der = npleg.legder(np.eye(p + 1), axis=0)
+    psi_left = (-1.0) ** np.arange(p)
+    A0_left = A0[:, 0] + psi_left * dphi_left[0]
 
     def point_set(x, w=None):
         return x, w, npleg.legvander(x, p), npleg.legval(x, eye_der).T
@@ -139,7 +146,8 @@ def reference_blocks(p: int):
     tables = {
         "A0": A0, "B0": B0,
         "dphi_left": dphi_left, "dphi_right": dphi_right,
-        "psi_left": (-1.0) ** np.arange(p),
+        "psi_left": psi_left,
+        "history": np.column_stack((psi_left, -A0_left, -B0[:, 0])),
         "gauss": point_set(*gauss_legendre(2 * p + 3)),
         "gauss_doubled": point_set(*gauss_legendre(4 * p + 6)),
         "equispaced": point_set(np.linspace(-1.0, 1.0, 2 * p + 3)),
@@ -311,9 +319,14 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     sequential solves, a chunk of slabs of one degree at a time.  The
     factorized slab operator is reused whenever the degree repeats and the
     length agrees to 12 significant digits, so slabs of a uniform or
-    bisected grid share it.  Its pattern is symmetric, so SuperLU orders it
-    by minimum degree on A + A^T, which leaves fewer than half the factor
-    entries of the default ordering at d = 7 921, p = 3.
+    bisected grid share it.  The factorizations are kept on the space
+    (`space.slab_lu`), so a later march on the same space reuses them too,
+    as the nested grids of adaptive bisection do; each march first drops
+    every kept factorization its own grid does not use, so at most one
+    grid's distinct (degree, length) pairs stay factorized.  The operator's
+    pattern is symmetric, so SuperLU orders it by minimum degree on A + A^T,
+    which leaves fewer than half the factor entries of the default ordering
+    at d = 7 921, p = 3.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -329,34 +342,36 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     d = space.n_dofs
     M, K = space.M, space.K
     loads = _slab_loads(data, space, grid)
-    lu_cache: dict[tuple[int, str], object] = {}
-    prev_value, prev_deriv = u0h, u1h
+    keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
+    factors = space.slab_lu
+    for key in set(factors) - set(keys):
+        del factors[key]
+    ends = np.column_stack((u1h, u0h))  # previous slab's end derivative, value
+    history = np.empty((3, d))  # M u', M u and K u of those
 
-    for n in range(grid.n_intervals):
-        p = int(grid.degrees[n])
-        tau = grid.tau(n)
+    for n, key in enumerate(keys):
+        p, tau = key[0], grid.tau(n)
         ref = reference_blocks(p)
-        A, B = time_matrices(p, tau)
-
-        key = (p, f"{tau:.11e}")
-        if key not in lu_cache:
+        if key not in factors:
+            A, B = time_matrices(p, tau)
             system = space.block_operator(A[:, 1:], B[:, 1:])
-            lu_cache[key] = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
+            factors[key] = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
 
         rhs = loads[n]
         _check_finite(rhs, f"load of slab {n}")
-        rhs += np.outer(ref["psi_left"], M @ prev_deriv)
-        rhs -= np.outer(A[:, 0], M @ prev_value) + np.outer(B[:, 0], K @ prev_value)
+        history[:2] = (M @ ends).T
+        history[2] = K @ ends[:, 1]
+        rhs += (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
 
-        coeffs = lu_cache[key].solve(rhs.ravel()) if d else np.zeros(0)
+        coeffs = factors[key].solve(rhs.ravel()) if d else np.zeros(0)
         block = np.empty((p + 1, d))
-        block[0] = prev_value
+        block[0] = ends[:, 1]
         block[1:] = coeffs.reshape(p, d)
         _check_finite(block, f"solve of slab {n}")
         sol.blocks.append(block)
 
-        prev_value = block[-1]
-        prev_deriv = (2.0 / tau) * (ref["dphi_right"] @ block)
+        ends[:, 0] = (2.0 / tau) * (ref["dphi_right"] @ block)
+        ends[:, 1] = block[-1]
 
     return sol
 

@@ -118,6 +118,9 @@ class TensorSpace:
         self.stiffness_eigs = lam_x[:, None] + lam_y[None, :]
 
         self._block_patterns: dict[int, tuple] = {}  # see block_operator
+        # slab factorizations by (p, tau key), kept across marches on this
+        # space; only slabsolver.march fills and prunes it
+        self.slab_lu: dict[tuple[int, str], object] = {}
 
     def _gauss_matrices(self, n_elem: int, h: float):
         p, ng = self.degree, len(self.ref_gauss)

@@ -275,7 +275,7 @@ def test_estimator_reliable_on_geometric_variable_degree_grids():
     case = make_case("case2", alpha=1.75)
     data = problem_data(case)
     space = TensorSpace(5, 5, 2)
-    kappas = []
+    kappas, dofs, errors = [], [], []
     for levels in range(1, 9):
         nodes = np.concatenate(([0.0], 0.2 ** np.arange(levels, 0, -1), [1.0]))
         grid = TimeGrid(nodes, np.arange(2, levels + 3))
@@ -284,7 +284,13 @@ def test_estimator_reliable_on_geometric_variable_degree_grids():
         report = estimate(sol, data)
         assert report.eta >= error, (levels, report.eta, error)
         kappas.append(effectivity(report, error))
+        dofs.append(grid.degrees.sum())
+        errors.append(error)
     assert max(kappas) / min(kappas) <= 2.0, kappas
+    # exponential decay exp(-b sqrt(DoF)) in the temporal DoFs, fitted from
+    # L = 3 on (5 to 54 DoFs over all levels); measured b = 1.92
+    b = np.polyfit(np.sqrt(dofs[2:]), -np.log(errors[2:]), 1)[0]
+    assert b >= 1.8, b
     # 54 temporal DoFs beat 160 uniform ones of degree 2
     assert grid.degrees.sum() == 54
     uniform = march(data, space, TimeGrid.uniform(1.0, 80, 2))

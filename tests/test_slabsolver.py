@@ -1,5 +1,7 @@
 """Slab-by-slab Petrov-Galerkin march: grids, exactness, residuals, stability."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre as npleg
@@ -17,7 +19,7 @@ from waveslab import (
     stability_check,
 )
 from waveslab import slabsolver
-from waveslab.adaptive import bisect
+from waveslab.adaptive import bisect, run_adaptive
 from waveslab.slabsolver import _load, reference_blocks
 
 rng = np.random.default_rng(20240814)
@@ -174,8 +176,9 @@ def test_variational_residual_per_slab():
             assert np.max(np.abs(moment)) < 1e-9 * scale, (n, k)
 
 
-def record_factorizations(monkeypatch, space, grid):
-    """The (operator, factorization) pairs of one march on `grid`."""
+@contextlib.contextmanager
+def recording_factorizations(monkeypatch):
+    """Yield the list of (operator, factorization) pairs made inside."""
     real = slabsolver.spla
     calls = []
 
@@ -189,8 +192,16 @@ def record_factorizations(monkeypatch, space, grid):
             return lu
 
     monkeypatch.setattr(slabsolver, "spla", Recording())
-    march(zero_data(), space, grid)
-    monkeypatch.setattr(slabsolver, "spla", real)
+    try:
+        yield calls
+    finally:
+        monkeypatch.setattr(slabsolver, "spla", real)
+
+
+def record_factorizations(monkeypatch, space, grid):
+    """The (operator, factorization) pairs of one march on `grid`."""
+    with recording_factorizations(monkeypatch) as calls:
+        march(zero_data(), space, grid)
     return calls
 
 
@@ -210,6 +221,65 @@ def test_factorization_reused_across_equal_slabs(monkeypatch):
     assert count_factorizations(monkeypatch, grid) == 3
     mixed = TimeGrid(grid.nodes, np.where(np.arange(grid.n_intervals) < 5, 2, 3))
     assert count_factorizations(monkeypatch, mixed) == 4
+
+
+def nested_grids():
+    """uniform(1, 5, 3) and two bisections of it: lengths 0.2, then 0.1, then 0.05."""
+    g0 = TimeGrid.uniform(1.0, 5, 3)
+    g1 = bisect(g0, [0, 2, 3])
+    return g0, g1, bisect(g1, [0, 1])
+
+
+def slab_keys(grid):
+    return {(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))}
+
+
+def test_factorizations_kept_across_marches_on_one_space(monkeypatch):
+    # each grid of the nested sequence adds one new (degree, length) pair
+    space = TensorSpace(2, 2, 1)
+    counts = [len(record_factorizations(monkeypatch, space, g)) for g in nested_grids()]
+    assert counts == [1, 1, 1]
+    assert len(set.union(*map(slab_keys, nested_grids()))) == sum(counts)
+    assert set(space.slab_lu) == slab_keys(nested_grids()[2])
+
+
+def test_march_drops_factorizations_its_grid_does_not_use(monkeypatch):
+    space = TensorSpace(2, 2, 1)
+    g0, g1, g2 = nested_grids()
+    for grid in (g0, g1, g2):
+        march(zero_data(), space, grid)
+    # lengths 0.25 only: every kept factorization goes
+    assert len(record_factorizations(monkeypatch, space, TimeGrid.uniform(1.0, 4, 2))) == 1
+    assert list(space.slab_lu) == [(2, f"{0.25:.11e}")]
+    assert len(record_factorizations(monkeypatch, space, g2)) == 3
+    assert set(space.slab_lu) == slab_keys(g2)
+
+
+def test_warm_space_march_matches_a_fresh_one():
+    case = make_case("case2", alpha=1.75)
+    data = problem_data(case)
+    space = TensorSpace(4, 4, 2)
+    g0, g1, g2 = nested_grids()
+    march(data, space, g0)
+    march(data, space, g1)
+    warm = march(data, space, g2)
+    again = march(data, space, g2)
+    fresh = march(data, TensorSpace(4, 4, 2), g2)
+    for n in range(g2.n_intervals):
+        assert np.array_equal(warm.blocks[n], again.blocks[n])
+        assert_close(warm.blocks[n], fresh.blocks[n])
+
+
+def test_adaptive_loop_factorizes_each_slab_operator_once(monkeypatch):
+    data = problem_data(make_case("case2", alpha=1.75))
+    space = TensorSpace(3, 3, 2)
+    with recording_factorizations(monkeypatch) as calls:
+        result = run_adaptive(data, space, TimeGrid.uniform(1.0, 3, 2), max_iters=6)
+    grids = [record.grid for record in result.history]
+    assert len(grids) == 6
+    distinct = set.union(*map(slab_keys, grids))
+    assert len(distinct) < sum(len(slab_keys(g)) for g in grids)
+    assert len(calls) == len(distinct)
 
 
 def test_slab_factorization_uses_a_fill_reducing_ordering(monkeypatch):
