@@ -25,7 +25,7 @@ from typing import Callable
 
 import numpy as np
 
-from .slabsolver import ProblemData, SlabSolution, _chunks, reference_blocks
+from .slabsolver import ProblemData, SlabSolution, _chunks, _sample_times, reference_blocks
 
 
 @dataclass(frozen=True)
@@ -148,37 +148,61 @@ class ErrorBundle:
 def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     """Evaluate all error norms of a slab solution for a manufactured case.
 
-    Slabs of one degree are sampled and scored together, in chunks under
-    `slabsolver.STACK_BUDGET`, each exact callable once per chunk.
+    Slabs of one degree are scored together, in chunks under
+    `slabsolver.STACK_BUDGET`, each exact callable once per chunk.  The
+    space kernel evaluates values and gradients of a chunk's p + 1 temporal
+    modes (`SlabSolution.modes`) once; the samples at a point set follow on
+    the Gauss grid through its `leg` and `(2 / tau) dleg` tables.
     """
     space, grid = sol.space, sol.grid
     slabs = range(grid.n_intervals)
+    grid_shape = (len(space.gauss_x), len(space.gauss_y))
 
     def misfit_sq(exact, t, approx):
         # per time sample, the squared L2 norm of exact(t) - approx
         err = space.grid_eval(exact, t)
         err -= approx
-        return space.integrate(err * err)
+        return space.integrate(np.square(err, out=err))
+
+    def in_space(chunk):
+        # values and gradients of the chunk's modes on the Gauss grid, each
+        # of shape (S, p + 1, ngx * ngy)
+        modes = sol.modes(chunk)
+        flat = modes.reshape(-1, space.n_dofs)
+        return [v.reshape(modes.shape[:2] + (-1,))
+                for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat))]
+
+    def at_points(mode_values, basis):
+        # samples, interval by interval, for a basis (k, p + 1) at k points
+        # or a stack (S, k, p + 1) of one per interval: shape (S * k, ngx, ngy)
+        return (basis @ mode_values).reshape((-1,) + grid_shape)
 
     sq_h1 = 0.0
     sq_dl2 = 0.0
     for p, chunk in _chunks(space, grid, slabs, "gauss"):
-        _, wq, _, _ = reference_blocks(p)["gauss"]
-        weights = (0.5 * (grid.nodes[chunk + 1] - grid.nodes[chunk])[:, None] * wq).ravel()
-        t, coeff, dcoeff = sol.sample(chunk, "gauss")
-        gx, gy = space.eval_grad_gauss(coeff)
-        sq_h1 += float(weights @ (misfit_sq(case.ux, t, gx) + misfit_sq(case.uy, t, gy)))
-        sq_dl2 += float(weights @ misfit_sq(case.du, t, space.eval_gauss(dcoeff)))
+        x, wq, leg, dleg = reference_blocks(p)["gauss"]
+        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
+        weights = (0.5 * tau[:, None] * wq).ravel()
+        t = _sample_times(grid, chunk, x).ravel()
+        vals, gx, gy = in_space(chunk)
+        sq_h1 += float(weights @ (misfit_sq(case.ux, t, at_points(gx, leg))
+                                  + misfit_sq(case.uy, t, at_points(gy, leg))))
+        dt_leg = (2.0 / tau)[:, None, None] * dleg
+        sq_dl2 += float(weights @ misfit_sq(case.du, t, at_points(vals, dt_leg)))
 
     sq_w1inf = 0.0
     sq_h1_max = 0.0
     sq_l2 = 0.0
-    for _, chunk in _chunks(space, grid, slabs, "equispaced"):
-        t, coeff, dcoeff = sol.sample(chunk, "equispaced")
-        sq_l2 = max(sq_l2, float(np.max(misfit_sq(case.u, t, space.eval_gauss(coeff)))))
-        sq_w1inf = max(sq_w1inf, float(np.max(misfit_sq(case.du, t, space.eval_gauss(dcoeff)))))
-        gx, gy = space.eval_grad_gauss(coeff)
-        sq_h1_max = max(sq_h1_max, float(np.max(misfit_sq(case.ux, t, gx) + misfit_sq(case.uy, t, gy))))
+    for p, chunk in _chunks(space, grid, slabs, "equispaced"):
+        x, _, leg, dleg = reference_blocks(p)["equispaced"]
+        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
+        t = _sample_times(grid, chunk, x).ravel()
+        vals, gx, gy = in_space(chunk)
+        dt_leg = (2.0 / tau)[:, None, None] * dleg
+        sq_l2 = max(sq_l2, float(np.max(misfit_sq(case.u, t, at_points(vals, leg)))))
+        sq_w1inf = max(sq_w1inf, float(np.max(misfit_sq(case.du, t, at_points(vals, dt_leg)))))
+        sq_h1_max = max(sq_h1_max, float(np.max(misfit_sq(case.ux, t, at_points(gx, leg))
+                                                + misfit_sq(case.uy, t, at_points(gy, leg)))))
 
     jumps = sol.jumps()
     jump_sq = float(np.sum(space.m_inner(jumps, jumps)))

@@ -258,7 +258,9 @@ class SlabSolution:
     blocks[n] has shape (p_n + 1, n_dofs); row k holds the spatial
     coefficients at the k-th equispaced time node of interval n.  The first
     row of block 0 is the projected initial value and consecutive blocks
-    share their junction row.
+    share their junction row.  The error norms and the stability check
+    read a chunk of intervals of one degree through `modes`, its Legendre
+    coefficients in time.
     """
 
     grid: TimeGrid
@@ -270,24 +272,20 @@ class SlabSolution:
     def poly(self, n: int) -> IntervalPoly:
         return IntervalPoly.from_nodal(self.grid.interval(n), self.blocks[n])
 
-    def sample(self, slabs, points: str):
-        """Times, values and time derivatives of intervals at their samples.
+    def modes(self, slabs) -> np.ndarray:
+        """Legendre coefficients in time of intervals of one degree p.
 
-        `slabs` is one interval index or an array of indices of intervals of
-        one degree; `points` names a point set of `reference_blocks`:
-        "gauss", "gauss_doubled" or "equispaced".  Returns t of shape
-        (S * k,) and two coefficient stacks of shape (S * k, n_dofs) for S
-        intervals of k samples each, interval by interval.
+        Returns shape (S, p + 1, n_dofs) for the S interval indices `slabs`:
+        row k of interval s holds the spatial coefficients of its k-th
+        Legendre mode in the reference variable.  With `leg`, `dleg` of a
+        point set of `reference_blocks`, `leg @ modes[s]` are its values at
+        those points and `(2 / tau_s) * dleg @ modes[s]` its time
+        derivatives, so the space kernel runs on the p + 1 modes of a slab,
+        not on each of its samples.
         """
-        slabs = np.atleast_1d(np.asarray(slabs, dtype=int))
+        slabs = np.asarray(slabs, dtype=int)
         p = int(self.grid.degrees[slabs[0]])
-        x, _, leg, dleg = reference_blocks(p)[points]
-        t = _sample_times(self.grid, slabs, x)
-        tau = self.grid.nodes[slabs + 1] - self.grid.nodes[slabs]
-        modes = nodal_to_modal(p) @ np.stack([self.blocks[n] for n in slabs])
-        shape = (t.size, self.space.n_dofs)
-        ders = (2.0 / tau)[:, None, None] * (dleg @ modes)
-        return t.ravel(), (leg @ modes).reshape(shape), ders.reshape(shape)
+        return nodal_to_modal(p) @ np.stack([self.blocks[n] for n in slabs])
 
     def jumps(self) -> np.ndarray:
         """Derivative jumps at the left node of every interval, shape (N, n_dofs).
@@ -394,15 +392,23 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
 
     A slab's energy is the max over the slab of squared L2 velocity plus
     squared H1 seminorm, sampled at 2p + 3 equispaced times, endpoints
-    included.
+    included.  It comes from the Gram matrices C M C^T and C K C^T of the
+    slab's p + 1 temporal modes C (`SlabSolution.modes`): at the reference
+    point x it is (2 / tau)^2 dleg(x) G_M dleg(x)^T + leg(x) G_K leg(x)^T,
+    so the mass and stiffness act once per mode, not once per sample.
     """
     space, grid = sol.space, sol.grid
-    M, K = space.M, space.K
     energies = np.empty(grid.n_intervals)
-    for _, slabs in _chunks(space, grid, range(grid.n_intervals), "equispaced"):
-        _, vals, ders = sol.sample(slabs, "equispaced")
-        energy = np.sum(ders.T * (M @ ders.T), axis=0) + np.sum(vals.T * (K @ vals.T), axis=0)
-        energies[slabs] = np.maximum(np.max(energy.reshape(len(slabs), -1), axis=1), 0.0)
+    for p, slabs in _chunks(space, grid, range(grid.n_intervals), "equispaced"):
+        _, _, leg, dleg = reference_blocks(p)["equispaced"]
+        modes = sol.modes(slabs)
+        flat = modes.reshape(-1, space.n_dofs).T
+        gram_m, gram_k = (modes @ (A @ flat).T.reshape(modes.shape).swapaxes(1, 2)
+                          for A in (space.M, space.K))
+        tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
+        energy = (2.0 / tau[:, None]) ** 2 * np.sum((dleg @ gram_m) * dleg, axis=-1)
+        energy += np.sum((leg @ gram_k) * leg, axis=-1)
+        energies[slabs] = np.maximum(np.max(energy, axis=1), 0.0)
     m = int(np.argmax(energies))
     p_m = int(grid.degrees[m])
     mu = mu_n(p_m)

@@ -186,6 +186,45 @@ def test_repeated_degrees_in_split_chunks_match_per_point_loops(monkeypatch):
     assert_close(report.rhs, rhs)
 
 
+@pytest.mark.parametrize("degree", range(2, 11))
+def test_single_degree_errors_and_energies_match_per_point_loops(degree):
+    case = make_case("case1")
+    data = problem_data(case)
+    space = TensorSpace(4, 3, 1)
+    grid = TimeGrid.uniform(2.0, 4, degree)
+    sol = march(data, space, grid)
+
+    errs = compute_errors(sol, case).as_dict()
+    for key, value in slow.compute_errors(sol, case).items():
+        assert_close(errs[key], value)
+    energies = [slow.slab_energy(sol, n) for n in range(grid.n_intervals)]
+    assert_close(stability_check(sol, data).slab_energy, energies)
+
+
+@pytest.mark.parametrize("run", [mixed_degree_run, repeated_degree_run])
+def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
+    case, data, space, grid = run()
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 108)
+    sol = march(data, space, grid)
+    calls = []
+    for name in ("eval_gauss", "eval_grad_gauss"):
+        def counted(self, vec, name=name, real=getattr(TensorSpace, name)):
+            calls.append((name, np.shape(vec)))
+            return real(self, vec)
+        monkeypatch.setattr(TensorSpace, name, counted)
+
+    compute_errors(sol, case)
+    expected = []
+    for points in ("gauss", "equispaced"):
+        for p, slabs in slabsolver._chunks(space, grid, range(grid.n_intervals), points):
+            rows = (len(slabs) * (p + 1), space.n_dofs)
+            expected += [("eval_gauss", rows), ("eval_grad_gauss", rows)]
+    assert calls == expected
+    calls.clear()
+    stability_check(sol, data)
+    assert calls == []
+
+
 def test_jumps_and_estimator_match_per_slab_loops():
     case, data, space, grid = mixed_degree_run()
     sol = march(data, space, grid)
