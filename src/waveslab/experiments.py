@@ -22,9 +22,11 @@ A study is described by a flat YAML mapping.  Common keys:
 - ``out``: output CSV path; ``seed``: optional unsigned integer, validated
   and kept on the ``Config`` (no study draws random numbers).
 
-Unknown keys are rejected, and all validation problems are reported at
-once.  A fixed configuration yields identical CSV output up to the wall
-time column.
+Unknown keys are rejected, as are booleans given for numbers, infinite or
+nan numbers and fractional values of integer keys, and all validation
+problems are reported at once.
+A fixed configuration yields identical CSV output up to the wall time
+column.
 """
 
 from __future__ import annotations
@@ -85,6 +87,28 @@ def _steps_per(total: float, step: float) -> int | None:
     return int(n)
 
 
+def _number(value, cast=float):
+    """A configured number as `cast` (float or int).
+
+    Raises ValueError saying what the value must be.  Booleans are refused,
+    though YAML's `true` would pass float() as 1.0, and so is a fractional
+    value of an int key, which int() would truncate, and an infinite or
+    nan float (YAML's `.inf`, `.nan`).
+    """
+    kind = "an integer" if cast is int else "numeric"
+    if isinstance(value, bool):
+        raise ValueError(f"must be {kind}")
+    try:
+        val = cast(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"must be {kind}") from None
+    if cast is int and not isinstance(value, int) and val != float(value):
+        raise ValueError(f"must be {kind}")
+    if cast is float and not np.isfinite(val):
+        raise ValueError("must be finite")
+    return val
+
+
 @dataclass(frozen=True)
 class Config:
     suite: str
@@ -142,12 +166,12 @@ def parse_config(source) -> Config:
             values[key] = raw[key]
 
     def check_num(key, cond, msg, cast=float):
-        if key not in values or values[key] is None:
+        if key not in values:
             return None
         try:
-            val = cast(values[key])
-        except (TypeError, ValueError):
-            problems.append(f"{key} must be numeric, got {values[key]!r}")
+            val = _number(values[key], cast)
+        except ValueError as exc:
+            problems.append(f"{key} {exc}, got {values[key]!r}")
             return None
         if not cond(val):
             problems.append(f"{key} {msg}, got {val}")
@@ -155,7 +179,7 @@ def parse_config(source) -> Config:
         values[key] = val
         return val
 
-    check_num("T", lambda v: v > 0, "must be positive")
+    T = check_num("T", lambda v: v > 0, "must be positive")
     check_num("alpha", lambda v: v > 1.5, "must exceed 1.5")
     check_num("omega", lambda v: v > 0, "must be positive")
     check_num("theta", lambda v: 0 < v <= 1, "must lie in (0, 1]")
@@ -172,14 +196,9 @@ def parse_config(source) -> Config:
     if not isinstance(values["include_osc"], bool):
         problems.append(f"include_osc must be boolean, got {values['include_osc']!r}")
 
-    h = values.get("h")
-    if isinstance(h, (int, float)) and h > 0:
-        if _steps_per(2.0, float(h)) is None:
-            problems.append(f"h must divide the domain side 2, got {h}")
-        else:
-            values["h"] = float(h)
-    else:
-        problems.append(f"h must be a positive number, got {h!r}")
+    h = check_num("h", lambda v: v > 0, "must be positive")
+    if h is not None and _steps_per(2.0, h) is None:
+        problems.append(f"h must divide the domain side 2, got {h}")
 
     def check_list(key, item_cond, msg, cast=float):
         if key not in values:
@@ -191,9 +210,9 @@ def parse_config(source) -> Config:
         out = []
         for item in seq:
             try:
-                val = cast(item)
-            except (TypeError, ValueError):
-                problems.append(f"{key} entries must be numeric, got {item!r}")
+                val = _number(item, cast)
+            except ValueError as exc:
+                problems.append(f"{key} entries {exc}, got {item!r}")
                 return
             if not item_cond(val):
                 problems.append(f"{key} entry {msg}, got {val}")
@@ -201,10 +220,8 @@ def parse_config(source) -> Config:
             out.append(val)
         values[key] = out
 
-    T = values.get("T", 1.0)
-
-    def tau_ok(t):
-        return isinstance(T, float) and _steps_per(T, t) is not None
+    def tau_ok(t):  # an invalid T is reported on its own
+        return T is None or _steps_per(T, t) is not None
 
     if "tau" in values:
         check_num("tau", tau_ok, f"must divide T={T}")

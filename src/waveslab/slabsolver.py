@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 
@@ -230,7 +231,7 @@ def _load(data: ProblemData, space: TensorSpace, a, tau, rule):
 
 
 def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> list:
-    """Load moments of every slab, shape (p_n, n_dofs) each.
+    """Load moments of every slab in the spatial eigenbasis, (p_n, n_dofs) each.
 
     The first slab of a singular load takes the graded rule on its own;
     every other slab is loaded with the one-panel Gauss rule, a chunk of
@@ -240,12 +241,12 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> list:
     slabs = np.arange(grid.n_intervals)
     if data.singular_load:
         rule = reference_blocks(int(grid.degrees[0]))["graded_load"]
-        loads[0] = _load(data, space, grid.nodes[0], grid.tau(0), rule)
+        loads[0] = space.to_eigenbasis(_load(data, space, grid.nodes[0], grid.tau(0), rule))
         slabs = slabs[1:]
     for p, chunk in _chunks(space, grid, slabs, "gauss"):
         a = grid.nodes[chunk]
-        moments = _load(data, space, a, grid.nodes[chunk + 1] - a,
-                        reference_blocks(p)["gauss_load"])
+        moments = space.to_eigenbasis(_load(data, space, a, grid.nodes[chunk + 1] - a,
+                                            reference_blocks(p)["gauss_load"]))
         for n, slab_moments in zip(chunk, moments):
             loads[n] = slab_moments
     return loads
@@ -321,10 +322,14 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     (`space.slab_lu`), so a later march on the same space reuses them too,
     as the nested grids of adaptive bisection do; each march first drops
     every kept factorization its own grid does not use, so at most one
-    grid's distinct (degree, length) pairs stay factorized.  The operator's
-    pattern is symmetric, so SuperLU orders it by minimum degree on A + A^T,
-    which leaves fewer than half the factor entries of the default ordering
-    at d = 7 921, p = 3.
+    grid's distinct (degree, length) pairs stay factorized.
+
+    The march runs in the eigenbasis V of `TensorSpace` (V^T M V = I,
+    V^T K V = diag(s)): the loads and the previous slab's end values enter
+    in its coordinates, where a slab's operator A' (x) I + B' (x) diag(s)
+    couples each eigenmode only to itself in time.  Its factors hold
+    p (p + 1) entries per mode.  Each slab's coefficients return to the
+    nodal basis through V.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -337,39 +342,40 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     _check_finite(u1h, "projected initial velocity")
     sol = SlabSolution(grid=grid, space=space, u0h=u0h, u1h=u1h)
 
-    d = space.n_dofs
-    M, K = space.M, space.K
+    d, s = space.n_dofs, space.stiffness_eigs
     loads = _slab_loads(data, space, grid)
     keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
     factors = space.slab_lu
     for key in set(factors) - set(keys):
         del factors[key]
-    ends = np.column_stack((u1h, u0h))  # previous slab's end derivative, value
-    history = np.empty((3, d))  # M u', M u and K u of those
+    # previous slab's end derivative and value, in eigen-coordinates V^T M u
+    deriv, value = space.to_eigenbasis((space.M @ np.column_stack((u1h, u0h))).T)
+    end = u0h  # and its value in the nodal basis
 
     for n, key in enumerate(keys):
         p, tau = key[0], grid.tau(n)
         ref = reference_blocks(p)
         if key not in factors:
             A, B = time_matrices(p, tau)
-            system = space.block_operator(A[:, 1:], B[:, 1:])
-            factors[key] = spla.splu(system, permc_spec="MMD_AT_PLUS_A")
+            system = sp.kron(A[:, 1:], sp.identity(d)) + sp.kron(B[:, 1:], sp.diags(s))
+            factors[key] = spla.splu(system.tocsc())
 
         rhs = loads[n]
         _check_finite(rhs, f"load of slab {n}")
-        history[:2] = (M @ ends).T
-        history[2] = K @ ends[:, 1]
+        history = np.stack((deriv, value, s * value))  # V^T of M u', M u and K u
         rhs += (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
 
-        coeffs = factors[key].solve(rhs.ravel()) if d else np.zeros(0)
+        modes = np.empty((p + 1, d))
+        modes[0] = value
+        modes[1:] = factors[key].solve(rhs.ravel()).reshape(p, d) if d else 0.0
         block = np.empty((p + 1, d))
-        block[0] = ends[:, 1]
-        block[1:] = coeffs.reshape(p, d)
+        block[0] = end
+        block[1:] = space.from_eigenbasis(modes[1:])
         _check_finite(block, f"solve of slab {n}")
         sol.blocks.append(block)
 
-        ends[:, 0] = (2.0 / tau) * (ref["dphi_right"] @ block)
-        ends[:, 1] = block[-1]
+        deriv = (2.0 / tau) * (ref["dphi_right"] @ modes)
+        value, end = modes[-1], block[-1]
 
     return sol
 

@@ -8,14 +8,15 @@ equispaced within each element, so no special point distributions are needed.
 All of it is built from the 1D basis and its first two derivatives at the
 global Gauss points of each direction (rules exact to order 2 * degree + 3).
 The 1D mass and stiffness matrices are their Gram matrices in the Gauss
-weights; every 2D operator is a Kronecker combination of 1D factors, and its
-solves go through the 1D generalized eigenbases (fast diagonalization), with
-no sparse factorization.  Values, gradients and broken Laplacians at the Gauss
-points, and load vectors from Gauss-point values, are two 1D matrix products
-each (sum factorization), and each accepts a leading axis of time samples so
-many slabs' samples are handled in one call.  The block operators
-a (x) M + b (x) K of the slab march are filled into a pattern kept per block
-count.
+weights; every 2D operator is a Kronecker combination of 1D factors.  The
+1D generalized eigenbases of each direction give V = Vx (x) Vy with
+V^T M V = I and V^T K V diagonal (fast diagonalization): the mass and
+stiffness solves go through it with no sparse factorization, and the slab
+march runs in its coordinates, where a slab splits into one small temporal
+system per eigenmode.  Values, gradients and broken Laplacians at the Gauss
+points, load vectors from Gauss-point values and the changes of basis are two
+1D matrix products each (sum factorization), and each accepts a leading axis
+of time samples so many slabs' samples are handled in one call.
 """
 
 from __future__ import annotations
@@ -112,12 +113,12 @@ class TensorSpace:
         self.K = sp.kron(Kix, Miy, format="csr") + sp.kron(Mix, Kiy, format="csr")
 
         # K1 V = M1 V diag(lam), V^T M1 V = I per direction; with V = Vx kron Vy
-        # this gives M^-1 = V V^T and K^-1 = V diag(1 / (lam_x + lam_y)) V^T
+        # this gives V^T M V = I and V^T K V = diag(lam_x + lam_y), flattened
+        # in the order of the dofs
         lam_x, self.Vx = sla.eigh(Kix, Mix)
         lam_y, self.Vy = sla.eigh(Kiy, Miy)
-        self.stiffness_eigs = lam_x[:, None] + lam_y[None, :]
+        self.stiffness_eigs = (lam_x[:, None] + lam_y[None, :]).ravel()
 
-        self._block_patterns: dict[int, tuple] = {}  # see block_operator
         # slab factorizations by (p, tau key), kept across marches on this
         # space; only slabsolver.march fills and prunes it
         self.slab_lu: dict[tuple[int, str], object] = {}
@@ -216,19 +217,27 @@ class TensorSpace:
         """Assemble (v, grad phi_a) for interior basis functions."""
         return self._assemble(vx, self.Dx, self.Ey) + self._assemble(vy, self.Ex, self.Dy)
 
-    def _modal_solve(self, rhs, eigs=1.0):
+    def to_eigenbasis(self, rhs: np.ndarray) -> np.ndarray:
+        """V^T rhs, for one vector or a stack (..., n_dofs).
+
+        A load goes to the eigenbasis this way; a coefficient vector u has
+        eigen-coordinates V^T M u, since V^-1 = V^T M.
+        """
         rhs = np.asarray(rhs, dtype=float)
-        R = rhs.reshape(rhs.shape[:-1] + (self.n_int_x, self.n_int_y))
-        C = (self.Vx.T @ R @ self.Vy) / eigs
-        return (self.Vx @ C @ self.Vy.T).reshape(rhs.shape)
+        return self._eval(rhs, self.Vx.T, self.Vy.T).reshape(rhs.shape)
+
+    def from_eigenbasis(self, coeffs: np.ndarray) -> np.ndarray:
+        """V coeffs: coefficient vectors from eigen-coordinates, one or a stack."""
+        coeffs = np.asarray(coeffs, dtype=float)
+        return self._eval(coeffs, self.Vx, self.Vy).reshape(coeffs.shape)
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
-        """M^-1 rhs, for one right-hand side or a stack (nt, n_dofs)."""
-        return self._modal_solve(rhs)
+        """M^-1 rhs = V V^T rhs, for one right-hand side or a stack (nt, n_dofs)."""
+        return self.from_eigenbasis(self.to_eigenbasis(rhs))
 
     def solve_stiffness(self, rhs: np.ndarray) -> np.ndarray:
-        """K^-1 rhs, for one right-hand side or a stack (nt, n_dofs)."""
-        return self._modal_solve(rhs, self.stiffness_eigs)
+        """K^-1 rhs = V diag(1 / stiffness_eigs) V^T rhs, for one vector or a stack."""
+        return self.from_eigenbasis(self.to_eigenbasis(rhs) / self.stiffness_eigs)
 
     def l2_project(self, f) -> np.ndarray:
         """Coefficients of the L2-orthogonal projection of f(x, y)."""
@@ -245,44 +254,6 @@ class TensorSpace:
         return np.asarray(
             f(self.nodes_x[1:-1, None], self.nodes_y[None, 1:-1]), dtype=float
         ).ravel()
-
-    def block_operator(self, a: np.ndarray, b: np.ndarray):
-        """a (x) M + b (x) K in CSC form, for square a and b of one size p.
-
-        Every p x p block carries the pattern of M and K.  The pattern is
-        built on the first call for each p and kept; later calls only fill
-        in the values, each the same product sum as the Kronecker form's.
-        """
-        p = a.shape[0]
-        if p not in self._block_patterns:
-            self._block_patterns[p] = self._block_pattern(p)
-        block_row, rows, m_vals, k_vals, indptr = self._block_patterns[p]
-        data = np.take(a.T, block_row, axis=1)  # row j: block column j
-        data *= m_vals
-        stiff = np.take(b.T, block_row, axis=1)
-        stiff *= k_vals
-        data += stiff
-        size = p * self.n_dofs
-        return sp.csc_matrix((data.ravel(), np.tile(rows, p), indptr), shape=(size, size))
-
-    def _block_pattern(self, p: int):
-        """Per stored value of one block column: block row, row, M and K values.
-
-        All p block columns share that layout; the column pointers returned
-        last cover the whole operator.
-        """
-        # The complex sum holds M and K on the union of their patterns (real
-        # and imaginary parts cannot cancel); on this mesh the two coincide.
-        MK = (self.M + 1j * self.K).tocsc()
-        ids = sp.csc_matrix((np.arange(1.0, MK.nnz + 1.0), MK.indices, MK.indptr),
-                            shape=MK.shape)
-        column = sp.kron(np.ones((p, 1)), ids, format="csc")
-        column.sort_indices()
-        entry = column.data.astype(np.int64) - 1
-        block_row = column.indices // max(self.n_dofs, 1)
-        starts = np.arange(p)[:, None] * column.nnz + column.indptr[:-1]
-        indptr = np.append(starts.ravel(), p * column.nnz)
-        return block_row, column.indices, MK.data.real[entry], MK.data.imag[entry], indptr
 
     def m_inner(self, u: np.ndarray, v: np.ndarray):
         """Mass inner product of two vectors, or of matching rows of two stacks."""

@@ -56,6 +56,37 @@ def test_all_problems_reported_at_once():
         assert fragment in text, fragment
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("T", True, "numeric"),
+    ("h", True, "numeric"),
+    ("tau_list", [True], "numeric"),
+    ("T", float("inf"), "finite"),
+    ("alpha", float("inf"), "finite"),
+    ("T_list", [1.0, float("nan")], "finite"),
+    ("seed", True, "integer"),
+    ("p_t", 2.7, "integer"),
+    ("p_x", 1.5, "integer"),
+    ("mode_m", 1.5, "integer"),
+    ("mode_n", 2.5, "integer"),
+    ("max_iters", 3.5, "integer"),
+    ("max_iters", float("inf"), "integer"),
+    ("initial_n", 4.5, "integer"),
+    ("seed", 7.5, "integer"),
+    ("p_t_list", [2, 3.5], "integer"),
+])
+def test_booleans_and_fractional_integers_are_refused(key, value, kind):
+    # YAML reads `true` as a boolean, which float() and int() take as 1;
+    # int() truncates 2.7 to 2 and raises OverflowError on .inf, and a
+    # float .inf or .nan passes float().  None of them may run as a number.
+    config = {"suite": "effectivity", "case": "case3", "tau_list": [0.5],
+              "p_t_list": [2], "mystery": 1, key: value}
+    with pytest.raises(ConfigError) as info:
+        parse_config(config)
+    problems = info.value.problems
+    assert "unknown key 'mystery'" in problems
+    assert any(p.startswith(f"{key} ") and f" {kind}, got " in p for p in problems)
+
+
 def test_step_divisibility_allows_decimal_roundings():
     # 0.0909 is the usual rounding of 1/11 and must pass; 0.07 must not
     ok = parse_config({
@@ -297,6 +328,13 @@ def test_cli_config_problems_exit_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, "suite: tau_refine\ncase: case1\n")
     assert main(["run", str(cfg)]) == 1
     assert "config error" in capsys.readouterr().err
+    truncated = _write_config(tmp_path, "suite: tau_refine\ncase: case1\n"
+                              "tau_list: [0.5]\np_t: 2.7\nh: true\n")
+    assert main(["run", str(truncated), "--out", str(tmp_path / "x.csv")]) == 1
+    err = capsys.readouterr().err
+    assert "config error: p_t must be an integer, got 2.7" in err
+    assert "config error: h must be numeric, got True" in err
+    assert not (tmp_path / "x.csv").exists()
     # suite override introduces the problem; file itself is fine otherwise
     good = _write_config(tmp_path, "suite: tau_refine\ncase: case1\ntau_list: [0.5]\n")
     assert main(["run", str(good), "--suite", "p_refine",

@@ -282,21 +282,20 @@ def test_adaptive_loop_factorizes_each_slab_operator_once(monkeypatch):
     assert len(calls) == len(distinct)
 
 
-def test_slab_factorization_uses_a_fill_reducing_ordering(monkeypatch):
-    # minimum degree on A + A^T suits the symmetric pattern of A'(x)M + B'(x)K;
-    # on d = 961 at p = 3 its factors hold 0.68x the entries of the default
-    # (COLAMD) ordering's
-    [(system, lu)] = record_factorizations(
-        monkeypatch, TensorSpace(16, 16, 2), TimeGrid.uniform(1.0, 2, 3)
-    )
-    assert system.shape == (3 * 961, 3 * 961)
-    default = slabsolver.spla.splu(system)
-    assert lu.L.nnz + lu.U.nnz <= 0.75 * (default.L.nnz + default.U.nnz)
+def test_slab_factors_stay_within_each_eigenmode(monkeypatch):
+    # in the spatial eigenbasis a slab couples each of the d modes only to
+    # itself in time, so the LU factors fill at most one p x p block per mode
+    space = TensorSpace(16, 16, 2)
+    [(system, lu)] = record_factorizations(monkeypatch, space, TimeGrid.uniform(1.0, 2, 3))
+    d, p = space.n_dofs, 3
+    assert system.shape == (p * d, p * d)
+    assert lu.L.nnz + lu.U.nnz <= d * p * (p + 1)
 
 
 @pytest.mark.parametrize("p", range(2, 11))
 def test_march_matches_default_ordering_reference(p):
-    # the reference factorizes every slab under SuperLU's default ordering
+    # the reference assembles A'(x)M + B'(x)K in the nodal basis and
+    # factorizes it anew, under SuperLU's default ordering, on every slab
     case = make_case("case2", alpha=1.75)
     data = problem_data(case)
     space = TensorSpace(4, 4, 2)

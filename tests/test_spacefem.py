@@ -7,7 +7,6 @@ import scipy.sparse.linalg as spla
 
 import slow_reference as slow
 from waveslab import TensorSpace
-from waveslab.slabsolver import time_matrices
 
 rng = np.random.default_rng(20240812)
 
@@ -64,24 +63,6 @@ def test_assembled_operators_structure(degree):
     assert np.max(np.abs(row_sums)) < 1e-12
     # full mass totals the domain area
     assert abs(M_full.sum() - 4.0) < 1e-12
-
-
-@pytest.mark.parametrize("degree", [1, 2, 3])
-def test_block_operator_equals_the_kronecker_sum(degree):
-    # the slab operators of p = 2..10; each second length reuses the
-    # pattern its degree's first call built
-    space = TensorSpace(3, 4, degree)
-    for p in range(2, 11):
-        for tau in (0.37, 0.05):
-            A, B = time_matrices(p, tau)
-            got = space.block_operator(A[:, 1:], B[:, 1:])
-            ref = sp.kron(A[:, 1:], space.M, format="csc") + sp.kron(B[:, 1:], space.K, format="csc")
-            ref.sort_indices()
-            assert got.format == "csc" and got.shape == ref.shape
-            assert np.array_equal(got.indptr, ref.indptr)
-            assert np.array_equal(got.indices, ref.indices)
-            assert np.array_equal(got.data, ref.data)
-    assert sorted(space._block_patterns) == list(range(2, 11))
 
 
 def test_member_function_is_reproduced():
