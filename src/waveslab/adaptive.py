@@ -29,6 +29,8 @@ def doerfler_mark(indicators, theta: float) -> list[int]:
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"marking fraction must be in (0, 1], got {theta}")
     indicators = np.asarray(indicators, dtype=float)
+    if not np.all(np.isfinite(indicators)):
+        raise ValueError("indicators must be finite")
     if np.any(indicators < 0.0):
         raise ValueError("indicators must be nonnegative")
     total = float(indicators.sum())

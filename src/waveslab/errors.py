@@ -84,8 +84,10 @@ def make_case(name: str, **params) -> ManufacturedCase:
             u0=zero, u0x=zero, u0y=zero, u1=zero,
         )
     if name == "case3":
-        mode_n = int(params.get("n", 1))
-        mode_m = int(params.get("m", 1))
+        mode_n, mode_m = params.get("n", 1), params.get("m", 1)
+        if int(mode_n) != mode_n or int(mode_m) != mode_m:
+            raise ValueError(f"case3 mode numbers must be integers, got {mode_m}, {mode_n}")
+        mode_n, mode_m = int(mode_n), int(mode_m)
         omega = float(params.get("omega", np.sqrt(2.0)))
         if mode_n < 1 or mode_m < 1:
             raise ValueError(f"case3 mode numbers must be >= 1, got {mode_m}, {mode_n}")
@@ -148,61 +150,48 @@ class ErrorBundle:
 def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     """Evaluate all error norms of a slab solution for a manufactured case.
 
-    Slabs of one degree are scored together, in chunks under
+    Slabs of one degree are scored together in one pass, in chunks whose
+    samples at the "gauss" and "equispaced" point sets together stay under
     `slabsolver.STACK_BUDGET`, each exact callable once per chunk.  The
     space kernel evaluates values and gradients of a chunk's p + 1 temporal
-    modes (`SlabSolution.modes`) once; the samples at a point set follow on
-    the Gauss grid through its `leg` and `(2 / tau) dleg` tables.
+    modes (`SlabSolution.modes`) once; the samples at both point sets follow
+    on the Gauss grid through one stacked `leg` and `(2 / tau) dleg` table,
+    Gauss rows first.  Their misfits split into the Gauss columns, summed
+    with the rule's weights, and the equispaced columns, maximized.
     """
     space, grid = sol.space, sol.grid
-    slabs = range(grid.n_intervals)
-    grid_shape = (len(space.gauss_x), len(space.gauss_y))
 
     def misfit_sq(exact, t, approx):
-        # per time sample, the squared L2 norm of exact(t) - approx
-        err = space.grid_eval(exact, t)
-        err -= approx
-        return space.integrate(np.square(err, out=err))
+        # per time sample, the squared L2 norm of exact(t) - approx, shaped
+        # as t, (S, k) for k samples on each of S slabs
+        err = space.grid_eval(exact, t.ravel())
+        err -= approx.reshape(err.shape)
+        return space.integrate(np.square(err, out=err)).reshape(t.shape)
 
-    def in_space(chunk):
+    sq_h1 = sq_dl2 = 0.0
+    sq_w1inf = sq_h1_max = sq_l2 = 0.0
+    for p, chunk in _chunks(space, grid, range(grid.n_intervals), "gauss", "equispaced"):
+        xg, wq, leg_g, dleg_g = reference_blocks(p)["gauss"]
+        xe, _, leg_e, dleg_e = reference_blocks(p)["equispaced"]
+        ng = len(xg)
+        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
+        t = _sample_times(grid, chunk, np.concatenate((xg, xe)))
+        leg = np.vstack((leg_g, leg_e))
+        dt_leg = (2.0 / tau)[:, None, None] * np.vstack((dleg_g, dleg_e))
         # values and gradients of the chunk's modes on the Gauss grid, each
-        # of shape (S, p + 1, ngx * ngy)
+        # of shape (S, p + 1, ngx * ngy); samples are basis @ modes
         modes = sol.modes(chunk)
         flat = modes.reshape(-1, space.n_dofs)
-        return [v.reshape(modes.shape[:2] + (-1,))
-                for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat))]
-
-    def at_points(mode_values, basis):
-        # samples, interval by interval, for a basis (k, p + 1) at k points
-        # or a stack (S, k, p + 1) of one per interval: shape (S * k, ngx, ngy)
-        return (basis @ mode_values).reshape((-1,) + grid_shape)
-
-    sq_h1 = 0.0
-    sq_dl2 = 0.0
-    for p, chunk in _chunks(space, grid, slabs, "gauss"):
-        x, wq, leg, dleg = reference_blocks(p)["gauss"]
-        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
+        vals, gx, gy = (v.reshape(modes.shape[:2] + (-1,))
+                        for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat)))
+        h1 = misfit_sq(case.ux, t, leg @ gx) + misfit_sq(case.uy, t, leg @ gy)
+        dl2 = misfit_sq(case.du, t, dt_leg @ vals)
         weights = (0.5 * tau[:, None] * wq).ravel()
-        t = _sample_times(grid, chunk, x).ravel()
-        vals, gx, gy = in_space(chunk)
-        sq_h1 += float(weights @ (misfit_sq(case.ux, t, at_points(gx, leg))
-                                  + misfit_sq(case.uy, t, at_points(gy, leg))))
-        dt_leg = (2.0 / tau)[:, None, None] * dleg
-        sq_dl2 += float(weights @ misfit_sq(case.du, t, at_points(vals, dt_leg)))
-
-    sq_w1inf = 0.0
-    sq_h1_max = 0.0
-    sq_l2 = 0.0
-    for p, chunk in _chunks(space, grid, slabs, "equispaced"):
-        x, _, leg, dleg = reference_blocks(p)["equispaced"]
-        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
-        t = _sample_times(grid, chunk, x).ravel()
-        vals, gx, gy = in_space(chunk)
-        dt_leg = (2.0 / tau)[:, None, None] * dleg
-        sq_l2 = max(sq_l2, float(np.max(misfit_sq(case.u, t, at_points(vals, leg)))))
-        sq_w1inf = max(sq_w1inf, float(np.max(misfit_sq(case.du, t, at_points(vals, dt_leg)))))
-        sq_h1_max = max(sq_h1_max, float(np.max(misfit_sq(case.ux, t, at_points(gx, leg))
-                                                + misfit_sq(case.uy, t, at_points(gy, leg)))))
+        sq_h1 += float(weights @ h1[:, :ng].ravel())
+        sq_dl2 += float(weights @ dl2[:, :ng].ravel())
+        sq_h1_max = max(sq_h1_max, float(np.max(h1[:, ng:])))
+        sq_w1inf = max(sq_w1inf, float(np.max(dl2[:, ng:])))
+        sq_l2 = max(sq_l2, float(np.max(misfit_sq(case.u, t[:, ng:], leg_e @ vals))))
 
     jumps = sol.jumps()
     jump_sq = float(np.sum(space.m_inner(jumps, jumps)))

@@ -36,11 +36,16 @@ class TimeGrid:
 
     def __post_init__(self):
         nodes = np.asarray(self.nodes, dtype=float)
-        degrees = np.asarray(self.degrees, dtype=int)
+        degrees = np.asarray(self.degrees)
+        if not np.all(np.isfinite(degrees) & (degrees == np.round(degrees))):
+            raise ValueError("temporal degrees must be integers")
+        degrees = degrees.astype(int)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "degrees", degrees)
         if len(nodes) < 2 or len(degrees) != len(nodes) - 1:
             raise ValueError("grid needs N+1 nodes and N degrees")
+        if not np.all(np.isfinite(nodes)):
+            raise ValueError("grid nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         if np.any(degrees < 2):
@@ -186,19 +191,20 @@ def time_matrices(p: int, tau: float):
 STACK_BUDGET = 1 << 16
 
 
-def _chunks(space: TensorSpace, grid: TimeGrid, slabs, points: str):
+def _chunks(space: TensorSpace, grid: TimeGrid, slabs, *points: str):
     """Slab indices grouped by degree and split to `STACK_BUDGET`.
 
     Yields (p, indices), the indices an ascending array of slabs of degree
-    p whose samples at the point set `points` of `reference_blocks` fill at
-    most `STACK_BUDGET` Gauss-grid values, or a single slab.
+    p whose samples at the point sets `points` of `reference_blocks`, all
+    of them together, fill at most `STACK_BUDGET` Gauss-grid values, or a
+    single slab.
     """
     slabs = np.asarray(slabs, dtype=int)
     degrees = grid.degrees[slabs]
     grid_values = space.gauss_x.size * space.gauss_y.size
     for p in np.unique(degrees):
         group = slabs[degrees == p]
-        samples = len(reference_blocks(int(p))[points][0])
+        samples = sum(len(reference_blocks(int(p))[name][0]) for name in points)
         size = max(1, STACK_BUDGET // (samples * grid_values))
         for start in range(0, len(group), size):
             yield int(p), group[start:start + size]

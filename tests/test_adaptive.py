@@ -59,6 +59,12 @@ def test_marking_rejections():
         doerfler_mark([1.0, -0.5], 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_marking_refuses_non_finite_indicators(bad):
+    with pytest.raises(ValueError):
+        doerfler_mark([bad, 1.0], 0.5)
+
+
 def test_bisection():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]), np.array([2, 3]))
     out = bisect(grid, [0])

@@ -215,14 +215,45 @@ def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
 
     compute_errors(sol, case)
     expected = []
-    for points in ("gauss", "equispaced"):
-        for p, slabs in slabsolver._chunks(space, grid, range(grid.n_intervals), points):
-            rows = (len(slabs) * (p + 1), space.n_dofs)
-            expected += [("eval_gauss", rows), ("eval_grad_gauss", rows)]
+    for p, slabs in slabsolver._chunks(space, grid, range(grid.n_intervals),
+                                       "gauss", "equispaced"):
+        rows = (len(slabs) * (p + 1), space.n_dofs)
+        expected += [("eval_gauss", rows), ("eval_grad_gauss", rows)]
     assert calls == expected
     calls.clear()
     stability_check(sol, data)
     assert calls == []
+
+
+@pytest.mark.parametrize("samples", [14, 28])
+@pytest.mark.parametrize("run", [mixed_degree_run, repeated_degree_run])
+def test_error_norms_sample_within_the_stack_budget(monkeypatch, run, samples):
+    case, data, space, grid = run()
+    # `samples` time samples of the 12 x 9 Gauss grid per stacked array
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", samples * 108)
+    sol = march(data, space, grid)
+    chunk_sizes, sizes = [], []
+    real_modes, real_eval = slabsolver.SlabSolution.modes, TensorSpace.grid_eval
+
+    def modes(self, slabs):
+        chunk_sizes.append(len(slabs))
+        return real_modes(self, slabs)
+
+    def grid_eval(self, fn, t):
+        out = real_eval(self, fn, t)
+        sizes.append((out.size, chunk_sizes[-1]))
+        return out
+
+    monkeypatch.setattr(slabsolver.SlabSolution, "modes", modes)
+    monkeypatch.setattr(TensorSpace, "grid_eval", grid_eval)
+    errs = compute_errors(sol, case).as_dict()
+    assert sizes
+    for size, slabs in sizes:
+        assert size <= slabsolver.STACK_BUDGET or slabs == 1
+    if samples == 28 and run is repeated_degree_run:
+        assert max(chunk_sizes) > 1
+    for key, value in slow.compute_errors(sol, case).items():
+        assert_close(errs[key], value)
 
 
 def test_jumps_and_estimator_match_per_slab_loops():
@@ -308,12 +339,12 @@ def test_callables_are_called_once_per_chunk(monkeypatch, budget):
     })
     data = problem_data(counted_case)
 
-    def n_chunks(slabs, points):
-        per_slab = len(reference_blocks(2)[points][0]) * 36
+    def n_chunks(slabs, *points):
+        per_slab = sum(len(reference_blocks(2)[name][0]) for name in points) * 36
         return -(-slabs // max(1, slabsolver.STACK_BUDGET // per_slab))
 
-    gauss, equi = n_chunks(40, "gauss"), n_chunks(40, "equispaced")
-    assert (gauss, equi) == ((1, 1) if budget is None else (7, 14))
+    gauss, both = n_chunks(40, "gauss"), n_chunks(40, "gauss", "equispaced")
+    assert (gauss, both) == ((1, 1) if budget is None else (7, 20))
 
     monkeypatch.setattr(TensorSpace, "load_vector",
                         counted("load_vector", TensorSpace.load_vector))
@@ -322,7 +353,7 @@ def test_callables_are_called_once_per_chunk(monkeypatch, budget):
     assert calls == {"f": gauss, "load_vector": gauss + 1}
     calls.clear()
     compute_errors(sol, counted_case)
-    assert calls == {"u": equi, "du": gauss + equi, "ux": gauss + equi, "uy": gauss + equi}
+    assert calls == {"u": both, "du": both, "ux": both, "uy": both}
     calls.clear()
     osc_terms(data, sol, grid.n_intervals - 1)
     assert calls == {"f": gauss}
@@ -354,7 +385,7 @@ def test_callables_are_called_once_per_slab_or_panel():
     assert calls == {"f": graded_panels + n_slabs - 1}
     calls.clear()
     compute_errors(sol, counted_case)
-    assert calls == {"u": n_slabs, "du": 2 * n_slabs, "ux": 2 * n_slabs, "uy": 2 * n_slabs}
+    assert calls == {"u": n_slabs, "du": n_slabs, "ux": n_slabs, "uy": n_slabs}
     calls.clear()
     osc_terms(counted_data, sol, n_slabs - 1)
     assert calls == {"f": n_slabs}

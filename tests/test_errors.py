@@ -83,6 +83,13 @@ def test_unknown_case_and_bad_modes():
         make_case("case3", m=0)
 
 
+@pytest.mark.parametrize("modes", [{"m": 1.5}, {"n": 2.5}])
+def test_case3_refuses_fractional_mode_numbers(modes):
+    with pytest.raises(ValueError):
+        make_case("case3", **modes)
+    assert make_case("case3", m=2.0).params["m"] == 2
+
+
 def test_problem_data_wiring():
     case = make_case("case2", alpha=1.75)
     data = problem_data(case)

@@ -52,6 +52,22 @@ def test_grid_validation():
         TimeGrid.uniform(0.0, 4, 2)
 
 
+@pytest.mark.parametrize("nodes, degrees", [
+    ([0.0, np.nan, 1.0], [2, 2]),
+    ([0.0, 1.0, np.inf], [2, 2]),
+    ([0.0, 1.0, 2.0], [2.7, 3.2]),
+    ([0.0, 1.0, 2.0], [2, np.nan]),
+])
+def test_grid_refuses_non_finite_nodes_and_fractional_degrees(nodes, degrees):
+    with pytest.raises(ValueError):
+        TimeGrid(np.array(nodes), np.array(degrees))
+
+
+def test_grid_accepts_integral_float_degrees():
+    grid = TimeGrid(np.array([0.0, 1.0, 2.0]), np.array([2.0, 3.0]))
+    assert grid.degrees.dtype.kind == "i" and list(grid.degrees) == [2, 3]
+
+
 def test_uniform_grid_accessors():
     grid = TimeGrid.uniform(2.0, 4, 3)
     assert grid.n_intervals == 4
