@@ -42,6 +42,6 @@ worst = max(
 print(f"  worst interface mismatch: {worst:.1e}")
 
 print("\n...but their time derivatives jump, and the jumps drive the estimator:")
-jump_norms = space.m_norm(sol.jumps())
+jump_norms = space.m_norm(sol.jumps)
 for n in range(0, grid.n_intervals, 3):
     print(f"  slab {n}: |[U'](t_{n})|_M = {jump_norms[n]:.3e}")

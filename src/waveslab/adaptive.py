@@ -44,21 +44,12 @@ def doerfler_mark(indicators, theta: float) -> list[int]:
 
 def bisect(grid: TimeGrid, marked) -> TimeGrid:
     """Split each marked interval at its midpoint, degrees inherited."""
-    marked = set(int(n) for n in marked)
-    if any(n < 0 or n >= grid.n_intervals for n in marked):
+    marked = np.array(sorted({int(n) for n in marked}), dtype=int)
+    if np.any((marked < 0) | (marked >= grid.n_intervals)):
         raise ValueError("marked interval index out of range")
-    nodes = [float(grid.nodes[0])]
-    degrees = []
-    for n in range(grid.n_intervals):
-        a, b = grid.interval(n)
-        p = int(grid.degrees[n])
-        if n in marked:
-            nodes.extend([0.5 * (a + b), b])
-            degrees.extend([p, p])
-        else:
-            nodes.append(b)
-            degrees.append(p)
-    return TimeGrid(np.array(nodes), np.array(degrees, dtype=int))
+    mids = 0.5 * (grid.nodes[marked] + grid.nodes[marked + 1])
+    return TimeGrid(np.insert(grid.nodes, marked + 1, mids),
+                    np.insert(grid.degrees, marked, grid.degrees[marked]))
 
 
 @dataclass(frozen=True)

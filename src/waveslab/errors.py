@@ -20,7 +20,7 @@ sample 2p + 3 equispaced times per interval including both endpoints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -68,8 +68,8 @@ def make_case(name: str, **params) -> ManufacturedCase:
         )
     if name == "case2":
         alpha = float(params.get("alpha", 1.75))
-        if alpha <= 1.5:
-            raise ValueError(f"case2 needs alpha > 1.5, got {alpha}")
+        if not (np.isfinite(alpha) and alpha > 1.5):
+            raise ValueError(f"case2 needs a finite alpha > 1.5, got {alpha}")
         bump = lambda x, y: (1.0 - x**2) * (1.0 - y**2)
         curv = lambda x, y: 2.0 * (1.0 - y**2) + 2.0 * (1.0 - x**2)
         zero = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
@@ -89,6 +89,8 @@ def make_case(name: str, **params) -> ManufacturedCase:
             raise ValueError(f"case3 mode numbers must be integers, got {mode_m}, {mode_n}")
         mode_n, mode_m = int(mode_n), int(mode_m)
         omega = float(params.get("omega", np.sqrt(2.0)))
+        if not np.isfinite(omega):
+            raise ValueError(f"case3 needs a finite omega, got {omega}")
         if mode_n < 1 or mode_m < 1:
             raise ValueError(f"case3 mode numbers must be >= 1, got {mode_m}, {mode_n}")
         pi = np.pi
@@ -137,14 +139,7 @@ class ErrorBundle:
     jump: float
 
     def as_dict(self) -> dict:
-        return {
-            "max_W1inf_L2": self.max_W1inf_L2,
-            "max_Linf_H1": self.max_Linf_H1,
-            "L2_H1": self.L2_H1,
-            "H1deriv_L2L2": self.H1deriv_L2L2,
-            "Linf_L2": self.Linf_L2,
-            "jump": self.jump,
-        }
+        return asdict(self)
 
 
 def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
@@ -193,7 +188,7 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
         sq_w1inf = max(sq_w1inf, float(np.max(dl2[:, ng:])))
         sq_l2 = max(sq_l2, float(np.max(misfit_sq(case.u, t[:, ng:], leg_e @ vals))))
 
-    jumps = sol.jumps()
+    jumps = sol.jumps
     jump_sq = float(np.sum(space.m_inner(jumps, jumps)))
     return ErrorBundle(
         max_W1inf_L2=float(np.sqrt(sq_w1inf)),

@@ -37,7 +37,7 @@ def eta1(sol: SlabSolution) -> tuple[float, int]:
         (c1_sq * c2_sq) ** 0.25
         for c1_sq, c2_sq, _ in map(reconstruction_constants, grid.degrees)
     ])
-    vals = np.diff(grid.nodes) * weights * sol.space.m_norm(sol.jumps())
+    vals = np.diff(grid.nodes) * weights * sol.space.m_norm(sol.jumps)
     arg = int(np.argmax(vals * (1.0 + 1e-14) >= np.max(vals)))
     return float(vals[arg]), arg
 
@@ -57,7 +57,7 @@ def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
     degrees = [int(p) for p in grid.degrees[: m + 1]]
     tops = np.array([nodal_to_modal(p)[p] @ block for p, block in zip(degrees, sol.blocks)])
     top_lap = space.l2_norm(space.eval_laplacian_gauss(tops))
-    jump_lap = space.l2_norm(space.eval_laplacian_gauss(sol.jumps()[: m + 1]))
+    jump_lap = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[: m + 1]))
     out = np.zeros(grid.n_intervals)
     for n, p in enumerate(degrees):
         tau = grid.tau(n)

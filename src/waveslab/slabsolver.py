@@ -15,8 +15,8 @@ the modal sense and well conditioned for degrees up to ten.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 import scipy.sparse as sp
@@ -258,23 +258,30 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> list:
     return loads
 
 
-@dataclass
+@dataclass(frozen=True)
 class SlabSolution:
     """March result: nodal-in-time coefficient blocks, one per interval.
 
     blocks[n] has shape (p_n + 1, n_dofs); row k holds the spatial
     coefficients at the k-th equispaced time node of interval n.  The first
     row of block 0 is the projected initial value and consecutive blocks
-    share their junction row.  The error norms and the stability check
-    read a chunk of intervals of one degree through `modes`, its Legendre
-    coefficients in time.
+    share their junction row; `u1h` is the projected initial velocity.  The
+    error norms and the stability check read a chunk of intervals of one
+    degree through `modes`, its Legendre coefficients in time.
+
+    A solution is a finished value: `blocks` is a tuple, and the blocks and
+    `u1h` are made read-only at construction, so `jumps`, computed on first
+    use, stays in step with them.
     """
 
     grid: TimeGrid
     space: TensorSpace
-    blocks: list = field(default_factory=list)
-    u0h: np.ndarray | None = None
-    u1h: np.ndarray | None = None
+    blocks: tuple
+    u1h: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "blocks", tuple(self.blocks))
+        _freeze((self.blocks, self.u1h))
 
     def poly(self, n: int) -> IntervalPoly:
         return IntervalPoly.from_nodal(self.grid.interval(n), self.blocks[n])
@@ -294,12 +301,14 @@ class SlabSolution:
         p = int(self.grid.degrees[slabs[0]])
         return nodal_to_modal(p) @ np.stack([self.blocks[n] for n in slabs])
 
+    @cached_property
     def jumps(self) -> np.ndarray:
         """Derivative jumps at the left node of every interval, shape (N, n_dofs).
 
         Row n is the one-sided time derivative of interval n at t_n minus
         that of interval n - 1; for n = 0 the prescribed projected velocity
-        acts as the incoming derivative.
+        acts as the incoming derivative.  Computed once per solution and
+        read-only: the estimator, error norms and stability check share it.
         """
         out = np.empty((self.grid.n_intervals, self.space.n_dofs))
         incoming = self.u1h
@@ -308,6 +317,7 @@ class SlabSolution:
             scale = 2.0 / self.grid.tau(n)
             out[n] = scale * (ref["dphi_left"] @ self.blocks[n]) - incoming
             incoming = scale * (ref["dphi_right"] @ self.blocks[n])
+        out.flags.writeable = False
         return out
 
 
@@ -335,7 +345,8 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     in its coordinates, where a slab's operator A' (x) I + B' (x) diag(s)
     couples each eigenmode only to itself in time.  Its factors hold
     p (p + 1) entries per mode.  Each slab's coefficients return to the
-    nodal basis through V.
+    nodal basis through V.  The blocks are collected as the slabs are
+    solved, and the solution is built once, at the end.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -346,8 +357,6 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     _check_finite(u0h, "projected initial displacement")
     u1h = space.l2_project(data.u1)
     _check_finite(u1h, "projected initial velocity")
-    sol = SlabSolution(grid=grid, space=space, u0h=u0h, u1h=u1h)
-
     d, s = space.n_dofs, space.stiffness_eigs
     loads = _slab_loads(data, space, grid)
     keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
@@ -358,6 +367,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     deriv, value = space.to_eigenbasis((space.M @ np.column_stack((u1h, u0h))).T)
     end = u0h  # and its value in the nodal basis
 
+    blocks = []
     for n, key in enumerate(keys):
         p, tau = key[0], grid.tau(n)
         ref = reference_blocks(p)
@@ -378,12 +388,12 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
         block[0] = end
         block[1:] = space.from_eigenbasis(modes[1:])
         _check_finite(block, f"solve of slab {n}")
-        sol.blocks.append(block)
+        blocks.append(block)
 
         deriv = (2.0 / tau) * (ref["dphi_right"] @ modes)
         value, end = modes[-1], block[-1]
 
-    return sol
+    return SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h)
 
 
 @dataclass(frozen=True)
@@ -426,7 +436,7 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     mu = mu_n(p_m)
     t_m = grid.nodes[m + 1]
 
-    jumps = sol.jumps()[: m + 1]
+    jumps = sol.jumps[: m + 1]
     lhs = mu * energies[m] + 0.25 * float(np.sum(space.m_inner(jumps, jumps)))
 
     gx, gy = data.grad_u0

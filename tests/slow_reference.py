@@ -158,7 +158,7 @@ def march(data, space, grid):
     u0h = space.solve_stiffness(load_vector_grad(
         space, space.grid_eval(gx), space.grid_eval(gy)))
     u1h = space.solve_mass(load_vector(space, space.grid_eval(data.u1)))
-    sol = SlabSolution(grid=grid, space=space, u0h=u0h, u1h=u1h)
+    blocks = []
     d = space.n_dofs
     M, K = space.M, space.K
     prev_value, prev_deriv = u0h, u1h
@@ -181,10 +181,10 @@ def march(data, space, grid):
         block = np.empty((p + 1, d))
         block[0] = prev_value
         block[1:] = spla.splu(system.tocsc()).solve(rhs.ravel()).reshape(p, d)
-        sol.blocks.append(block)
+        blocks.append(block)
         prev_value = block[-1]
-        prev_deriv = end_deriv(sol, n)
-    return sol
+        prev_deriv = (2.0 / tau) * (ref["dphi_right"] @ block)
+    return SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h)
 
 
 def compute_errors(sol, case):

@@ -75,6 +75,18 @@ def test_bisection():
     assert np.allclose(both.nodes, [0.0, 0.25, 0.5, 0.75, 1.0])
     assert list(both.degrees) == [2, 2, 3, 3]
 
+    # marks are a set of indices: order, repeats and container do not matter
+    for marks in ([1, 0], [0, 1, 1, 0], np.array([1, 0])):
+        again = bisect(grid, marks)
+        assert np.array_equal(again.nodes, both.nodes)
+        assert np.array_equal(again.degrees, both.degrees)
+
+    # each midpoint is 0.5 * (a + b) of its interval, to the bit
+    uneven = TimeGrid(np.array([0.0, 0.1, 0.3, 1.0]), np.array([2, 4, 3]))
+    split = bisect(uneven, np.array([2, 0]))
+    assert np.array_equal(split.nodes, [0.0, 0.5 * (0.0 + 0.1), 0.1, 0.3, 0.5 * (0.3 + 1.0), 1.0])
+    assert list(split.degrees) == [2, 2, 4, 3, 3]
+
     same = bisect(grid, [])
     assert np.allclose(same.nodes, grid.nodes)
     # old nodes survive every split

@@ -121,7 +121,7 @@ def test_march_matches_per_point_loads():
     case, data, space, grid = mixed_degree_run()
     fast = march(data, space, grid)
     ref = slow.march(data, space, grid)
-    assert_close(fast.u0h, ref.u0h)
+    assert_close(fast.blocks[0][0], ref.blocks[0][0])
     assert_close(fast.u1h, ref.u1h)
     for n in range(grid.n_intervals):
         assert_close(fast.blocks[n], ref.blocks[n])
@@ -256,11 +256,29 @@ def test_error_norms_sample_within_the_stack_budget(monkeypatch, run, samples):
         assert_close(errs[key], value)
 
 
+def test_one_jump_evaluation_serves_a_whole_level(monkeypatch):
+    case, data, space, grid = mixed_degree_run()
+    sol = march(data, space, grid)
+    calls = []
+    real = slabsolver.SlabSolution.jumps.func
+
+    def counted(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(slabsolver.SlabSolution.jumps, "func", counted)
+    report = estimate(sol, data)
+    compute_errors(sol, case)
+    stability_check(sol, data)
+    quadrature_check(sol, data, report, tol=np.inf)
+    assert len(calls) == 1 and calls[0] is sol
+
+
 def test_jumps_and_estimator_match_per_slab_loops():
     case, data, space, grid = mixed_degree_run()
     sol = march(data, space, grid)
 
-    jumps = sol.jumps()
+    jumps = sol.jumps
     assert jumps.shape == (grid.n_intervals, space.n_dofs)
     norms = space.m_norm(jumps)
     for n in range(grid.n_intervals):

@@ -59,6 +59,15 @@ def test_case2_rejects_small_alpha():
         make_case("case2", alpha=1.5)
 
 
+@pytest.mark.parametrize("name, params", [
+    ("case2", {"alpha": np.nan}), ("case2", {"alpha": np.inf}),
+    ("case3", {"omega": np.nan}), ("case3", {"omega": np.inf}),
+])
+def test_cases_refuse_non_finite_parameters(name, params):
+    with pytest.raises(ValueError, match=next(iter(params))):
+        make_case(name, **params)
+
+
 def test_case3_base_mode_is_unforced():
     case = make_case("case3")
     assert case.params == {"m": 1, "n": 1, "omega": float(np.sqrt(2.0))}
@@ -141,10 +150,10 @@ def test_as_dict_round_trip():
     sol = march(problem_data(case), space, TimeGrid.uniform(0.5, 2, 2))
     bundle = compute_errors(sol, case)
     d = bundle.as_dict()
-    assert set(d) == {
+    assert list(d) == [
         "max_W1inf_L2", "max_Linf_H1", "L2_H1", "H1deriv_L2L2", "Linf_L2", "jump",
-    }
-    assert d["Linf_L2"] == bundle.Linf_L2
+    ]
+    assert all(d[key] == getattr(bundle, key) for key in d)
 
 
 def test_rate_examples():

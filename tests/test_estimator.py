@@ -43,23 +43,23 @@ def quadratic_in_time_solution(tau, slabs=1, kink=0.0, kink_at=1):
     space = TensorSpace(2, 2, 2)
     c = space.interpolate(bump)
     grid = TimeGrid.uniform(slabs * tau, slabs, 2)
-    sol = SlabSolution(grid=grid, space=space, u0h=space.zero(), u1h=space.zero())
+    blocks = []
     for n in range(slabs):
         a, b = grid.interval(n)
         ts = np.linspace(a, b, 3)
         vals = ts**2
         if kink and n >= kink_at:
             vals = vals + kink * (ts - grid.nodes[kink_at])
-        sol.blocks.append(np.outer(vals, c))
+        blocks.append(np.outer(vals, c))
+    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=space.zero())
     return sol, space, c
 
 
 def test_zero_solution_zero_report():
     space = TensorSpace(2, 2, 2)
     grid = TimeGrid.uniform(1.0, 3, 2)
-    sol = SlabSolution(grid=grid, space=space, u0h=space.zero(), u1h=space.zero())
-    for _ in range(3):
-        sol.blocks.append(np.zeros((3, space.n_dofs)))
+    sol = SlabSolution(grid=grid, space=space,
+                       blocks=[np.zeros((3, space.n_dofs)) for _ in range(3)], u1h=space.zero())
     data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=zero3)
     report = estimate(sol, data)
     assert report.eta1 == 0.0
@@ -83,7 +83,7 @@ def test_single_slab_consistency_term_closed_form():
     # 2 tau * (tau/2)(tau^2/6)|L_2|_1 * |Lap bump|
     tau = 0.7
     sol, space, c = quadratic_in_time_solution(tau)
-    assert np.max(np.abs(sol.jumps()[0])) < 1e-14
+    assert np.max(np.abs(sol.jumps[0])) < 1e-14
     terms = eta2_terms(sol, 0)
     expect = 2.0 * tau * (0.5 * tau * tau**2 / 6.0 * L1_LEG2) * LAP_BUMP
     assert abs(terms[0] - expect) < 1e-12 * expect
@@ -109,7 +109,7 @@ def test_kinked_solution_jump_terms():
     # c4-weighted jump of the broken Laplacian on the middle slab
     tau, beta = 0.3, 0.9
     sol, space, c = quadratic_in_time_solution(tau, slabs=3, kink=beta, kink_at=1)
-    jumps = sol.jumps()
+    jumps = sol.jumps
     assert np.allclose(jumps[1], beta * c, atol=1e-10)
     assert np.max(np.abs(jumps[2])) < 1e-10
 
@@ -152,11 +152,10 @@ def test_equal_jumps_pick_the_first_slab():
     c = space.interpolate(bump)
     tau, beta = 0.5, 0.7
     grid = TimeGrid.uniform(2 * tau, 2, 2)
-    sol = SlabSolution(grid=grid, space=space, u0h=space.zero(), u1h=-beta * c)
-    sol.blocks.append(np.zeros((3, space.n_dofs)))
     ts = np.linspace(tau, 2 * tau, 3)
-    sol.blocks.append(np.outer(beta * (ts - tau), c))
-    jumps = sol.jumps()
+    blocks = [np.zeros((3, space.n_dofs)), np.outer(beta * (ts - tau), c)]
+    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=-beta * c)
+    jumps = sol.jumps
     assert np.allclose(jumps[0], beta * c, atol=1e-12)
     assert np.allclose(jumps[1], beta * c, atol=1e-12)
     _, arg = eta1(sol)
@@ -260,9 +259,8 @@ def test_quadrature_check_reports_rule_sensitivity():
 
     # with no consistency or oscillation content there is nothing to warn on
     zgrid = TimeGrid.uniform(1.0, 3, 2)
-    zsol = SlabSolution(grid=zgrid, space=space, u0h=space.zero(), u1h=space.zero())
-    for _ in range(3):
-        zsol.blocks.append(np.zeros((3, space.n_dofs)))
+    zsol = SlabSolution(grid=zgrid, space=space,
+                        blocks=[np.zeros((3, space.n_dofs)) for _ in range(3)], u1h=space.zero())
     zreport = estimate(zsol, data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -1,6 +1,7 @@
 """Slab-by-slab Petrov-Galerkin march: grids, exactness, residuals, stability."""
 
 import contextlib
+import dataclasses
 
 import numpy as np
 import pytest
@@ -85,7 +86,7 @@ def test_zero_data_gives_zero_solution():
     sol = march(zero_data(), space, grid)
     for n in range(3):
         assert np.max(np.abs(sol.blocks[n])) < 1e-14
-        assert np.max(np.abs(sol.jumps()[n])) < 1e-14
+        assert np.max(np.abs(sol.jumps[n])) < 1e-14
 
 
 def test_empty_space_smoke():
@@ -104,7 +105,7 @@ def test_single_dof_oscillator():
     data = ProblemData(u0=hat, grad_u0=(hat_x, hat_y), u1=zero2, f=zero3)
     grid = TimeGrid.uniform(1.0, 10, 3)
     sol = march(data, space, grid)
-    assert abs(sol.u0h[0] - 1.0) < 1e-12
+    assert abs(sol.blocks[0][0][0] - 1.0) < 1e-12
     for t in (0.35, 0.7, 1.0):
         n = min(int(t / 0.1), 9)
         got = sol.poly(n).eval(t)[0]
@@ -130,7 +131,7 @@ def test_space_time_polynomial_exactness():
         got = sol.poly(n).eval(t)
         assert np.max(np.abs(got - g(t) * coeffs)) < 1e-9, t
     for n in range(4):
-        assert np.max(np.abs(sol.jumps()[n])) < 1e-9
+        assert np.max(np.abs(sol.jumps[n])) < 1e-9
 
 
 def test_continuity_across_slabs():
@@ -153,8 +154,8 @@ def test_jump_convention():
     sol = march(data, space, grid)
     dphi_left = slabsolver.reference_blocks(2)["dphi_left"]
     start_deriv = (2.0 / grid.tau(0)) * (dphi_left @ sol.blocks[0])
-    assert np.allclose(sol.jumps()[0], start_deriv - sol.u1h, atol=0.0)
-    got = sol.jumps()[2]
+    assert np.allclose(sol.jumps[0], start_deriv - sol.u1h, atol=0.0)
+    got = sol.jumps[2]
     ref = sol.poly(2).deriv(grid.nodes[2]) - sol.poly(1).deriv(grid.nodes[2])
     assert np.allclose(got, ref, atol=1e-10)
 
@@ -436,6 +437,21 @@ def test_stability_flags_a_corrupted_solution():
     space = TensorSpace(3, 3, 2)
     data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
     sol = march(data, space, TimeGrid.uniform(1.0, 5, 2))
-    sol.blocks[3] = sol.blocks[3] * 1e6
-    report = stability_check(sol, data)
+    blocks = list(sol.blocks)
+    blocks[3] = blocks[3] * 1e6
+    report = stability_check(dataclasses.replace(sol, blocks=blocks), data)
     assert not report.satisfied
+
+
+def test_a_solution_is_a_finished_value():
+    space = TensorSpace(3, 3, 2)
+    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
+    sol = march(data, space, TimeGrid.uniform(1.0, 3, 2))
+    assert isinstance(sol.blocks, tuple)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sol.blocks = ()
+    # the blocks and velocity behind the cached jumps cannot change either
+    for array in (sol.jumps, sol.blocks[1], sol.u1h):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+    assert sol.jumps is sol.jumps
