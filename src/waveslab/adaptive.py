@@ -42,9 +42,20 @@ def doerfler_mark(indicators, theta: float) -> list[int]:
     return sorted(int(i) for i in order[: cut + 1])
 
 
+def _interval_index(mark) -> int:
+    # int() would truncate 0.7 to 0 and take True as 1
+    if isinstance(mark, (bool, np.bool_)) or not float(mark).is_integer():
+        raise ValueError(f"marks must be interval indices, got {mark!r}")
+    return int(mark)
+
+
 def bisect(grid: TimeGrid, marked) -> TimeGrid:
-    """Split each marked interval at its midpoint, degrees inherited."""
-    marked = np.array(sorted({int(n) for n in marked}), dtype=int)
+    """Split each marked interval at its midpoint, degrees inherited.
+
+    Marks are interval indices, as integers or integer-valued numbers;
+    booleans and fractional values are refused.
+    """
+    marked = np.array(sorted({_interval_index(n) for n in marked}), dtype=int)
     if np.any((marked < 0) | (marked >= grid.n_intervals)):
         raise ValueError("marked interval index out of range")
     mids = 0.5 * (grid.nodes[marked] + grid.nodes[marked + 1])

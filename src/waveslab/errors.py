@@ -188,15 +188,13 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
         sq_w1inf = max(sq_w1inf, float(np.max(dl2[:, ng:])))
         sq_l2 = max(sq_l2, float(np.max(misfit_sq(case.u, t[:, ng:], leg_e @ vals))))
 
-    jumps = sol.jumps
-    jump_sq = float(np.sum(space.m_inner(jumps, jumps)))
     return ErrorBundle(
         max_W1inf_L2=float(np.sqrt(sq_w1inf)),
         max_Linf_H1=float(np.sqrt(sq_h1_max)),
         L2_H1=float(np.sqrt(sq_h1)),
         H1deriv_L2L2=float(np.sqrt(sq_dl2)),
         Linf_L2=float(np.sqrt(sq_l2)),
-        jump=float(np.sqrt(jump_sq)),
+        jump=float(np.sqrt(np.sum(sol.jump_sq))),
     )
 
 

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .slabsolver import ProblemData, SlabSolution, _chunks, _sample_times, reference_blocks
+from .spacefem import _sqrt_pos
 from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
 
 
@@ -37,7 +38,7 @@ def eta1(sol: SlabSolution) -> tuple[float, int]:
         (c1_sq * c2_sq) ** 0.25
         for c1_sq, c2_sq, _ in map(reconstruction_constants, grid.degrees)
     ])
-    vals = np.diff(grid.nodes) * weights * sol.space.m_norm(sol.jumps)
+    vals = np.diff(grid.nodes) * weights * _sqrt_pos(sol.jump_sq)
     arg = int(np.argmax(vals * (1.0 + 1e-14) >= np.max(vals)))
     return float(vals[arg]), arg
 

@@ -14,9 +14,12 @@ V^T M V = I and V^T K V diagonal (fast diagonalization): the mass and
 stiffness solves go through it with no sparse factorization, and the slab
 march runs in its coordinates, where a slab splits into one small temporal
 system per eigenmode.  Values, gradients and broken Laplacians at the Gauss
-points, load vectors from Gauss-point values and the changes of basis are two
-1D matrix products each (sum factorization), and each accepts a leading axis
-of time samples so many slabs' samples are handled in one call.
+points, load vectors from Gauss-point values, the changes of basis and the
+mass and stiffness products are two 1D matrix products per term (sum
+factorization), and each accepts a leading axis of time samples so many
+slabs' samples are handled in one call.  The assembled sparse `M` and `K`
+are kept for reference and tests; no product in the package goes through
+them.
 """
 
 from __future__ import annotations
@@ -107,8 +110,10 @@ class TensorSpace:
         # interior dofs are a product of the per-direction interior ranges
         self.Ex, self.Dx, self.DDx = Ex[:, 1:-1], Dx[:, 1:-1], DDx[:, 1:-1]
         self.Ey, self.Dy, self.DDy = Ey[:, 1:-1], Dy[:, 1:-1], DDy[:, 1:-1]
-        Mix, Kix = self.M1x[1:-1, 1:-1], self.K1x[1:-1, 1:-1]
-        Miy, Kiy = self.M1y[1:-1, 1:-1], self.K1y[1:-1, 1:-1]
+        # M = Mix (x) Miy and K = Kix (x) Miy + Mix (x) Kiy on the interior dofs
+        self.Mix, self.Kix = self.M1x[1:-1, 1:-1], self.K1x[1:-1, 1:-1]
+        self.Miy, self.Kiy = self.M1y[1:-1, 1:-1], self.K1y[1:-1, 1:-1]
+        Mix, Kix, Miy, Kiy = self.Mix, self.Kix, self.Miy, self.Kiy
         self.M = sp.kron(Mix, Miy, format="csr")
         self.K = sp.kron(Kix, Miy, format="csr") + sp.kron(Mix, Kiy, format="csr")
 
@@ -231,6 +236,17 @@ class TensorSpace:
         coeffs = np.asarray(coeffs, dtype=float)
         return self._eval(coeffs, self.Vx, self.Vy).reshape(coeffs.shape)
 
+    def apply_mass(self, vec: np.ndarray) -> np.ndarray:
+        """M vec through its 1D factors, for one vector or a stack (..., n_dofs)."""
+        vec = np.asarray(vec, dtype=float)
+        return self._eval(vec, self.Mix, self.Miy).reshape(vec.shape)
+
+    def apply_stiffness(self, vec: np.ndarray) -> np.ndarray:
+        """K vec through its 1D factors, for one vector or a stack (..., n_dofs)."""
+        vec = np.asarray(vec, dtype=float)
+        out = self._eval(vec, self.Kix, self.Miy) + self._eval(vec, self.Mix, self.Kiy)
+        return out.reshape(vec.shape)
+
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs = V V^T rhs, for one right-hand side or a stack (nt, n_dofs)."""
         return self.from_eigenbasis(self.to_eigenbasis(rhs))
@@ -258,7 +274,7 @@ class TensorSpace:
     def m_inner(self, u: np.ndarray, v: np.ndarray):
         """Mass inner product of two vectors, or of matching rows of two stacks."""
         u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        out = np.sum(u * (self.M @ v.T).T, axis=-1)
+        out = np.sum(u * self.apply_mass(v), axis=-1)
         return float(out) if np.ndim(out) == 0 else out
 
     def m_norm(self, v: np.ndarray):

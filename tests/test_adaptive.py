@@ -98,6 +98,23 @@ def test_bisection():
         bisect(grid, [-1])
 
 
+@pytest.mark.parametrize("marks", [[0.7], [1.5], [np.float64(0.5)], [True], [np.True_],
+                                   np.array([True, False]), [np.nan], [np.inf]])
+def test_bisection_refuses_non_integer_marks(marks):
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]), np.array([2, 3]))
+    with pytest.raises(ValueError, match="interval indices"):
+        bisect(grid, marks)
+
+
+def test_bisection_accepts_integer_valued_marks():
+    grid = TimeGrid(np.array([0.0, 0.5, 1.0]), np.array([2, 3]))
+    expect = bisect(grid, [1])
+    for marks in ([1.0], [np.int64(1)], np.array([1.0]), [np.float32(1.0)]):
+        got = bisect(grid, marks)
+        assert np.array_equal(got.nodes, expect.nodes)
+        assert np.array_equal(got.degrees, expect.degrees)
+
+
 def test_total_dofs():
     grid = TimeGrid(np.array([0.0, 0.5, 1.0]), np.array([2, 3]))
     space = TensorSpace(2, 2, 2)

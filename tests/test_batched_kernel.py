@@ -257,21 +257,29 @@ def test_error_norms_sample_within_the_stack_budget(monkeypatch, run, samples):
 
 
 def test_one_jump_evaluation_serves_a_whole_level(monkeypatch):
+    # the jumps and their squared mass norms are each computed once, and
+    # the norms take the level's only mass product of the jumps
     case, data, space, grid = mixed_degree_run()
     sol = march(data, space, grid)
     calls = []
     real = slabsolver.SlabSolution.jumps.func
+    real_inner = TensorSpace.m_inner
 
     def counted(self):
         calls.append(self)
         return real(self)
 
+    def counted_inner(self, u, v):
+        calls.append("m_inner")
+        return real_inner(self, u, v)
+
     monkeypatch.setattr(slabsolver.SlabSolution.jumps, "func", counted)
+    monkeypatch.setattr(TensorSpace, "m_inner", counted_inner)
     report = estimate(sol, data)
     compute_errors(sol, case)
     stability_check(sol, data)
     quadrature_check(sol, data, report, tol=np.inf)
-    assert len(calls) == 1 and calls[0] is sol
+    assert calls == [sol, "m_inner"]
 
 
 def test_jumps_and_estimator_match_per_slab_loops():
@@ -284,6 +292,11 @@ def test_jumps_and_estimator_match_per_slab_loops():
     for n in range(grid.n_intervals):
         assert np.array_equal(jumps[n], slow.jump(sol, n))
         assert_close(norms[n], space.m_norm(jumps[n]))
+        # each cached squared norm is the same product, to the bit
+        assert sol.jump_sq[n] == space.m_inner(jumps[n], jumps[n])
+    assert sol.jump_sq is sol.jump_sq
+    with pytest.raises(ValueError, match="read-only"):
+        sol.jump_sq[0] = 0.0
 
     value, arg = eta1(sol)
     ref_value, ref_arg = slow.eta1(sol)

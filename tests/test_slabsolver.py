@@ -5,6 +5,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 
 import slow_reference as slow
@@ -195,7 +196,7 @@ def test_variational_residual_per_slab():
 
 @contextlib.contextmanager
 def recording_factorizations(monkeypatch):
-    """Yield the list of (operator, factorization) pairs made inside."""
+    """Yield the list of (operator, factorization, keyword arguments) made inside."""
     real = slabsolver.spla
     calls = []
 
@@ -205,7 +206,7 @@ def recording_factorizations(monkeypatch):
 
         def splu(self, matrix, *args, **kwargs):
             lu = real.splu(matrix, *args, **kwargs)
-            calls.append((matrix, lu))
+            calls.append((matrix, lu, kwargs))
             return lu
 
     monkeypatch.setattr(slabsolver, "spla", Recording())
@@ -216,7 +217,7 @@ def recording_factorizations(monkeypatch):
 
 
 def record_factorizations(monkeypatch, space, grid):
-    """The (operator, factorization) pairs of one march on `grid`."""
+    """The (operator, factorization, keyword arguments) of one march on `grid`."""
     with recording_factorizations(monkeypatch) as calls:
         march(zero_data(), space, grid)
     return calls
@@ -303,10 +304,27 @@ def test_slab_factors_stay_within_each_eigenmode(monkeypatch):
     # in the spatial eigenbasis a slab couples each of the d modes only to
     # itself in time, so the LU factors fill at most one p x p block per mode
     space = TensorSpace(16, 16, 2)
-    [(system, lu)] = record_factorizations(monkeypatch, space, TimeGrid.uniform(1.0, 2, 3))
+    [(system, lu, _)] = record_factorizations(monkeypatch, space, TimeGrid.uniform(1.0, 2, 3))
     d, p = space.n_dofs, 3
     assert system.shape == (p * d, p * d)
     assert lu.L.nnz + lu.U.nnz <= d * p * (p + 1)
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_slab_operator_is_the_kronecker_sum_in_natural_order(monkeypatch, p):
+    # the CSC arrays written entry by entry hold exactly A'(x)I + B'(x)diag(s),
+    # and SuperLU keeps their time-major column order
+    space = TensorSpace(4, 3, 2)
+    grid = TimeGrid.uniform(1.0, 2, p)
+    [(system, lu, kwargs)] = record_factorizations(monkeypatch, space, grid)
+    A, B = slabsolver.time_matrices(p, grid.tau(0))
+    d, s = space.n_dofs, space.stiffness_eigs
+    ref = sp.kron(A[:, 1:], sp.identity(d)) + sp.kron(B[:, 1:], sp.diags(s))
+    assert system.format == "csc" and system.shape == ref.shape
+    assert system.nnz == ref.nnz == p * p * d
+    assert abs(system - ref).max() == 0.0
+    assert kwargs == {"permc_spec": "NATURAL"}
+    assert np.array_equal(lu.perm_c, np.arange(p * d))
 
 
 @pytest.mark.parametrize("p", range(2, 11))
@@ -321,6 +339,53 @@ def test_march_matches_default_ordering_reference(p):
     ref = slow.march(data, space, grid)
     for n in range(grid.n_intervals):
         assert_close(fast.blocks[n], ref.blocks[n])
+
+
+def test_blocks_share_their_junction_rows_read_only():
+    space = TensorSpace(3, 3, 2)
+    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
+                       f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
+    grid = TimeGrid(np.array([0.0, 0.3, 0.45, 1.0]), np.array([2, 3, 2]))
+    sol = march(data, space, grid)
+    for n in range(grid.n_intervals):
+        assert sol.blocks[n].shape == (grid.degrees[n] + 1, space.n_dofs)
+        assert not sol.blocks[n].flags.writeable
+    for left, right in zip(sol.blocks, sol.blocks[1:]):
+        assert np.shares_memory(left[-1], right[0])
+        assert not np.shares_memory(left[:-1], right)
+
+
+def nan_on_second_factorization(monkeypatch):
+    """Make the solves of the second distinct slab operator return nan."""
+    real = slabsolver.spla
+    made = []
+
+    class NanSolve:
+        def solve(self, rhs):
+            return np.full_like(rhs, np.nan)
+
+    class Failing:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def splu(self, matrix, *args, **kwargs):
+            made.append(matrix)
+            return NanSolve() if len(made) == 2 else real.splu(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(slabsolver, "spla", Failing())
+
+
+@pytest.mark.parametrize("nodes, degrees, slab", [
+    ([0.0, 0.2, 0.4, 0.5, 0.6, 0.8], [2, 2, 2, 2, 2], 2),  # second length
+    ([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], [2, 2, 2, 3, 2], 3),  # second degree
+])
+def test_a_failed_solve_names_the_first_slab_using_it(monkeypatch, nodes, degrees, slab):
+    nan_on_second_factorization(monkeypatch)
+    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
+                       f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
+    grid = TimeGrid(np.array(nodes), np.array(degrees))
+    with pytest.raises(FloatingPointError, match=f"solve of slab {slab}$"):
+        march(data, TensorSpace(3, 3, 2), grid)
 
 
 def test_non_finite_load_or_solution_stops_the_march():
