@@ -13,7 +13,10 @@ from waveslab import ProblemData, TensorSpace, TimeGrid, march
 
 space = TensorSpace(2, 2, 1)
 print("interior unknowns:", space.n_dofs)
-print(f"M = {space.M.toarray()[0, 0]:.6f} (4/9), K = {space.K.toarray()[0, 0]:.6f} (8/3)")
+# M = Mx (x) My and K = Kx (x) My + Mx (x) Ky, from the 1D Gram matrices at the
+# one interior node of each direction
+mx, kx, my, ky = space.M1x[1, 1], space.K1x[1, 1], space.M1y[1, 1], space.K1y[1, 1]
+print(f"M = {mx * my:.6f} (4/9), K = {kx * my + mx * ky:.6f} (8/3)")
 
 hat = lambda x, y: (1.0 - np.abs(x)) * (1.0 - np.abs(y))
 hat_x = lambda x, y: -np.sign(x) * (1.0 - np.abs(y))

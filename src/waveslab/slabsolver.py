@@ -62,7 +62,7 @@ class TimeGrid:
     def uniform(cls, T: float, n: int, degree: int) -> "TimeGrid":
         if T <= 0 or n < 1:
             raise ValueError(f"need T > 0 and n >= 1, got T={T}, n={n}")
-        return cls(np.linspace(0.0, T, n + 1), np.full(n, degree, dtype=int))
+        return cls(np.linspace(0.0, T, n + 1), np.full(n, degree))
 
     @property
     def n_intervals(self) -> int:
@@ -401,8 +401,8 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     factors = space.slab_lu
     for key in set(factors) - set(keys):
         del factors[key]
-    # previous slab's end derivative and value, in eigen-coordinates V^T M u
-    deriv, value = space.to_eigenbasis(space.apply_mass(np.stack((u1h, u0h))))
+    # previous slab's end derivative and value, in eigen-coordinates
+    deriv, value = space.eigen_coords(np.stack((u1h, u0h)))
     # nodal rows of the march: row 0 is u0h, slab n fills rows
     # starts[n] + 1 .. starts[n + 1] and reads row starts[n] as its first node
     starts = np.concatenate(([0], np.cumsum(grid.degrees)))
@@ -452,18 +452,18 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
 
     A slab's energy is the max over the slab of squared L2 velocity plus
     squared H1 seminorm, sampled at 2p + 3 equispaced times, endpoints
-    included.  It comes from the Gram matrices C M C^T and C K C^T of the
-    slab's p + 1 temporal modes C (`SlabSolution.modes`): at the reference
-    point x it is (2 / tau)^2 dleg(x) G_M dleg(x)^T + leg(x) G_K leg(x)^T,
-    so the mass and stiffness act once per mode, not once per sample.
+    included.  At the reference point x it is (2 / tau)^2 dleg(x) G_M
+    dleg(x)^T + leg(x) G_K leg(x)^T, with the Gram matrices G_M = E E^T and
+    G_K = (E s) E^T of the eigen-coordinates E (`TensorSpace.eigen_coords`)
+    of the slab's p + 1 temporal modes (`SlabSolution.modes`).
     """
     space, grid = sol.space, sol.grid
     energies = np.empty(grid.n_intervals)
     for p, slabs in _chunks(space, grid, range(grid.n_intervals), "equispaced"):
         _, _, leg, dleg = reference_blocks(p)["equispaced"]
-        modes = sol.modes(slabs)
-        gram_m, gram_k = (modes @ apply(modes).swapaxes(1, 2)
-                          for apply in (space.apply_mass, space.apply_stiffness))
+        coords = space.eigen_coords(sol.modes(slabs))
+        gram_m = coords @ coords.swapaxes(1, 2)
+        gram_k = (coords * space.stiffness_eigs) @ coords.swapaxes(1, 2)
         tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
         energy = (2.0 / tau[:, None]) ** 2 * np.sum((dleg @ gram_m) * dleg, axis=-1)
         energy += np.sum((leg @ gram_k) * leg, axis=-1)

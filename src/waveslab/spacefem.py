@@ -8,25 +8,22 @@ equispaced within each element, so no special point distributions are needed.
 All of it is built from the 1D basis and its first two derivatives at the
 global Gauss points of each direction (rules exact to order 2 * degree + 3).
 The 1D mass and stiffness matrices are their Gram matrices in the Gauss
-weights; every 2D operator is a Kronecker combination of 1D factors.  The
-1D generalized eigenbases of each direction give V = Vx (x) Vy with
-V^T M V = I and V^T K V diagonal (fast diagonalization): the mass and
-stiffness solves go through it with no sparse factorization, and the slab
-march runs in its coordinates, where a slab splits into one small temporal
-system per eigenmode.  Values, gradients and broken Laplacians at the Gauss
-points, load vectors from Gauss-point values, the changes of basis and the
-mass and stiffness products are two 1D matrix products per term (sum
-factorization), and each accepts a leading axis of time samples so many
-slabs' samples are handled in one call.  The assembled sparse `M` and `K`
-are kept for reference and tests; no product in the package goes through
-them.
+weights.  The 1D generalized eigenbases of each direction give
+V = Vx (x) Vy with V^T M V = I and V^T K V = diag(s) (fast
+diagonalization), the one form in which M and K are used: the mass and
+stiffness solves go through V, mass and stiffness products pair the
+eigen-coordinates V^-1 u = V^T M u (`eigen_coords`), and the slab march
+runs in them, where a slab splits into one small temporal system per
+eigenmode.  No sparse matrix is assembled.  Values, gradients and broken
+Laplacians at the Gauss points, load vectors and the changes of basis are
+two 1D matrix products per term (sum factorization), each accepting a
+leading axis of time samples so many slabs are handled in one call.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
-import scipy.sparse as sp
 from numpy.polynomial import legendre as npleg
 
 from .timebasis import gauss_legendre, nodal_to_modal
@@ -69,6 +66,10 @@ class TensorSpace:
     """
 
     def __init__(self, nx: int, ny: int, degree: int, domain=((-1.0, 1.0), (-1.0, 1.0))):
+        sizes = (nx, ny, degree)
+        if any(isinstance(v, (bool, np.bool_)) or not float(v).is_integer() for v in sizes):
+            raise ValueError(f"nx, ny and degree must be integers, got {nx}, {ny}, {degree}")
+        nx, ny, degree = map(int, sizes)
         if not (1 <= degree <= MAX_DEGREE):
             raise ValueError(f"spatial degree must be in [1, {MAX_DEGREE}], got {degree}")
         if nx < 1 or ny < 1:
@@ -110,18 +111,15 @@ class TensorSpace:
         # interior dofs are a product of the per-direction interior ranges
         self.Ex, self.Dx, self.DDx = Ex[:, 1:-1], Dx[:, 1:-1], DDx[:, 1:-1]
         self.Ey, self.Dy, self.DDy = Ey[:, 1:-1], Dy[:, 1:-1], DDy[:, 1:-1]
-        # M = Mix (x) Miy and K = Kix (x) Miy + Mix (x) Kiy on the interior dofs
-        self.Mix, self.Kix = self.M1x[1:-1, 1:-1], self.K1x[1:-1, 1:-1]
-        self.Miy, self.Kiy = self.M1y[1:-1, 1:-1], self.K1y[1:-1, 1:-1]
-        Mix, Kix, Miy, Kiy = self.Mix, self.Kix, self.Miy, self.Kiy
-        self.M = sp.kron(Mix, Miy, format="csr")
-        self.K = sp.kron(Kix, Miy, format="csr") + sp.kron(Mix, Kiy, format="csr")
-
-        # K1 V = M1 V diag(lam), V^T M1 V = I per direction; with V = Vx kron Vy
-        # this gives V^T M V = I and V^T K V = diag(lam_x + lam_y), flattened
-        # in the order of the dofs
+        # M = Mix (x) Miy and K = Kix (x) Miy + Mix (x) Kiy on the interior
+        # dofs; K1 V = M1 V diag(lam), V^T M1 V = I per direction, so with
+        # V = Vx (x) Vy, V^T M V = I and V^T K V = diag(lam_x + lam_y),
+        # flattened in the order of the dofs, and V^-1 = Vx^T Mix (x) Vy^T Miy
+        Mix, Kix = self.M1x[1:-1, 1:-1], self.K1x[1:-1, 1:-1]
+        Miy, Kiy = self.M1y[1:-1, 1:-1], self.K1y[1:-1, 1:-1]
         lam_x, self.Vx = sla.eigh(Kix, Mix)
         lam_y, self.Vy = sla.eigh(Kiy, Miy)
+        self.Vx_inv, self.Vy_inv = self.Vx.T @ Mix, self.Vy.T @ Miy
         self.stiffness_eigs = (lam_x[:, None] + lam_y[None, :]).ravel()
 
         # slab factorizations by (p, tau key), kept across marches on this
@@ -225,8 +223,8 @@ class TensorSpace:
     def to_eigenbasis(self, rhs: np.ndarray) -> np.ndarray:
         """V^T rhs, for one vector or a stack (..., n_dofs).
 
-        A load goes to the eigenbasis this way; a coefficient vector u has
-        eigen-coordinates V^T M u, since V^-1 = V^T M.
+        Loads go to the eigenbasis this way; coefficient vectors go through
+        `eigen_coords`.
         """
         rhs = np.asarray(rhs, dtype=float)
         return self._eval(rhs, self.Vx.T, self.Vy.T).reshape(rhs.shape)
@@ -236,16 +234,13 @@ class TensorSpace:
         coeffs = np.asarray(coeffs, dtype=float)
         return self._eval(coeffs, self.Vx, self.Vy).reshape(coeffs.shape)
 
-    def apply_mass(self, vec: np.ndarray) -> np.ndarray:
-        """M vec through its 1D factors, for one vector or a stack (..., n_dofs)."""
-        vec = np.asarray(vec, dtype=float)
-        return self._eval(vec, self.Mix, self.Miy).reshape(vec.shape)
+    def eigen_coords(self, vec: np.ndarray) -> np.ndarray:
+        """V^-1 vec = V^T M vec, for one coefficient vector or a stack (..., n_dofs).
 
-    def apply_stiffness(self, vec: np.ndarray) -> np.ndarray:
-        """K vec through its 1D factors, for one vector or a stack (..., n_dofs)."""
+        With c = V^-1 u, e = V^-1 v: u^T M v = c . e, u^T K v = c . (stiffness_eigs e).
+        """
         vec = np.asarray(vec, dtype=float)
-        out = self._eval(vec, self.Kix, self.Miy) + self._eval(vec, self.Mix, self.Kiy)
-        return out.reshape(vec.shape)
+        return self._eval(vec, self.Vx_inv, self.Vy_inv).reshape(vec.shape)
 
     def solve_mass(self, rhs: np.ndarray) -> np.ndarray:
         """M^-1 rhs = V V^T rhs, for one right-hand side or a stack (nt, n_dofs)."""
@@ -272,9 +267,10 @@ class TensorSpace:
         ).ravel()
 
     def m_inner(self, u: np.ndarray, v: np.ndarray):
-        """Mass inner product of two vectors, or of matching rows of two stacks."""
-        u, v = np.asarray(u, dtype=float), np.asarray(v, dtype=float)
-        out = np.sum(u * self.apply_mass(v), axis=-1)
+        """Mass inner product of two vectors or matching rows, from their eigen-coordinates."""
+        cu = self.eigen_coords(u)
+        cv = cu if v is u else self.eigen_coords(v)
+        out = np.sum(cu * cv, axis=-1)
         return float(out) if np.ndim(out) == 0 else out
 
     def m_norm(self, v: np.ndarray):

@@ -2,11 +2,13 @@
 
 These are the element-by-element space contractions and the per-time-point
 loops that `spacefem`, `slabsolver`, `estimator` and `errors` used before
-their evaluation was batched, and the element loop that assembled the 1D
+their evaluation was batched, the element loop that assembled the 1D
 mass and stiffness matrices before they became Gram matrices of the Gauss
-matrices.  They exist only to check the fast paths on small problems: every
-function here evaluates one time sample or one slab at a time, gathers
-element coefficients with index arrays and scatters loads with `np.add.at`.
+matrices, and the sparse 2D mass and stiffness matrices, which the package
+never assembles (it works in their eigen-coordinates).  They exist only to
+check the fast paths on small problems: every function here evaluates one
+time sample or one slab at a time, gathers element coefficients with index
+arrays and scatters loads with `np.add.at`.
 """
 
 import numpy as np
@@ -60,6 +62,15 @@ def assemble_1d(space, n_elem, h):
         idx = slice(e * p, e * p + p + 1)
         M[idx, idx] += Me
         K[idx, idx] += Ke
+    return M, K
+
+
+def mass_stiffness(space):
+    """Sparse M = Mix (x) Miy and K = Kix (x) Miy + Mix (x) Kiy on the interior dofs."""
+    Mix, Kix = space.M1x[1:-1, 1:-1], space.K1x[1:-1, 1:-1]
+    Miy, Kiy = space.M1y[1:-1, 1:-1], space.K1y[1:-1, 1:-1]
+    M = sp.kron(Mix, Miy, format="csr")
+    K = sp.kron(Kix, Miy, format="csr") + sp.kron(Mix, Kiy, format="csr")
     return M, K
 
 
@@ -134,7 +145,8 @@ def jump(sol, n):
 
 def jump_sq(sol, stop):
     """Sum of the squared mass norms of the jumps of intervals 0..stop-1."""
-    return sum(float(jump(sol, n) @ (sol.space.M @ jump(sol, n))) for n in range(stop))
+    M, _ = mass_stiffness(sol.space)
+    return sum(float(jump(sol, n) @ (M @ jump(sol, n))) for n in range(stop))
 
 
 def _graded_load(data, space, p, a, b):
@@ -160,7 +172,7 @@ def march(data, space, grid):
     u1h = space.solve_mass(load_vector(space, space.grid_eval(data.u1)))
     blocks = []
     d = space.n_dofs
-    M, K = space.M, space.K
+    M, K = mass_stiffness(space)
     prev_value, prev_deriv = u0h, u1h
     for n in range(grid.n_intervals):
         p = int(grid.degrees[n])
@@ -226,10 +238,11 @@ def compute_errors(sol, case):
 def eta1(sol):
     """Jump estimator of `estimator.eta1`, one slab at a time."""
     best, arg = -1.0, 0
+    M, _ = mass_stiffness(sol.space)
     for n in range(sol.grid.n_intervals):
         c1_sq, c2_sq, _ = reconstruction_constants(int(sol.grid.degrees[n]))
         j = jump(sol, n)
-        m_norm = float(np.sqrt(max(float(j @ (sol.space.M @ j)), 0.0)))
+        m_norm = float(np.sqrt(max(float(j @ (M @ j)), 0.0)))
         val = sol.grid.tau(n) * (c1_sq * c2_sq) ** 0.25 * m_norm
         if val > best * (1.0 + 1e-14):
             best, arg = val, n
@@ -299,7 +312,7 @@ def slab_energy(sol, n):
     ts = np.linspace(a, b, 2 * p + 3)
     poly = IntervalPoly.from_nodal((a, b), sol.blocks[n])
     vals, ders = poly.eval(ts), poly.deriv(ts)
-    M, K = sol.space.M, sol.space.K
+    M, K = mass_stiffness(sol.space)
     return max(0.0, max(float(ders[k] @ (M @ ders[k])) + float(vals[k] @ (K @ vals[k]))
                         for k in range(len(ts))))
 

@@ -68,6 +68,17 @@ def test_grid_refuses_non_finite_nodes_and_fractional_degrees(nodes, degrees):
 def test_grid_accepts_integral_float_degrees():
     grid = TimeGrid(np.array([0.0, 1.0, 2.0]), np.array([2.0, 3.0]))
     assert grid.degrees.dtype.kind == "i" and list(grid.degrees) == [2, 3]
+    grid = TimeGrid.uniform(1.0, 4, 3.0)
+    assert grid.degrees.dtype.kind == "i" and list(grid.degrees) == [3, 3, 3, 3]
+
+
+@pytest.mark.parametrize("degree", [2.5, 3.7, np.nan, True])
+def test_uniform_grid_refuses_what_the_grid_refuses(degree):
+    # 2.5 used to be truncated to degree 2 on the way in
+    with pytest.raises(ValueError):
+        TimeGrid(np.linspace(0.0, 1.0, 5), [degree] * 4)
+    with pytest.raises(ValueError):
+        TimeGrid.uniform(1.0, 4, degree)
 
 
 def test_uniform_grid_accessors():
@@ -169,7 +180,7 @@ def test_variational_residual_per_slab():
     data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=f)
     grid = TimeGrid(np.array([0.0, 0.4, 0.7]), np.array([3, 2]))
     sol = march(data, space, grid)
-    M, K = space.M, space.K
+    M, K = slow.mass_stiffness(space)
     for n in range(2):
         p = int(grid.degrees[n])
         a, b = grid.interval(n)

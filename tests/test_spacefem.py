@@ -35,8 +35,9 @@ def test_smallest_interior_space():
     space = TensorSpace(2, 2, 1)
     assert space.n_dofs == 1
     # hat x hat: mass (2/3)^2, stiffness 2*(2*(2/3))
-    assert abs(space.M.toarray()[0, 0] - 4.0 / 9.0) < 1e-14
-    assert abs(space.K.toarray()[0, 0] - 8.0 / 3.0) < 1e-14
+    M, K = slow.mass_stiffness(space)
+    assert abs(M.toarray()[0, 0] - 4.0 / 9.0) < 1e-14
+    assert abs(K.toarray()[0, 0] - 8.0 / 3.0) < 1e-14
 
 
 def test_constructor_rejections():
@@ -48,11 +49,27 @@ def test_constructor_rejections():
         TensorSpace(0, 2, 1)
 
 
+@pytest.mark.parametrize("args", [(2, 2, True), (True, 2, 1), (2, np.True_, 1),
+                                  (2, 2, 1.5), (4.5, 2, 1), (2, 2.5, 1), (2, np.inf, 1)],
+                         ids=["degree-True", "nx-True", "ny-np.True_", "degree-1.5",
+                              "nx-4.5", "ny-2.5", "ny-inf"])
+def test_booleans_and_fractional_sizes_are_refused(args):
+    # True would run as Q1 or one element; 1.5 would be truncated or fail in numpy
+    with pytest.raises(ValueError, match="integers"):
+        TensorSpace(*args)
+
+
+def test_integral_float_sizes_are_accepted():
+    space = TensorSpace(4.0, np.float64(3.0), 2.0)
+    assert (space.nx, space.ny, space.degree) == (4, 3, 2)
+    assert all(type(v) is int for v in (space.nx, space.ny, space.degree))
+    assert space.n_dofs == TensorSpace(4, 3, 2).n_dofs
+
+
 @pytest.mark.parametrize("degree", [1, 2, 3])
 def test_assembled_operators_structure(degree):
     space = TensorSpace(3, 2, degree)
-    M = space.M.toarray()
-    K = space.K.toarray()
+    M, K = (matrix.toarray() for matrix in slow.mass_stiffness(space))
     assert np.allclose(M, M.T, atol=1e-13)
     assert np.allclose(K, K.T, atol=1e-13)
     assert np.all(np.linalg.eigvalsh(M) > 0.0)
@@ -82,11 +99,12 @@ def test_projections_match_dense_solves():
     f = lambda x, y: np.sin(2.0 * x) * np.exp(y)
     fx = lambda x, y: 2.0 * np.cos(2.0 * x) * np.exp(y)
     fy = f
+    M, K = slow.mass_stiffness(space)
     for got, matrix, load in [
-        (space.l2_project(f), space.M, space.load_vector(space.grid_eval(f))),
+        (space.l2_project(f), M, space.load_vector(space.grid_eval(f))),
         (
             space.elliptic_project(fx, fy),
-            space.K,
+            K,
             space.load_vector_grad(space.grid_eval(fx), space.grid_eval(fy)),
         ),
     ]:
@@ -101,7 +119,8 @@ ANISOTROPIC = ((0.0, 2.0), (-0.5, 0.5))
 def test_solves_match_dense_solves_for_vectors_and_stacks(degree):
     space = TensorSpace(3, 2, degree, domain=ANISOTROPIC)
     rhs = rng.standard_normal((4, space.n_dofs))
-    for solve, matrix in ((space.solve_mass, space.M), (space.solve_stiffness, space.K)):
+    M, K = slow.mass_stiffness(space)
+    for solve, matrix in ((space.solve_mass, M), (space.solve_stiffness, K)):
         dense = np.linalg.solve(matrix.toarray(), rhs.T).T
         scale = np.max(np.abs(dense))
         assert np.max(np.abs(solve(rhs) - dense)) <= 1e-12 * scale
@@ -130,11 +149,65 @@ def test_projections_need_no_sparse_factorization(monkeypatch):
     assert np.allclose(space.elliptic_project(bump_x, bump_y), coeffs, atol=1e-10)
 
 
+def test_building_a_space_assembles_no_sparse_matrix(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("scipy.sparse constructor called")
+
+    for name in ("kron", "kronsum", "diags", "eye", "identity", "bmat", "block_diag",
+                 "hstack", "vstack", "csr_matrix", "csc_matrix", "coo_matrix",
+                 "lil_matrix", "dok_matrix", "dia_matrix", "bsr_matrix", "csr_array",
+                 "csc_array", "coo_array"):
+        monkeypatch.setattr(sp, name, refuse)
+    space = TensorSpace(3, 4, 2)
+    coeffs = space.interpolate(bump)
+    assert np.allclose(space.l2_project(bump), coeffs, atol=1e-11)
+    assert space.m_norm(coeffs) > 0.0
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_eigen_coords_are_the_inverse_eigenbasis(degree):
+    space = TensorSpace(3, 2, degree, domain=ANISOTROPIC)
+    M, K = (matrix.toarray() for matrix in slow.mass_stiffness(space))
+    V = np.kron(space.Vx, space.Vy)
+    u = np.random.default_rng(degree).standard_normal((4, space.n_dofs))
+    coords = space.eigen_coords(u)
+    expect = (V.T @ M @ u.T).T
+    assert np.max(np.abs(coords - expect)) <= 1e-12 * np.max(np.abs(expect))
+    assert np.array_equal(space.eigen_coords(u[1]), coords[1])
+    assert np.max(np.abs(space.from_eigenbasis(coords) - u)) <= 1e-12 * np.max(np.abs(u))
+    # mass and stiffness products in eigen-coordinates
+    gram_m = coords @ coords.T
+    gram_k = (coords * space.stiffness_eigs) @ coords.T
+    assert np.max(np.abs(gram_m - u @ M @ u.T)) <= 1e-12 * np.max(np.abs(gram_m))
+    assert np.max(np.abs(gram_k - u @ K @ u.T)) <= 1e-12 * np.max(np.abs(gram_k))
+    cross = space.m_inner(u, u[::-1]) - np.diag(u @ M @ u[::-1].T)
+    assert np.max(np.abs(cross)) <= 1e-12 * np.max(np.abs(gram_m))
+
+
+def test_mass_norm_maps_its_argument_once(monkeypatch):
+    space = TensorSpace(3, 3, 2)
+    u = rng.standard_normal((3, space.n_dofs))
+    calls = []
+    real = TensorSpace.eigen_coords
+
+    def counted(self, vec):
+        calls.append(vec)
+        return real(self, vec)
+
+    monkeypatch.setattr(TensorSpace, "eigen_coords", counted)
+    space.m_norm(u)
+    assert len(calls) == 1
+    # two equal arrays are mapped one by one, to the same bits
+    assert np.array_equal(space.m_inner(u, u), space.m_inner(u, u.copy()))
+    assert len(calls) == 4
+
+
 def test_mass_solve_round_trip():
     space = TensorSpace(3, 3, 2)
     v = rng.standard_normal(space.n_dofs)
-    assert np.allclose(space.M @ space.solve_mass(v), v, atol=1e-11)
-    assert np.allclose(space.K @ space.solve_stiffness(v), v, atol=1e-10)
+    M, K = slow.mass_stiffness(space)
+    assert np.allclose(M @ space.solve_mass(v), v, atol=1e-11)
+    assert np.allclose(K @ space.solve_stiffness(v), v, atol=1e-10)
 
 
 def test_broken_laplacian_of_member():
@@ -170,10 +243,11 @@ def test_load_vector_matches_mass_action():
     # for a member function the load vector is exactly M times the coefficients
     space = TensorSpace(3, 3, 3)
     v = rng.standard_normal(space.n_dofs)
+    M, K = slow.mass_stiffness(space)
     load = space.load_vector(space.eval_gauss(v))
-    assert np.allclose(load, space.M @ v, atol=1e-12)
+    assert np.allclose(load, M @ v, atol=1e-12)
     gx, gy = space.eval_grad_gauss(v)
-    assert np.allclose(space.load_vector_grad(gx, gy), space.K @ v, atol=1e-11)
+    assert np.allclose(space.load_vector_grad(gx, gy), K @ v, atol=1e-11)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
