@@ -78,8 +78,12 @@ class ConfigError(Exception):
 
 
 def _steps_per(total: float, step: float) -> int | None:
-    """Number of steps if `step` divides `total` up to rounding, else None."""
-    if step <= 0 or total <= 0:
+    """Number of steps if `step` divides `total` up to rounding, else None.
+
+    A step so small that `total / step` overflows (a subnormal `tau` or `h`)
+    divides nothing.
+    """
+    if step <= 0 or total <= 0 or not np.isfinite(total / step):
         return None
     n = round(total / step)
     if n < 1 or abs(total / step - n) > 0.02 * n:

@@ -60,8 +60,12 @@ class TimeGrid:
 
     @classmethod
     def uniform(cls, T: float, n: int, degree: int) -> "TimeGrid":
+        """n equal intervals of (0, T]; n may be an integer-valued float."""
+        if isinstance(n, (bool, np.bool_)) or not float(n).is_integer():
+            raise ValueError(f"the interval count must be an integer, got {n!r}")
         if T <= 0 or n < 1:
             raise ValueError(f"need T > 0 and n >= 1, got T={T}, n={n}")
+        n = int(n)
         return cls(np.linspace(0.0, T, n + 1), np.full(n, degree))
 
     @property

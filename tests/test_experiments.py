@@ -101,6 +101,21 @@ def test_step_divisibility_allows_decimal_roundings():
         })
 
 
+@pytest.mark.parametrize("key, text", [
+    ("tau_list", "[1.0e-320]"), ("tau", "1.0e-320"), ("h", "1.0e-320"),
+])
+def test_a_subnormal_step_is_a_config_error(key, text, tmp_path, capsys):
+    # T / tau overflows to inf, and round(inf) raised OverflowError, so the
+    # command line reported a failed run (exit 2) for a bad config
+    cfg = _write_config(tmp_path, f"suite: tau_refine\ncase: case1\n"
+                                  f"tau_list: [0.5]\n{key}: {text}\n")
+    with pytest.raises(ConfigError, match=f"{key}( entry)? must divide"):
+        parse_config(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_suite_specific_requirements():
     with pytest.raises(ConfigError, match="requires key 'p_t_list'"):
         parse_config({"suite": "p_refine", "case": "case1", "tau": 0.2})

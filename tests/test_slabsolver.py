@@ -79,6 +79,12 @@ def test_uniform_grid_refuses_what_the_grid_refuses(degree):
         TimeGrid(np.linspace(0.0, 1.0, 5), [degree] * 4)
     with pytest.raises(ValueError):
         TimeGrid.uniform(1.0, 4, degree)
+    # as an interval count these failed inside numpy with a TypeError, and
+    # so did 4.0, which the sizes of a TensorSpace accept as 4
+    with pytest.raises(ValueError):
+        TimeGrid.uniform(1.0, degree, 2)
+    grid = TimeGrid.uniform(1.0, 4.0, 2)
+    assert np.array_equal(grid.nodes, TimeGrid.uniform(1.0, 4, 2).nodes)
 
 
 def test_uniform_grid_accessors():
