@@ -103,14 +103,21 @@ def run_adaptive(
     Error norms and effectivity are recorded whenever the data carries a
     manufactured solution.  Refined grids keep all previous nodes, so the
     sequence is nested.
+
+    Each slab's load is assembled once per call: every march gets the same
+    `loads` dict (see `march`), keyed by (p, t_n, t_{n+1}), so a bisection
+    re-assembles only the children of the marked slabs, and the unmarked
+    slabs' loads, bit for bit those a fresh march would compute, are read.
+    The dict holds the last grid's loads and goes when the call returns.
     """
     if max_iters < 1:
         raise ValueError(f"need at least one iteration, got {max_iters}")
     result = AdaptiveResult()
     grid = initial_grid
+    loads = {}
     for _ in range(max_iters):
         started = time.perf_counter()
-        sol = march(data, space, grid)
+        sol = march(data, space, grid, loads=loads)
         report = estimate(sol, data, include_osc=include_osc, localized=True)
         errs = compute_errors(sol, data.exact) if data.exact is not None else None
         kappa = effectivity(report, errs.Linf_L2) if errs is not None else None

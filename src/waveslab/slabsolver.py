@@ -264,25 +264,37 @@ def _load(data: ProblemData, space: TensorSpace, a, tau, rule):
     return space.load_vector(values).reshape(lead + (len(weights), space.n_dofs))
 
 
-def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> list:
+def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
+                kept: dict | None = None) -> list:
     """Load moments of every slab in the spatial eigenbasis, (p_n, n_dofs) each.
 
     The first slab of a singular load takes the graded rule on its own;
     every other slab is loaded with the one-panel Gauss rule, a chunk of
     slabs of one degree at a time (that panel is the "gauss" point set).
+    Each load is read-only.
+
+    `kept` (see `march`) maps (p, t_n, t_{n+1}) to loads of earlier
+    marches: the slabs found there are read, only the others are assembled,
+    and `kept` is left holding exactly this grid's loads.
     """
-    loads = [None] * grid.n_intervals
-    slabs = np.arange(grid.n_intervals)
-    if data.singular_load:
+    keys = list(zip(grid.degrees.tolist(), grid.nodes[:-1].tolist(), grid.nodes[1:].tolist()))
+    kept = {} if kept is None else kept
+    loads = [kept.get(key) for key in keys]
+    missing = np.array([n for n, load in enumerate(loads) if load is None], dtype=int)
+    if data.singular_load and loads[0] is None:
         rule = reference_blocks(int(grid.degrees[0]))["graded_load"]
         loads[0] = space.to_eigenbasis(_load(data, space, grid.nodes[0], grid.tau(0), rule))
-        slabs = slabs[1:]
-    for p, chunk in _chunks(space, grid, slabs, "gauss"):
+        missing = missing[1:]
+    for p, chunk in _chunks(space, grid, missing, "gauss"):
         a = grid.nodes[chunk]
         moments = space.to_eigenbasis(_load(data, space, a, grid.nodes[chunk + 1] - a,
                                             reference_blocks(p)["gauss_load"]))
         for n, slab_moments in zip(chunk, moments):
             loads[n] = slab_moments
+    kept.clear()
+    for key, load in zip(keys, loads):
+        load.flags.writeable = False
+        kept[key] = load
     return loads
 
 
@@ -365,7 +377,8 @@ def _check_finite(values: np.ndarray, where: str) -> None:
         raise FloatingPointError(f"non-finite values in the {where}")
 
 
-def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution:
+def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
+          loads: dict | None = None) -> SlabSolution:
     """Solve the wave problem slab by slab over the whole grid.
 
     The initial displacement is projected in the Dirichlet inner product and
@@ -390,6 +403,20 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     nodal rows for the whole march: `blocks[n]` is a view of its p_n + 1
     rows, sharing the junction rows with its neighbours.
 
+    `loads`, a dict the caller keeps across marches of one `data` and
+    `space`, keeps the slab loads between them.  It maps (p, t_n, t_{n+1}),
+    a slab's degree and its exact float end nodes, to the slab's read-only
+    load moments in eigen-coordinates, shape (p, n_dofs).  The march reads
+    every slab it finds there, assembles only the others (slab 0 of a
+    singular load by the graded rule, as always) and leaves the dict holding
+    exactly its own grid's loads, the keys its grid does not use dropped.
+    A load depends only on f, the space and (p, t_n, t_{n+1}), and each
+    slab's moments come from the same operations whichever chunk of slabs
+    it is assembled with, so a kept load has the bits a fresh march would
+    compute.  `run_adaptive` passes one dict to all of its marches; without
+    one, nothing is kept.  Either way, every slab's load is checked for
+    finiteness on every march.
+
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
     ("load" or "solve").
@@ -400,7 +427,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
     u1h = space.l2_project(data.u1)
     _check_finite(u1h, "projected initial velocity")
     d, s = space.n_dofs, space.stiffness_eigs
-    loads = _slab_loads(data, space, grid)
+    slab_loads = _slab_loads(data, space, grid, loads)
     keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
     factors = space.slab_lu
     for key in set(factors) - set(keys):
@@ -419,10 +446,9 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid) -> SlabSolution
         if key not in factors:
             factors[key] = spla.splu(slab_operator(p, tau, s), permc_spec="NATURAL")
 
-        rhs = loads[n]
-        _check_finite(rhs, f"load of slab {n}")
+        _check_finite(slab_loads[n], f"load of slab {n}")
         history = np.stack((deriv, value, s * value))  # V^T of M u', M u and K u
-        rhs += (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
+        rhs = slab_loads[n] + (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
 
         modes = np.empty((p + 1, d))
         modes[0] = value

@@ -14,6 +14,9 @@ from waveslab import (
     ProblemData,
     TensorSpace,
     TimeGrid,
+    compute_errors,
+    effectivity,
+    estimate,
     gauss_legendre,
     make_case,
     march,
@@ -315,6 +318,92 @@ def test_adaptive_loop_factorizes_each_slab_operator_once(monkeypatch):
     distinct = set.union(*map(slab_keys, grids))
     assert len(distinct) < sum(len(slab_keys(g)) for g in grids)
     assert len(calls) == len(distinct)
+
+
+def load_keys(grid):
+    """The (p, t_n, t_{n+1}) under which a march keeps each slab's load."""
+    return set(zip(grid.degrees.tolist(), grid.nodes[:-1].tolist(), grid.nodes[1:].tolist()))
+
+
+def record_loads(monkeypatch):
+    """The list to which every later `_load` call appends its number of slabs."""
+    loaded = []
+
+    def recording_load(data, space, a, tau, rule):
+        loaded.append(np.size(a))
+        return _load(data, space, a, tau, rule)
+
+    monkeypatch.setattr(slabsolver, "_load", recording_load)
+    return loaded
+
+
+def test_adaptive_loop_loads_each_slab_once(monkeypatch):
+    data = problem_data(make_case("case2", alpha=1.75))
+    loaded = record_loads(monkeypatch)
+    result = run_adaptive(data, TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 3, 2), max_iters=6)
+    grids = [record.grid for record in result.history]
+    assert len(grids) == 6
+    distinct = set.union(*map(load_keys, grids))
+    assert len(distinct) < sum(g.n_intervals for g in grids)
+    assert sum(loaded) == len(distinct)
+
+
+def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch):
+    case = make_case("case2", alpha=1.75)
+    data = problem_data(case)
+    loaded = record_loads(monkeypatch)
+    result = run_adaptive(data, TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 3, 2), max_iters=6)
+    kept_count = sum(loaded)
+    # the same grids in the same order on one space, so that the kept
+    # factorizations agree too; each march assembles all of its loads
+    space = TensorSpace(3, 3, 2)
+    for record in result.history:
+        sol = march(data, space, record.grid)
+        report = estimate(sol, data, localized=True)
+        errs = compute_errors(sol, case)
+        assert record.report.eta == report.eta and record.report.total == report.total
+        assert np.array_equal(record.report.local_n, report.local_n)
+        assert record.errors == errs
+        assert record.kappa == effectivity(report, errs.Linf_L2)
+    assert sum(loaded) - kept_count == sum(r.grid.n_intervals for r in result.history)
+    assert kept_count < sum(loaded) - kept_count
+    assert np.array_equal(np.concatenate(result.final_solution.blocks),
+                          np.concatenate(sol.blocks))
+
+
+def test_kept_loads_are_read_only_and_unchanged_by_a_march():
+    data = problem_data(make_case("case2", alpha=1.75))
+    space = TensorSpace(3, 3, 2)
+    grid = TimeGrid.uniform(1.0, 4, 3)
+    loads = {}
+    march(data, space, grid, loads=loads)
+    assert set(loads) == load_keys(grid)
+    kept = dict(loads)
+    copies = {key: load.copy() for key, load in loads.items()}
+    for load in kept.values():
+        assert load.shape == (3, space.n_dofs) and not load.flags.writeable
+        with pytest.raises(ValueError):
+            load[0, 0] = 1.0
+    # the second march reads every load and adds its history to a new array
+    again = march(data, space, grid, loads=loads)
+    assert all(loads[key] is kept[key] for key in kept)
+    assert all(np.array_equal(loads[key], copies[key]) for key in kept)
+    assert np.array_equal(np.concatenate(again.blocks),
+                          np.concatenate(march(data, space, grid).blocks))
+
+
+def test_march_drops_loads_its_grid_does_not_use():
+    data = problem_data(make_case("case2", alpha=1.75))
+    space = TensorSpace(2, 2, 1)
+    g0, g1, g2 = nested_grids()
+    loads = {}
+    for grid in (g0, g1, g2):
+        march(data, space, grid, loads=loads)
+        assert set(loads) == load_keys(grid)
+    assert load_keys(g0) - load_keys(g2)
+    other = TimeGrid.uniform(1.0, 4, 2)
+    march(data, space, other, loads=loads)
+    assert set(loads) == load_keys(other)
 
 
 def test_slab_factors_stay_within_each_eigenmode(monkeypatch):
