@@ -13,15 +13,10 @@ The package is organized around small numpy-facing modules:
 - ``adaptive``: greedy marking and bisection of the time grid.
 - ``experiments``: configured studies emitting CSV tables.
 
-Setting WAVESLAB_THREADS before the first import caps the BLAS thread
-count; explicit OMP/BLAS settings take precedence.
+Every numeric argument is checked by one rule (``_numbers``): booleans,
+strings, nan and infinite values, and fractional values where an integer
+is asked for, raise ValueError.
 """
-
-import os as _os
-
-if _os.environ.get("WAVESLAB_THREADS"):
-    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
-        _os.environ.setdefault(_var, _os.environ["WAVESLAB_THREADS"])
 
 from .adaptive import AdaptiveResult, bisect, doerfler_mark, run_adaptive
 from .errors import (

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._numbers import number, number_array
 from .errors import ErrorBundle, compute_errors
 from .estimator import EstimatorReport, effectivity, estimate
 from .slabsolver import ProblemData, SlabSolution, TimeGrid, march
@@ -26,11 +27,9 @@ def doerfler_mark(indicators, theta: float) -> list[int]:
     Sorting is descending with ties resolved toward smaller indices.  An
     all-zero indicator vector marks nothing.
     """
-    if not 0.0 < theta <= 1.0:
+    if not 0.0 < number(theta, "theta") <= 1.0:
         raise ValueError(f"marking fraction must be in (0, 1], got {theta}")
-    indicators = np.asarray(indicators, dtype=float)
-    if not np.all(np.isfinite(indicators)):
-        raise ValueError("indicators must be finite")
+    indicators = number_array(indicators, "indicators")
     if np.any(indicators < 0.0):
         raise ValueError("indicators must be nonnegative")
     total = float(indicators.sum())
@@ -42,20 +41,13 @@ def doerfler_mark(indicators, theta: float) -> list[int]:
     return sorted(int(i) for i in order[: cut + 1])
 
 
-def _interval_index(mark) -> int:
-    # int() would truncate 0.7 to 0 and take True as 1
-    if isinstance(mark, (bool, np.bool_)) or not float(mark).is_integer():
-        raise ValueError(f"marks must be interval indices, got {mark!r}")
-    return int(mark)
-
-
 def bisect(grid: TimeGrid, marked) -> TimeGrid:
     """Split each marked interval at its midpoint, degrees inherited.
 
     Marks are interval indices, as integers or integer-valued numbers;
     booleans and fractional values are refused.
     """
-    marked = np.array(sorted({_interval_index(n) for n in marked}), dtype=int)
+    marked = np.unique(number_array(list(marked), "marks (interval indices)", integer=True))
     if np.any((marked < 0) | (marked >= grid.n_intervals)):
         raise ValueError("marked interval index out of range")
     mids = 0.5 * (grid.nodes[marked] + grid.nodes[marked + 1])
@@ -110,8 +102,11 @@ def run_adaptive(
     slabs' loads, bit for bit those a fresh march would compute, are read.
     The dict holds the last grid's loads and goes when the call returns.
     """
-    if max_iters < 1:
-        raise ValueError(f"need at least one iteration, got {max_iters}")
+    theta, eta_tol = number(theta, "theta"), number(eta_tol, "eta_tol")
+    max_iters = number(max_iters, "max_iters", integer=True)
+    if not (0.0 < theta <= 1.0 and max_iters >= 1 and eta_tol >= 0.0):
+        raise ValueError(f"need 0 < theta <= 1, max_iters >= 1 and eta_tol >= 0, "
+                         f"got {theta}, {max_iters}, {eta_tol}")
     result = AdaptiveResult()
     grid = initial_grid
     loads = {}

@@ -25,6 +25,7 @@ from typing import Callable
 
 import numpy as np
 
+from ._numbers import number, number_array
 from .slabsolver import ProblemData, SlabSolution, _chunks, _sample_times, reference_blocks
 
 
@@ -67,9 +68,9 @@ def make_case(name: str, **params) -> ManufacturedCase:
             u1=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
         )
     if name == "case2":
-        alpha = float(params.get("alpha", 1.75))
-        if not (np.isfinite(alpha) and alpha > 1.5):
-            raise ValueError(f"case2 needs a finite alpha > 1.5, got {alpha}")
+        alpha = number(params.get("alpha", 1.75), "alpha")
+        if not alpha > 1.5:
+            raise ValueError(f"case2 needs alpha > 1.5, got {alpha}")
         bump = lambda x, y: (1.0 - x**2) * (1.0 - y**2)
         curv = lambda x, y: 2.0 * (1.0 - y**2) + 2.0 * (1.0 - x**2)
         zero = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
@@ -84,18 +85,17 @@ def make_case(name: str, **params) -> ManufacturedCase:
             u0=zero, u0x=zero, u0y=zero, u1=zero,
         )
     if name == "case3":
-        mode_n, mode_m = params.get("n", 1), params.get("m", 1)
-        if int(mode_n) != mode_n or int(mode_m) != mode_m:
-            raise ValueError(f"case3 mode numbers must be integers, got {mode_m}, {mode_n}")
-        mode_n, mode_m = int(mode_n), int(mode_m)
-        omega = float(params.get("omega", np.sqrt(2.0)))
-        if not np.isfinite(omega):
-            raise ValueError(f"case3 needs a finite omega, got {omega}")
+        mode_n = number(params.get("n", 1), "n", integer=True)
+        mode_m = number(params.get("m", 1), "m", integer=True)
+        omega = number(params.get("omega", np.sqrt(2.0)), "omega")
         if mode_n < 1 or mode_m < 1:
             raise ValueError(f"case3 mode numbers must be >= 1, got {mode_m}, {mode_n}")
         pi = np.pi
         shape = lambda x, y: np.sin(pi * mode_n * x) * np.sin(pi * mode_m * y)
-        gain = pi**2 * (mode_n**2 + mode_m**2 - omega**2)
+        try:  # int mode numbers and a float omega, squared beyond the float range
+            gain = pi**2 * (mode_n**2 + mode_m**2 - omega**2)
+        except OverflowError:
+            raise ValueError(f"case3 squares of m, n or omega overflow, got {params}") from None
         return ManufacturedCase(
             name=name, params={"m": mode_m, "n": mode_n, "omega": omega},
             u=lambda t, x, y: shape(x, y) * np.cos(omega * pi * t),
@@ -200,12 +200,13 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
 
 def rate(values, steps) -> np.ndarray:
     """Observed convergence orders between consecutive refinement levels."""
-    values = np.asarray(values, dtype=float)
-    steps = np.asarray(steps, dtype=float)
+    values, steps = number_array(values, "values"), number_array(steps, "steps")
     if len(values) < 2 or len(values) != len(steps):
         raise ValueError(
             f"need matching lists of length >= 2, got {len(values)} and {len(steps)}"
         )
     if np.any(values <= 0.0) or np.any(steps <= 0.0):
         raise ValueError("values and steps must be strictly positive")
+    if np.any(steps[:-1] == steps[1:]):
+        raise ValueError(f"consecutive steps must differ, got {steps}")
     return np.log(values[:-1] / values[1:]) / np.log(steps[:-1] / steps[1:])

@@ -22,9 +22,10 @@ A study is described by a flat YAML mapping.  Common keys:
 - ``out``: output CSV path; ``seed``: optional unsigned integer, validated
   and kept on the ``Config`` (no study draws random numbers).
 
-Unknown keys are rejected, as are booleans given for numbers, infinite or
-nan numbers and fractional values of integer keys, and all validation
-problems are reported at once.
+Unknown keys are rejected, as are numbers that the package-wide rule
+refuses (booleans, strings such as a quoted ``"2"``, infinite or nan
+values, fractional values of integer keys), and all validation problems
+are reported at once.
 A fixed configuration yields identical CSV output up to the wall time
 column.
 """
@@ -40,6 +41,7 @@ from pathlib import Path
 import numpy as np
 import yaml
 
+from ._numbers import number
 from .adaptive import run_adaptive, total_dofs
 from .errors import compute_errors, make_case, problem_data
 from .estimator import effectivity, estimate
@@ -91,28 +93,6 @@ def _steps_per(total: float, step: float) -> int | None:
     return int(n)
 
 
-def _number(value, cast=float):
-    """A configured number as `cast` (float or int).
-
-    Raises ValueError saying what the value must be.  Booleans are refused,
-    though YAML's `true` would pass float() as 1.0, and so is a fractional
-    value of an int key, which int() would truncate, and an infinite or
-    nan float (YAML's `.inf`, `.nan`).
-    """
-    kind = "an integer" if cast is int else "numeric"
-    if isinstance(value, bool):
-        raise ValueError(f"must be {kind}")
-    try:
-        val = cast(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"must be {kind}") from None
-    if cast is int and not isinstance(value, int) and val != float(value):
-        raise ValueError(f"must be {kind}")
-    if cast is float and not np.isfinite(val):
-        raise ValueError("must be finite")
-    return val
-
-
 @dataclass(frozen=True)
 class Config:
     suite: str
@@ -154,12 +134,13 @@ def parse_config(source) -> Config:
         raise ConfigError([f"cannot read a configuration from {type(source).__name__}"])
 
     problems = []
-    for key in sorted(set(raw) - _KNOWN_KEYS):
+    for key in sorted(set(raw) - _KNOWN_KEYS, key=repr):
         problems.append(f"unknown key {key!r}")
 
     suite = raw.get("suite")
     if suite not in SUITES:
         problems.append(f"suite must be one of {SUITES}, got {suite!r}")
+        suite = None  # reported here; no suite-specific check applies
     case = raw.get("case")
     if case not in CASES:
         problems.append(f"case must be one of {CASES}, got {case!r}")
@@ -169,13 +150,13 @@ def parse_config(source) -> Config:
         if key in _KNOWN_KEYS and key not in ("suite", "case"):
             values[key] = raw[key]
 
-    def check_num(key, cond, msg, cast=float):
+    def check_num(key, cond, msg, integer=False):
         if key not in values:
             return None
         try:
-            val = _number(values[key], cast)
+            val = number(values[key], key, integer=integer)
         except ValueError as exc:
-            problems.append(f"{key} {exc}, got {values[key]!r}")
+            problems.append(str(exc))
             return None
         if not cond(val):
             problems.append(f"{key} {msg}, got {val}")
@@ -188,15 +169,15 @@ def parse_config(source) -> Config:
     check_num("omega", lambda v: v > 0, "must be positive")
     check_num("theta", lambda v: 0 < v <= 1, "must lie in (0, 1]")
     check_num("eta_tol", lambda v: v >= 0, "must be nonnegative")
-    check_num("p_t", lambda v: 2 <= v <= 10, "must lie in [2, 10]", cast=int)
+    p_t = check_num("p_t", lambda v: 2 <= v <= 10, "must lie in [2, 10]", integer=True)
     check_num("p_x", lambda v: 1 <= v <= MAX_DEGREE,
-              f"must lie in [1, {MAX_DEGREE}]", cast=int)
-    check_num("mode_m", lambda v: v >= 1, "must be a positive integer", cast=int)
-    check_num("mode_n", lambda v: v >= 1, "must be a positive integer", cast=int)
-    check_num("max_iters", lambda v: v >= 1, "must be >= 1", cast=int)
-    check_num("initial_n", lambda v: v >= 1, "must be >= 1", cast=int)
+              f"must lie in [1, {MAX_DEGREE}]", integer=True)
+    check_num("mode_m", lambda v: v >= 1, "must be a positive integer", integer=True)
+    check_num("mode_n", lambda v: v >= 1, "must be a positive integer", integer=True)
+    check_num("max_iters", lambda v: v >= 1, "must be >= 1", integer=True)
+    check_num("initial_n", lambda v: v >= 1, "must be >= 1", integer=True)
     if values.get("seed") is not None:
-        check_num("seed", lambda v: v >= 0, "must be a nonnegative integer", cast=int)
+        check_num("seed", lambda v: v >= 0, "must be a nonnegative integer", integer=True)
     if not isinstance(values["include_osc"], bool):
         problems.append(f"include_osc must be boolean, got {values['include_osc']!r}")
 
@@ -204,35 +185,33 @@ def parse_config(source) -> Config:
     if h is not None and _steps_per(2.0, h) is None:
         problems.append(f"h must divide the domain side 2, got {h}")
 
-    def check_list(key, item_cond, msg, cast=float):
+    def check_list(key, item_cond, msg, integer=False):
         if key not in values:
-            return
+            return None
         seq = values[key]
         if not isinstance(seq, (list, tuple)) or not seq:
             problems.append(f"{key} must be a nonempty list")
-            return
+            return None
         out = []
         for item in seq:
             try:
-                val = _number(item, cast)
+                val = number(item, f"{key} entries", integer=integer)
             except ValueError as exc:
-                problems.append(f"{key} entries {exc}, got {item!r}")
-                return
+                problems.append(str(exc))
+                return None
             if not item_cond(val):
                 problems.append(f"{key} entry {msg}, got {val}")
-                return
+                return None
             out.append(val)
         values[key] = out
+        return out
 
     def tau_ok(t):  # an invalid T is reported on its own
         return T is None or _steps_per(T, t) is not None
 
-    if "tau" in values:
-        check_num("tau", tau_ok, f"must divide T={T}")
-    if "tau_list" in values:
-        check_list("tau_list", tau_ok, f"must divide T={T}")
-    if "p_t_list" in values:
-        check_list("p_t_list", lambda v: 2 <= v <= 10, "must lie in [2, 10]", cast=int)
+    check_num("tau", tau_ok, f"must divide T={T}")
+    taus = check_list("tau_list", tau_ok, f"must divide T={T}")
+    check_list("p_t_list", lambda v: 2 <= v <= 10, "must lie in [2, 10]", integer=True)
     if "T_list" in values:
         check_list("T_list", lambda v: v > 0, "must be positive")
         if suite == "long_time" and "tau" in values and not problems:
@@ -252,14 +231,13 @@ def parse_config(source) -> Config:
         if key not in raw:
             problems.append(f"suite {suite!r} requires key {key!r}")
 
-    if suite == "spacetime_refine" and isinstance(values.get("p_t"), int):
-        if values["p_t"] + 1 > MAX_DEGREE:
-            problems.append(
-                f"spacetime_refine pairs p_x = p_t + 1 and needs p_t <= {MAX_DEGREE - 1}"
-            )
-    if suite == "spacetime_refine" and isinstance(values.get("tau_list"), list):
-        for t in values["tau_list"]:
-            if isinstance(t, (int, float)) and _steps_per(2.0, float(t)) is None:
+    if suite == "spacetime_refine" and p_t is not None and p_t + 1 > MAX_DEGREE:
+        problems.append(
+            f"spacetime_refine pairs p_x = p_t + 1 and needs p_t <= {MAX_DEGREE - 1}"
+        )
+    if suite == "spacetime_refine" and taus:
+        for t in taus:
+            if _steps_per(2.0, t) is None:
                 problems.append(
                     f"spacetime_refine sets h = tau, so tau_list entry must divide "
                     f"the domain side 2, got {t}"

@@ -30,6 +30,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 
+from ._numbers import number, number_array
 from .spacefem import TensorSpace
 from .timebasis import IntervalPoly, gauss_legendre, mu_n, nodal_to_modal
 
@@ -42,17 +43,12 @@ class TimeGrid:
     degrees: np.ndarray
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        degrees = np.asarray(self.degrees)
-        if not np.all(np.isfinite(degrees) & (degrees == np.round(degrees))):
-            raise ValueError("temporal degrees must be integers")
-        degrees = degrees.astype(int)
+        nodes = number_array(self.nodes, "grid nodes")
+        degrees = number_array(self.degrees, "temporal degrees", integer=True)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "degrees", degrees)
         if len(nodes) < 2 or len(degrees) != len(nodes) - 1:
             raise ValueError("grid needs N+1 nodes and N degrees")
-        if not np.all(np.isfinite(nodes)):
-            raise ValueError("grid nodes must be finite")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
         if np.any(degrees < 2):
@@ -61,11 +57,9 @@ class TimeGrid:
     @classmethod
     def uniform(cls, T: float, n: int, degree: int) -> "TimeGrid":
         """n equal intervals of (0, T]; n may be an integer-valued float."""
-        if isinstance(n, (bool, np.bool_)) or not float(n).is_integer():
-            raise ValueError(f"the interval count must be an integer, got {n!r}")
+        T, n = number(T, "T"), number(n, "the interval count", integer=True)
         if T <= 0 or n < 1:
             raise ValueError(f"need T > 0 and n >= 1, got T={T}, n={n}")
-        n = int(n)
         return cls(np.linspace(0.0, T, n + 1), np.full(n, degree))
 
     @property

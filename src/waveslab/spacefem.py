@@ -26,6 +26,7 @@ import numpy as np
 import scipy.linalg as sla
 from numpy.polynomial import legendre as npleg
 
+from ._numbers import number_array
 from .timebasis import gauss_legendre, nodal_to_modal
 
 MAX_DEGREE = 5
@@ -62,21 +63,20 @@ class TensorSpace:
     degree : int
         Polynomial degree per direction, between 1 and 5.
     domain : ((x0, x1), (y0, y1))
-        Bounding box, default (-1, 1) squared.
+        Bounding box with finite x0 < x1 and y0 < y1, default (-1, 1) squared.
     """
 
     def __init__(self, nx: int, ny: int, degree: int, domain=((-1.0, 1.0), (-1.0, 1.0))):
-        sizes = (nx, ny, degree)
-        if any(isinstance(v, (bool, np.bool_)) or not float(v).is_integer() for v in sizes):
-            raise ValueError(f"nx, ny and degree must be integers, got {nx}, {ny}, {degree}")
-        nx, ny, degree = map(int, sizes)
+        nx, ny, degree = number_array((nx, ny, degree), "nx, ny and degree", integer=True).tolist()
+        (x0, x1), (y0, y1) = number_array(domain, "the domain bounds").tolist()
         if not (1 <= degree <= MAX_DEGREE):
             raise ValueError(f"spatial degree must be in [1, {MAX_DEGREE}], got {degree}")
         if nx < 1 or ny < 1:
             raise ValueError(f"need at least one element per direction, got {nx}x{ny}")
+        if not (x0 < x1 and y0 < y1):
+            raise ValueError(f"the domain needs x0 < x1 and y0 < y1, got {domain}")
         self.nx, self.ny, self.degree = nx, ny, degree
-        self.domain = domain
-        (x0, x1), (y0, y1) = domain
+        self.domain = (x0, x1), (y0, y1)
         self.hx = (x1 - x0) / nx
         self.hy = (y1 - y0) / ny
 

@@ -168,3 +168,10 @@ def test_rate_examples():
         rate([1.0, 0.0], [1.0, 0.5])
     with pytest.raises(ValueError):
         rate([1.0, 0.5], [1.0, -0.5])
+    # non-finite or boolean values and steps, and equal consecutive steps
+    for values, steps in [([1.0, np.nan], [1.0, 0.5]), ([1.0, 0.5], [1.0, np.inf]),
+                          ([1.0, 0.5], [1.0, 1.0]), ([1.0, 0.5, 0.25], [1.0, 0.5, 0.5]),
+                          ([True, 0.5], [1.0, 0.5]), ([1.0, 0.5], [np.True_, 0.5]),
+                          (["1", 0.5], [1.0, 0.5])]:
+        with pytest.raises(ValueError):
+            rate(values, steps)

@@ -1,0 +1,338 @@
+"""Property tests of the one rule for numeric arguments (`waveslab._numbers`).
+
+Each public entry point takes a drawn value as an equal value (an int where
+an integer is asked for), or refuses it with ValueError: never another
+exception, and never a RuntimeWarning, which the project's warning filters
+turn into an error.  `expected` states the rule through `Fraction`
+arithmetic, apart from the implementation.  Arrays and sequences go
+through numpy, which holds no `Fraction` and no int beyond 64 bits, so an
+entry point that takes an array may refuse those (`loose`).
+
+Sizes that allocate are drawn small (nx, ny <= 4, the interval count <= 8,
+an iteration budget <= 2); huge ones are tried only at parse time or
+where they are refused before anything is built.  The `@example`s pin
+values that fell between the per-module checks this rule replaced.
+"""
+
+import math
+import sys
+from fractions import Fraction
+
+import numpy as np
+import pytest
+import yaml
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from waveslab import (
+    TensorSpace, TimeGrid, bisect, doerfler_mark, make_case, problem_data, run_adaptive,
+)
+from waveslab.cli import main
+from waveslab.experiments import ConfigError, parse_config
+
+settings.register_profile("waveslab", derandomize=True, database=None, deadline=None,
+                          max_examples=40)
+settings.load_profile("waveslab")
+
+HUGE = [10**400, -10**400, 10**200, 2**64]
+NOT_NUMBERS = [True, False, np.True_, np.False_, math.nan, math.inf, -math.inf]
+REFUSED = object()
+
+
+def forms(i, numpy=True, fraction=True):
+    """The int i as an int, a float, a numpy scalar or a Fraction."""
+    return st.sampled_from([i, float(i)] + ([np.int64(i), np.float64(i)] if numpy else [])
+                           + ([Fraction(i)] if numpy and fraction else []))
+
+
+def scalars(low, high, huge=True, numpy=True):
+    """Half the time an int in [low, high] in some form, else a value beside it:
+    a fraction, a digit string, a boolean, nan, +-inf or a huge int."""
+    ints = st.integers(low, high)
+    others = [ints.map(lambda i: i + 0.5), ints.map(str),
+              st.sampled_from(NOT_NUMBERS if numpy else NOT_NUMBERS[:2] + NOT_NUMBERS[4:])]
+    if numpy:
+        others.append(ints.map(lambda i: Fraction(2 * i + 1, 2)))
+    if huge:
+        others.append(st.sampled_from(HUGE))
+    return st.one_of(ints.flatmap(lambda i: forms(i, numpy)), st.one_of(others))
+
+
+@st.composite
+def arguments(draw, valid, *drawn, array=False):
+    """The valid ints that `valid` draws, each in some form, at most one of
+    them replaced by a value from `drawn` (one strategy, or one per place).
+    An `array` argument gets no Fraction, which numpy would refuse."""
+    args = [draw(forms(i, fraction=not array)) for i in draw(valid)]
+    at = draw(st.integers(0, len(args)))
+    if at < len(args):
+        args[at] = draw(drawn[at] if len(drawn) > 1 else drawn[0])
+    return args
+
+
+def increasing(low, high, min_size):
+    return st.lists(st.integers(low, high), min_size=min_size, max_size=5,
+                    unique=True).map(sorted)
+
+
+def expected(value, integer=False):
+    """What the rule takes `value` as: an int, a float, or None (refused)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, Fraction)):
+        return None
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    exact = Fraction(value)
+    if integer:
+        return int(exact) if exact.denominator == 1 else None
+    try:
+        return float(exact)
+    except OverflowError:
+        return None
+
+
+def loose(value):
+    """A Fraction or an int beyond int64, which numpy holds as an object."""
+    return isinstance(value, Fraction) or (
+        isinstance(value, int) and not isinstance(value, bool) and abs(value) >= 2**63)
+
+
+def outcome(call):
+    """What `call` returns, or REFUSED where it raises ValueError."""
+    try:
+        return call()
+    except ValueError:
+        return REFUSED
+
+
+def settle(got, ok, entries=()):
+    """Check acceptance against the rule; True where the value must be compared."""
+    if got is REFUSED and any(map(loose, entries)):
+        return False
+    assert (got is not REFUSED) == ok
+    return ok
+
+
+@given(arguments(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 5)),
+                 scalars(-1, 6), array=True))
+@example(["3", 3, 2])
+@example([2, 2, True])
+def test_space_sizes(args):
+    got = outcome(lambda: TensorSpace(*args))
+    want = [expected(v, integer=True) for v in args]
+    ok = None not in want and min(want[:2]) >= 1 and 1 <= want[2] <= 5
+    if settle(got, ok, args):
+        assert [got.nx, got.ny, got.degree] == want
+        assert all(type(v) is int for v in (got.nx, got.ny, got.degree))
+
+
+@given(arguments(st.tuples(increasing(-2, 2, 2), increasing(-2, 2, 2)).map(
+    lambda pair: pair[0][:2] + pair[1][:2]), scalars(-2, 2), array=True))
+@example([0, 0, -1, 1])
+@example([1, -1, -1, 1])
+@example([0, math.inf, -1, 1])
+@example([0, 2.5, np.int64(-1), np.float64(0.5)])
+def test_space_domain(bounds):
+    got = outcome(lambda: TensorSpace(2, 2, 1, domain=(bounds[:2], bounds[2:])))
+    want = [expected(v) for v in bounds]
+    ok = None not in want and want[0] < want[1] and want[2] < want[3]
+    if settle(got, ok, bounds):
+        assert got.domain == (tuple(want[:2]), tuple(want[2:]))
+        assert got.hx == (want[1] - want[0]) / 2
+
+
+@given(arguments(st.tuples(st.integers(1, 3), st.integers(1, 8), st.integers(2, 4)),
+                 scalars(-2, 5), scalars(-1, 8, huge=False), scalars(0, 4)))
+@example([True, 4, 2])
+@example([np.inf, 4, 2])
+@example([1.0, "4", 2])
+@example(["1", 4, 2])
+@example([10**200, 4.0, np.int64(3)])
+def test_uniform_grid(args):
+    got = outcome(lambda: TimeGrid.uniform(*args))
+    T, n, p = expected(args[0]), expected(args[1], True), expected(args[2], True)
+    ok = None not in (T, n, p) and T > 0 and n >= 1 and p >= 2
+    if settle(got, ok, args[2:]):  # np.full holds the degree as given
+        assert np.array_equal(got.nodes, np.linspace(0.0, T, n + 1))
+        assert got.degrees.dtype.kind == "i" and list(got.degrees) == [p] * n
+
+
+@st.composite
+def grid_arguments(draw):
+    nodes = draw(increasing(-2, 6, 2))
+    degrees = [draw(st.integers(2, 4)) for _ in nodes[1:]]
+    both = draw(arguments(st.just(nodes + degrees), scalars(-1, 6), array=True))
+    return both[:len(nodes)], both[len(nodes):]
+
+
+@given(grid_arguments())
+@example((["0", "0.5", "1"], [2, 2]))
+@example(([0, 0.5, 1], ["2", "2"]))
+@example(([0, 0.5, True], [2, 2]))
+@example(([0.0, 1.5, np.float64(3.0)], [2.0, np.int64(3)]))
+def test_grid(args):
+    nodes, degrees = args
+    got = outcome(lambda: TimeGrid(nodes, degrees))
+    want_t = [expected(v) for v in nodes]
+    want_p = [expected(v, integer=True) for v in degrees]
+    ok = (None not in want_t + want_p and len(want_p) == len(want_t) - 1 >= 1
+          and all(a < b for a, b in zip(want_t, want_t[1:])) and min(want_p) >= 2)
+    if settle(got, ok, nodes + degrees):
+        assert list(got.nodes) == want_t and list(got.degrees) == want_p
+        assert got.degrees.dtype.kind == "i"
+
+
+@given(arguments(st.lists(st.integers(0, 3), max_size=3), scalars(-1, 5), array=True))
+@example(["1"])
+@example([0, True])
+@example([np.float64(1.0), 3])
+def test_bisect_marks(marks):
+    grid = TimeGrid.uniform(1.0, 4, 2)
+    got = outcome(lambda: bisect(grid, marks))
+    want = [expected(v, integer=True) for v in marks]
+    ok = None not in want and all(0 <= m < 4 for m in want)
+    if settle(got, ok, marks):
+        mids = [(m + 0.5) / 4 for m in set(want)]
+        assert list(got.nodes) == sorted(list(grid.nodes) + mids)
+
+
+@given(scalars(-1, 2))
+@example(True)
+@example(np.float64(1.0))
+@example(Fraction(1, 2))
+def test_marking_fraction(theta):
+    got = outcome(lambda: doerfler_mark([1.0, 2.0], theta))
+    want = expected(theta)
+    if settle(got, want is not None and 0 < want <= 1):
+        assert got == ([1] if want <= 2 / 3 else [0, 1])
+
+
+@given(arguments(st.tuples(st.just(1), st.integers(1, 2), st.integers(0, 2)),
+                 scalars(-1, 2), scalars(-1, 2, huge=False), scalars(-1, 2)))
+@settings(max_examples=25)
+@example([0.5, 2.5, 0.0])
+@example([0.5, True, 0.0])
+@example([0.5, 2, math.nan])
+@example([0.5, 2, -1])
+@example([np.float64(1.0), 2.0, 10**200])
+def test_adaptive_controls(args):
+    data = problem_data(make_case("case1"))
+    space, grid = TensorSpace(2, 2, 1), TimeGrid.uniform(1.0, 2, 2)
+    got = outcome(lambda: run_adaptive(data, space, grid, theta=args[0],
+                                       max_iters=args[1], eta_tol=args[2]))
+    theta, iters, tol = expected(args[0]), expected(args[1], True), expected(args[2])
+    ok = None not in (theta, iters, tol) and 0 < theta <= 1 and iters >= 1 and tol >= 0
+    if settle(got, ok):
+        assert 1 <= len(got.history) <= iters
+
+
+@given(scalars(0, 4))
+@example("2")
+@example(True)
+@example(np.float64(2.0))
+def test_case2_alpha(alpha):
+    got = outcome(lambda: make_case("case2", alpha=alpha))
+    want = expected(alpha)
+    if settle(got, want is not None and want > 1.5):
+        assert got.params == {"alpha": want} and type(got.params["alpha"]) is float
+
+
+@given(arguments(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)),
+                 scalars(-1, 3)))
+@example([True, 1, 1.5])
+@example([1, 1, True])
+@example([np.inf, 1, 1.5])
+@example([10**200, 1, 1.5])
+@example([1, 1, 10**200])
+@example([np.float64(2.0), np.int64(1), 1])
+def test_case3_parameters(args):
+    m, n, omega = args
+    got = outcome(lambda: make_case("case3", m=m, n=n, omega=omega))
+    want = {"m": expected(m, True), "n": expected(n, True), "omega": expected(omega)}
+    ok = None not in want.values() and min(want["m"], want["n"]) >= 1
+    if ok:  # the forcing's gain needs m^2 + n^2 and omega^2 in the float range
+        ok = (want["m"] ** 2 + want["n"] ** 2 <= sys.float_info.max
+              and math.isfinite(want["omega"] * want["omega"]))
+    if settle(got, ok):
+        assert got.params == want
+        assert [type(v) for v in got.params.values()] == [int, int, float]
+
+
+FLOAT_KEYS = ("T", "alpha", "omega", "theta", "eta_tol", "h", "tau")
+INT_KEYS = ("p_t", "p_x", "mode_m", "mode_n", "max_iters", "initial_n", "seed")
+LIST_KEYS = {"T_list": False, "tau_list": False, "p_t_list": True}
+BASES = [
+    {"suite": "tau_refine", "case": "case1", "tau_list": [0.5, 0.25]},
+    {"suite": "p_refine", "case": "case1", "tau": 0.5, "p_t_list": [2, 3]},
+    {"suite": "spacetime_refine", "case": "case3", "tau_list": [0.5]},
+    {"suite": "long_time", "case": "case3", "T_list": [1.0, 2.0], "tau": 0.5},
+    {"suite": "effectivity", "case": "case1", "tau_list": [0.5], "p_t_list": [2]},
+    {"suite": "adaptive", "case": "case2"},
+]
+
+
+def configs(numpy):
+    """A valid config with up to three keys drawn over it."""
+    value = st.one_of(scalars(-1, 12, numpy=numpy),
+                      st.lists(scalars(0, 4, numpy=numpy), max_size=3),
+                      st.sampled_from([None, "case3", "adaptive", [1]]))
+    keys = st.sampled_from(FLOAT_KEYS + INT_KEYS + tuple(LIST_KEYS)
+                           + ("suite", "case", "include_osc", "mystery", 1))
+    return st.builds(lambda base, over: {**base, **over}, st.sampled_from(BASES),
+                     st.dictionaries(keys, value, max_size=3))
+
+
+def refused_keys(raw):
+    """The numeric keys whose drawn value the rule refuses."""
+    bad = [key for key in FLOAT_KEYS + INT_KEYS if key in raw
+           and not (key == "seed" and raw[key] is None)
+           and expected(raw[key], integer=key in INT_KEYS) is None]
+    for key, integer in LIST_KEYS.items():
+        seq = raw.get(key)
+        if isinstance(seq, list) and any(expected(v, integer) is None for v in seq):
+            bad.append(key)
+    return bad
+
+
+def check_config(raw):
+    try:
+        config = parse_config(raw)
+    except ConfigError as exc:
+        assert exc.problems
+        for key in refused_keys(raw):
+            assert any(p.startswith(f"{key} ") for p in exc.problems), key
+        return False
+    assert not refused_keys(raw)
+    for key in FLOAT_KEYS + INT_KEYS:
+        if key in raw and raw[key] is not None:
+            assert config.values[key] == expected(raw[key], integer=key in INT_KEYS)
+            assert type(config.values[key]) is (int if key in INT_KEYS else float)
+    return True
+
+
+@given(configs(numpy=True))
+@example({"suite": "adaptive", "case": "case1", "T": "2"})
+@example({"suite": "spacetime_refine", "case": "case3", "tau_list": [10**400]})
+@example({"suite": "adaptive", "case": "case1", 1: 2, "mystery": 3})
+@example({"suite": [1], "case": "case1"})
+@example({"suite": "adaptive", "case": "case3", "mode_m": np.float64(2.0), "seed": 10**400})
+def test_config_parses_or_lists_its_problems(raw):
+    check_config(raw)
+
+
+@pytest.fixture(scope="module")
+def config_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("configs")
+
+
+@given(configs(numpy=False))
+@settings(max_examples=25)
+@example({"suite": "adaptive", "case": "case1", "T": "2"})
+@example({"suite": "adaptive", "case": "case1", 1: 2, "mystery": 3})
+@example({"suite": [1], "case": "case1"})
+def test_cli_exits_1_on_every_config_that_does_not_parse(config_dir, raw):
+    if check_config(raw):
+        return  # a valid config would run its study: not here
+    path = config_dir / "drawn.yaml"
+    path.write_text(yaml.safe_dump(raw, sort_keys=False))
+    assert main(["run", str(path), "--out", str(config_dir / "never.csv")]) == 1
+    assert not (config_dir / "never.csv").exists()
