@@ -101,6 +101,11 @@ def run_adaptive(
     re-assembles only the children of the marked slabs, and the unmarked
     slabs' loads, bit for bit those a fresh march would compute, are read.
     The dict holds the last grid's loads and goes when the call returns.
+
+    The error norms are kept the same way, in one `scores` dict (see
+    `compute_errors`): a slab whose block is bit for bit the one kept under
+    its key, such as an unmarked slab before the first marked one, is read,
+    not scored again, with the bits a fresh `compute_errors` would give.
     """
     theta, eta_tol = number(theta, "theta"), number(eta_tol, "eta_tol")
     max_iters = number(max_iters, "max_iters", integer=True)
@@ -109,12 +114,13 @@ def run_adaptive(
                          f"got {theta}, {max_iters}, {eta_tol}")
     result = AdaptiveResult()
     grid = initial_grid
-    loads = {}
+    loads, scores = {}, {}
     for _ in range(max_iters):
         started = time.perf_counter()
         sol = march(data, space, grid, loads=loads)
         report = estimate(sol, data, include_osc=include_osc, localized=True)
-        errs = compute_errors(sol, data.exact) if data.exact is not None else None
+        errs = (compute_errors(sol, data.exact, scores=scores)
+                if data.exact is not None else None)
         kappa = effectivity(report, errs.Linf_L2) if errs is not None else None
         result.history.append(AdaptiveRecord(
             grid=grid,

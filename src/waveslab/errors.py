@@ -142,8 +142,14 @@ class ErrorBundle:
         return asdict(self)
 
 
-def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
+def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
+                   scores: dict | None = None) -> ErrorBundle:
     """Evaluate all error norms of a slab solution for a manufactured case.
+
+    Each slab first gets five partials: the Gauss-weighted sums of its
+    squared H1 and time-derivative misfits, and the equispaced maxima of
+    its squared H1, W1inf and L2 misfits.  The norms reduce these (N, 5)
+    partials in slab order.
 
     Slabs of one degree are scored together in one pass, in chunks whose
     samples at the "gauss" and "equispaced" point sets together stay under
@@ -152,9 +158,34 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     modes (`SlabSolution.modes`) once; the samples at both point sets follow
     on the Gauss grid through one stacked `leg` and `(2 / tau) dleg` table,
     Gauss rows first.  Their misfits split into the Gauss columns, summed
-    with the rule's weights, and the equispaced columns, maximized.
+    per slab with the rule's weights, and the equispaced columns, maximized
+    per slab.
+
+    `scores`, a dict the caller keeps across calls for one `case` and
+    space, keeps the partials between them, as `march(..., loads=...)`
+    keeps loads.  It maps a slab's key (p, t_n, t_{n+1}) (see
+    `TimeGrid.slab_keys`) to the bytes of the slab's block and its five
+    partials.  A slab is read from it only if its block has the same bytes
+    as the kept one; every other slab is scored, and the dict is left
+    holding exactly this grid's entries.  A slab's partials come from the
+    same operations whichever chunk it is scored with, and the reduction
+    runs over all of them in slab order, so the norms have the same bits
+    with or without the dict.  `run_adaptive` passes one dict to all of its
+    iterations; without one, nothing is kept.
     """
     space, grid = sol.space, sol.grid
+    partials = np.empty((grid.n_intervals, 5))
+    if scores is None:
+        missing = range(grid.n_intervals)
+    else:
+        keys, blocks = grid.slab_keys(), [block.tobytes() for block in sol.blocks]
+        missing = []
+        for n, (key, block) in enumerate(zip(keys, blocks)):
+            entry = scores.get(key)
+            if entry is not None and entry[0] == block:
+                partials[n] = entry[1]
+            else:
+                missing.append(n)
 
     def misfit_sq(exact, t, approx):
         # per time sample, the squared L2 norm of exact(t) - approx, shaped
@@ -163,9 +194,7 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
         err -= approx.reshape(err.shape)
         return space.integrate(np.square(err, out=err)).reshape(t.shape)
 
-    sq_h1 = sq_dl2 = 0.0
-    sq_w1inf = sq_h1_max = sq_l2 = 0.0
-    for p, chunk in _chunks(space, grid, range(grid.n_intervals), "gauss", "equispaced"):
+    for p, chunk in _chunks(space, grid, missing, "gauss", "equispaced"):
         xg, wq, leg_g, dleg_g = reference_blocks(p)["gauss"]
         xe, _, leg_e, dleg_e = reference_blocks(p)["equispaced"]
         ng = len(xg)
@@ -181,13 +210,20 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
                         for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat)))
         h1 = misfit_sq(case.ux, t, leg @ gx) + misfit_sq(case.uy, t, leg @ gy)
         dl2 = misfit_sq(case.du, t, dt_leg @ vals)
-        weights = (0.5 * tau[:, None] * wq).ravel()
-        sq_h1 += float(weights @ h1[:, :ng].ravel())
-        sq_dl2 += float(weights @ dl2[:, :ng].ravel())
-        sq_h1_max = max(sq_h1_max, float(np.max(h1[:, ng:])))
-        sq_w1inf = max(sq_w1inf, float(np.max(dl2[:, ng:])))
-        sq_l2 = max(sq_l2, float(np.max(misfit_sq(case.u, t[:, ng:], leg_e @ vals))))
+        weights = 0.5 * tau[:, None] * wq
+        partials[chunk] = np.column_stack((
+            np.sum(weights * h1[:, :ng], axis=1),
+            np.sum(weights * dl2[:, :ng], axis=1),
+            np.max(h1[:, ng:], axis=1),
+            np.max(dl2[:, ng:], axis=1),
+            np.max(misfit_sq(case.u, t[:, ng:], leg_e @ vals), axis=1),
+        ))
 
+    if scores is not None:
+        scores.clear()
+        scores.update((key, (block, row)) for key, block, row in zip(keys, blocks, partials))
+    sq_h1, sq_dl2 = np.sum(partials[:, :2], axis=0)
+    sq_h1_max, sq_w1inf, sq_l2 = np.max(partials[:, 2:], axis=0)
     return ErrorBundle(
         max_W1inf_L2=float(np.sqrt(sq_w1inf)),
         max_Linf_H1=float(np.sqrt(sq_h1_max)),
@@ -199,7 +235,13 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
 
 
 def rate(values, steps) -> np.ndarray:
-    """Observed convergence orders between consecutive refinement levels."""
+    """Observed convergence orders between consecutive refinement levels.
+
+    Each order is a difference of logarithms over a difference of
+    logarithms, so no ratio of values or steps is formed and any positive
+    finite input gives a finite order.  Consecutive steps whose logarithms
+    are equal (equal steps, or neighbouring floats) are refused.
+    """
     values, steps = number_array(values, "values"), number_array(steps, "steps")
     if len(values) < 2 or len(values) != len(steps):
         raise ValueError(
@@ -207,6 +249,7 @@ def rate(values, steps) -> np.ndarray:
         )
     if np.any(values <= 0.0) or np.any(steps <= 0.0):
         raise ValueError("values and steps must be strictly positive")
-    if np.any(steps[:-1] == steps[1:]):
-        raise ValueError(f"consecutive steps must differ, got {steps}")
-    return np.log(values[:-1] / values[1:]) / np.log(steps[:-1] / steps[1:])
+    log_values, log_steps = np.log(values), np.log(steps)
+    if np.any(log_steps[:-1] == log_steps[1:]):
+        raise ValueError(f"consecutive steps must differ in their logarithms, got {steps}")
+    return (log_values[:-1] - log_values[1:]) / (log_steps[:-1] - log_steps[1:])

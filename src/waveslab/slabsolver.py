@@ -76,6 +76,14 @@ class TimeGrid:
     def tau(self, n: int) -> float:
         return float(self.nodes[n + 1] - self.nodes[n])
 
+    def slab_keys(self) -> list:
+        """(p, t_n, t_{n+1}) of every interval, degree and exact float end nodes.
+
+        Adaptive runs keep a slab's load (`march`) and error partials
+        (`errors.compute_errors`) under this key across iterations.
+        """
+        return list(zip(self.degrees.tolist(), self.nodes[:-1].tolist(), self.nodes[1:].tolist()))
+
 
 @dataclass
 class ProblemData:
@@ -271,7 +279,7 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
     marches: the slabs found there are read, only the others are assembled,
     and `kept` is left holding exactly this grid's loads.
     """
-    keys = list(zip(grid.degrees.tolist(), grid.nodes[:-1].tolist(), grid.nodes[1:].tolist()))
+    keys = grid.slab_keys()
     kept = {} if kept is None else kept
     loads = [kept.get(key) for key in keys]
     missing = np.array([n for n, load in enumerate(loads) if load is None], dtype=int)

@@ -31,6 +31,14 @@ from .timebasis import gauss_legendre, nodal_to_modal
 
 MAX_DEGREE = 5
 
+# Element sizes a space accepts.  The set-up forms squared inverse sizes
+# (second derivatives, stiffness eigenvalues) times degree factors up to
+# about 1e4, which these bounds keep far inside the float range.  Beyond
+# them it breaks: a width of 2e308 overflows `np.linspace`, a size below
+# about 1e-154 overflows `(2 / h) ** 2`, and sizes of 1e200 in both
+# directions make every stiffness eigenvalue underflow to zero.
+ELEMENT_SIZES = (1e-50, 1e50)
+
 
 def _reference_basis(degree: int, points: np.ndarray):
     """Values and first two derivatives of the nodal basis at given points.
@@ -63,7 +71,8 @@ class TensorSpace:
     degree : int
         Polynomial degree per direction, between 1 and 5.
     domain : ((x0, x1), (y0, y1))
-        Bounding box with finite x0 < x1 and y0 < y1, default (-1, 1) squared.
+        Bounding box with finite x0 < x1 and y0 < y1, default (-1, 1) squared,
+        whose element sizes lie within `ELEMENT_SIZES`.
     """
 
     def __init__(self, nx: int, ny: int, degree: int, domain=((-1.0, 1.0), (-1.0, 1.0))):
@@ -79,6 +88,10 @@ class TensorSpace:
         self.domain = (x0, x1), (y0, y1)
         self.hx = (x1 - x0) / nx
         self.hy = (y1 - y0) / ny
+        low, high = ELEMENT_SIZES
+        if not (low <= self.hx <= high and low <= self.hy <= high):
+            raise ValueError(f"element sizes must lie in [{low:g}, {high:g}], got "
+                             f"{self.hx:g} by {self.hy:g} on the domain {domain}")
 
         p = degree
         self.nodes_x = np.linspace(x0, x1, nx * p + 1)

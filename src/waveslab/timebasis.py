@@ -18,8 +18,24 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
+from ._numbers import number
 
-@lru_cache(maxsize=None)
+# The degree and order arguments follow the rule of `_numbers.number`.  The
+# cached helpers check theirs inside the cached body, so a cache hit costs
+# nothing, and `typed=True` keeps True from hitting the entry of 1.  The
+# per-slab constants (`c3_constant`, `mu_n`, ...) take their degree from a
+# validated `TimeGrid` and are not checked again, as they are called once
+# per slab.
+
+
+def _degree(degree) -> int:
+    degree = number(degree, "the polynomial degree", integer=True)
+    if degree < 0:
+        raise ValueError(f"the polynomial degree must be >= 0, got {degree}")
+    return degree
+
+
+@lru_cache(maxsize=None, typed=True)
 def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     """Gauss-Legendre rule on [-1, 1] exact for polynomials of `order`.
 
@@ -32,8 +48,9 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     Returns:
         (nodes, weights) as float arrays of equal length.
     """
+    order = number(order, "the quadrature order", integer=True)
     if order < 0:
-        raise ValueError(f"quadrature order must be >= 0, got {order}")
+        raise ValueError(f"the quadrature order must be >= 0, got {order}")
     n = max(1, -(-(order + 1) // 2))
     nodes, weights = npleg.leggauss(n)
     nodes.flags.writeable = False
@@ -43,8 +60,7 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
 
 def legendre_eval(degree: int, x) -> np.ndarray:
     """Evaluate the Legendre polynomial of the given degree at x."""
-    if degree < 0:
-        raise ValueError(f"degree must be >= 0, got {degree}")
+    degree = _degree(degree)
     coeff = np.zeros(degree + 1)
     coeff[degree] = 1.0
     return npleg.legval(x, coeff)
@@ -60,21 +76,23 @@ def from_reference(x, interval) -> np.ndarray:
     return 0.5 * (a + b) + 0.5 * (b - a) * np.asarray(x)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def equispaced_nodes(degree: int) -> np.ndarray:
     """Equispaced nodal points on [-1, 1], endpoints included."""
+    degree = _degree(degree)
     nodes = np.linspace(-1.0, 1.0, degree + 1)
     nodes.flags.writeable = False
     return nodes
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def nodal_to_modal(degree: int) -> np.ndarray:
     """Matrix taking values at the equispaced nodes to Legendre modes.
 
     Column j holds the modal coefficients of the Lagrange basis polynomial
     attached to node j.
     """
+    degree = _degree(degree)
     vander = npleg.legvander(equispaced_nodes(degree), degree)
     mat = np.linalg.inv(vander)
     mat.flags.writeable = False

@@ -137,7 +137,8 @@ def test_zero_data_stops_immediately():
 def test_zero_error_gives_infinite_kappa(monkeypatch):
     # kappa is None only without an exact solution; a zero error gives inf
     exact = ErrorBundle(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    monkeypatch.setattr(waveslab.adaptive, "compute_errors", lambda sol, case: exact)
+    monkeypatch.setattr(waveslab.adaptive, "compute_errors",
+                        lambda sol, case, *, scores=None: exact)
     data = problem_data(make_case("case2", alpha=1.75))
     result = run_adaptive(data, TensorSpace(2, 2, 2), TimeGrid.uniform(1.0, 2, 2),
                           max_iters=2)

@@ -1,18 +1,23 @@
 """Manufactured cases, error norms, and observed-order helpers."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from waveslab import (
     ManufacturedCase,
+    SlabSolution,
     TensorSpace,
     TimeGrid,
+    bisect,
     compute_errors,
     make_case,
     march,
     problem_data,
     rate,
 )
+from waveslab import slabsolver
 
 rng = np.random.default_rng(20240815)
 
@@ -144,6 +149,54 @@ def test_error_norms_on_a_real_run_are_positive_and_ordered():
     assert errs.Linf_L2 < 10.0 * errs.max_Linf_H1
 
 
+def counting_exact(case, calls):
+    """`case` with `u`, `du`, `ux` and `uy` counting their calls in `calls`."""
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    return dataclasses.replace(case, **{name: counted(name, getattr(case, name))
+                                        for name in ("u", "du", "ux", "uy")})
+
+
+def test_kept_error_partials_are_read_only_for_the_same_block(monkeypatch):
+    calls = {}
+    case = counting_exact(make_case("case2", alpha=1.75), calls)
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 1)  # one slab per chunk
+
+    def scored(sol, scores):
+        # the norms with `scores`, the slabs scored, and the norms without
+        calls.clear()
+        errs = compute_errors(sol, case, scores=scores)
+        count = calls.get("u", 0)
+        assert calls == (dict.fromkeys(("u", "du", "ux", "uy"), count) if count else {})
+        assert set(scores) == set(sol.grid.slab_keys())
+        assert errs == compute_errors(sol, case)
+        return errs, count
+
+    data, space, grid = problem_data(case), TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2)
+    sol = march(data, space, grid)
+    scores = {}
+    first, count = scored(sol, scores)
+    assert count == 4
+    assert scored(sol, scores) == (first, 0)
+
+    # one bit changed in the block of slab 2: that slab alone is scored again
+    blocks = list(sol.blocks)
+    blocks[2] = blocks[2].copy()
+    blocks[2][1, 0] = np.nextafter(blocks[2][1, 0], np.inf)
+    nudged = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=sol.u1h)
+    assert scored(nudged, scores)[1] == 1
+
+    # bisecting slab 0 changes the blocks of every later slab, whose
+    # intervals are unchanged: all five are scored
+    fine = bisect(grid, [0])
+    assert len(set(fine.slab_keys()) & set(scores)) == 3
+    assert scored(march(data, space, fine), scores)[1] == 5
+
+
 def test_as_dict_round_trip():
     case = make_case("case1")
     space = TensorSpace(3, 3, 2)
@@ -172,6 +225,16 @@ def test_rate_examples():
     for values, steps in [([1.0, np.nan], [1.0, 0.5]), ([1.0, 0.5], [1.0, np.inf]),
                           ([1.0, 0.5], [1.0, 1.0]), ([1.0, 0.5, 0.25], [1.0, 0.5, 0.5]),
                           ([True, 0.5], [1.0, 0.5]), ([1.0, 0.5], [np.True_, 0.5]),
-                          (["1", 0.5], [1.0, 0.5])]:
+                          (["1", 0.5], [1.0, 0.5]),
+                          ([1.0, 0.5], [3.0, np.nextafter(3.0, 4.0)])]:
         with pytest.raises(ValueError):
             rate(values, steps)
+
+
+def test_rate_of_extreme_finite_ratios_is_finite():
+    # ratios of 1e600 overflow a float; differences of logarithms do not
+    spread = np.log(1e300) - np.log(1e-300)
+    assert np.allclose(rate([1e300, 1e-300], [1.0, 0.5]), [spread / np.log(2.0)])
+    assert np.allclose(rate([1.0, 0.5], [1e300, 1e-300]), [np.log(2.0) / spread])
+    # neighbouring floats as steps, whose logarithms still differ
+    assert np.isfinite(rate([1.0, 0.5], [1.0, np.nextafter(1.0, 2.0)])).all()

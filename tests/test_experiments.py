@@ -280,8 +280,9 @@ def test_zero_error_gives_infinite_kappa_in_every_suite(monkeypatch):
     # no demo config reaches a zero error, so force one: both row builders
     # must write the same kappa
     exact = ErrorBundle(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    monkeypatch.setattr(experiments, "compute_errors", lambda sol, case: exact)
-    monkeypatch.setattr(waveslab.adaptive, "compute_errors", lambda sol, case: exact)
+    stub = lambda sol, case, *, scores=None: exact
+    monkeypatch.setattr(experiments, "compute_errors", stub)
+    monkeypatch.setattr(waveslab.adaptive, "compute_errors", stub)
     for config in (
         {"suite": "tau_refine", "case": "case1", "h": 1.0, "tau_list": [0.5]},
         {"suite": "adaptive", "case": "case2", "h": 1.0, "initial_n": 2, "max_iters": 2},

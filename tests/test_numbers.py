@@ -9,9 +9,10 @@ through numpy, which holds no `Fraction` and no int beyond 64 bits, so an
 entry point that takes an array may refuse those (`loose`).
 
 Sizes that allocate are drawn small (nx, ny <= 4, the interval count <= 8,
-an iteration budget <= 2); huge ones are tried only at parse time or
-where they are refused before anything is built.  The `@example`s pin
-values that fell between the per-module checks this rule replaced.
+an iteration budget <= 2, a `timebasis` degree or order <= 8); huge ones
+are tried only at parse time or where they are refused before anything is
+built.  The `@example`s pin values that fell between the per-module
+checks this rule replaced.
 """
 
 import math
@@ -29,6 +30,8 @@ from waveslab import (
 )
 from waveslab.cli import main
 from waveslab.experiments import ConfigError, parse_config
+from waveslab.spacefem import ELEMENT_SIZES
+from waveslab.timebasis import equispaced_nodes, gauss_legendre, legendre_eval, nodal_to_modal
 
 settings.register_profile("waveslab", derandomize=True, database=None, deadline=None,
                           max_examples=40)
@@ -131,10 +134,16 @@ def test_space_sizes(args):
 @example([1, -1, -1, 1])
 @example([0, math.inf, -1, 1])
 @example([0, 2.5, np.int64(-1), np.float64(0.5)])
+@example([-1e308, 1e308, -1, 1])  # the width overflows
+@example([0, 1e-300, -1, 1])  # (2 / h) ** 2 overflows
+@example([-1, 1, 0, 2e50])
+@example([-1, 1, 0, 2.0000000000000006e50])
 def test_space_domain(bounds):
     got = outcome(lambda: TensorSpace(2, 2, 1, domain=(bounds[:2], bounds[2:])))
     want = [expected(v) for v in bounds]
-    ok = None not in want and want[0] < want[1] and want[2] < want[3]
+    low, high = map(Fraction, ELEMENT_SIZES)
+    ok = None not in want and all(
+        low <= (Fraction(b) - Fraction(a)) / 2 <= high for a, b in (want[:2], want[2:]))
     if settle(got, ok, bounds):
         assert got.domain == (tuple(want[:2]), tuple(want[2:]))
         assert got.hx == (want[1] - want[0]) / 2
@@ -255,6 +264,35 @@ def test_case3_parameters(args):
     if settle(got, ok):
         assert got.params == want
         assert [type(v) for v in got.params.values()] == [int, int, float]
+
+
+TIMEBASIS = {
+    "gauss_legendre": gauss_legendre,
+    "equispaced_nodes": equispaced_nodes,
+    "nodal_to_modal": nodal_to_modal,
+    "legendre_eval": lambda degree: legendre_eval(degree, np.linspace(-1.0, 1.0, 5)),
+}
+
+
+@pytest.mark.parametrize("name", TIMEBASIS)
+@given(scalars(-2, 8, huge=False))
+@example(math.nan)
+@example(True)
+@example(np.True_)
+@example(2.5)
+@example(np.float64(3.0))
+def test_timebasis_degrees(name, value):
+    # a degree or order is a size, drawn small; with 1 cached first, True
+    # must still be refused, not read from the entry of 1
+    helper = TIMEBASIS[name]
+    helper(1)
+    got = outcome(lambda: helper(value))
+    want = expected(value, integer=True)
+    ok = want is not None and want >= 0
+    if settle(got, ok):
+        ref = helper(want)
+        pairs = zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]
+        assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 FLOAT_KEYS = ("T", "alpha", "omega", "theta", "eta_tol", "h", "tau")

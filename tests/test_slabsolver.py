@@ -10,6 +10,7 @@ from numpy.polynomial import legendre as npleg
 
 import slow_reference as slow
 from test_batched_kernel import assert_close
+from test_errors import counting_exact
 from waveslab import (
     ProblemData,
     TensorSpace,
@@ -349,14 +350,23 @@ def test_adaptive_loop_loads_each_slab_once(monkeypatch):
 
 
 def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch):
-    case = make_case("case2", alpha=1.75)
+    calls = {}
+    case = counting_exact(make_case("case2", alpha=1.75), calls)
     data = problem_data(case)
     loaded = record_loads(monkeypatch)
-    result = run_adaptive(data, TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 3, 2), max_iters=6)
-    kept_count = sum(loaded)
-    # the same grids in the same order on one space, so that the kept
-    # factorizations agree too; each march assembles all of its loads
+    # chunks of two slabs in the error norms, so a kept slab changes the
+    # chunks that the slabs after it are scored in
     space = TensorSpace(3, 3, 2)
+    samples = sum(len(reference_blocks(2)[name][0]) for name in ("gauss", "equispaced"))
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET",
+                        2 * samples * space.gauss_x.size * space.gauss_y.size)
+    result = run_adaptive(data, space, TimeGrid.uniform(1.0, 3, 2), max_iters=6)
+    kept_count, adaptive_calls = sum(loaded), dict(calls)
+    # the same grids in the same order on one space, so that the kept
+    # factorizations agree too; each march assembles all of its loads and
+    # each compute_errors scores every slab
+    space = TensorSpace(3, 3, 2)
+    kept_blocks, scored_chunks, all_chunks = {}, 0, 0
     for record in result.history:
         sol = march(data, space, record.grid)
         report = estimate(sol, data, localized=True)
@@ -365,8 +375,18 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
         assert np.array_equal(record.report.local_n, report.local_n)
         assert record.errors == errs
         assert record.kappa == effectivity(report, errs.Linf_L2)
+        # the adaptive run scored only the slabs whose key or block is new
+        keys, blocks = record.grid.slab_keys(), [b.tobytes() for b in sol.blocks]
+        new = [n for n, key in enumerate(keys) if kept_blocks.get(key) != blocks[n]]
+        scored_chunks += len(list(slabsolver._chunks(space, record.grid, new,
+                                                     "gauss", "equispaced")))
+        all_chunks += len(list(slabsolver._chunks(space, record.grid, range(len(keys)),
+                                                  "gauss", "equispaced")))
+        kept_blocks = dict(zip(keys, blocks))
     assert sum(loaded) - kept_count == sum(r.grid.n_intervals for r in result.history)
     assert kept_count < sum(loaded) - kept_count
+    assert adaptive_calls == dict.fromkeys(("u", "du", "ux", "uy"), scored_chunks)
+    assert scored_chunks < all_chunks
     assert np.array_equal(np.concatenate(result.final_solution.blocks),
                           np.concatenate(sol.blocks))
 
