@@ -96,16 +96,22 @@ def run_adaptive(
     manufactured solution.  Refined grids keep all previous nodes, so the
     sequence is nested.
 
-    Each slab's load is assembled once per call: every march gets the same
-    `loads` dict (see `march`), keyed by (p, t_n, t_{n+1}), so a bisection
-    re-assembles only the children of the marked slabs, and the unmarked
-    slabs' loads, bit for bit those a fresh march would compute, are read.
-    The dict holds the last grid's loads and goes when the call returns.
+    Every iteration after the first does work only for the slabs its
+    bisection changed.  One `kept` dict per call, holding a
+    `slabsolver.SlabRecord` per slab key (p, t_n, t_{n+1}), goes to every
+    `march`, `estimate` and `compute_errors`:
 
-    The error norms are kept the same way, in one `scores` dict (see
-    `compute_errors`): a slab whose block is bit for bit the one kept under
-    its key, such as an unmarked slab before the first marked one, is read,
-    not scored again, with the bits a fresh `compute_errors` would give.
+    - each slab's load is assembled once, so a bisection assembles only the
+      children of the marked slabs;
+    - the march copies the slabs before the first marked one and solves
+      from there on;
+    - the estimator reads the Laplacian norms of those copied slabs and the
+      forcing defect of every slab it has seen, and the error norms read the
+      copied slabs' partials.
+
+    Every record has the bits a run without `kept` computes, so the history
+    is the same.  The dict holds the last grid's records and goes when the
+    call returns.
     """
     theta, eta_tol = number(theta, "theta"), number(eta_tol, "eta_tol")
     max_iters = number(max_iters, "max_iters", integer=True)
@@ -114,12 +120,12 @@ def run_adaptive(
                          f"got {theta}, {max_iters}, {eta_tol}")
     result = AdaptiveResult()
     grid = initial_grid
-    loads, scores = {}, {}
+    kept = {}
     for _ in range(max_iters):
         started = time.perf_counter()
-        sol = march(data, space, grid, loads=loads)
-        report = estimate(sol, data, include_osc=include_osc, localized=True)
-        errs = (compute_errors(sol, data.exact, scores=scores)
+        sol = march(data, space, grid, kept=kept)
+        report = estimate(sol, data, include_osc=include_osc, localized=True, kept=kept)
+        errs = (compute_errors(sol, data.exact, kept=kept)
                 if data.exact is not None else None)
         kappa = effectivity(report, errs.Linf_L2) if errs is not None else None
         result.history.append(AdaptiveRecord(

@@ -25,8 +25,16 @@ from typing import Callable
 
 import numpy as np
 
+from . import slabsolver
 from ._numbers import number, number_array
-from .slabsolver import ProblemData, SlabSolution, _chunks, _sample_times, reference_blocks
+from .slabsolver import (
+    ProblemData,
+    SlabSolution,
+    _chunks,
+    _records,
+    _sample_times,
+    reference_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -143,7 +151,7 @@ class ErrorBundle:
 
 
 def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
-                   scores: dict | None = None) -> ErrorBundle:
+                   kept: dict | None = None) -> ErrorBundle:
     """Evaluate all error norms of a slab solution for a manufactured case.
 
     Each slab first gets five partials: the Gauss-weighted sums of its
@@ -161,31 +169,27 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
     per slab with the rule's weights, and the equispaced columns, maximized
     per slab.
 
-    `scores`, a dict the caller keeps across calls for one `case` and
-    space, keeps the partials between them, as `march(..., loads=...)`
-    keeps loads.  It maps a slab's key (p, t_n, t_{n+1}) (see
-    `TimeGrid.slab_keys`) to the bytes of the slab's block and its five
-    partials.  A slab is read from it only if its block has the same bytes
-    as the kept one; every other slab is scored, and the dict is left
-    holding exactly this grid's entries.  A slab's partials come from the
-    same operations whichever chunk it is scored with, and the reduction
-    runs over all of them in slab order, so the norms have the same bits
-    with or without the dict.  `run_adaptive` passes one dict to all of its
-    iterations; without one, nothing is kept.
+    `kept`, the dict of `slabsolver.SlabRecord` that the march of `sol` was
+    given, keeps the partials between the iterations of an adaptive run.  A
+    slab is read from it only if its record's block is the block of `sol`
+    (the march resumed it, or `sol` shares the block); every other slab is
+    scored, and written back to its record when that holds.  A slab's
+    partials come from the same operations whichever chunk it is scored
+    with, and the reduction runs over all of them in slab order, so the
+    norms have the same bits with or without `kept`.  The dict serves one
+    `case`.
     """
     space, grid = sol.space, sol.grid
     partials = np.empty((grid.n_intervals, 5))
-    if scores is None:
-        missing = range(grid.n_intervals)
-    else:
-        keys, blocks = grid.slab_keys(), [block.tobytes() for block in sol.blocks]
-        missing = []
-        for n, (key, block) in enumerate(zip(keys, blocks)):
-            entry = scores.get(key)
-            if entry is not None and entry[0] == block:
-                partials[n] = entry[1]
-            else:
-                missing.append(n)
+    records = _records(kept, grid)
+    same_block = [record is not None and record.block is block
+                  for record, block in zip(records, sol.blocks)]
+    missing = []
+    for n, record in enumerate(records):
+        if same_block[n] and record.partials is not None:
+            partials[n] = record.partials
+        else:
+            missing.append(n)
 
     def misfit_sq(exact, t, approx):
         # per time sample, the squared L2 norm of exact(t) - approx, shaped
@@ -193,6 +197,20 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
         err = space.grid_eval(exact, t.ravel())
         err -= approx.reshape(err.shape)
         return space.integrate(np.square(err, out=err)).reshape(t.shape)
+
+    scratch = np.empty(0)
+
+    def sampled(basis, coeffs):
+        # basis @ coeffs, (S, k, ngx * ngy), written into one buffer that
+        # every misfit of the call reuses, so that only exact(t) is a new
+        # array of that size; a chunk fits in `STACK_BUDGET` values unless
+        # it holds a single slab
+        nonlocal scratch
+        shape = (coeffs.shape[0], basis.shape[-2], coeffs.shape[-1])
+        size = shape[0] * shape[1] * shape[2]
+        if scratch.size < size:
+            scratch = np.empty(max(size, slabsolver.STACK_BUDGET))
+        return np.matmul(basis, coeffs, out=scratch[:size].reshape(shape))
 
     for p, chunk in _chunks(space, grid, missing, "gauss", "equispaced"):
         xg, wq, leg_g, dleg_g = reference_blocks(p)["gauss"]
@@ -208,20 +226,20 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
         flat = modes.reshape(-1, space.n_dofs)
         vals, gx, gy = (v.reshape(modes.shape[:2] + (-1,))
                         for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat)))
-        h1 = misfit_sq(case.ux, t, leg @ gx) + misfit_sq(case.uy, t, leg @ gy)
-        dl2 = misfit_sq(case.du, t, dt_leg @ vals)
+        h1 = misfit_sq(case.ux, t, sampled(leg, gx)) + misfit_sq(case.uy, t, sampled(leg, gy))
+        dl2 = misfit_sq(case.du, t, sampled(dt_leg, vals))
         weights = 0.5 * tau[:, None] * wq
         partials[chunk] = np.column_stack((
             np.sum(weights * h1[:, :ng], axis=1),
             np.sum(weights * dl2[:, :ng], axis=1),
             np.max(h1[:, ng:], axis=1),
             np.max(dl2[:, ng:], axis=1),
-            np.max(misfit_sq(case.u, t[:, ng:], leg_e @ vals), axis=1),
+            np.max(misfit_sq(case.u, t[:, ng:], sampled(leg_e, vals)), axis=1),
         ))
 
-    if scores is not None:
-        scores.clear()
-        scores.update((key, (block, row)) for key, block, row in zip(keys, blocks, partials))
+    for n in missing:
+        if same_block[n]:
+            records[n].partials = partials[n].copy()
     sq_h1, sq_dl2 = np.sum(partials[:, :2], axis=0)
     sq_h1_max, sq_w1inf, sq_l2 = np.max(partials[:, 2:], axis=0)
     return ErrorBundle(

@@ -23,7 +23,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .slabsolver import ProblemData, SlabSolution, _chunks, _sample_times, reference_blocks
+from . import slabsolver
+from .slabsolver import (
+    ProblemData,
+    SlabSolution,
+    _chunks,
+    _records,
+    _sample_times,
+    reference_blocks,
+)
 from .spacefem import _sqrt_pos
 from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
 
@@ -43,24 +51,61 @@ def eta1(sol: SlabSolution) -> tuple[float, int]:
     return float(vals[arg]), arg
 
 
-def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
+def laplacian_norms(sol: SlabSolution, m: int, *, kept: dict | None = None) -> np.ndarray:
+    """Broken-Laplacian L2 norms of slabs 0..m, shape (m + 1, 2), read-only.
+
+    Row n holds the norms of slab n's top Legendre mode and of its
+    derivative jump (`SlabSolution.jumps`), the rule-independent factors of
+    its eta2 term.  The slabs go through the space kernel in stacks of at
+    most `slabsolver.STACK_BUDGET` Gauss-grid values, at least one slab
+    each, whatever their degrees; each slab's norms have the same bits in
+    any stack.
+
+    `kept` (see `slabsolver.SlabRecord`) keeps a slab's norms for as long
+    as the march resumes it: a slab whose record describes `sol` and holds
+    norms is read, and every slab computed here is written back to its
+    record when that record describes `sol`.
+    """
+    grid, space = sol.grid, sol.space
+    records = _records(kept, grid, m + 1)
+    out = np.empty((m + 1, 2))
+    missing = []
+    for n, record in enumerate(records):
+        if record is not None and record.solution is sol and record.lap is not None:
+            out[n] = record.lap
+        else:
+            missing.append(n)
+    size = max(1, slabsolver.STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
+    for start in range(0, len(missing), size):
+        chunk = missing[start:start + size]
+        tops = np.array([nodal_to_modal(p)[p] @ sol.blocks[n]
+                         for n, p in zip(chunk, grid.degrees[chunk].tolist())])
+        out[chunk, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
+        out[chunk, 1] = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[chunk]))
+    for n in missing:
+        if records[n] is not None and records[n].solution is sol:
+            records[n].lap = tuple(out[n].tolist())
+    out.flags.writeable = False
+    return out
+
+
+def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss", *,
+               norms: np.ndarray | None = None) -> np.ndarray:
     """Per-slab consistency terms for target slab index m (zero past m).
 
     The defect of a slab polynomial against its temporal L2 projection one
     degree down is exactly its top Legendre mode, so that term is the time
     L1 norm of the mapped Legendre polynomial times the broken-Laplacian L2
-    norm of the top mode.  The top modes and the jumps of slabs 0..m each
-    go through the space kernel as one stack.  `points` names the Gauss
-    point set of `reference_blocks` that integrates the Legendre L1 norm.
+    norm of the top mode.  `norms` are the `laplacian_norms` of slabs 0..m,
+    computed here when not given; the weights, which depend on the grid and
+    on m, and the Legendre L1 factor, which `points` integrates (a Gauss
+    point set of `reference_blocks`), are applied to them here.
     """
-    grid, space = sol.grid, sol.space
+    grid = sol.grid
+    top_lap, jump_lap = (laplacian_norms(sol, m) if norms is None else norms).T
     t_m = float(grid.nodes[m + 1])
-    degrees = [int(p) for p in grid.degrees[: m + 1]]
-    tops = np.array([nodal_to_modal(p)[p] @ block for p, block in zip(degrees, sol.blocks)])
-    top_lap = space.l2_norm(space.eval_laplacian_gauss(tops))
-    jump_lap = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[: m + 1]))
     out = np.zeros(grid.n_intervals)
-    for n, p in enumerate(degrees):
+    for n, p in enumerate(grid.degrees[: m + 1].tolist()):
         tau = grid.tau(n)
         _, c2_sq, _ = reconstruction_constants(p)
         _, w, leg, _ = reference_blocks(p)[points]
@@ -76,18 +121,34 @@ def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
     return out
 
 
-def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
+def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss", *,
+              kept: dict | None = None) -> np.ndarray:
     """Per-slab data oscillation: defect of f against its temporal projection.
 
     The projection onto degree p - 1 is taken per spatial quadrature point
     from samples at the Gauss point set `points` of `reference_blocks`;
     norms follow the same conventions as the estimator terms.  Slabs of one
     degree are sampled together, in chunks under `slabsolver.STACK_BUDGET`,
-    and one projector takes the defect of the whole chunk.
+    and one projector takes the defect of the whole chunk.  Each slab's time
+    L1 norm of the defect is summed on its own row, so it has the same bits
+    in any chunk; the weights, which depend on the grid and on m, are
+    applied after.
+
+    `kept` (see `slabsolver.SlabRecord`) keeps that L1 norm, which depends
+    only on f, the space and the slab's key: on the "gauss" points, a slab
+    whose record holds it is read, and every slab computed here is written
+    back to its record.
     """
     grid, space = sol.grid, sol.space
-    out = np.zeros(grid.n_intervals)
-    for p, slabs in _chunks(space, grid, range(m + 1), points):
+    records = _records(kept if points == "gauss" else None, grid, m + 1)
+    l1 = np.empty(m + 1)
+    missing = []
+    for n, record in enumerate(records):
+        if record is not None and record.osc_l1 is not None:
+            l1[n] = record.osc_l1
+        else:
+            missing.append(n)
+    for p, slabs in _chunks(space, grid, missing, points):
         x, w, leg, _ = reference_blocks(p)[points]
         vander = leg[:, :p]  # (nq, p)
         scale = 0.5 * (2.0 * np.arange(p) + 1.0)
@@ -96,9 +157,15 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss
         defect = to_defect @ samples.reshape(len(slabs), len(x), -1)
         norms = space.l2_norm(defect.reshape(samples.shape)).reshape(len(slabs), len(x))
         tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
-        l1 = 0.5 * tau * (norms @ w)
-        weight = np.where(slabs == m, 2.0 * tau, (2.0 * tau / np.pi) * c3_constant(p - 1))
-        out[slabs] = weight * l1
+        l1[slabs] = 0.5 * tau * np.sum(norms * w, axis=1)
+    for n in missing:
+        if records[n] is not None:
+            records[n].osc_l1 = float(l1[n])
+    slabs = np.arange(m + 1)
+    tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
+    c3 = np.array([c3_constant(p - 1) for p in grid.degrees[: m + 1].tolist()])
+    out = np.zeros(grid.n_intervals)
+    out[: m + 1] = np.where(slabs == m, 2.0 * tau, (2.0 * tau / np.pi) * c3) * l1
     return out
 
 
@@ -109,7 +176,9 @@ class EstimatorReport:
     `eta` is eta1 plus the sum of the eta2 terms; `total` additionally
     carries the oscillation when `include_osc` is set.  `local_n` places
     eta1 on its carrying slab on top of that slab's eta2 term, so the
-    indicators sum to `eta`.
+    indicators sum to `eta`.  `laplacian_norms` are the rule-independent
+    factors of the eta2 terms (see `laplacian_norms`), which
+    `quadrature_check` reuses.
     """
 
     m: int
@@ -119,6 +188,7 @@ class EstimatorReport:
     osc_n: np.ndarray
     include_osc: bool
     localized: bool
+    laplacian_norms: np.ndarray
 
     @property
     def eta(self) -> float:
@@ -144,23 +214,35 @@ def estimate(
     data: ProblemData,
     include_osc: bool = False,
     localized: bool = False,
+    *,
+    kept: dict | None = None,
 ) -> EstimatorReport:
     """Evaluate the estimator on a computed solution.
 
     With `localized` the target slab is the one carrying eta1; otherwise it
     is the final slab.  Oscillation terms are always computed so that
     reliability checks can add them regardless of `include_osc`.
+
+    `kept`, the dict of `slabsolver.SlabRecord` that the march of `sol` was
+    given, keeps per-slab terms between the iterations of an adaptive run:
+    the Laplacian norms of every slab the march resumed (`laplacian_norms`)
+    and the forcing defect of every slab whose key it knows (`osc_terms`)
+    are read, not computed again.  Each has the bits a fresh evaluation
+    gives, and the weights are applied after the lookup, so the report is
+    the one `estimate` makes without `kept`.
     """
     e1, arg = eta1(sol)
     m = arg if localized else sol.grid.n_intervals - 1
+    norms = laplacian_norms(sol, m, kept=kept)
     return EstimatorReport(
         m=m,
         eta1=e1,
         eta1_argmax=arg,
-        eta2_n=eta2_terms(sol, m),
-        osc_n=osc_terms(data, sol, m),
+        eta2_n=eta2_terms(sol, m, norms=norms),
+        osc_n=osc_terms(data, sol, m, kept=kept),
         include_osc=include_osc,
         localized=localized,
+        laplacian_norms=norms,
     )
 
 
@@ -175,11 +257,13 @@ def quadrature_check(sol: SlabSolution, data: ProblemData, report: EstimatorRepo
 
     Returns the worst relative difference and warns when it exceeds `tol`.
     The integrands contain absolute values, so some sensitivity to the rule
-    is expected and worth surfacing.
+    is expected and worth surfacing.  The eta2 terms take the report's
+    Laplacian norms, which do not depend on the rule: only their Legendre
+    L1 factor is integrated again.
     """
     ref = np.concatenate([report.eta2_n, report.osc_n])
     new = np.concatenate([
-        eta2_terms(sol, report.m, points="gauss_doubled"),
+        eta2_terms(sol, report.m, points="gauss_doubled", norms=report.laplacian_norms),
         osc_terms(data, sol, report.m, points="gauss_doubled"),
     ])
     denom = np.maximum(np.maximum(np.abs(ref), np.abs(new)), 1e-300)

@@ -79,8 +79,8 @@ class TimeGrid:
     def slab_keys(self) -> list:
         """(p, t_n, t_{n+1}) of every interval, degree and exact float end nodes.
 
-        Adaptive runs keep a slab's load (`march`) and error partials
-        (`errors.compute_errors`) under this key across iterations.
+        Adaptive runs keep what they know of a slab under this key across
+        iterations (`SlabRecord`).
         """
         return list(zip(self.degrees.tolist(), self.nodes[:-1].tolist(), self.nodes[1:].tolist()))
 
@@ -266,22 +266,16 @@ def _load(data: ProblemData, space: TensorSpace, a, tau, rule):
     return space.load_vector(values).reshape(lead + (len(weights), space.n_dofs))
 
 
-def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
-                kept: dict | None = None) -> list:
+def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid, known: list) -> list:
     """Load moments of every slab in the spatial eigenbasis, (p_n, n_dofs) each.
 
-    The first slab of a singular load takes the graded rule on its own;
-    every other slab is loaded with the one-panel Gauss rule, a chunk of
-    slabs of one degree at a time (that panel is the "gauss" point set).
-    Each load is read-only.
-
-    `kept` (see `march`) maps (p, t_n, t_{n+1}) to loads of earlier
-    marches: the slabs found there are read, only the others are assembled,
-    and `kept` is left holding exactly this grid's loads.
+    `known` holds a kept load or None per slab (see `march`); only the None
+    slabs are assembled.  The first slab of a singular load takes the graded
+    rule on its own; every other slab is loaded with the one-panel Gauss
+    rule, a chunk of slabs of one degree at a time (that panel is the
+    "gauss" point set).  Each load is read-only.
     """
-    keys = grid.slab_keys()
-    kept = {} if kept is None else kept
-    loads = [kept.get(key) for key in keys]
+    loads = list(known)
     missing = np.array([n for n, load in enumerate(loads) if load is None], dtype=int)
     if data.singular_load and loads[0] is None:
         rule = reference_blocks(int(grid.degrees[0]))["graded_load"]
@@ -293,10 +287,8 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
                                             reference_blocks(p)["gauss_load"]))
         for n, slab_moments in zip(chunk, moments):
             loads[n] = slab_moments
-    kept.clear()
-    for key, load in zip(keys, loads):
+    for load in loads:
         load.flags.writeable = False
-        kept[key] = load
     return loads
 
 
@@ -374,25 +366,86 @@ class SlabSolution:
         return out
 
 
+@dataclass
+class SlabRecord:
+    """What an adaptive run keeps of one slab between iterations.
+
+    `run_adaptive` holds one dict per call, mapping each slab's key
+    (p, t_n, t_{n+1}) (`TimeGrid.slab_keys`) to its record; `march`,
+    `estimator.estimate` and `errors.compute_errors` share it.  `load`, the
+    slab's read-only load moments in eigen-coordinates, and `osc_l1`, the
+    time L1 norm of its forcing defect (`estimator.osc_terms`), depend only
+    on the data, the space and the key.  The other fields describe the slab
+    in `solution`, the last march's result: `block` is its rows there,
+    `end` the eigen-coordinate derivative and value, shape (2, n_dofs),
+    that it hands to the next slab, `lap` the broken-Laplacian norms of its
+    top temporal mode and its jump (`estimator.laplacian_norms`) and
+    `partials` its five error partials (`errors.compute_errors`).
+
+    The march owns the records: it leaves the dict holding exactly its own
+    grid's keys, keeps the record of every slab it resumes, pointed at the
+    new solution, and gives every slab it solves a record with only `load`
+    and `osc_l1` carried over.
+    """
+
+    load: np.ndarray
+    solution: SlabSolution
+    block: np.ndarray
+    end: np.ndarray
+    osc_l1: float | None = None
+    lap: tuple | None = None
+    partials: np.ndarray | None = None
+
+
+def _records(kept: dict | None, grid: TimeGrid, stop: int | None = None) -> list:
+    """The `SlabRecord` of each of the first `stop` slabs in `kept`, None where none is."""
+    keys = grid.slab_keys()[:stop]
+    return [None] * len(keys) if kept is None else [kept.get(key) for key in keys]
+
+
 def _check_finite(values: np.ndarray, where: str) -> None:
     if not np.all(np.isfinite(values)):
         raise FloatingPointError(f"non-finite values in the {where}")
 
 
+def _resumable(kept: dict, keys: list, space: TensorSpace, u0h: np.ndarray,
+               u1h: np.ndarray) -> int:
+    """Length of the prefix of slabs a march can copy from `kept`.
+
+    That is the longest run of slabs whose keys are the last march's slabs
+    at the same indices, with the same space and the same projected initial
+    data, bit for bit; zero when there is none.
+    """
+    first = kept.get(keys[0])
+    if first is None:
+        return 0
+    last = first.solution
+    if not (last.space is space and np.array_equal(last.blocks[0][0], u0h)
+            and np.array_equal(last.u1h, u1h)):
+        return 0
+    count = 0
+    for n, key in enumerate(keys[:last.grid.n_intervals]):
+        record = kept.get(key)
+        if record is None or record.block is not last.blocks[n]:
+            break
+        count += 1
+    return count
+
+
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
-          loads: dict | None = None) -> SlabSolution:
+          kept: dict | None = None) -> SlabSolution:
     """Solve the wave problem slab by slab over the whole grid.
 
     The initial displacement is projected in the Dirichlet inner product and
     the initial velocity in L2.  Every slab's load is formed before the
-    sequential solves, a chunk of slabs of one degree at a time.  The
-    factorized slab operator is reused whenever the degree repeats and the
-    length agrees to 12 significant digits, so slabs of a uniform or
-    bisected grid share it.  The factorizations are kept on the space
-    (`space.slab_lu`), so a later march on the same space reuses them too,
-    as the nested grids of adaptive bisection do; each march first drops
-    every kept factorization its own grid does not use, so at most one
-    grid's distinct (degree, length) pairs stay factorized.
+    sequential solves, a chunk of slabs of one degree at a time, and checked
+    for finiteness.  The factorized slab operator is reused whenever the
+    degree repeats and the length agrees to 12 significant digits, so slabs
+    of a uniform or bisected grid share it.  The factorizations are kept on
+    the space (`space.slab_lu`), so a later march on the same space reuses
+    them too, as the nested grids of adaptive bisection do; each march
+    first drops every kept factorization its own grid does not use, so at
+    most one grid's distinct (degree, length) pairs stay factorized.
 
     The march runs in the eigenbasis V of `TensorSpace` (V^T M V = I,
     V^T K V = diag(s)): the loads and the previous slab's end values enter
@@ -405,19 +458,21 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     nodal rows for the whole march: `blocks[n]` is a view of its p_n + 1
     rows, sharing the junction rows with its neighbours.
 
-    `loads`, a dict the caller keeps across marches of one `data` and
-    `space`, keeps the slab loads between them.  It maps (p, t_n, t_{n+1}),
-    a slab's degree and its exact float end nodes, to the slab's read-only
-    load moments in eigen-coordinates, shape (p, n_dofs).  The march reads
-    every slab it finds there, assembles only the others (slab 0 of a
-    singular load by the graded rule, as always) and leaves the dict holding
-    exactly its own grid's loads, the keys its grid does not use dropped.
-    A load depends only on f, the space and (p, t_n, t_{n+1}), and each
-    slab's moments come from the same operations whichever chunk of slabs
-    it is assembled with, so a kept load has the bits a fresh march would
-    compute.  `run_adaptive` passes one dict to all of its marches; without
-    one, nothing is kept.  Either way, every slab's load is checked for
-    finiteness on every march.
+    `kept`, a dict of `SlabRecord` that the caller keeps across marches of
+    one `data` and `space`, carries slabs from one march to the next.  A
+    slab found there takes its load from it, so only the others are
+    assembled (slab 0 of a singular load by the graded rule, as always).
+    If the grid starts with slabs of the last march, at the same indices
+    and from the same projected initial data, their rows are copied and the
+    solves start at the first slab that differs, from the end state the
+    last march kept for the slab before it.  That is the computation the
+    last march made: a slab's rows depend only on its key, load,
+    factorization and incoming state, and a load depends only on f, the
+    space and the key, with the same bits whichever chunk of slabs it is
+    assembled with.  So the solution has the bits a march without `kept`
+    computes.  The dict is then left holding exactly this grid's records
+    (see `SlabRecord`).  `run_adaptive` passes one dict to all of its
+    marches; without one, nothing is kept.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -429,27 +484,37 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     u1h = space.l2_project(data.u1)
     _check_finite(u1h, "projected initial velocity")
     d, s = space.n_dofs, space.stiffness_eigs
-    slab_loads = _slab_loads(data, space, grid, loads)
-    keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
+    keys, records = grid.slab_keys(), _records(kept, grid)
+    slab_loads = _slab_loads(data, space, grid,
+                             [None if record is None else record.load for record in records])
+    for n, load in enumerate(slab_loads):
+        _check_finite(load, f"load of slab {n}")
+    resumed = 0 if kept is None else _resumable(kept, keys, space, u0h, u1h)
+    lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
     factors = space.slab_lu
-    for key in set(factors) - set(keys):
+    for key in set(factors) - set(lu_keys):
         del factors[key]
-    # previous slab's end derivative and value, in eigen-coordinates
-    deriv, value = space.eigen_coords(np.stack((u1h, u0h)))
     # nodal rows of the march: row 0 is u0h, slab n fills rows
     # starts[n] + 1 .. starts[n + 1] and reads row starts[n] as its first node
     starts = np.concatenate(([0], np.cumsum(grid.degrees)))
     values = np.empty((starts[-1] + 1, d))
     values[0] = u0h
+    for n in range(resumed):
+        values[starts[n] + 1:starts[n + 1] + 1] = records[n].block[1:]
+    # previous slab's end derivative and value, in eigen-coordinates
+    deriv, value = (records[resumed - 1].end if resumed
+                    else space.eigen_coords(np.stack((u1h, u0h))))
+    history = np.empty((3, d))  # V^T of M u', M u and K u at the slab's left end
+    ends = {}
 
-    for n, key in enumerate(keys):
-        p, tau = key[0], grid.tau(n)
+    for n in range(resumed, grid.n_intervals):
+        p, tau, key = int(grid.degrees[n]), grid.tau(n), lu_keys[n]
         ref = reference_blocks(p)
         if key not in factors:
             factors[key] = spla.splu(slab_operator(p, tau, s), permc_spec="NATURAL")
 
-        _check_finite(slab_loads[n], f"load of slab {n}")
-        history = np.stack((deriv, value, s * value))  # V^T of M u', M u and K u
+        history[0], history[1] = deriv, value
+        np.multiply(s, value, out=history[2])
         rhs = slab_loads[n] + (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
 
         modes = np.empty((p + 1, d))
@@ -459,11 +524,25 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
         rows[:] = space.from_eigenbasis(modes[1:])
         _check_finite(rows, f"solve of slab {n}")
 
-        deriv = (2.0 / tau) * (ref["dphi_right"] @ modes)
-        value = modes[-1]
+        end = np.empty((2, d))
+        end[0] = (2.0 / tau) * (ref["dphi_right"] @ modes)
+        end[1] = modes[-1]
+        deriv, value = end
+        if kept is not None:
+            ends[n] = end
 
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
-    return SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h)
+    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h)
+    if kept is not None:
+        kept.clear()
+        for n, (key, record, load) in enumerate(zip(keys, records, slab_loads)):
+            if n < resumed:
+                record.solution, record.block = sol, sol.blocks[n]
+            else:
+                record = SlabRecord(load=load, solution=sol, block=sol.blocks[n], end=ends[n],
+                                    osc_l1=None if record is None else record.osc_l1)
+            kept[key] = record
+    return sol
 
 
 @dataclass(frozen=True)

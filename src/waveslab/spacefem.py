@@ -215,8 +215,15 @@ class TensorSpace:
         return self._eval(vec, self.DDx, self.Ey) + self._eval(vec, self.Ex, self.DDy)
 
     def integrate(self, values: np.ndarray):
-        """Integrate Gauss-grid values over the domain (one per time sample)."""
-        out = self.gauss_wx @ values @ self.gauss_wy
+        """Integrate Gauss-grid values over the domain (one per time sample).
+
+        Each sample's integral has the same bits whatever stack it comes
+        in: the y weights are applied by one dot product per sample (a
+        stack of 1 x ngy by ngy x 1 products), where one matrix-vector
+        product over the stack would give a row bits that depend on its
+        place in the stack.
+        """
+        out = ((self.gauss_wx @ values)[..., None, :] @ self.gauss_wy[:, None])[..., 0, 0]
         return float(out) if np.ndim(out) == 0 else out
 
     def l2_norm(self, values: np.ndarray):

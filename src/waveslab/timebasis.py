@@ -261,12 +261,14 @@ def integrated_thomee(
     return IntervalPoly(tuple(interval), modes)
 
 
+@lru_cache(maxsize=None, typed=True)
 def reconstruction_constants(p: int) -> tuple[float, float, float]:
     """Constants (c1^2, c2^2, c3) attached to temporal degree p >= 2.
 
     c1 and c2 scale the derivative and value gaps between a slab solution
     and its lifted reconstruction in terms of the derivative jump; c3 enters
-    the weighted bound for the top temporal mode.
+    the weighted bound for the top temporal mode.  Cached per degree: the
+    estimator asks for them once per slab.
     """
     if p < 2:
         raise ValueError(f"reconstruction constants need p >= 2, got {p}")

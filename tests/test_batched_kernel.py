@@ -22,7 +22,14 @@ from waveslab import (
     stability_check,
 )
 from waveslab import slabsolver
-from waveslab.estimator import estimate, eta1, eta2_terms, osc_terms, quadrature_check
+from waveslab.estimator import (
+    estimate,
+    eta1,
+    eta2_terms,
+    laplacian_norms,
+    osc_terms,
+    quadrature_check,
+)
 from waveslab.slabsolver import reference_blocks
 
 rng = np.random.default_rng(20261018)
@@ -87,6 +94,9 @@ def test_space_kernel_matches_element_loops(degree):
         for key in ref:
             assert_close(single[key], ref[key])
             assert_close(batched[key][k], ref[key])
+        # a sample's integral has the same bits alone and in a stack
+        for key in ("integrate", "l2", "h1"):
+            assert batched[key][k] == single[key]
     for key in ("integrate", "l2", "h1"):
         assert isinstance(single[key], float)
 
@@ -325,6 +335,27 @@ def test_eta2_makes_two_laplacian_evaluations(monkeypatch):
         calls.clear()
         eta2_terms(sol, m)
         assert calls == [(m + 1, space.n_dofs)] * 2
+
+
+@pytest.mark.parametrize("degree, n_slabs", [(2, 12), (3, 13)])
+def test_per_slab_estimator_terms_do_not_depend_on_the_chunks(monkeypatch, degree, n_slabs):
+    # an adaptive run keeps each slab's terms, computed in other stacks than
+    # a fresh evaluation uses, so a slab's terms must have the same bits in
+    # any chunk: compare one slab per chunk with all slabs in one chunk
+    data = problem_data(make_case("case2", alpha=1.75))
+    space = TensorSpace(4, 4, 2)
+    grid = TimeGrid.uniform(1.0, n_slabs, degree)
+    sol = march(data, space, grid)
+
+    def terms(budget, chunks):
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+        assert len(list(slabsolver._chunks(space, grid, range(n_slabs), "gauss"))) == chunks
+        return [(laplacian_norms(sol, m), eta2_terms(sol, m), osc_terms(data, sol, m))
+                for m in (n_slabs - 1, 5)]
+
+    for single, together in zip(terms(1, n_slabs), terms(1 << 40, 1)):
+        for one, all_ in zip(single, together):
+            assert np.array_equal(one, all_)
 
 
 def test_gauss_rule_is_shared_and_read_only():

@@ -21,7 +21,7 @@ from waveslab import (
     problem_data,
     reconstruction_constants,
 )
-from waveslab.estimator import eta1, eta2_terms, osc_terms, quadrature_check
+from waveslab.estimator import eta1, eta2_terms, laplacian_norms, osc_terms, quadrature_check
 
 bump = lambda x, y: (1.0 - x**2) * (1.0 - y**2)
 zero2 = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
@@ -265,6 +265,41 @@ def test_quadrature_check_reports_rule_sensitivity():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert quadrature_check(zsol, data, zreport) == 0.0
+
+
+def test_quadrature_check_reuses_the_laplacian_norms(monkeypatch):
+    # one pair of broken-Laplacian evaluations per level, the top modes and
+    # the jumps, serves the estimate and the doubled rule of the check
+    data = problem_data(make_case("case2", alpha=1.75))
+    space = TensorSpace(3, 3, 2)
+    calls = []
+    real = TensorSpace.eval_laplacian_gauss
+
+    def counted(self, vec):
+        calls.append(np.shape(vec))
+        return real(self, vec)
+
+    monkeypatch.setattr(TensorSpace, "eval_laplacian_gauss", counted)
+    grids = (TimeGrid.uniform(1.0, 4, 2), TimeGrid.uniform(1.0, 6, 3),
+             TimeGrid(np.array([0.0, 0.1, 0.4, 1.0]), np.array([4, 2, 3])))
+    for grid in grids:
+        sol = march(data, space, grid)
+        for localized in (False, True):
+            calls.clear()
+            report = estimate(sol, data, localized=localized)
+            worst = quadrature_check(sol, data, report, tol=np.inf)
+            assert calls == [(report.m + 1, space.n_dofs)] * 2
+            # the doubled eta2 terms from freshly computed norms, and the
+            # sensitivity they give, to the bit
+            m = report.m
+            doubled = eta2_terms(sol, m, points="gauss_doubled")
+            assert np.array_equal(eta2_terms(sol, m, points="gauss_doubled",
+                                             norms=report.laplacian_norms), doubled)
+            assert np.array_equal(report.laplacian_norms, laplacian_norms(sol, m))
+            ref = np.concatenate([report.eta2_n, report.osc_n])
+            new = np.concatenate([doubled, osc_terms(data, sol, m, points="gauss_doubled")])
+            denom = np.maximum(np.maximum(np.abs(ref), np.abs(new)), 1e-300)
+            assert worst == float(np.max(np.abs(new - ref) / denom))
 
 
 def test_estimator_reliable_on_geometric_variable_degree_grids():

@@ -280,7 +280,7 @@ def test_zero_error_gives_infinite_kappa_in_every_suite(monkeypatch):
     # no demo config reaches a zero error, so force one: both row builders
     # must write the same kappa
     exact = ErrorBundle(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    stub = lambda sol, case, *, scores=None: exact
+    stub = lambda sol, case, *, kept=None: exact
     monkeypatch.setattr(experiments, "compute_errors", stub)
     monkeypatch.setattr(waveslab.adaptive, "compute_errors", stub)
     for config in (

@@ -1,5 +1,13 @@
-"""Every demo config still writes its golden CSV (`golden_csv`), up to round-off."""
+"""Every demo config still writes its golden CSV (`golden_csv`), up to round-off,
+and the adaptive demo script still prints its golden text.
 
+`tests/golden/05_adaptive_refinement.txt` is what `demos/05_adaptive_refinement.py`
+printed when that golden was made.  Every number there has 3 to 5 significant
+digits, so an exact match of the text is far coarser than round-off; like the
+CSVs, regenerate it only when a printed number is meant to change.
+"""
+
+import runpy
 from pathlib import Path
 
 import pytest
@@ -7,7 +15,8 @@ import pytest
 from golden_csv import GOLDEN, csv_differences
 from waveslab.experiments import emit_csv, parse_config, run_suite
 
-CONFIGS = Path(__file__).resolve().parent.parent / "demos" / "configs"
+DEMOS = Path(__file__).resolve().parent.parent / "demos"
+CONFIGS = DEMOS / "configs"
 
 
 def test_every_demo_config_has_a_golden():
@@ -42,3 +51,9 @@ def test_the_comparison_catches_a_moved_cell(tmp_path):
     assert len(write_with("eta", repr(eta * (1.0 + 2e-9)))) == 1
     assert len(write_with("tau", f"{float(cells['tau']):.11e}")) == 1
     assert len(write_with("dofs", cells["dofs"] + "0")) == 1
+
+
+def test_adaptive_demo_prints_its_golden(capsys):
+    runpy.run_path(str(DEMOS / "05_adaptive_refinement.py"), run_name="__main__")
+    golden = (GOLDEN / "05_adaptive_refinement.txt").read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden

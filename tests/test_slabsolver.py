@@ -24,6 +24,7 @@ from waveslab import (
     problem_data,
     stability_check,
 )
+import waveslab.adaptive
 from waveslab import slabsolver
 from waveslab.adaptive import bisect, run_adaptive
 from waveslab.slabsolver import _load, reference_blocks
@@ -349,30 +350,80 @@ def test_adaptive_loop_loads_each_slab_once(monkeypatch):
     assert sum(loaded) == len(distinct)
 
 
+def counting_solves(monkeypatch):
+    """The list to which every solve with a later factorization appends."""
+    real = slabsolver.spla
+    solves = []
+
+    class Counted:
+        def __init__(self, lu):
+            self.lu = lu
+
+        def solve(self, rhs):
+            solves.append(len(rhs))
+            return self.lu.solve(rhs)
+
+    class Counting:
+        def __getattr__(self, name):
+            return getattr(real, name)
+
+        def splu(self, *args, **kwargs):
+            return Counted(real.splu(*args, **kwargs))
+
+    monkeypatch.setattr(slabsolver, "spla", Counting())
+    return solves
+
+
+def common_prefix(keys, previous):
+    """Number of leading slabs whose keys are the previous grid's at the same index."""
+    count = 0
+    for key, old in zip(keys, previous):
+        if key != old:
+            break
+        count += 1
+    return count
+
+
 def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch):
     calls = {}
     case = counting_exact(make_case("case2", alpha=1.75), calls)
     data = problem_data(case)
     loaded = record_loads(monkeypatch)
+    solves = counting_solves(monkeypatch)
+    solutions = []
+
+    def recording_march(*args, **kwargs):
+        solutions.append(slabsolver.march(*args, **kwargs))
+        return solutions[-1]
+
+    monkeypatch.setattr(waveslab.adaptive, "march", recording_march)
     # chunks of two slabs in the error norms, so a kept slab changes the
-    # chunks that the slabs after it are scored in
-    space = TensorSpace(3, 3, 2)
+    # chunks that the slabs after it are scored in; on this space, summing
+    # a chunk's oscillation by a matrix-vector product moves the osc_n of
+    # iteration 3
+    space = TensorSpace(4, 4, 2)
     samples = sum(len(reference_blocks(2)[name][0]) for name in ("gauss", "equispaced"))
     monkeypatch.setattr(slabsolver, "STACK_BUDGET",
                         2 * samples * space.gauss_x.size * space.gauss_y.size)
     result = run_adaptive(data, space, TimeGrid.uniform(1.0, 3, 2), max_iters=6)
-    kept_count, adaptive_calls = sum(loaded), dict(calls)
+    kept_count, adaptive_calls, adaptive_solves = sum(loaded), dict(calls), len(solves)
     # the same grids in the same order on one space, so that the kept
     # factorizations agree too; each march assembles all of its loads and
-    # each compute_errors scores every slab
-    space = TensorSpace(3, 3, 2)
+    # solves every slab, and each estimate and compute_errors evaluates
+    # every slab
+    space = TensorSpace(4, 4, 2)
     kept_blocks, scored_chunks, all_chunks = {}, 0, 0
-    for record in result.history:
+    previous_keys, solved = [], 0
+    for record, adaptive_sol in zip(result.history, solutions, strict=True):
         sol = march(data, space, record.grid)
         report = estimate(sol, data, localized=True)
         errs = compute_errors(sol, case)
+        for kept_block, block in zip(adaptive_sol.blocks, sol.blocks, strict=True):
+            assert np.array_equal(kept_block, block)
+        assert record.report.eta1 == report.eta1 and record.report.m == report.m
+        for name in ("eta2_n", "osc_n", "local_n", "laplacian_norms"):
+            assert np.array_equal(getattr(record.report, name), getattr(report, name))
         assert record.report.eta == report.eta and record.report.total == report.total
-        assert np.array_equal(record.report.local_n, report.local_n)
         assert record.errors == errs
         assert record.kappa == effectivity(report, errs.Linf_L2)
         # the adaptive run scored only the slabs whose key or block is new
@@ -383,10 +434,14 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
         all_chunks += len(list(slabsolver._chunks(space, record.grid, range(len(keys)),
                                                   "gauss", "equispaced")))
         kept_blocks = dict(zip(keys, blocks))
+        # and solved only the slabs from the first one its bisection changed
+        solved += len(keys) - common_prefix(keys, previous_keys)
+        previous_keys = keys
     assert sum(loaded) - kept_count == sum(r.grid.n_intervals for r in result.history)
     assert kept_count < sum(loaded) - kept_count
     assert adaptive_calls == dict.fromkeys(("u", "du", "ux", "uy"), scored_chunks)
     assert scored_chunks < all_chunks
+    assert adaptive_solves == solved < sum(r.grid.n_intervals for r in result.history)
     assert np.array_equal(np.concatenate(result.final_solution.blocks),
                           np.concatenate(sol.blocks))
 
@@ -395,35 +450,66 @@ def test_kept_loads_are_read_only_and_unchanged_by_a_march():
     data = problem_data(make_case("case2", alpha=1.75))
     space = TensorSpace(3, 3, 2)
     grid = TimeGrid.uniform(1.0, 4, 3)
-    loads = {}
-    march(data, space, grid, loads=loads)
-    assert set(loads) == load_keys(grid)
-    kept = dict(loads)
+    kept = {}
+    march(data, space, grid, kept=kept)
+    assert set(kept) == load_keys(grid)
+    loads = {key: record.load for key, record in kept.items()}
     copies = {key: load.copy() for key, load in loads.items()}
-    for load in kept.values():
+    for load in loads.values():
         assert load.shape == (3, space.n_dofs) and not load.flags.writeable
         with pytest.raises(ValueError):
             load[0, 0] = 1.0
-    # the second march reads every load and adds its history to a new array
-    again = march(data, space, grid, loads=loads)
-    assert all(loads[key] is kept[key] for key in kept)
-    assert all(np.array_equal(loads[key], copies[key]) for key in kept)
+    # a march from another initial velocity resumes no slab: it reads every
+    # load and adds its history to a new array
+    moving = dataclasses.replace(data, u1=bump)
+    again = march(moving, space, grid, kept=kept)
+    assert all(kept[key].load is loads[key] for key in loads)
+    assert all(np.array_equal(loads[key], copies[key]) for key in loads)
     assert np.array_equal(np.concatenate(again.blocks),
-                          np.concatenate(march(data, space, grid).blocks))
+                          np.concatenate(march(moving, space, grid).blocks))
 
 
 def test_march_drops_loads_its_grid_does_not_use():
     data = problem_data(make_case("case2", alpha=1.75))
     space = TensorSpace(2, 2, 1)
     g0, g1, g2 = nested_grids()
-    loads = {}
+    kept = {}
     for grid in (g0, g1, g2):
-        march(data, space, grid, loads=loads)
-        assert set(loads) == load_keys(grid)
+        sol = march(data, space, grid, kept=kept)
+        assert set(kept) == load_keys(grid)
+        assert all(kept[key].block is block for key, block in zip(grid.slab_keys(), sol.blocks))
     assert load_keys(g0) - load_keys(g2)
     other = TimeGrid.uniform(1.0, 4, 2)
-    march(data, space, other, loads=loads)
-    assert set(loads) == load_keys(other)
+    march(data, space, other, kept=kept)
+    assert set(kept) == load_keys(other)
+
+
+@pytest.mark.parametrize("change, resumed", [
+    ("nothing", 4), ("third slab", 2), ("first slab", 0), ("u0h", 0), ("u1h", 0)])
+def test_march_resumes_only_an_unchanged_start(monkeypatch, change, resumed):
+    # the slabs before the first changed one are copied; a changed first
+    # slab or projected initial state, even by a tiny amount, resumes nothing
+    data = problem_data(make_case("case2", alpha=1.75))
+    space = TensorSpace(3, 3, 2)
+    grid = TimeGrid.uniform(1.0, 4, 2)
+    solves, kept = counting_solves(monkeypatch), {}
+    march(data, space, grid, kept=kept)
+    tiny = lambda fn: lambda x, y: 1e-200 * fn(x, y)
+    if change == "third slab":
+        grid = bisect(grid, [2])
+    elif change == "first slab":
+        grid = bisect(grid, [0])
+    elif change == "u0h":
+        data = dataclasses.replace(data, grad_u0=(tiny(bump_x), tiny(bump_y)))
+    elif change == "u1h":
+        data = dataclasses.replace(data, u1=tiny(bump))
+    solves.clear()
+    sol = march(data, space, grid, kept=kept)
+    assert len(solves) == grid.n_intervals - resumed
+    fresh = march(data, TensorSpace(3, 3, 2), grid)
+    assert np.array_equal(sol.u1h, fresh.u1h)
+    assert np.array_equal(np.concatenate(sol.blocks), np.concatenate(fresh.blocks))
+    assert all(kept[key].block is block for key, block in zip(grid.slab_keys(), sol.blocks))
 
 
 def test_slab_factors_stay_within_each_eigenmode(monkeypatch):
