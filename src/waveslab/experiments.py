@@ -9,14 +9,16 @@ A study is described by a flat YAML mapping.  Common keys:
 - ``T``: final time (default 1.0); ``long_time`` instead takes ``T_list``.
 - ``tau`` or ``tau_list``: time step(s); each step must divide the final
   time up to a 2 percent rounding allowance (the step lists in common use
-  are decimal roundings of 1/N).
+  are decimal roundings of 1/N), in at most ``slabsolver.MAX_INTERVALS``
+  steps, the most whose nodes numpy can index.
 - ``p_t`` or ``p_t_list``: temporal degree(s), between 2 and 10.
 - ``p_x``: spatial degree (default 2, at most 5); ``h``: spatial mesh size
   on (-1, 1)^2 (default 0.4), must similarly divide the side length 2, as
   must every step of ``spacetime_refine``, which sets h = tau.  The ``h``
   column reports the mesh that ran, 2 / round(2 / h).
 - ``theta`` (default 0.5), ``max_iters`` (default 25), ``eta_tol``
-  (default 0.0), ``initial_n`` (default 5): adaptive loop controls.
+  (default 0.0), ``initial_n`` (default 5, at most
+  ``slabsolver.MAX_INTERVALS``): adaptive loop controls.
 - ``include_osc``: add data oscillation to the reported total (default
   false; the oscillation column is always filled).
 - ``out``: output CSV path; ``seed``: optional unsigned integer, validated
@@ -45,7 +47,7 @@ from ._numbers import number
 from .adaptive import run_adaptive, total_dofs
 from .errors import compute_errors, make_case, problem_data
 from .estimator import effectivity, estimate
-from .slabsolver import TimeGrid, march
+from .slabsolver import MAX_INTERVALS, TimeGrid, march
 from .spacefem import MAX_DEGREE, TensorSpace
 
 SUITES = (
@@ -82,13 +84,13 @@ class ConfigError(Exception):
 def _steps_per(total: float, step: float) -> int | None:
     """Number of steps if `step` divides `total` up to rounding, else None.
 
-    A step so small that `total / step` overflows (a subnormal `tau` or `h`)
-    divides nothing.
+    A step so small that `total / step` overflows (a subnormal `tau` or `h`),
+    or gives more than `MAX_INTERVALS` steps, divides nothing.
     """
     if step <= 0 or total <= 0 or not np.isfinite(total / step):
         return None
     n = round(total / step)
-    if n < 1 or abs(total / step - n) > 0.02 * n:
+    if not 1 <= n <= MAX_INTERVALS or abs(total / step - n) > 0.02 * n:
         return None
     return int(n)
 
@@ -175,7 +177,8 @@ def parse_config(source) -> Config:
     check_num("mode_m", lambda v: v >= 1, "must be a positive integer", integer=True)
     check_num("mode_n", lambda v: v >= 1, "must be a positive integer", integer=True)
     check_num("max_iters", lambda v: v >= 1, "must be >= 1", integer=True)
-    check_num("initial_n", lambda v: v >= 1, "must be >= 1", integer=True)
+    check_num("initial_n", lambda v: 1 <= v <= MAX_INTERVALS,
+              f"must lie in [1, {MAX_INTERVALS}]", integer=True)
     if values.get("seed") is not None:
         check_num("seed", lambda v: v >= 0, "must be a nonnegative integer", integer=True)
     if not isinstance(values["include_osc"], bool):
@@ -209,15 +212,17 @@ def parse_config(source) -> Config:
     def tau_ok(t):  # an invalid T is reported on its own
         return T is None or _steps_per(T, t) is not None
 
-    check_num("tau", tau_ok, f"must divide T={T}")
-    taus = check_list("tau_list", tau_ok, f"must divide T={T}")
+    divides_T = f"must divide T={T} into at most {MAX_INTERVALS} steps"
+    check_num("tau", tau_ok, divides_T)
+    taus = check_list("tau_list", tau_ok, divides_T)
     check_list("p_t_list", lambda v: 2 <= v <= 10, "must lie in [2, 10]", integer=True)
     if "T_list" in values:
         check_list("T_list", lambda v: v > 0, "must be positive")
         if suite == "long_time" and "tau" in values and not problems:
             for Ti in values["T_list"]:
                 if _steps_per(Ti, values["tau"]) is None:
-                    problems.append(f"tau {values['tau']} must divide T={Ti}")
+                    problems.append(f"tau {values['tau']} must divide T={Ti} into at most "
+                                    f"{MAX_INTERVALS} steps")
 
     requirements = {
         "tau_refine": ("tau_list",),

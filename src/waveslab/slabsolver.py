@@ -35,6 +35,11 @@ from .spacefem import TensorSpace
 from .timebasis import IntervalPoly, gauss_legendre, mu_n, nodal_to_modal
 
 
+# The most intervals a uniform grid can have: its n + 1 nodes must be an
+# array numpy can index.
+MAX_INTERVALS = int(np.iinfo(np.intp).max) - 1
+
+
 @dataclass(frozen=True)
 class TimeGrid:
     """Partition of (0, T] with a temporal degree per interval."""
@@ -60,6 +65,8 @@ class TimeGrid:
         T, n = number(T, "T"), number(n, "the interval count", integer=True)
         if T <= 0 or n < 1:
             raise ValueError(f"need T > 0 and n >= 1, got T={T}, n={n}")
+        if n > MAX_INTERVALS:
+            raise ValueError(f"the interval count must be at most {MAX_INTERVALS}, got {n}")
         return cls(np.linspace(0.0, T, n + 1), np.full(n, degree))
 
     @property

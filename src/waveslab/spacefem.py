@@ -14,16 +14,35 @@ diagonalization), the one form in which M and K are used: the mass and
 stiffness solves go through V, mass and stiffness products pair the
 eigen-coordinates V^-1 u = V^T M u (`eigen_coords`), and the slab march
 runs in them, where a slab splits into one small temporal system per
-eigenmode.  No sparse matrix is assembled.  Values, gradients and broken
-Laplacians at the Gauss points, load vectors and the changes of basis are
-two 1D matrix products per term (sum factorization), each accepting a
-leading axis of time samples so many slabs are handled in one call.
+eigenmode.  No sparse matrix is assembled.
+
+Values, gradients and broken Laplacians at the Gauss points and load vectors
+are computed one direction at a time (sum factorization), each accepting a
+leading axis of time samples so many slabs are handled in one call.  The
+kernel has two forms, chosen once per space by its size at the measured
+crossover, `_LOCAL_KERNEL_DOFS` = 2 000 (a march with its post-processing
+runs faster in the dense form at d = 1 681 and in the local form at
+d = 2 209):
+
+- below `_LOCAL_KERNEL_DOFS` dofs, dense: one product per direction with the
+  1D matrices `Ex, Dx, DDx` (and `Ey, Dy, DDy`), which store the zeros of
+  every Gauss row outside its element;
+- from `_LOCAL_KERNEL_DOFS` dofs on, element-local: each element's p + 1
+  nodes, a strided view of the coefficients padded with the zero boundary
+  nodes, are contracted with the reference tables in one broadcast product
+  per direction, and assembly sums the shared end nodes of neighbouring
+  elements.  Each output value then costs O(p) per direction, not O(n).
+
+Either form gives a time sample the same bits whatever stack it comes in.
+The changes of basis to and from the eigenbasis, whose factors are full,
+are always two dense 1D products.
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.linalg as sla
+from numpy.lib.stride_tricks import as_strided
 from numpy.polynomial import legendre as npleg
 
 from ._numbers import number_array
@@ -38,6 +57,13 @@ MAX_DEGREE = 5
 # about 1e-154 overflows `(2 / h) ** 2`, and sizes of 1e200 in both
 # directions make every stiffness eigenvalue underflow to zero.
 ELEMENT_SIZES = (1e-50, 1e50)
+
+# Spaces with at least this many dofs use the element-local kernel.  On one
+# core, a case3 march of 20 slabs at p_t = 3 with its estimate, error norms
+# and stability check took, local against dense, 1.11x as long at d = 1 225,
+# 1.02x at d = 1 681, 0.91x at d = 2 209 and 0.79x at d = 7 921 (fastest of
+# 15 alternated passes each); the crossover lies between the middle two.
+_LOCAL_KERNEL_DOFS = 2000
 
 
 def _reference_basis(degree: int, points: np.ndarray):
@@ -54,6 +80,39 @@ def _reference_basis(degree: int, points: np.ndarray):
     else:
         der2 = np.zeros_like(vals)
     return vals, der, der2
+
+
+def _eval_last_axis(a, table, n_elem):
+    """Contract the last axis, n_elem * p + 1 nodes, element by element.
+
+    `a` has shape (..., m, n_elem * p + 1) and `table` (ng, p + 1) holds the
+    values of the p + 1 element basis functions at the ng Gauss points of an
+    element.  Returns shape (..., n_elem * ng, m): the contracted axis comes
+    first, so two calls evaluate both directions.  Each element's nodes are a
+    strided window into `a`, not a copy.
+    """
+    *lead, m, _ = a.shape
+    p = table.shape[1] - 1
+    *step, row, col = a.strides
+    win = as_strided(a, (*lead, n_elem, p + 1, m), (*step, p * col, col, row), writeable=False)
+    return (table @ win).reshape(*lead, -1, m)
+
+
+def _assemble_last_axis(a, table, n_elem):
+    """The transpose of `_eval_last_axis`: (..., m, n_elem * ng) to (..., n_elem * p + 1, m).
+
+    Each element's ng Gauss values are contracted with `table` (ng, p + 1),
+    and the end node two neighbouring elements share gets both sums.
+    """
+    *lead, m, _ = a.shape
+    ng, p = table.shape[0], table.shape[1] - 1
+    local = table.T @ np.moveaxis(a.reshape(*lead, m, n_elem, ng), -3, -1)
+    out = np.empty((*lead, n_elem + 1, p, m))
+    out[..., :n_elem, :, :] = local[..., :p, :]
+    out[..., n_elem, 0, :] = 0.0
+    nodes = out.reshape(*lead, (n_elem + 1) * p, m)[..., :n_elem * p + 1, :]
+    nodes[..., p::p, :] += local[..., p, :]
+    return nodes
 
 
 def _sqrt_pos(value):
@@ -124,6 +183,17 @@ class TensorSpace:
         # interior dofs are a product of the per-direction interior ranges
         self.Ex, self.Dx, self.DDx = Ex[:, 1:-1], Dx[:, 1:-1], DDx[:, 1:-1]
         self.Ey, self.Dy, self.DDy = Ey[:, 1:-1], Dy[:, 1:-1], DDy[:, 1:-1]
+        # the factors of the Gauss-grid kernel: the interior columns of the
+        # 1D matrices, or the first element's block, which is the reference
+        # table scaled to the element size
+        self._local = self.n_dofs >= _LOCAL_KERNEL_DOFS
+        if self._local:
+            ng = len(xg)
+            self._kx = tuple(m[:ng, :p + 1].copy() for m in (Ex, Dx, DDx))
+            self._ky = tuple(m[:ng, :p + 1].copy() for m in (Ey, Dy, DDy))
+        else:
+            self._kx = (self.Ex, self.Dx, self.DDx)
+            self._ky = (self.Ey, self.Dy, self.DDy)
         # M = Mix (x) Miy and K = Kix (x) Miy + Mix (x) Kiy on the interior
         # dofs; K1 V = M1 V diag(lam), V^T M1 V = I per direction, so with
         # V = Vx (x) Vy, V^T M V = I and V^T K V = diag(lam_x + lam_y),
@@ -187,24 +257,41 @@ class TensorSpace:
 
     # Evaluation and assembly below act on one coefficient vector of shape
     # (n_dofs,) or on a stack (nt, n_dofs), and on one Gauss-grid array of
-    # shape (ngx, ngy) or a stack (nt, ngx, ngy).  Each is one 1D matrix
-    # product per direction.
+    # shape (ngx, ngy) or a stack (nt, ngx, ngy).  `_to_grid` and
+    # `_from_grid` take the x and y factors of one term from `_kx` and `_ky`,
+    # and use the form `__init__` chose.
 
     def _eval(self, vec, bx, by):
         vec = np.asarray(vec, dtype=float)
         U = vec.reshape(vec.shape[:-1] + (self.n_int_x, self.n_int_y))
         return bx @ U @ by.T
 
-    def _assemble(self, values, bx, by):
-        load = (self.gauss_wx[:, None] * bx).T @ values @ (self.gauss_wy[:, None] * by)
-        return load.reshape(load.shape[:-2] + (self.n_dofs,))
+    def _to_grid(self, vec, bx, by):
+        if not self._local:
+            return self._eval(vec, bx, by)
+        vec = np.asarray(vec, dtype=float)
+        lead = vec.shape[:-1]
+        U = np.zeros(lead + (len(self.nodes_x), len(self.nodes_y)))
+        U[..., 1:-1, 1:-1] = vec.reshape(lead + (self.n_int_x, self.n_int_y))
+        return _eval_last_axis(_eval_last_axis(U, by, self.ny), bx, self.nx)
+
+    def _from_grid(self, values, bx, by):
+        if not self._local:
+            load = (self.gauss_wx[:, None] * bx).T @ values @ (self.gauss_wy[:, None] * by)
+            return load.reshape(load.shape[:-2] + (self.n_dofs,))
+        values = np.asarray(values, dtype=float)
+        ng = len(self.ref_gauss)
+        wbx, wby = self.gauss_wx[:ng, None] * bx, self.gauss_wy[:ng, None] * by
+        load = _assemble_last_axis(_assemble_last_axis(values, wby, self.ny), wbx, self.nx)
+        return load[..., 1:-1, 1:-1].reshape(values.shape[:-2] + (self.n_dofs,))
 
     def eval_gauss(self, vec: np.ndarray) -> np.ndarray:
         """Finite element function values on the global Gauss grid."""
-        return self._eval(vec, self.Ex, self.Ey)
+        return self._to_grid(vec, self._kx[0], self._ky[0])
 
     def eval_grad_gauss(self, vec: np.ndarray):
-        return self._eval(vec, self.Dx, self.Ey), self._eval(vec, self.Ex, self.Dy)
+        (ex, dx, _), (ey, dy, _) = self._kx, self._ky
+        return self._to_grid(vec, dx, ey), self._to_grid(vec, ex, dy)
 
     def eval_laplacian_gauss(self, vec: np.ndarray) -> np.ndarray:
         """Elementwise second derivatives summed, on the global Gauss grid.
@@ -212,7 +299,8 @@ class TensorSpace:
         This is the broken Laplacian: no continuity across element faces is
         implied or required.
         """
-        return self._eval(vec, self.DDx, self.Ey) + self._eval(vec, self.Ex, self.DDy)
+        (ex, _, ddx), (ey, _, ddy) = self._kx, self._ky
+        return self._to_grid(vec, ddx, ey) + self._to_grid(vec, ex, ddy)
 
     def integrate(self, values: np.ndarray):
         """Integrate Gauss-grid values over the domain (one per time sample).
@@ -234,11 +322,12 @@ class TensorSpace:
 
     def load_vector(self, values: np.ndarray) -> np.ndarray:
         """Assemble (f, phi_a) for interior basis functions from Gauss values."""
-        return self._assemble(values, self.Ex, self.Ey)
+        return self._from_grid(values, self._kx[0], self._ky[0])
 
     def load_vector_grad(self, vx: np.ndarray, vy: np.ndarray) -> np.ndarray:
         """Assemble (v, grad phi_a) for interior basis functions."""
-        return self._assemble(vx, self.Dx, self.Ey) + self._assemble(vy, self.Ex, self.Dy)
+        (ex, dx, _), (ey, dy, _) = self._kx, self._ky
+        return self._from_grid(vx, dx, ey) + self._from_grid(vy, ex, dy)
 
     def to_eigenbasis(self, rhs: np.ndarray) -> np.ndarray:
         """V^T rhs, for one vector or a stack (..., n_dofs).

@@ -21,7 +21,7 @@ from waveslab import (
     problem_data,
     stability_check,
 )
-from waveslab import slabsolver
+from waveslab import slabsolver, spacefem
 from waveslab.estimator import (
     estimate,
     eta1,
@@ -94,11 +94,54 @@ def test_space_kernel_matches_element_loops(degree):
         for key in ref:
             assert_close(single[key], ref[key])
             assert_close(batched[key][k], ref[key])
-        # a sample's integral has the same bits alone and in a stack
-        for key in ("integrate", "l2", "h1"):
-            assert batched[key][k] == single[key]
+            # a sample has the same bits alone and in a stack
+            assert np.array_equal(batched[key][k], single[key])
     for key in ("integrate", "l2", "h1"):
         assert isinstance(single[key], float)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+def test_space_kernel_matches_element_loops_in_the_local_form(monkeypatch, degree):
+    monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
+    assert anisotropic_space(degree)._local
+    test_space_kernel_matches_element_loops(degree)
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("nx, ny, domain", [(1, 1, ((-1.0, 1.0), (-1.0, 1.0))),
+                                            (4, 3, ((0.0, 2.0), (-0.5, 0.5))),
+                                            (2, 5, ((-3.0, 1e-3), (1.0, 1.25)))])
+def test_dense_and_local_forms_agree(monkeypatch, nx, ny, domain, degree):
+    def build(first_local):
+        monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", first_local)
+        return TensorSpace(nx, ny, degree, domain=domain)
+
+    dense, local = build(np.inf), build(0)
+    assert not dense._local and local._local
+    vecs = rng.standard_normal((3, dense.n_dofs))
+    vals = rng.standard_normal((3, len(dense.gauss_x), len(dense.gauss_y)))
+    wals = rng.standard_normal(vals.shape)
+    terms = (
+        lambda s, k: s.eval_gauss(vecs[k]),
+        lambda s, k: np.stack(s.eval_grad_gauss(vecs[k])),
+        lambda s, k: s.eval_laplacian_gauss(vecs[k]),
+        lambda s, k: s.load_vector(vals[k]),
+        lambda s, k: s.load_vector_grad(vals[k], wals[k]),
+    )
+    # one sample, and a stack of three
+    for k in (1, slice(None)):
+        for term in terms:
+            assert_close(term(local, k), term(dense, k), rtol=1e-13)
+
+
+def test_the_kernel_form_changes_at_its_size():
+    # 1 999 dofs, one fewer than the constant, is prime: only a mesh one
+    # interior node wide has it
+    below, at = TensorSpace(28, 75, 1), TensorSpace(41, 51, 1)
+    assert (below.n_dofs, at.n_dofs) == (spacefem._LOCAL_KERNEL_DOFS - 2,
+                                         spacefem._LOCAL_KERNEL_DOFS)
+    assert not below._local and at._local
+    assert below._kx[0] is below.Ex and at._kx[0].shape == (len(at.ref_gauss), 2)
 
 
 def test_grid_eval_over_times():
@@ -356,6 +399,13 @@ def test_per_slab_estimator_terms_do_not_depend_on_the_chunks(monkeypatch, degre
     for single, together in zip(terms(1, n_slabs), terms(1 << 40, 1)):
         for one, all_ in zip(single, together):
             assert np.array_equal(one, all_)
+
+
+@pytest.mark.parametrize("degree, n_slabs", [(2, 12), (3, 13)])
+def test_per_slab_estimator_terms_do_not_depend_on_the_chunks_in_the_local_form(
+        monkeypatch, degree, n_slabs):
+    monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
+    test_per_slab_estimator_terms_do_not_depend_on_the_chunks(monkeypatch, degree, n_slabs)
 
 
 def test_gauss_rule_is_shared_and_read_only():

@@ -15,6 +15,7 @@ import waveslab.adaptive
 import waveslab.experiments as experiments
 from waveslab import ErrorBundle
 from waveslab.cli import main
+from waveslab.slabsolver import MAX_INTERVALS
 from waveslab.experiments import (
     COLUMNS,
     Config,
@@ -110,6 +111,22 @@ def test_a_subnormal_step_is_a_config_error(key, text, tmp_path, capsys):
     cfg = _write_config(tmp_path, f"suite: tau_refine\ncase: case1\n"
                                   f"tau_list: [0.5]\n{key}: {text}\n")
     with pytest.raises(ConfigError, match=f"{key}( entry)? must divide"):
+        parse_config(cfg)
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("text", [
+    "suite: adaptive\ncase: case2\ninitial_n: 1" + "0" * 400 + "\n",
+    "suite: tau_refine\ncase: case1\ntau_list: [1.0e-300]\n",
+    "suite: p_refine\ncase: case1\ntau: 1.0e-300\np_t_list: [2]\n",
+    "suite: long_time\ncase: case3\nT_list: [1.0e+300]\ntau: 1.0\n",
+], ids=["initial_n", "tau_list", "tau", "T_list"])
+def test_a_count_numpy_cannot_index_is_a_config_error(text, tmp_path, capsys):
+    # these parsed, and the run then failed inside numpy (exit 2)
+    cfg = _write_config(tmp_path, text)
+    with pytest.raises(ConfigError, match=str(MAX_INTERVALS)):
         parse_config(cfg)
     assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 1
     assert "config error" in capsys.readouterr().err

@@ -30,6 +30,7 @@ from waveslab import (
 )
 from waveslab.cli import main
 from waveslab.experiments import ConfigError, parse_config
+from waveslab.slabsolver import MAX_INTERVALS
 from waveslab.spacefem import ELEMENT_SIZES
 from waveslab.timebasis import equispaced_nodes, gauss_legendre, legendre_eval, nodal_to_modal
 
@@ -156,13 +157,22 @@ def test_space_domain(bounds):
 @example([1.0, "4", 2])
 @example(["1", 4, 2])
 @example([10**200, 4.0, np.int64(3)])
+@example([1.0, 2**63, 2])  # IndexError inside np.linspace
+@example([1.0, 10**400, 2])  # numpy's "Maximum allowed size exceeded"
 def test_uniform_grid(args):
     got = outcome(lambda: TimeGrid.uniform(*args))
     T, n, p = expected(args[0]), expected(args[1], True), expected(args[2], True)
-    ok = None not in (T, n, p) and T > 0 and n >= 1 and p >= 2
+    ok = None not in (T, n, p) and T > 0 and 1 <= n <= MAX_INTERVALS and p >= 2
     if settle(got, ok, args[2:]):  # np.full holds the degree as given
         assert np.array_equal(got.nodes, np.linspace(0.0, T, n + 1))
         assert got.degrees.dtype.kind == "i" and list(got.degrees) == [p] * n
+
+
+def test_uniform_grid_names_a_count_numpy_cannot_index():
+    assert MAX_INTERVALS + 1 == np.iinfo(np.intp).max
+    for n in (MAX_INTERVALS + 1, 2**63, 10**400):
+        with pytest.raises(ValueError, match="interval count"):
+            TimeGrid.uniform(1.0, n, 2)
 
 
 @st.composite
@@ -353,6 +363,8 @@ def check_config(raw):
 @example({"suite": "adaptive", "case": "case1", 1: 2, "mystery": 3})
 @example({"suite": [1], "case": "case1"})
 @example({"suite": "adaptive", "case": "case3", "mode_m": np.float64(2.0), "seed": 10**400})
+@example({"suite": "adaptive", "case": "case2", "initial_n": 10**400})
+@example({"suite": "tau_refine", "case": "case1", "tau_list": [1.0e-300]})
 def test_config_parses_or_lists_its_problems(raw):
     check_config(raw)
 
@@ -367,6 +379,8 @@ def config_dir(tmp_path_factory):
 @example({"suite": "adaptive", "case": "case1", "T": "2"})
 @example({"suite": "adaptive", "case": "case1", 1: 2, "mystery": 3})
 @example({"suite": [1], "case": "case1"})
+@example({"suite": "adaptive", "case": "case2", "initial_n": 10**400})
+@example({"suite": "tau_refine", "case": "case1", "tau_list": [1.0e-300]})
 def test_cli_exits_1_on_every_config_that_does_not_parse(config_dir, raw):
     if check_config(raw):
         return  # a valid config would run its study: not here

@@ -25,7 +25,7 @@ from waveslab import (
     stability_check,
 )
 import waveslab.adaptive
-from waveslab import slabsolver
+from waveslab import slabsolver, spacefem
 from waveslab.adaptive import bisect, run_adaptive
 from waveslab.slabsolver import _load, reference_blocks
 
@@ -446,6 +446,13 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
                           np.concatenate(sol.blocks))
 
 
+def test_adaptive_history_equals_marches_without_kept_loads_bitwise_in_the_local_form(
+        monkeypatch):
+    # the kept records need a slab's values to have the same bits in any stack
+    monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
+    test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
+
+
 def test_kept_loads_are_read_only_and_unchanged_by_a_march():
     data = problem_data(make_case("case2", alpha=1.75))
     space = TensorSpace(3, 3, 2)
@@ -551,6 +558,12 @@ def test_march_matches_default_ordering_reference(p):
     ref = slow.march(data, space, grid)
     for n in range(grid.n_intervals):
         assert_close(fast.blocks[n], ref.blocks[n])
+
+
+@pytest.mark.parametrize("p", range(2, 11))
+def test_march_matches_default_ordering_reference_in_the_local_form(monkeypatch, p):
+    monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
+    test_march_matches_default_ordering_reference(p)
 
 
 def test_blocks_share_their_junction_rows_read_only():
