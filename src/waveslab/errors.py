@@ -24,8 +24,8 @@ from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
+from scipy.linalg import blas
 
-from . import slabsolver
 from ._numbers import number, number_array
 from .slabsolver import (
     ProblemData,
@@ -165,8 +165,12 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
     space kernel evaluates values and gradients of a chunk's p + 1 temporal
     modes (`SlabSolution.modes`) once; the samples at both point sets follow
     on the Gauss grid through one stacked `leg` and `(2 / tau) dleg` table,
-    Gauss rows first.  Their misfits split into the Gauss columns, summed
-    per slab with the rule's weights, and the equispaced columns, maximized
+    Gauss rows first, but are never stored: one BLAS update C <- -A B + C
+    per slab (`scipy.linalg.blas.dgemm`) overwrites the slab's exact
+    samples, which `TensorSpace.grid_eval` returns as an array the call
+    owns, with its misfit, and a wrapper that returns a copy of C raises
+    `RuntimeError`.  The misfits split into the Gauss columns, summed per
+    slab with the rule's weights, and the equispaced columns, maximized
     per slab.
 
     `kept`, the dict of `slabsolver.SlabRecord` that the march of `sol` was
@@ -191,26 +195,22 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
         else:
             missing.append(n)
 
-    def misfit_sq(exact, t, approx):
-        # per time sample, the squared L2 norm of exact(t) - approx, shaped
-        # as t, (S, k) for k samples on each of S slabs
+    def misfit_sq(exact, t, basis, coeffs):
+        # per time sample, the squared L2 norm of exact(t) - basis @ coeffs,
+        # shaped as t, (S, k) for k samples on each of S slabs; each slab's
+        # (k, ngx * ngy) block of exact(t) becomes the misfit in place, in one
+        # gemm C <- -A B + C on its transpose, which is F-ordered
         err = space.grid_eval(exact, t.ravel())
-        err -= approx.reshape(err.shape)
-        return space.integrate(np.square(err, out=err)).reshape(t.shape)
-
-    scratch = np.empty(0)
-
-    def sampled(basis, coeffs):
-        # basis @ coeffs, (S, k, ngx * ngy), written into one buffer that
-        # every misfit of the call reuses, so that only exact(t) is a new
-        # array of that size; a chunk fits in `STACK_BUDGET` values unless
-        # it holds a single slab
-        nonlocal scratch
-        shape = (coeffs.shape[0], basis.shape[-2], coeffs.shape[-1])
-        size = shape[0] * shape[1] * shape[2]
-        if scratch.size < size:
-            scratch = np.empty(max(size, slabsolver.STACK_BUDGET))
-        return np.matmul(basis, coeffs, out=scratch[:size].reshape(shape))
+        blocks = err.reshape(t.shape + (-1,))
+        bases = basis.transpose(0, 2, 1) if basis.ndim == 3 else [basis.T] * len(blocks)
+        for c, a, b in zip(blocks.transpose(0, 2, 1), coeffs.transpose(0, 2, 1), bases):
+            # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c; passed by
+            # position, as keywords cost a fifth of a small slab's update
+            out = blas.dgemm(-1.0, a, b, 1.0, c, 0, 0, 1)
+            if not (out is c or np.shares_memory(out, c)):
+                raise RuntimeError("scipy.linalg.blas.dgemm returned a copy of its output "
+                                   "array, so a misfit would read as the exact solution")
+        return space.integrate(np.square(blocks, out=blocks).reshape(err.shape)).reshape(t.shape)
 
     for p, chunk in _chunks(space, grid, missing, "gauss", "equispaced"):
         xg, wq, leg_g, dleg_g = reference_blocks(p)["gauss"]
@@ -226,15 +226,15 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
         flat = modes.reshape(-1, space.n_dofs)
         vals, gx, gy = (v.reshape(modes.shape[:2] + (-1,))
                         for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat)))
-        h1 = misfit_sq(case.ux, t, sampled(leg, gx)) + misfit_sq(case.uy, t, sampled(leg, gy))
-        dl2 = misfit_sq(case.du, t, sampled(dt_leg, vals))
+        h1 = misfit_sq(case.ux, t, leg, gx) + misfit_sq(case.uy, t, leg, gy)
+        dl2 = misfit_sq(case.du, t, dt_leg, vals)
         weights = 0.5 * tau[:, None] * wq
         partials[chunk] = np.column_stack((
             np.sum(weights * h1[:, :ng], axis=1),
             np.sum(weights * dl2[:, :ng], axis=1),
             np.max(h1[:, ng:], axis=1),
             np.max(dl2[:, ng:], axis=1),
-            np.max(misfit_sq(case.u, t[:, ng:], sampled(leg_e, vals)), axis=1),
+            np.max(misfit_sq(case.u, t[:, ng:], leg_e, vals), axis=1),
         ))
 
     for n in missing:

@@ -40,6 +40,8 @@ are always two dense 1D products.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 import scipy.linalg as sla
 from numpy.lib.stride_tricks import as_strided
@@ -64,6 +66,16 @@ ELEMENT_SIZES = (1e-50, 1e50)
 # 1.02x at d = 1 681, 0.91x at d = 2 209 and 0.79x at d = 7 921 (fastest of
 # 15 alternated passes each); the crossover lies between the middle two.
 _LOCAL_KERNEL_DOFS = 2000
+
+
+def _fresh_refs() -> int:
+    # the count sys.getrefcount gives for a local array that nothing else
+    # holds, taken the way `TensorSpace.grid_eval` takes it
+    vals = np.empty(0)
+    return sys.getrefcount(vals)
+
+
+_FRESH_REFS = _fresh_refs()
 
 
 def _reference_basis(degree: int, points: np.ndarray):
@@ -224,16 +236,6 @@ class TensorSpace:
     def n_dofs(self) -> int:
         return self.n_int_x * self.n_int_y
 
-    def zero(self) -> np.ndarray:
-        return np.zeros(self.n_dofs)
-
-    def embed(self, vec: np.ndarray) -> np.ndarray:
-        """Interior coefficients to the full node grid, zero on the boundary."""
-        full = np.zeros((len(self.nodes_x), len(self.nodes_y)))
-        if self.n_dofs:
-            full[1:-1, 1:-1] = np.asarray(vec).reshape(self.n_int_x, self.n_int_y)
-        return full
-
     def grid_eval(self, f, t=None) -> np.ndarray:
         """Sample a callable on the global Gauss grid.
 
@@ -241,6 +243,12 @@ class TensorSpace:
         (ngx, ngy).  With a 1D array of times, f is called once as
         f(t, x, y) with t of shape (nt, 1, 1) and the result has shape
         (nt, ngx, ngy).
+
+        The result is a C-ordered float64 array that the caller owns and
+        may overwrite.  What f returns is kept only if it is such an array
+        with its own writeable data and no other reference; anything else
+        (a stored array, another layout or dtype, a view, a broadcast) is
+        copied, so f's own arrays are never written.
         """
         shape = (len(self.gauss_x), len(self.gauss_y))
         X, Y = self.gauss_x[:, None], self.gauss_y[None, :]
@@ -251,7 +259,8 @@ class TensorSpace:
             shape = t.shape + shape
             vals = f(t[:, None, None], X, Y)
         vals = np.asarray(vals, dtype=float)
-        if vals.shape != shape:
+        if not (sys.getrefcount(vals) <= _FRESH_REFS and vals.shape == shape
+                and vals.flags.c_contiguous and vals.flags.writeable and vals.flags.owndata):
             vals = np.broadcast_to(vals, shape).copy()
         return vals
 
@@ -368,12 +377,6 @@ class TensorSpace:
         vx = self.grid_eval(fx)
         vy = self.grid_eval(fy)
         return self.solve_stiffness(self.load_vector_grad(vx, vy))
-
-    def interpolate(self, f) -> np.ndarray:
-        """Values of f at the interior nodes, as a coefficient vector."""
-        return np.asarray(
-            f(self.nodes_x[1:-1, None], self.nodes_y[None, 1:-1]), dtype=float
-        ).ravel()
 
     def m_inner(self, u: np.ndarray, v: np.ndarray):
         """Mass inner product of two vectors or matching rows, from their eigen-coordinates."""

@@ -5,7 +5,9 @@ loops that `spacefem`, `slabsolver`, `estimator` and `errors` used before
 their evaluation was batched, the element loop that assembled the 1D
 mass and stiffness matrices before they became Gram matrices of the Gauss
 matrices, and the sparse 2D mass and stiffness matrices, which the package
-never assembles (it works in their eigen-coordinates).  They exist only to
+never assembles (it works in their eigen-coordinates).  Nodal
+interpolation and the embedding of interior coefficients in the full node
+grid, which only tests use, are kept here too.  They exist only to
 check the fast paths on small problems: every function here evaluates one
 time sample or one slab at a time, gathers element coefficients with index
 arrays and scatters loads with `np.add.at`.
@@ -30,6 +32,20 @@ from waveslab.slabsolver import reference_blocks, time_matrices
 
 # ------------------------------------------------------------------ space
 
+def embed(space, vec):
+    """Interior coefficients to the full node grid, zero on the boundary."""
+    full = np.zeros((len(space.nodes_x), len(space.nodes_y)))
+    if space.n_dofs:
+        full[1:-1, 1:-1] = np.asarray(vec).reshape(space.n_int_x, space.n_int_y)
+    return full
+
+
+def interpolate(space, f):
+    """Values of f at the interior nodes, as a coefficient vector."""
+    return np.asarray(f(space.nodes_x[1:-1, None], space.nodes_y[None, 1:-1]),
+                      dtype=float).ravel()
+
+
 def _element_index(space):
     p = space.degree
     ix = np.arange(space.nx)[:, None] * p + np.arange(p + 1)[None, :]
@@ -38,7 +54,7 @@ def _element_index(space):
 
 
 def _contract(space, vec, bx, by, scale):
-    local = space.embed(vec)[_element_index(space)]
+    local = embed(space, vec)[_element_index(space)]
     vals = np.einsum("aibj,iq,jr->aqbr", local, bx, by)
     ng = len(space.ref_gauss)
     return scale * vals.reshape(space.nx * ng, space.ny * ng)

@@ -39,6 +39,10 @@ def test_marking_examples():
     # ties resolve toward the smaller index
     assert doerfler_mark([3.0, 3.0, 1.0], 1.0 / 3.0) == [0]
     assert doerfler_mark([1.0, 1.0, 1.0, 1.0], 0.25) == [0]
+    # the bulk is reached up to round-off: ten indicators of 0.1 sum to 1.0,
+    # but their running sum after nine is one ulp short of 0.9
+    assert np.cumsum([0.1] * 10)[8] < 0.9 * np.sum([0.1] * 10)
+    assert doerfler_mark([0.1] * 10, 0.9) == list(range(9))
 
 
 def test_marking_is_minimal_and_sufficient():

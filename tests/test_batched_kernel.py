@@ -157,6 +157,29 @@ def test_grid_eval_over_times():
     assert flat.shape == got.shape and np.all(flat[0] == flat[2])
 
 
+def test_grid_eval_copies_only_arrays_the_callable_may_still_hold():
+    # the package's cases return fresh arrays, which are handed on as they
+    # are; an array the callable keeps is copied, so the caller may write
+    # into what grid_eval returns
+    space = anisotropic_space(2)
+    ts = np.array([0.0, 0.3, 1.7])
+    for case in (make_case("case1"), make_case("case2", alpha=1.75), make_case("case3")):
+        for fn, t in [(case.u, ts), (case.du, ts), (case.ux, ts), (case.uy, ts),
+                      (case.f, ts[1:]), (case.u0, None), (case.u1, None)]:
+            returned = []
+
+            def tracked(*args):
+                out = fn(*args)
+                returned.append(id(out))
+                return out
+
+            assert id(space.grid_eval(tracked, t)) == returned[0]
+    stored = space.grid_eval(case.u, ts)
+    got = space.grid_eval(lambda t, x, y: stored, ts)
+    assert got is not stored and np.array_equal(got, stored)
+    assert got.flags.c_contiguous and got.flags.writeable and got.flags.owndata
+
+
 # ------------------------------------------------------------------- time
 
 def mixed_degree_run():
@@ -406,6 +429,37 @@ def test_per_slab_estimator_terms_do_not_depend_on_the_chunks_in_the_local_form(
         monkeypatch, degree, n_slabs):
     monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
     test_per_slab_estimator_terms_do_not_depend_on_the_chunks(monkeypatch, degree, n_slabs)
+
+
+@pytest.mark.parametrize("degree, n_slabs", [(2, 12), (3, 13)])
+def test_per_slab_error_partials_do_not_depend_on_the_chunks(monkeypatch, degree, n_slabs):
+    # an adaptive run keeps each slab's error partials and reduces them with
+    # those of slabs scored in other chunks, so a slab's partials must have
+    # the same bits in any chunk: compare one slab per chunk with all slabs
+    # in one chunk
+    case = make_case("case2", alpha=1.75)
+    space = TensorSpace(4, 4, 2)
+    grid = TimeGrid.uniform(1.0, n_slabs, degree)
+    kept = {}
+    sol = march(problem_data(case), space, grid, kept=kept)
+
+    def partials(budget, chunks):
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+        assert len(list(slabsolver._chunks(space, grid, range(n_slabs),
+                                           "gauss", "equispaced"))) == chunks
+        for record in kept.values():
+            record.partials = None
+        compute_errors(sol, case, kept=kept)
+        return np.array([kept[key].partials for key in grid.slab_keys()])
+
+    assert np.array_equal(partials(1, n_slabs), partials(1 << 40, 1))
+
+
+@pytest.mark.parametrize("degree, n_slabs", [(2, 12), (3, 13)])
+def test_per_slab_error_partials_do_not_depend_on_the_chunks_in_the_local_form(
+        monkeypatch, degree, n_slabs):
+    monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
+    test_per_slab_error_partials_do_not_depend_on_the_chunks(monkeypatch, degree, n_slabs)
 
 
 def test_gauss_rule_is_shared_and_read_only():

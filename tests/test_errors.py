@@ -17,7 +17,7 @@ from waveslab import (
     problem_data,
     rate,
 )
-from waveslab import slabsolver
+from waveslab import errors, slabsolver
 
 rng = np.random.default_rng(20240815)
 
@@ -198,6 +198,71 @@ def test_kept_error_partials_are_read_only_for_the_same_block(monkeypatch):
     fine = bisect(grid, [0])
     assert len(set(fine.slab_keys()) & set(kept)) == 3
     assert scored(march(data, space, fine, kept=kept), kept)[1] == 5
+
+
+def stored_results(fn):
+    """`fn` returning the one array it keeps for each distinct array of times."""
+    def stored(t, x, y):
+        key = t.tobytes()
+        if key not in stored.kept:
+            stored.kept[key] = fn(t, x, y)
+            stored.pristine[key] = stored.kept[key].copy()
+        return stored.kept[key]
+
+    stored.kept, stored.pristine = {}, {}
+    return stored
+
+
+EXACT_RESULTS = {
+    "stored": stored_results,
+    "fortran_ordered": lambda fn: lambda *args: np.asfortranarray(fn(*args)),
+    "read_only_view": lambda fn: lambda *args: np.broadcast_to(
+        fn(*args), np.broadcast_shapes(*map(np.shape, args))),
+}
+
+
+@pytest.mark.parametrize("kind", list(EXACT_RESULTS))
+def test_exact_callables_may_return_arrays_they_keep(kind):
+    # the misfits are formed in place in the exact samples: an array the
+    # callable keeps, or one in another layout, must not be written, nor the
+    # norms lose the subtraction
+    case = make_case("case1")
+    sol = march(problem_data(case), TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2))
+    ref = compute_errors(sol, case).as_dict()
+    names = ("u", "du", "ux", "uy")
+    wrapped = dataclasses.replace(
+        case, **{name: EXACT_RESULTS[kind](getattr(case, name)) for name in names})
+    for _ in range(2):
+        got = compute_errors(sol, wrapped).as_dict()
+        for key, value in ref.items():
+            assert abs(got[key] - value) <= 1e-12 * value, (key, got[key], value)
+    if kind == "stored":
+        for name in names:
+            stored = getattr(wrapped, name)
+            assert stored.kept
+            for key, array in stored.kept.items():
+                assert np.array_equal(array, stored.pristine[key])
+
+
+def test_a_gemm_that_copies_its_output_is_refused(monkeypatch):
+    # the misfits rely on dgemm writing into the exact samples; a wrapper
+    # that copies `c` first would leave them untouched, and the norms would
+    # be those of the exact solution alone
+    real = errors.blas.dgemm
+
+    def copying(*args, **kwargs):
+        # `c` is the fifth argument, by position or by keyword
+        if "c" in kwargs:
+            kwargs["c"] = kwargs["c"].copy(order="F")
+        else:
+            args = args[:4] + (args[4].copy(order="F"),) + args[5:]
+        return real(*args, **kwargs)
+
+    case = make_case("case1")
+    sol = march(problem_data(case), TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2))
+    monkeypatch.setattr(errors.blas, "dgemm", copying)
+    with pytest.raises(RuntimeError, match="dgemm"):
+        compute_errors(sol, case)
 
 
 def test_as_dict_round_trip():

@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+import slow_reference as slow
 from waveslab import (
     ProblemData,
     SlabSolution,
@@ -41,7 +42,7 @@ L1_LEG2 = 7.0 * np.sqrt(30.0) / 45.0
 def quadratic_in_time_solution(tau, slabs=1, kink=0.0, kink_at=1):
     """U(t) = t^2 * bump with an optional derivative kink added at one node."""
     space = TensorSpace(2, 2, 2)
-    c = space.interpolate(bump)
+    c = slow.interpolate(space, bump)
     grid = TimeGrid.uniform(slabs * tau, slabs, 2)
     blocks = []
     for n in range(slabs):
@@ -51,7 +52,7 @@ def quadratic_in_time_solution(tau, slabs=1, kink=0.0, kink_at=1):
         if kink and n >= kink_at:
             vals = vals + kink * (ts - grid.nodes[kink_at])
         blocks.append(np.outer(vals, c))
-    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=space.zero())
+    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=np.zeros(space.n_dofs))
     return sol, space, c
 
 
@@ -59,7 +60,8 @@ def test_zero_solution_zero_report():
     space = TensorSpace(2, 2, 2)
     grid = TimeGrid.uniform(1.0, 3, 2)
     sol = SlabSolution(grid=grid, space=space,
-                       blocks=[np.zeros((3, space.n_dofs)) for _ in range(3)], u1h=space.zero())
+                       blocks=[np.zeros((3, space.n_dofs)) for _ in range(3)],
+                       u1h=np.zeros(space.n_dofs))
     data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=zero3)
     report = estimate(sol, data)
     assert report.eta1 == 0.0
@@ -149,7 +151,7 @@ def test_eta1_scales_linearly_with_the_jump():
 
 def test_equal_jumps_pick_the_first_slab():
     space = TensorSpace(2, 2, 2)
-    c = space.interpolate(bump)
+    c = slow.interpolate(space, bump)
     tau, beta = 0.5, 0.7
     grid = TimeGrid.uniform(2 * tau, 2, 2)
     ts = np.linspace(tau, 2 * tau, 3)
@@ -158,6 +160,23 @@ def test_equal_jumps_pick_the_first_slab():
     jumps = sol.jumps
     assert np.allclose(jumps[0], beta * c, atol=1e-12)
     assert np.allclose(jumps[1], beta * c, atol=1e-12)
+    _, arg = eta1(sol)
+    assert arg == 0
+
+
+def test_near_equal_jumps_pick_the_first_slab():
+    # the later jump is larger by a few ulps, within the relative 1e-14 that
+    # counts as a tie: a plain argmax would pick slab 1
+    space = TensorSpace(2, 2, 2)
+    c = slow.interpolate(space, bump)
+    tau, beta = 0.5, 0.7
+    grid = TimeGrid.uniform(2 * tau, 2, 2)
+    ts = np.linspace(tau, 2 * tau, 3)
+    later = beta * (1.0 + 16 * np.finfo(float).eps)
+    blocks = [np.zeros((3, space.n_dofs)), np.outer(later * (ts - tau), c)]
+    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=-beta * c)
+    norms = np.sqrt(sol.jump_sq)
+    assert norms[0] < norms[1] <= norms[0] * (1.0 + 1e-14)
     _, arg = eta1(sol)
     assert arg == 0
 
@@ -260,7 +279,8 @@ def test_quadrature_check_reports_rule_sensitivity():
     # with no consistency or oscillation content there is nothing to warn on
     zgrid = TimeGrid.uniform(1.0, 3, 2)
     zsol = SlabSolution(grid=zgrid, space=space,
-                        blocks=[np.zeros((3, space.n_dofs)) for _ in range(3)], u1h=space.zero())
+                        blocks=[np.zeros((3, space.n_dofs)) for _ in range(3)],
+                        u1h=np.zeros(space.n_dofs))
     zreport = estimate(zsol, data)
     with warnings.catch_warnings():
         warnings.simplefilter("error")

@@ -148,7 +148,7 @@ def test_space_time_polynomial_exactness():
     )
     grid = TimeGrid.uniform(1.0, 4, 2)
     sol = march(data, space, grid)
-    coeffs = space.interpolate(bump)
+    coeffs = slow.interpolate(space, bump)
     for t in (0.0, 0.2, 0.55, 0.8, 1.0):
         n = min(int(t / 0.25), 3)
         got = sol.poly(n).eval(t)

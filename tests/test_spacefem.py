@@ -27,7 +27,6 @@ def test_degenerate_space_is_empty():
     # a single bilinear element has no interior nodes
     space = TensorSpace(1, 1, 1)
     assert space.n_dofs == 0
-    assert space.zero().shape == (0,)
     assert space.l2_project(lambda x, y: x * y).shape == (0,)
 
 
@@ -85,7 +84,7 @@ def test_assembled_operators_structure(degree):
 def test_member_function_is_reproduced():
     # the bump is a member of every Q2 space on (-1,1)^2
     space = TensorSpace(3, 4, 2)
-    coeffs = space.interpolate(bump)
+    coeffs = slow.interpolate(space, bump)
     assert np.allclose(space.l2_project(bump), coeffs, atol=1e-11)
     assert np.allclose(space.elliptic_project(bump_x, bump_y), coeffs, atol=1e-10)
     assert np.allclose(space.eval_gauss(coeffs), space.grid_eval(bump), atol=1e-12)
@@ -144,7 +143,7 @@ def test_projections_need_no_sparse_factorization(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", refuse)
     space = TensorSpace(3, 4, 2)
-    coeffs = space.interpolate(bump)
+    coeffs = slow.interpolate(space, bump)
     assert np.allclose(space.l2_project(bump), coeffs, atol=1e-11)
     assert np.allclose(space.elliptic_project(bump_x, bump_y), coeffs, atol=1e-10)
 
@@ -159,7 +158,7 @@ def test_building_a_space_assembles_no_sparse_matrix(monkeypatch):
                  "csc_array", "coo_array"):
         monkeypatch.setattr(sp, name, refuse)
     space = TensorSpace(3, 4, 2)
-    coeffs = space.interpolate(bump)
+    coeffs = slow.interpolate(space, bump)
     assert np.allclose(space.l2_project(bump), coeffs, atol=1e-11)
     assert space.m_norm(coeffs) > 0.0
 
@@ -212,7 +211,7 @@ def test_mass_solve_round_trip():
 
 def test_broken_laplacian_of_member():
     space = TensorSpace(4, 3, 2)
-    coeffs = space.interpolate(bump)
+    coeffs = slow.interpolate(space, bump)
     lap = space.eval_laplacian_gauss(coeffs)
     exact = space.grid_eval(lambda x, y: -2.0 * (1.0 - y**2) - 2.0 * (1.0 - x**2))
     assert np.allclose(lap, exact, atol=1e-10)
@@ -232,7 +231,7 @@ def test_quadrature_norms_of_trig_function():
 def test_embed_layout():
     space = TensorSpace(2, 3, 1)
     v = np.arange(1.0, 1.0 + space.n_dofs)
-    full = space.embed(v)
+    full = slow.embed(space, v)
     assert full.shape == (len(space.nodes_x), len(space.nodes_y))
     assert np.all(full[0, :] == 0.0) and np.all(full[-1, :] == 0.0)
     assert np.all(full[:, 0] == 0.0) and np.all(full[:, -1] == 0.0)
@@ -259,7 +258,7 @@ def test_interpolation_h1_rate(degree):
     errs = []
     for n in sizes:
         space = TensorSpace(n, n, degree)
-        coeffs = space.interpolate(f)
+        coeffs = slow.interpolate(space, f)
         gx, gy = space.eval_grad_gauss(coeffs)
         dx = gx - space.grid_eval(fx)
         dy = gy - space.grid_eval(fy)
@@ -273,6 +272,6 @@ def test_anisotropic_domain_and_mesh():
     assert abs(space.hx - 2.0 / 3.0) < 1e-15
     assert abs(space.hy - 0.5) < 1e-15
     f = lambda x, y: x * (2.0 - x) * y * (1.0 - y)
-    coeffs = space.interpolate(f)
+    coeffs = slow.interpolate(space, f)
     assert np.allclose(space.eval_gauss(coeffs), space.grid_eval(f), atol=1e-12)
     assert abs(full_operators(space)[0].sum() - 2.0) < 1e-12
