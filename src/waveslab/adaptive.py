@@ -97,19 +97,19 @@ def run_adaptive(
     sequence is nested.
 
     Every iteration after the first does work only for the slabs its
-    bisection changed.  One `kept` dict per call, holding a
-    `slabsolver.SlabRecord` per slab key (p, t_n, t_{n+1}), goes to every
-    `march`, `estimate` and `compute_errors`:
+    bisection changed.  The call passes one dict of `slabsolver.SlabRecord`,
+    keyed by (p, t_n, t_{n+1}), to every `march` as `kept`:
 
     - each slab's load is assembled once, so a bisection assembles only the
       children of the marked slabs;
     - the march copies the slabs before the first marked one and solves
       from there on;
-    - the estimator reads the Laplacian norms of those copied slabs and the
-      forcing defect of every slab it has seen, and the error norms read the
-      copied slabs' partials.
+    - each solution carries the per-slab values its march knew (see
+      `SlabSolution`): the estimator reads the Laplacian norms of the copied
+      slabs and the forcing defect of every slab it has seen, and the error
+      norms read the copied slabs' partials.
 
-    Every record has the bits a run without `kept` computes, so the history
+    Every value has the bits a run without `kept` computes, so the history
     is the same.  The dict holds the last grid's records and goes when the
     call returns.
     """
@@ -124,9 +124,8 @@ def run_adaptive(
     for _ in range(max_iters):
         started = time.perf_counter()
         sol = march(data, space, grid, kept=kept)
-        report = estimate(sol, data, include_osc=include_osc, localized=True, kept=kept)
-        errs = (compute_errors(sol, data.exact, kept=kept)
-                if data.exact is not None else None)
+        report = estimate(sol, data, include_osc=include_osc, localized=True)
+        errs = compute_errors(sol, data.exact) if data.exact is not None else None
         kappa = effectivity(report, errs.Linf_L2) if errs is not None else None
         result.history.append(AdaptiveRecord(
             grid=grid,

@@ -16,8 +16,6 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("config", help="path to a YAML configuration")
     run.add_argument("--out", help="output CSV path (overrides the config)")
     run.add_argument("--suite", help="suite name (overrides the config)")
-    run.add_argument("--seed", type=int, help="unsigned seed, validated and kept on the "
-                     "config; runs are deterministic")
     return parser
 
 
@@ -30,7 +28,7 @@ def main(argv=None) -> int:
     from .experiments import ConfigError, run_from_file
 
     try:
-        path = run_from_file(args.config, out=args.out, suite=args.suite, seed=args.seed)
+        path = run_from_file(args.config, out=args.out, suite=args.suite)
     except (ConfigError, FileNotFoundError, OSError) as exc:
         if isinstance(exc, ConfigError):
             for problem in exc.problems:

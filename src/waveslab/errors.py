@@ -31,7 +31,6 @@ from .slabsolver import (
     ProblemData,
     SlabSolution,
     _chunks,
-    _records,
     _sample_times,
     reference_blocks,
 )
@@ -150,8 +149,7 @@ class ErrorBundle:
         return asdict(self)
 
 
-def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
-                   kept: dict | None = None) -> ErrorBundle:
+def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     """Evaluate all error norms of a slab solution for a manufactured case.
 
     Each slab first gets five partials: the Gauss-weighted sums of its
@@ -173,27 +171,17 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
     slab with the rule's weights, and the equispaced columns, maximized
     per slab.
 
-    `kept`, the dict of `slabsolver.SlabRecord` that the march of `sol` was
-    given, keeps the partials between the iterations of an adaptive run.  A
-    slab is read from it only if its record's block is the block of `sol`
-    (the march resumed it, or `sol` shares the block); every other slab is
-    scored, and written back to its record when that holds.  A slab's
-    partials come from the same operations whichever chunk it is scored
-    with, and the reduction runs over all of them in slab order, so the
-    norms have the same bits with or without `kept`.  The dict serves one
-    `case`.
+    When `case` is the exact solution of the problem `sol` solved
+    (`sol.data.exact`) and `sol` carries its per-slab values, the known
+    partials (`SlabSolution.partials`) are read and the others scored and
+    written there.  A slab's partials come from the same operations
+    whichever chunk it is scored with, and the reduction runs over all of
+    them in slab order, so the norms have the same bits either way.
     """
     space, grid = sol.space, sol.grid
-    partials = np.empty((grid.n_intervals, 5))
-    records = _records(kept, grid)
-    same_block = [record is not None and record.block is block
-                  for record, block in zip(records, sol.blocks)]
-    missing = []
-    for n, record in enumerate(records):
-        if same_block[n] and record.partials is not None:
-            partials[n] = record.partials
-        else:
-            missing.append(n)
+    known = sol.partials if sol.partials is not None and case is sol.data.exact else None
+    partials = np.full((grid.n_intervals, 5), np.nan) if known is None else known.copy()
+    missing = np.flatnonzero(np.isnan(partials[:, 0]))
 
     def misfit_sq(exact, t, basis, coeffs):
         # per time sample, the squared L2 norm of exact(t) - basis @ coeffs,
@@ -237,9 +225,8 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase, *,
             np.max(misfit_sq(case.u, t[:, ng:], leg_e, vals), axis=1),
         ))
 
-    for n in missing:
-        if same_block[n]:
-            records[n].partials = partials[n].copy()
+    if known is not None:
+        known[:] = partials
     sq_h1, sq_dl2 = np.sum(partials[:, :2], axis=0)
     sq_h1_max, sq_w1inf, sq_l2 = np.max(partials[:, 2:], axis=0)
     return ErrorBundle(

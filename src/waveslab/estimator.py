@@ -28,7 +28,6 @@ from .slabsolver import (
     ProblemData,
     SlabSolution,
     _chunks,
-    _records,
     _sample_times,
     reference_blocks,
 )
@@ -51,7 +50,7 @@ def eta1(sol: SlabSolution) -> tuple[float, int]:
     return float(vals[arg]), arg
 
 
-def laplacian_norms(sol: SlabSolution, m: int, *, kept: dict | None = None) -> np.ndarray:
+def laplacian_norms(sol: SlabSolution, m: int) -> np.ndarray:
     """Broken-Laplacian L2 norms of slabs 0..m, shape (m + 1, 2), read-only.
 
     Row n holds the norms of slab n's top Legendre mode and of its
@@ -61,20 +60,12 @@ def laplacian_norms(sol: SlabSolution, m: int, *, kept: dict | None = None) -> n
     each, whatever their degrees; each slab's norms have the same bits in
     any stack.
 
-    `kept` (see `slabsolver.SlabRecord`) keeps a slab's norms for as long
-    as the march resumes it: a slab whose record describes `sol` and holds
-    norms is read, and every slab computed here is written back to its
-    record when that record describes `sol`.
+    When `sol` carries its per-slab values (`SlabSolution.lap`), the known
+    norms are read and the others computed and written there.
     """
     grid, space = sol.grid, sol.space
-    records = _records(kept, grid, m + 1)
-    out = np.empty((m + 1, 2))
-    missing = []
-    for n, record in enumerate(records):
-        if record is not None and record.solution is sol and record.lap is not None:
-            out[n] = record.lap
-        else:
-            missing.append(n)
+    out = np.full((m + 1, 2), np.nan) if sol.lap is None else sol.lap[:m + 1].copy()
+    missing = np.flatnonzero(np.isnan(out[:, 0]))
     size = max(1, slabsolver.STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
     for start in range(0, len(missing), size):
         chunk = missing[start:start + size]
@@ -82,9 +73,8 @@ def laplacian_norms(sol: SlabSolution, m: int, *, kept: dict | None = None) -> n
                          for n, p in zip(chunk, grid.degrees[chunk].tolist())])
         out[chunk, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
         out[chunk, 1] = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[chunk]))
-    for n in missing:
-        if records[n] is not None and records[n].solution is sol:
-            records[n].lap = tuple(out[n].tolist())
+    if sol.lap is not None:
+        sol.lap[:m + 1] = out
     out.flags.writeable = False
     return out
 
@@ -121,8 +111,8 @@ def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss", *,
     return out
 
 
-def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss", *,
-              kept: dict | None = None) -> np.ndarray:
+def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
+              points: str = "gauss") -> np.ndarray:
     """Per-slab data oscillation: defect of f against its temporal projection.
 
     The projection onto degree p - 1 is taken per spatial quadrature point
@@ -134,21 +124,15 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss
     in any chunk; the weights, which depend on the grid and on m, are
     applied after.
 
-    `kept` (see `slabsolver.SlabRecord`) keeps that L1 norm, which depends
-    only on f, the space and the slab's key: on the "gauss" points, a slab
-    whose record holds it is read, and every slab computed here is written
-    back to its record.
+    That L1 norm depends only on f, the space and the slab's key.  When
+    `data` is the problem `sol` solved (`SlabSolution.data`) and `points`
+    is "gauss", the known norms `sol` carries (`SlabSolution.osc_l1`) are
+    read and the others computed and written there.
     """
     grid, space = sol.grid, sol.space
-    records = _records(kept if points == "gauss" else None, grid, m + 1)
-    l1 = np.empty(m + 1)
-    missing = []
-    for n, record in enumerate(records):
-        if record is not None and record.osc_l1 is not None:
-            l1[n] = record.osc_l1
-        else:
-            missing.append(n)
-    for p, slabs in _chunks(space, grid, missing, points):
+    known = sol.osc_l1 if data is sol.data and points == "gauss" else None
+    l1 = np.full(m + 1, np.nan) if known is None else known[:m + 1].copy()
+    for p, slabs in _chunks(space, grid, np.flatnonzero(np.isnan(l1)), points):
         x, w, leg, _ = reference_blocks(p)[points]
         vander = leg[:, :p]  # (nq, p)
         scale = 0.5 * (2.0 * np.arange(p) + 1.0)
@@ -158,9 +142,8 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss
         norms = space.l2_norm(defect.reshape(samples.shape)).reshape(len(slabs), len(x))
         tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
         l1[slabs] = 0.5 * tau * np.sum(norms * w, axis=1)
-    for n in missing:
-        if records[n] is not None:
-            records[n].osc_l1 = float(l1[n])
+    if known is not None:
+        known[:m + 1] = l1
     slabs = np.arange(m + 1)
     tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
     c3 = np.array([c3_constant(p - 1) for p in grid.degrees[: m + 1].tolist()])
@@ -214,8 +197,6 @@ def estimate(
     data: ProblemData,
     include_osc: bool = False,
     localized: bool = False,
-    *,
-    kept: dict | None = None,
 ) -> EstimatorReport:
     """Evaluate the estimator on a computed solution.
 
@@ -223,23 +204,21 @@ def estimate(
     is the final slab.  Oscillation terms are always computed so that
     reliability checks can add them regardless of `include_osc`.
 
-    `kept`, the dict of `slabsolver.SlabRecord` that the march of `sol` was
-    given, keeps per-slab terms between the iterations of an adaptive run:
-    the Laplacian norms of every slab the march resumed (`laplacian_norms`)
-    and the forcing defect of every slab whose key it knows (`osc_terms`)
-    are read, not computed again.  Each has the bits a fresh evaluation
-    gives, and the weights are applied after the lookup, so the report is
-    the one `estimate` makes without `kept`.
+    A solution that carries its per-slab values (`SlabSolution`) has its
+    known Laplacian norms and forcing defects read, not computed again
+    (`laplacian_norms`, `osc_terms`).  Each has the bits a fresh
+    evaluation gives, and the weights are applied after the lookup, so the
+    report is the one a solution without them gives.
     """
     e1, arg = eta1(sol)
     m = arg if localized else sol.grid.n_intervals - 1
-    norms = laplacian_norms(sol, m, kept=kept)
+    norms = laplacian_norms(sol, m)
     return EstimatorReport(
         m=m,
         eta1=e1,
         eta1_argmax=arg,
         eta2_n=eta2_terms(sol, m, norms=norms),
-        osc_n=osc_terms(data, sol, m, kept=kept),
+        osc_n=osc_terms(data, sol, m),
         include_osc=include_osc,
         localized=localized,
         laplacian_norms=norms,

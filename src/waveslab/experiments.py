@@ -363,13 +363,11 @@ def emit_csv(result: ExperimentResult, path) -> Path:
     return path
 
 
-def run_from_file(config_path, out=None, suite=None, seed=None) -> Path:
+def run_from_file(config_path, out=None, suite=None) -> Path:
     """Parse a config file, run its suite, and write the CSV."""
     raw = _read_yaml(Path(config_path).read_text())
     if suite is not None:
         raw["suite"] = suite
-    if seed is not None:
-        raw["seed"] = seed
     config = parse_config(raw)
     result = run_suite(config)
     return emit_csv(result, out if out is not None else config.out)

@@ -22,7 +22,7 @@ default COLAMD ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -92,7 +92,7 @@ class TimeGrid:
         return list(zip(self.degrees.tolist(), self.nodes[:-1].tolist(), self.nodes[1:].tolist()))
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProblemData:
     """Wave equation data on (-1, 1)^2 with homogeneous Dirichlet walls.
 
@@ -107,6 +107,10 @@ class ProblemData:
     load from the "graded_load" rule of `reference_blocks`; a single
     fixed-order Gauss rule there would cap the convergence rate of the
     whole march at the quadrature's own algebraic rate.
+
+    The data are frozen: `march` and `estimator.osc_terms` reuse values
+    computed for a problem only for the same data object
+    (`SlabSolution.data`), so its fields must not change.
     """
 
     u0: object
@@ -232,17 +236,21 @@ def _chunks(space: TensorSpace, grid: TimeGrid, slabs, *points: str):
     """Slab indices grouped by degree and split to `STACK_BUDGET`.
 
     Yields (p, indices), the indices an ascending array of slabs of degree
-    p whose samples at the point sets `points` of `reference_blocks`, all
-    of them together, fill at most `STACK_BUDGET` Gauss-grid values, or a
-    single slab.
+    p whose stacked values at `points`, all of them together, number at
+    most `STACK_BUDGET`, or a single slab.  A point set of
+    `reference_blocks` stacks its samples at every Gauss-grid value;
+    "modes" stacks the slab's p + 1 temporal modes (`SlabSolution.modes`)
+    of n_dofs coefficients each.
     """
     slabs = np.asarray(slabs, dtype=int)
     degrees = grid.degrees[slabs]
     grid_values = space.gauss_x.size * space.gauss_y.size
     for p in np.unique(degrees):
         group = slabs[degrees == p]
-        samples = sum(len(reference_blocks(int(p))[name][0]) for name in points)
-        size = max(1, STACK_BUDGET // (samples * grid_values))
+        values = sum((p + 1) * space.n_dofs if name == "modes"
+                     else len(reference_blocks(int(p))[name][0]) * grid_values
+                     for name in points)
+        size = max(1, STACK_BUDGET // max(values, 1))
         for start in range(0, len(group), size):
             yield int(p), group[start:start + size]
 
@@ -253,40 +261,38 @@ def _sample_times(grid: TimeGrid, slabs: np.ndarray, x: np.ndarray) -> np.ndarra
     return a + 0.5 * (grid.nodes[slabs + 1][:, None] - a) * (x + 1.0)
 
 
-def _load(data: ProblemData, space: TensorSpace, a, tau, rule):
-    """Load moments (f, psi_k phi_i) on slabs (a, a + tau) by a load rule.
+def _load(data: ProblemData, space: TensorSpace, a: np.ndarray, tau: np.ndarray, rule):
+    """Load moments (f, psi_k phi_i) on S slabs (a, a + tau) of one degree by a load rule.
 
-    `a` and `tau` are scalars, giving moments of shape (p, n_dofs), or
-    arrays over S slabs of one degree, giving shape (S, p, n_dofs).  Time
-    moments of f are formed on the Gauss grid one panel at a time, with one
-    call of f for all slabs, which holds one panel's samples at once; one
-    load_vector call assembles them all.
+    `a` and `tau` are arrays over the slabs; the moments have shape
+    (S, p, n_dofs).  Time moments of f are formed on the Gauss grid one
+    panel at a time, with one call of f for all slabs, which holds one
+    panel's samples at once; one load_vector call assembles them all.
     """
-    a, tau = np.asarray(a, dtype=float), np.asarray(tau, dtype=float)
-    lead = a.shape
-    a, tau = a.reshape(-1, 1), tau.reshape(-1, 1)
+    a, tau = a[:, None], tau[:, None]
     moments = 0.0
     for theta, weights in rule:
         samples = space.grid_eval(data.f, (a + tau * theta).ravel())
         moments = moments + weights @ samples.reshape(len(a), len(theta), -1)
     values = (tau[:, :, None] * moments).reshape((-1,) + samples.shape[1:])
-    return space.load_vector(values).reshape(lead + (len(weights), space.n_dofs))
+    return space.load_vector(values).reshape((len(a), len(weights), space.n_dofs))
 
 
 def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid, known: list) -> list:
     """Load moments of every slab in the spatial eigenbasis, (p_n, n_dofs) each.
 
-    `known` holds a kept load or None per slab (see `march`); only the None
-    slabs are assembled.  The first slab of a singular load takes the graded
-    rule on its own; every other slab is loaded with the one-panel Gauss
-    rule, a chunk of slabs of one degree at a time (that panel is the
-    "gauss" point set).  Each load is read-only.
+    `known` holds the last march's load or None per slab (see `march`);
+    only the None slabs are assembled.  The first slab of a singular load
+    takes the graded rule on its own; every other slab is loaded with the
+    one-panel Gauss rule, a chunk of slabs of one degree at a time (that
+    panel is the "gauss" point set).  Each load is read-only.
     """
     loads = list(known)
     missing = np.array([n for n, load in enumerate(loads) if load is None], dtype=int)
     if data.singular_load and loads[0] is None:
         rule = reference_blocks(int(grid.degrees[0]))["graded_load"]
-        loads[0] = space.to_eigenbasis(_load(data, space, grid.nodes[0], grid.tau(0), rule))
+        loads[0] = space.to_eigenbasis(_load(data, space, grid.nodes[:1],
+                                             np.diff(grid.nodes[:2]), rule))[0]
         missing = missing[1:]
     for p, chunk in _chunks(space, grid, missing, "gauss"):
         a = grid.nodes[chunk]
@@ -310,15 +316,30 @@ class SlabSolution:
     error norms and the stability check read a chunk of intervals of one
     degree through `modes`, its Legendre coefficients in time.
 
+    `data` is the problem the march solved.
+
     A solution is a finished value: `blocks` is a tuple, and the blocks and
     `u1h` are made read-only at construction, so `jumps`, computed on first
     use, stays in step with them.
+
+    A march given a dict of `SlabRecord` also hands the solution its
+    per-slab values, NaN where not yet known (see `march`): `lap`, the
+    broken-Laplacian norms of each slab's top mode and jump
+    (`estimator.laplacian_norms`), `osc_l1`, the time L1 norm of each
+    slab's forcing defect (`estimator.osc_terms`), and `partials`, each
+    slab's five error partials for `data.exact` (`errors.compute_errors`).
+    Those functions read the known values and fill in the others.  On any
+    other solution these are None, and nothing is stored.
     """
 
     grid: TimeGrid
     space: TensorSpace
     blocks: tuple
     u1h: np.ndarray
+    data: ProblemData | None = None
+    lap: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    osc_l1: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
+    partials: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
@@ -375,39 +396,22 @@ class SlabSolution:
 
 @dataclass
 class SlabRecord:
-    """What an adaptive run keeps of one slab between iterations.
+    """What a march keeps of one slab for the next march (see `march`).
 
-    `run_adaptive` holds one dict per call, mapping each slab's key
-    (p, t_n, t_{n+1}) (`TimeGrid.slab_keys`) to its record; `march`,
-    `estimator.estimate` and `errors.compute_errors` share it.  `load`, the
-    slab's read-only load moments in eigen-coordinates, and `osc_l1`, the
-    time L1 norm of its forcing defect (`estimator.osc_terms`), depend only
-    on the data, the space and the key.  The other fields describe the slab
-    in `solution`, the last march's result: `block` is its rows there,
-    `end` the eigen-coordinate derivative and value, shape (2, n_dofs),
-    that it hands to the next slab, `lap` the broken-Laplacian norms of its
-    top temporal mode and its jump (`estimator.laplacian_norms`) and
-    `partials` its five error partials (`errors.compute_errors`).
-
-    The march owns the records: it leaves the dict holding exactly its own
-    grid's keys, keeps the record of every slab it resumes, pointed at the
-    new solution, and gives every slab it solves a record with only `load`
-    and `osc_l1` carried over.
+    The dict a caller passes to its marches maps each slab's key
+    (p, t_n, t_{n+1}) (`TimeGrid.slab_keys`) to its record.  `load` is
+    the slab's read-only load moments in
+    eigen-coordinates, which depend only on the data, the space and the
+    key; `end` is the eigen-coordinate derivative and value, shape
+    (2, n_dofs), that the slab hands to the next one; `solution` is the
+    march's result, which carries the slab's other values (see
+    `SlabSolution`).  The march leaves the dict holding exactly its own
+    grid's records.
     """
 
     load: np.ndarray
-    solution: SlabSolution
-    block: np.ndarray
     end: np.ndarray
-    osc_l1: float | None = None
-    lap: tuple | None = None
-    partials: np.ndarray | None = None
-
-
-def _records(kept: dict | None, grid: TimeGrid, stop: int | None = None) -> list:
-    """The `SlabRecord` of each of the first `stop` slabs in `kept`, None where none is."""
-    keys = grid.slab_keys()[:stop]
-    return [None] * len(keys) if kept is None else [kept.get(key) for key in keys]
+    solution: SlabSolution
 
 
 def _check_finite(values: np.ndarray, where: str) -> None:
@@ -415,28 +419,41 @@ def _check_finite(values: np.ndarray, where: str) -> None:
         raise FloatingPointError(f"non-finite values in the {where}")
 
 
-def _resumable(kept: dict, keys: list, space: TensorSpace, u0h: np.ndarray,
-               u1h: np.ndarray) -> int:
-    """Length of the prefix of slabs a march can copy from `kept`.
+def _resumable(last: SlabSolution, keys: list, u0h: np.ndarray, u1h: np.ndarray) -> int:
+    """Length of the prefix of slabs a march can copy from the last solution.
 
-    That is the longest run of slabs whose keys are the last march's slabs
-    at the same indices, with the same space and the same projected initial
-    data, bit for bit; zero when there is none.
+    That is the number of leading slabs whose keys are those of `last` at
+    the same indices, or zero unless the projected initial data are
+    those of `last`, bit for bit.
     """
-    first = kept.get(keys[0])
-    if first is None:
-        return 0
-    last = first.solution
-    if not (last.space is space and np.array_equal(last.blocks[0][0], u0h)
-            and np.array_equal(last.u1h, u1h)):
+    if not (np.array_equal(last.blocks[0][0], u0h) and np.array_equal(last.u1h, u1h)):
         return 0
     count = 0
-    for n, key in enumerate(keys[:last.grid.n_intervals]):
-        record = kept.get(key)
-        if record is None or record.block is not last.blocks[n]:
+    for key, old in zip(keys, last.grid.slab_keys()):
+        if key != old:
             break
         count += 1
     return count
+
+
+def _carry_values(sol: SlabSolution, last: SlabSolution | None, keys: list,
+                  resumed: int) -> None:
+    """Give `sol` its per-slab values, the known ones taken from `last`.
+
+    The copied slabs keep their Laplacian norms and error partials, and
+    every slab whose key `last` has keeps its forcing defect.
+    """
+    count = sol.grid.n_intervals
+    lap, osc_l1 = np.full((count, 2), np.nan), np.full(count, np.nan)
+    partials = np.full((count, 5), np.nan)
+    if last is not None:
+        lap[:resumed], partials[:resumed] = last.lap[:resumed], last.partials[:resumed]
+        index = {key: i for i, key in enumerate(last.grid.slab_keys())}
+        for n, key in enumerate(keys):
+            if key in index:
+                osc_l1[n] = last.osc_l1[index[key]]
+    for name, values in (("lap", lap), ("osc_l1", osc_l1), ("partials", partials)):
+        object.__setattr__(sol, name, values)
 
 
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
@@ -465,21 +482,26 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     nodal rows for the whole march: `blocks[n]` is a view of its p_n + 1
     rows, sharing the junction rows with its neighbours.
 
-    `kept`, a dict of `SlabRecord` that the caller keeps across marches of
-    one `data` and `space`, carries slabs from one march to the next.  A
-    slab found there takes its load from it, so only the others are
-    assembled (slab 0 of a singular load by the graded rule, as always).
-    If the grid starts with slabs of the last march, at the same indices
-    and from the same projected initial data, their rows are copied and the
-    solves start at the first slab that differs, from the end state the
-    last march kept for the slab before it.  That is the computation the
-    last march made: a slab's rows depend only on its key, load,
-    factorization and incoming state, and a load depends only on f, the
-    space and the key, with the same bits whichever chunk of slabs it is
-    assembled with.  So the solution has the bits a march without `kept`
-    computes.  The dict is then left holding exactly this grid's records
-    (see `SlabRecord`).  `run_adaptive` passes one dict to all of its
-    marches; without one, nothing is kept.
+    `kept` is the one way to reuse work between marches: a dict of
+    `SlabRecord` that the caller passes to each of them, as `run_adaptive`
+    does.  A march reuses nothing from it unless the last march given it
+    solved the same `data` object on the same `space`.  Then a slab whose
+    key is there takes its load from it, so only the others are assembled
+    (slab 0 of a singular load by the graded rule, as always).  If the
+    grid starts with slabs of the last march, at the same indices and from
+    the same projected initial data, bit for bit, their rows are copied
+    and the solves start at the first slab that differs, from the end
+    state the last march kept for the slab before it.  That is the
+    computation the last march made: a slab's rows depend only on its key,
+    load, factorization and incoming state, and a load depends only on f,
+    the space and the key, with the same bits whichever chunk of slabs it
+    is assembled with.  So the solution has the bits a march without
+    `kept` computes.  It carries its per-slab values (see
+    `SlabSolution`): the copied slabs' Laplacian norms and error partials
+    and the forcing defect of every slab whose key the dict holds are
+    taken from the last solution, the rest are unknown.  The dict is then
+    left holding exactly this grid's records.  Without `kept`, nothing is
+    kept.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -491,12 +513,16 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     u1h = space.l2_project(data.u1)
     _check_finite(u1h, "projected initial velocity")
     d, s = space.n_dofs, space.stiffness_eigs
-    keys, records = grid.slab_keys(), _records(kept, grid)
+    keys = grid.slab_keys()
+    last = next(iter(kept.values())).solution if kept else None
+    if last is not None and (last.data is not data or last.space is not space):
+        last = None
+    records = [None if last is None else kept.get(key) for key in keys]
     slab_loads = _slab_loads(data, space, grid,
                              [None if record is None else record.load for record in records])
     for n, load in enumerate(slab_loads):
         _check_finite(load, f"load of slab {n}")
-    resumed = 0 if kept is None else _resumable(kept, keys, space, u0h, u1h)
+    resumed = 0 if last is None else _resumable(last, keys, u0h, u1h)
     lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
     factors = space.slab_lu
     for key in set(factors) - set(lu_keys):
@@ -507,12 +533,11 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     values = np.empty((starts[-1] + 1, d))
     values[0] = u0h
     for n in range(resumed):
-        values[starts[n] + 1:starts[n + 1] + 1] = records[n].block[1:]
+        values[starts[n] + 1:starts[n + 1] + 1] = last.blocks[n][1:]
     # previous slab's end derivative and value, in eigen-coordinates
-    deriv, value = (records[resumed - 1].end if resumed
-                    else space.eigen_coords(np.stack((u1h, u0h))))
+    ends = [record.end for record in records[:resumed]]
+    deriv, value = ends[-1] if resumed else space.eigen_coords(np.stack((u1h, u0h)))
     history = np.empty((3, d))  # V^T of M u', M u and K u at the slab's left end
-    ends = {}
 
     for n in range(resumed, grid.n_intervals):
         p, tau, key = int(grid.degrees[n]), grid.tau(n), lu_keys[n]
@@ -536,19 +561,15 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
         end[1] = modes[-1]
         deriv, value = end
         if kept is not None:
-            ends[n] = end
+            ends.append(end)
 
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
-    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h)
+    sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h, data=data)
     if kept is not None:
+        _carry_values(sol, last, keys, resumed)
         kept.clear()
-        for n, (key, record, load) in enumerate(zip(keys, records, slab_loads)):
-            if n < resumed:
-                record.solution, record.block = sol, sol.blocks[n]
-            else:
-                record = SlabRecord(load=load, solution=sol, block=sol.blocks[n], end=ends[n],
-                                    osc_l1=None if record is None else record.osc_l1)
-            kept[key] = record
+        kept.update((key, SlabRecord(load=load, end=end, solution=sol))
+                    for key, load, end in zip(keys, slab_loads, ends))
     return sol
 
 
@@ -577,7 +598,7 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     """
     space, grid = sol.space, sol.grid
     energies = np.empty(grid.n_intervals)
-    for p, slabs in _chunks(space, grid, range(grid.n_intervals), "equispaced"):
+    for p, slabs in _chunks(space, grid, range(grid.n_intervals), "modes"):
         _, _, leg, dleg = reference_blocks(p)["equispaced"]
         coords = space.eigen_coords(sol.modes(slabs))
         gram_m = coords @ coords.swapaxes(1, 2)

@@ -166,38 +166,45 @@ def test_kept_error_partials_are_read_only_for_the_same_block(monkeypatch):
     case = counting_exact(make_case("case2", alpha=1.75), calls)
     monkeypatch.setattr(slabsolver, "STACK_BUDGET", 1)  # one slab per chunk
 
-    def scored(sol, kept):
-        # the norms with `kept`, the slabs scored, and the norms without
+    def scored(sol):
+        # the norms, the slabs scored, and the norms of a copy of `sol` that
+        # carries no per-slab values
         calls.clear()
-        errs = compute_errors(sol, case, kept=kept)
+        errs = compute_errors(sol, case)
         count = calls.get("u", 0)
         assert calls == (dict.fromkeys(("u", "du", "ux", "uy"), count) if count else {})
-        assert set(kept) == set(sol.grid.slab_keys())
-        assert errs == compute_errors(sol, case)
+        assert errs == compute_errors(dataclasses.replace(sol), case)
         return errs, count
 
     data, space, grid = problem_data(case), TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2)
     kept = {}
     sol = march(data, space, grid, kept=kept)
-    first, count = scored(sol, kept)
+    first, count = scored(sol)
     assert count == 4
-    assert scored(sol, kept) == (first, 0)
+    assert scored(sol) == (first, 0)
     # a second march of the grid resumes every slab: nothing is scored
     sol = march(data, space, grid, kept=kept)
-    assert scored(sol, kept) == (first, 0)
+    assert set(kept) == set(grid.slab_keys())
+    assert scored(sol) == (first, 0)
 
-    # one bit changed in the block of slab 2: that slab alone is scored again
+    # one bit changed in the block of slab 2 makes another solution, which
+    # carries no per-slab values: every slab is scored
     blocks = list(sol.blocks)
     blocks[2] = blocks[2].copy()
     blocks[2][1, 0] = np.nextafter(blocks[2][1, 0], np.inf)
-    nudged = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=sol.u1h)
-    assert scored(nudged, kept)[1] == 1
+    nudged = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=sol.u1h, data=data)
+    assert nudged.partials is None
+    assert scored(nudged)[1] == 4
 
     # bisecting slab 0 changes the blocks of every later slab, whose
     # intervals are unchanged: all five are scored
     fine = bisect(grid, [0])
     assert len(set(fine.slab_keys()) & set(kept)) == 3
-    assert scored(march(data, space, fine, kept=kept), kept)[1] == 5
+    assert scored(march(data, space, fine, kept=kept))[1] == 5
+    # back to the grid, whose first slab is not the last march's: all four
+    assert scored(march(data, space, grid, kept=kept))[1] == 4
+    # bisecting the last slab keeps the first three: its two halves alone
+    assert scored(march(data, space, bisect(grid, [3]), kept=kept))[1] == 2
 
 
 def stored_results(fn):

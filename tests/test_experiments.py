@@ -297,7 +297,7 @@ def test_zero_error_gives_infinite_kappa_in_every_suite(monkeypatch):
     # no demo config reaches a zero error, so force one: both row builders
     # must write the same kappa
     exact = ErrorBundle(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
-    stub = lambda sol, case, *, kept=None: exact
+    stub = lambda sol, case: exact
     monkeypatch.setattr(experiments, "compute_errors", stub)
     monkeypatch.setattr(waveslab.adaptive, "compute_errors", stub)
     for config in (
@@ -374,6 +374,15 @@ def test_cli_config_problems_exit_1(tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 1
     assert main(["run", str(tmp_path / "missing.yaml")]) == 1
     assert main(["frobnicate"]) == 1
+
+
+def test_run_takes_no_seed_option(tmp_path, capsys):
+    # `--seed` only copied a number into a key that nothing reads; the
+    # `seed` key itself still parses
+    cfg = _write_config(tmp_path, "suite: tau_refine\ncase: case1\nh: 1.0\ntau_list: [0.5]\n")
+    assert main(["run", str(cfg), "--seed", "3", "--out", str(tmp_path / "x.csv")]) == 1
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_malformed_yaml_is_a_config_error(tmp_path, capsys):
@@ -460,5 +469,5 @@ def test_run_from_file_overrides(tmp_path):
         tmp_path,
         "suite: tau_refine\ncase: case1\nh: 1.0\ntau_list: [0.5]\n",
     )
-    out = run_from_file(cfg, out=tmp_path / "a.csv", seed=11)
+    out = run_from_file(cfg, out=tmp_path / "a.csv")
     assert out == tmp_path / "a.csv" and out.exists()

@@ -2,6 +2,8 @@
 
 import contextlib
 import dataclasses
+import gc
+import weakref
 
 import numpy as np
 import pytest
@@ -27,6 +29,7 @@ from waveslab import (
 import waveslab.adaptive
 from waveslab import slabsolver, spacefem
 from waveslab.adaptive import bisect, run_adaptive
+from waveslab.estimator import osc_terms
 from waveslab.slabsolver import _load, reference_blocks
 
 rng = np.random.default_rng(20240814)
@@ -453,11 +456,11 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise_in_the_local
     test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
 
 
-def test_kept_loads_are_read_only_and_unchanged_by_a_march():
+def test_kept_loads_are_read_only_and_unchanged_by_a_march(monkeypatch):
     data = problem_data(make_case("case2", alpha=1.75))
     space = TensorSpace(3, 3, 2)
     grid = TimeGrid.uniform(1.0, 4, 3)
-    kept = {}
+    solves, kept = counting_solves(monkeypatch), {}
     march(data, space, grid, kept=kept)
     assert set(kept) == load_keys(grid)
     loads = {key: record.load for key, record in kept.items()}
@@ -466,14 +469,18 @@ def test_kept_loads_are_read_only_and_unchanged_by_a_march():
         assert load.shape == (3, space.n_dofs) and not load.flags.writeable
         with pytest.raises(ValueError):
             load[0, 0] = 1.0
-    # a march from another initial velocity resumes no slab: it reads every
-    # load and adds its history to a new array
-    moving = dataclasses.replace(data, u1=bump)
-    again = march(moving, space, grid, kept=kept)
-    assert all(kept[key].load is loads[key] for key in loads)
+    # bisecting the first slab resumes no slab: the march reads the loads of
+    # the three slabs it keeps and adds its history to a new array
+    fine = bisect(grid, [0])
+    solves.clear()
+    again = march(data, space, fine, kept=kept)
+    assert len(solves) == fine.n_intervals
+    shared = load_keys(grid) & load_keys(fine)
+    assert len(shared) == 3
+    assert all(kept[key].load is loads[key] for key in shared)
     assert all(np.array_equal(loads[key], copies[key]) for key in loads)
     assert np.array_equal(np.concatenate(again.blocks),
-                          np.concatenate(march(moving, space, grid).blocks))
+                          np.concatenate(march(data, space, fine).blocks))
 
 
 def test_march_drops_loads_its_grid_does_not_use():
@@ -484,7 +491,7 @@ def test_march_drops_loads_its_grid_does_not_use():
     for grid in (g0, g1, g2):
         sol = march(data, space, grid, kept=kept)
         assert set(kept) == load_keys(grid)
-        assert all(kept[key].block is block for key, block in zip(grid.slab_keys(), sol.blocks))
+        assert all(record.solution is sol for record in kept.values())
     assert load_keys(g0) - load_keys(g2)
     other = TimeGrid.uniform(1.0, 4, 2)
     march(data, space, other, kept=kept)
@@ -496,27 +503,123 @@ def test_march_drops_loads_its_grid_does_not_use():
 def test_march_resumes_only_an_unchanged_start(monkeypatch, change, resumed):
     # the slabs before the first changed one are copied; a changed first
     # slab or projected initial state, even by a tiny amount, resumes nothing
-    data = problem_data(make_case("case2", alpha=1.75))
+    case = make_case("case2", alpha=1.75)
+    moved = []  # the initial data that have changed since the first march
+    tiny = lambda fn: lambda x, y: 1e-200 * fn(x, y)
+    moving = lambda name, before, after: lambda x, y: (
+        after(x, y) if name in moved else before(x, y))
+    # one data object throughout, whose initial data callables return
+    # another array once their name is in `moved`
+    data = dataclasses.replace(
+        problem_data(case),
+        grad_u0=(moving("u0h", case.u0x, tiny(bump_x)), moving("u0h", case.u0y, tiny(bump_y))),
+        u1=moving("u1h", case.u1, tiny(bump)))
     space = TensorSpace(3, 3, 2)
     grid = TimeGrid.uniform(1.0, 4, 2)
     solves, kept = counting_solves(monkeypatch), {}
     march(data, space, grid, kept=kept)
-    tiny = lambda fn: lambda x, y: 1e-200 * fn(x, y)
     if change == "third slab":
         grid = bisect(grid, [2])
     elif change == "first slab":
         grid = bisect(grid, [0])
-    elif change == "u0h":
-        data = dataclasses.replace(data, grad_u0=(tiny(bump_x), tiny(bump_y)))
-    elif change == "u1h":
-        data = dataclasses.replace(data, u1=tiny(bump))
+    moved.append(change)
     solves.clear()
     sol = march(data, space, grid, kept=kept)
     assert len(solves) == grid.n_intervals - resumed
     fresh = march(data, TensorSpace(3, 3, 2), grid)
     assert np.array_equal(sol.u1h, fresh.u1h)
     assert np.array_equal(np.concatenate(sol.blocks), np.concatenate(fresh.blocks))
-    assert all(kept[key].block is block for key, block in zip(grid.slab_keys(), sol.blocks))
+    assert set(kept) == load_keys(grid)
+    assert all(record.solution is sol for record in kept.values())
+
+
+def two_problems():
+    """case2 at alpha 1.75 and at 2.5: zero initial data, so that every slab
+    key and the projected initial state of one march match the other's."""
+    return tuple(problem_data(make_case("case2", alpha=alpha)) for alpha in (1.75, 2.5))
+
+
+@pytest.mark.parametrize("change", ["data", "space"])
+def test_a_march_of_another_problem_reuses_nothing(monkeypatch, change):
+    # one dict passed to marches of two problems: the second march reads no
+    # load and copies no row of the first, and gives the rows of a fresh one
+    first, second = two_problems()
+    space, grid = TensorSpace(4, 4, 2), TimeGrid.uniform(1.0, 4, 2)
+    solves, loaded, kept = counting_solves(monkeypatch), record_loads(monkeypatch), {}
+    march(first, space, grid, kept=kept)
+    data, other_space = (second, space) if change == "data" else (first, TensorSpace(4, 4, 2))
+    solves.clear()
+    loaded.clear()
+    sol = march(data, other_space, grid, kept=kept)
+    assert len(solves) == sum(loaded) == grid.n_intervals
+    fresh = march(data, TensorSpace(4, 4, 2), grid)
+    assert np.array_equal(np.concatenate(sol.blocks), np.concatenate(fresh.blocks))
+    assert all(record.solution is sol for record in kept.values())
+
+
+def test_problem_data_cannot_change_under_a_solution():
+    # the reuse rules know a problem by its data object, so the object must
+    # keep its fields; another problem is another object
+    data = problem_data(make_case("case2", alpha=1.75))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        data.f = make_case("case2", alpha=2.5).f
+
+
+def test_error_partials_serve_only_the_case_the_solution_solved():
+    first, second = two_problems()
+    space, grid = TensorSpace(4, 4, 2), TimeGrid.uniform(1.0, 4, 2)
+    kept = {}
+    sol = march(first, space, grid, kept=kept)
+    compute_errors(sol, first.exact)
+    # partials scored for the first case are read neither for the second
+    # case nor by a march of the second problem
+    fresh = march(first, TensorSpace(4, 4, 2), grid)
+    assert compute_errors(sol, second.exact) == compute_errors(fresh, second.exact)
+    again = march(second, space, grid, kept=kept)
+    fresh = march(second, TensorSpace(4, 4, 2), grid)
+    assert compute_errors(again, second.exact) == compute_errors(fresh, second.exact)
+
+
+def test_forcing_defects_serve_only_the_data_the_solution_solved():
+    first, second = two_problems()
+    space, grid = TensorSpace(4, 4, 2), TimeGrid.uniform(1.0, 4, 2)
+    m = grid.n_intervals - 1
+    kept = {}
+    sol = march(first, space, grid, kept=kept)
+    estimate(sol, first)
+    # defects of the first forcing are read neither for the second forcing,
+    # nor on other points, nor by a march of the second problem
+    fresh = march(first, TensorSpace(4, 4, 2), grid)
+    assert np.array_equal(osc_terms(second, sol, m), osc_terms(second, fresh, m))
+    assert np.array_equal(osc_terms(first, sol, m, "gauss_doubled"),
+                          osc_terms(first, fresh, m, "gauss_doubled"))
+    again = march(second, space, grid, kept=kept)
+    report, expect = estimate(again, second), estimate(march(second, TensorSpace(4, 4, 2), grid),
+                                                       second)
+    assert report.eta1 == expect.eta1
+    for name in ("eta2_n", "osc_n", "laplacian_norms"):
+        assert np.array_equal(getattr(report, name), getattr(expect, name))
+
+
+def test_an_adaptive_solution_goes_with_its_last_reference():
+    # the records point at the last solution, and nothing points back from a
+    # solution, so a dropped one is freed without the cyclic collector
+    data = problem_data(make_case("case2", alpha=1.75))
+    space, grid = TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2)
+    kept = {}
+    gc.disable()
+    try:
+        sol = march(data, space, grid, kept=kept)
+        estimate(sol, data, localized=True)
+        compute_errors(sol, data.exact)
+        ref = weakref.ref(sol)
+        following = march(data, space, bisect(grid, [2]), kept=kept)
+        assert ref() is sol
+        del sol
+        assert ref() is None
+        assert all(record.solution is following for record in kept.values())
+    finally:
+        gc.enable()
 
 
 def test_slab_factors_stay_within_each_eigenmode(monkeypatch):
@@ -662,7 +765,8 @@ def test_graded_first_slab_load_moments():
                        singular_load=True)
     tau = 0.37
     for p in (2, 3):
-        got = _load(data, space, 0.0, tau, reference_blocks(p)["graded_load"])
+        [got] = _load(data, space, np.array([0.0]), np.array([tau]),
+                      reference_blocks(p)["graded_load"])
         load_bump = space.load_vector(space.grid_eval(bump))
         load_curv = space.load_vector(space.grid_eval(neg_lap_bump))
         for k in range(p):
