@@ -105,9 +105,9 @@ def run_adaptive(
     - the march copies the slabs before the first marked one and solves
       from there on;
     - each solution carries the per-slab values its march knew (see
-      `SlabSolution`): the estimator reads the Laplacian norms of the copied
-      slabs and the forcing defect of every slab it has seen, and the error
-      norms read the copied slabs' partials.
+      `SlabSolution`): the estimator reads the squared jump norms and
+      Laplacian norms of the copied slabs and the forcing defect of every
+      slab it has seen, and the error norms read the copied slabs' partials.
 
     Every value has the bits a run without `kept` computes, so the history
     is the same.  The dict holds the last grid's records and goes when the

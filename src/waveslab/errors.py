@@ -53,6 +53,11 @@ class ManufacturedCase:
     u1: Callable  # du(0, x, y)
 
 
+# the spatial profile of case1 and case2, and its negative Laplacian
+_bump = lambda x, y: (1.0 - x**2) * (1.0 - y**2)
+_curv = lambda x, y: 2.0 * (1.0 - y**2) + 2.0 * (1.0 - x**2)
+
+
 def make_case(name: str, **params) -> ManufacturedCase:
     """Build one of the named manufactured cases.
 
@@ -60,16 +65,14 @@ def make_case(name: str, **params) -> ManufacturedCase:
     mode numbers m, n and a frequency omega.
     """
     if name == "case1":
-        bump = lambda x, y: (1.0 - x**2) * (1.0 - y**2)
-        curv = lambda x, y: 2.0 * (1.0 - y**2) + 2.0 * (1.0 - x**2)
         return ManufacturedCase(
             name=name, params={},
-            u=lambda t, x, y: bump(x, y) * np.cos(4.0 * t),
-            du=lambda t, x, y: -4.0 * bump(x, y) * np.sin(4.0 * t),
+            u=lambda t, x, y: _bump(x, y) * np.cos(4.0 * t),
+            du=lambda t, x, y: -4.0 * _bump(x, y) * np.sin(4.0 * t),
             ux=lambda t, x, y: -2.0 * x * (1.0 - y**2) * np.cos(4.0 * t),
             uy=lambda t, x, y: -2.0 * y * (1.0 - x**2) * np.cos(4.0 * t),
-            f=lambda t, x, y: (-16.0 * bump(x, y) + curv(x, y)) * np.cos(4.0 * t),
-            u0=bump,
+            f=lambda t, x, y: (-16.0 * _bump(x, y) + _curv(x, y)) * np.cos(4.0 * t),
+            u0=_bump,
             u0x=lambda x, y: -2.0 * x * (1.0 - y**2),
             u0y=lambda x, y: -2.0 * y * (1.0 - x**2),
             u1=lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y))),
@@ -78,17 +81,15 @@ def make_case(name: str, **params) -> ManufacturedCase:
         alpha = number(params.get("alpha", 1.75), "alpha")
         if not alpha > 1.5:
             raise ValueError(f"case2 needs alpha > 1.5, got {alpha}")
-        bump = lambda x, y: (1.0 - x**2) * (1.0 - y**2)
-        curv = lambda x, y: 2.0 * (1.0 - y**2) + 2.0 * (1.0 - x**2)
         zero = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
         return ManufacturedCase(
             name=name, params={"alpha": alpha},
-            u=lambda t, x, y: bump(x, y) * t**alpha,
-            du=lambda t, x, y: alpha * bump(x, y) * t ** (alpha - 1.0),
+            u=lambda t, x, y: _bump(x, y) * t**alpha,
+            du=lambda t, x, y: alpha * _bump(x, y) * t ** (alpha - 1.0),
             ux=lambda t, x, y: -2.0 * x * (1.0 - y**2) * t**alpha,
             uy=lambda t, x, y: -2.0 * y * (1.0 - x**2) * t**alpha,
-            f=lambda t, x, y: alpha * (alpha - 1.0) * bump(x, y) * t ** (alpha - 2.0)
-            + curv(x, y) * t**alpha,
+            f=lambda t, x, y: alpha * (alpha - 1.0) * _bump(x, y) * t ** (alpha - 2.0)
+            + _curv(x, y) * t**alpha,
             u0=zero, u0x=zero, u0y=zero, u1=zero,
         )
     if name == "case3":
@@ -172,15 +173,16 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     per slab.
 
     When `case` is the exact solution of the problem `sol` solved
-    (`sol.data.exact`) and `sol` carries its per-slab values, the known
-    partials (`SlabSolution.partials`) are read and the others scored and
-    written there.  A slab's partials come from the same operations
-    whichever chunk it is scored with, and the reduction runs over all of
-    them in slab order, so the norms have the same bits either way.
+    (`sol.data.exact`), the partials are the rows of the solution's table
+    `SlabSolution.partials`: the known ones are read and the others scored
+    and written there, so a second call for the case scores nothing.  A
+    slab's partials come from the same operations whichever chunk it is
+    scored with, and the reduction runs over all of them in slab order, so
+    the norms have the same bits either way.
     """
     space, grid = sol.space, sol.grid
-    known = sol.partials if sol.partials is not None and case is sol.data.exact else None
-    partials = np.full((grid.n_intervals, 5), np.nan) if known is None else known.copy()
+    own = sol.data is not None and case is sol.data.exact
+    partials = sol.partials if own else np.full((grid.n_intervals, 5), np.nan)
     missing = np.flatnonzero(np.isnan(partials[:, 0]))
 
     def misfit_sq(exact, t, basis, coeffs):
@@ -225,8 +227,6 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
             np.max(misfit_sq(case.u, t[:, ng:], leg_e, vals), axis=1),
         ))
 
-    if known is not None:
-        known[:] = partials
     sq_h1, sq_dl2 = np.sum(partials[:, :2], axis=0)
     sq_h1_max, sq_w1inf, sq_l2 = np.max(partials[:, 2:], axis=0)
     return ErrorBundle(

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import slabsolver
+from ._numbers import number
 from .slabsolver import (
     ProblemData,
     SlabSolution,
@@ -50,49 +51,58 @@ def eta1(sol: SlabSolution) -> tuple[float, int]:
     return float(vals[arg]), arg
 
 
+def _target(sol: SlabSolution, m, points: str = "gauss") -> int:
+    """The target slab index m as an int, after checking it and `points`."""
+    m = number(m, "the target slab index m", integer=True)
+    if not 0 <= m < sol.grid.n_intervals:
+        raise ValueError(f"the target slab index m must be a slab of the grid, got {m}")
+    if not isinstance(points, str) or points not in ("gauss", "gauss_doubled"):
+        raise ValueError(f"points must be 'gauss' or 'gauss_doubled', got {points!r}")
+    return m
+
+
 def laplacian_norms(sol: SlabSolution, m: int) -> np.ndarray:
     """Broken-Laplacian L2 norms of slabs 0..m, shape (m + 1, 2), read-only.
 
     Row n holds the norms of slab n's top Legendre mode and of its
     derivative jump (`SlabSolution.jumps`), the rule-independent factors of
-    its eta2 term.  The slabs go through the space kernel in stacks of at
-    most `slabsolver.STACK_BUDGET` Gauss-grid values, at least one slab
-    each, whatever their degrees; each slab's norms have the same bits in
-    any stack.
-
-    When `sol` carries its per-slab values (`SlabSolution.lap`), the known
-    norms are read and the others computed and written there.
+    its eta2 term.  They are the rows of the solution's table
+    `SlabSolution.lap`: the known rows are read, and the others computed and
+    written there, so a second call costs nothing.  The slabs go through the
+    space kernel in stacks of at most `slabsolver.STACK_BUDGET` Gauss-grid
+    values, at least one slab each, whatever their degrees; each slab's
+    norms have the same bits in any stack.
     """
-    grid, space = sol.grid, sol.space
-    out = np.full((m + 1, 2), np.nan) if sol.lap is None else sol.lap[:m + 1].copy()
-    missing = np.flatnonzero(np.isnan(out[:, 0]))
+    m = _target(sol, m)
+    grid, space, lap = sol.grid, sol.space, sol.lap
+    missing = np.flatnonzero(np.isnan(lap[:m + 1, 0]))
     size = max(1, slabsolver.STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
     for start in range(0, len(missing), size):
         chunk = missing[start:start + size]
         tops = np.array([nodal_to_modal(p)[p] @ sol.blocks[n]
                          for n, p in zip(chunk, grid.degrees[chunk].tolist())])
-        out[chunk, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
-        out[chunk, 1] = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[chunk]))
-    if sol.lap is not None:
-        sol.lap[:m + 1] = out
+        lap[chunk, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
+        lap[chunk, 1] = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[chunk]))
+    out = lap[:m + 1].view()
     out.flags.writeable = False
     return out
 
 
-def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss", *,
-               norms: np.ndarray | None = None) -> np.ndarray:
+def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
     """Per-slab consistency terms for target slab index m (zero past m).
 
     The defect of a slab polynomial against its temporal L2 projection one
     degree down is exactly its top Legendre mode, so that term is the time
     L1 norm of the mapped Legendre polynomial times the broken-Laplacian L2
-    norm of the top mode.  `norms` are the `laplacian_norms` of slabs 0..m,
-    computed here when not given; the weights, which depend on the grid and
-    on m, and the Legendre L1 factor, which `points` integrates (a Gauss
-    point set of `reference_blocks`), are applied to them here.
+    norm of the top mode.  The norms are the `laplacian_norms` of slabs
+    0..m, which the solution keeps; the weights, which depend on the grid
+    and on m, and the Legendre L1 factor, which `points` ("gauss" or
+    "gauss_doubled" of `reference_blocks`) integrates, are applied to them
+    here.
     """
+    m = _target(sol, m, points)
     grid = sol.grid
-    top_lap, jump_lap = (laplacian_norms(sol, m) if norms is None else norms).T
+    top_lap, jump_lap = laplacian_norms(sol, m).T
     t_m = float(grid.nodes[m + 1])
     out = np.zeros(grid.n_intervals)
     for n, p in enumerate(grid.degrees[: m + 1].tolist()):
@@ -116,23 +126,26 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
     """Per-slab data oscillation: defect of f against its temporal projection.
 
     The projection onto degree p - 1 is taken per spatial quadrature point
-    from samples at the Gauss point set `points` of `reference_blocks`;
-    norms follow the same conventions as the estimator terms.  Slabs of one
-    degree are sampled together, in chunks under `slabsolver.STACK_BUDGET`,
-    and one projector takes the defect of the whole chunk.  Each slab's time
-    L1 norm of the defect is summed on its own row, so it has the same bits
-    in any chunk; the weights, which depend on the grid and on m, are
-    applied after.
+    from samples at the point set `points` ("gauss" or "gauss_doubled" of
+    `reference_blocks`); norms follow the same conventions as the estimator
+    terms.  Slabs of one degree are sampled together, in chunks under
+    `slabsolver.STACK_BUDGET`, and one projector takes the defect of the
+    whole chunk.  Each slab's time L1 norm of the defect is summed on its
+    own row, so it has the same bits in any chunk; the weights, which
+    depend on the grid and on m, are applied after.
 
     That L1 norm depends only on f, the space and the slab's key.  When
     `data` is the problem `sol` solved (`SlabSolution.data`) and `points`
-    is "gauss", the known norms `sol` carries (`SlabSolution.osc_l1`) are
-    read and the others computed and written there.
+    is "gauss", the norms are the rows of the solution's table
+    `SlabSolution.osc_l1`: the known ones are read and the others computed
+    and written there.
     """
+    m = _target(sol, m, points)
     grid, space = sol.grid, sol.space
-    known = sol.osc_l1 if data is sol.data and points == "gauss" else None
-    l1 = np.full(m + 1, np.nan) if known is None else known[:m + 1].copy()
-    for p, slabs in _chunks(space, grid, np.flatnonzero(np.isnan(l1)), points):
+    own = data is sol.data and points == "gauss"
+    l1 = sol.osc_l1 if own else np.full(grid.n_intervals, np.nan)
+    tau = np.diff(grid.nodes[:m + 2])
+    for p, slabs in _chunks(space, grid, np.flatnonzero(np.isnan(l1[:m + 1])), points):
         x, w, leg, _ = reference_blocks(p)[points]
         vander = leg[:, :p]  # (nq, p)
         scale = 0.5 * (2.0 * np.arange(p) + 1.0)
@@ -140,15 +153,11 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
         samples = space.grid_eval(data.f, _sample_times(grid, slabs, x).ravel())
         defect = to_defect @ samples.reshape(len(slabs), len(x), -1)
         norms = space.l2_norm(defect.reshape(samples.shape)).reshape(len(slabs), len(x))
-        tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
-        l1[slabs] = 0.5 * tau * np.sum(norms * w, axis=1)
-    if known is not None:
-        known[:m + 1] = l1
-    slabs = np.arange(m + 1)
-    tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
+        l1[slabs] = 0.5 * tau[slabs] * np.sum(norms * w, axis=1)
     c3 = np.array([c3_constant(p - 1) for p in grid.degrees[: m + 1].tolist()])
     out = np.zeros(grid.n_intervals)
-    out[: m + 1] = np.where(slabs == m, 2.0 * tau, (2.0 * tau / np.pi) * c3) * l1
+    last = np.arange(m + 1) == m
+    out[: m + 1] = np.where(last, 2.0 * tau, (2.0 * tau / np.pi) * c3) * l1[:m + 1]
     return out
 
 
@@ -159,9 +168,7 @@ class EstimatorReport:
     `eta` is eta1 plus the sum of the eta2 terms; `total` additionally
     carries the oscillation when `include_osc` is set.  `local_n` places
     eta1 on its carrying slab on top of that slab's eta2 term, so the
-    indicators sum to `eta`.  `laplacian_norms` are the rule-independent
-    factors of the eta2 terms (see `laplacian_norms`), which
-    `quadrature_check` reuses.
+    indicators sum to `eta`.
     """
 
     m: int
@@ -171,7 +178,6 @@ class EstimatorReport:
     osc_n: np.ndarray
     include_osc: bool
     localized: bool
-    laplacian_norms: np.ndarray
 
     @property
     def eta(self) -> float:
@@ -204,24 +210,22 @@ def estimate(
     is the final slab.  Oscillation terms are always computed so that
     reliability checks can add them regardless of `include_osc`.
 
-    A solution that carries its per-slab values (`SlabSolution`) has its
-    known Laplacian norms and forcing defects read, not computed again
-    (`laplacian_norms`, `osc_terms`).  Each has the bits a fresh
-    evaluation gives, and the weights are applied after the lookup, so the
-    report is the one a solution without them gives.
+    The solution's known Laplacian norms and forcing defects
+    (`SlabSolution.lap`, `osc_l1`) are read, not computed again, and the
+    others are computed and kept there (`laplacian_norms`, `osc_terms`).
+    Each has the bits a fresh evaluation gives, and the weights are applied
+    after the lookup, so the report is the one a fresh solution gives.
     """
     e1, arg = eta1(sol)
     m = arg if localized else sol.grid.n_intervals - 1
-    norms = laplacian_norms(sol, m)
     return EstimatorReport(
         m=m,
         eta1=e1,
         eta1_argmax=arg,
-        eta2_n=eta2_terms(sol, m, norms=norms),
+        eta2_n=eta2_terms(sol, m),
         osc_n=osc_terms(data, sol, m),
         include_osc=include_osc,
         localized=localized,
-        laplacian_norms=norms,
     )
 
 
@@ -236,13 +240,14 @@ def quadrature_check(sol: SlabSolution, data: ProblemData, report: EstimatorRepo
 
     Returns the worst relative difference and warns when it exceeds `tol`.
     The integrands contain absolute values, so some sensitivity to the rule
-    is expected and worth surfacing.  The eta2 terms take the report's
-    Laplacian norms, which do not depend on the rule: only their Legendre
-    L1 factor is integrated again.
+    is expected and worth surfacing.  The eta2 terms read the Laplacian
+    norms the estimate left on the solution (`SlabSolution.lap`), which do
+    not depend on the rule: only their Legendre L1 factor is integrated
+    again.
     """
     ref = np.concatenate([report.eta2_n, report.osc_n])
     new = np.concatenate([
-        eta2_terms(sol, report.m, points="gauss_doubled", norms=report.laplacian_norms),
+        eta2_terms(sol, report.m, points="gauss_doubled"),
         osc_terms(data, sol, report.m, points="gauss_doubled"),
     ])
     denom = np.maximum(np.maximum(np.abs(ref), np.abs(new)), 1e-300)

@@ -11,7 +11,8 @@ A study is described by a flat YAML mapping.  Common keys:
   time up to a 2 percent rounding allowance (the step lists in common use
   are decimal roundings of 1/N), in at most ``slabsolver.MAX_INTERVALS``
   steps, the most whose nodes numpy can index.
-- ``p_t`` or ``p_t_list``: temporal degree(s), between 2 and 10.
+- ``p_t`` or ``p_t_list``: temporal degree(s), between 2 and
+  ``slabsolver.MAX_TIME_DEGREE`` (10).
 - ``p_x``: spatial degree (default 2, at most 5); ``h``: spatial mesh size
   on (-1, 1)^2 (default 0.4), must similarly divide the side length 2, as
   must every step of ``spacetime_refine``, which sets h = tau.  The ``h``
@@ -47,7 +48,7 @@ from ._numbers import number
 from .adaptive import run_adaptive, total_dofs
 from .errors import compute_errors, make_case, problem_data
 from .estimator import effectivity, estimate
-from .slabsolver import MAX_INTERVALS, TimeGrid, march
+from .slabsolver import MAX_INTERVALS, MAX_TIME_DEGREE, TimeGrid, march
 from .spacefem import MAX_DEGREE, TensorSpace
 
 SUITES = (
@@ -171,7 +172,8 @@ def parse_config(source) -> Config:
     check_num("omega", lambda v: v > 0, "must be positive")
     check_num("theta", lambda v: 0 < v <= 1, "must lie in (0, 1]")
     check_num("eta_tol", lambda v: v >= 0, "must be nonnegative")
-    p_t = check_num("p_t", lambda v: 2 <= v <= 10, "must lie in [2, 10]", integer=True)
+    degree = (lambda v: 2 <= v <= MAX_TIME_DEGREE, f"must lie in [2, {MAX_TIME_DEGREE}]")
+    p_t = check_num("p_t", *degree, integer=True)
     check_num("p_x", lambda v: 1 <= v <= MAX_DEGREE,
               f"must lie in [1, {MAX_DEGREE}]", integer=True)
     check_num("mode_m", lambda v: v >= 1, "must be a positive integer", integer=True)
@@ -215,7 +217,7 @@ def parse_config(source) -> Config:
     divides_T = f"must divide T={T} into at most {MAX_INTERVALS} steps"
     check_num("tau", tau_ok, divides_T)
     taus = check_list("tau_list", tau_ok, divides_T)
-    check_list("p_t_list", lambda v: 2 <= v <= 10, "must lie in [2, 10]", integer=True)
+    check_list("p_t_list", *degree, integer=True)
     if "T_list" in values:
         check_list("T_list", lambda v: v > 0, "must be positive")
         if suite == "long_time" and "tau" in values and not problems:

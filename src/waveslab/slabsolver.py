@@ -10,7 +10,8 @@ Within a slab the trial polynomial is stored by its values at equispaced
 time nodes (left endpoint first), so continuity is enforced by fixing the
 first node to the previous slab's end value.  Test functions are Legendre
 polynomials mapped to the slab, which keeps the reference matrices sparse in
-the modal sense and well conditioned for degrees up to ten.
+the modal sense and well conditioned for degrees up to ten, the most a
+`TimeGrid` takes (`MAX_TIME_DEGREE`).
 
 The march solves in the spatial eigenbasis of `TensorSpace`, where a slab
 is d decoupled p x p systems in time.  Their operator (`slab_operator`) is
@@ -22,7 +23,7 @@ default COLAMD ordering.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 import numpy as np
@@ -38,6 +39,12 @@ from .timebasis import IntervalPoly, gauss_legendre, mu_n, nodal_to_modal
 # The most intervals a uniform grid can have: its n + 1 nodes must be an
 # array numpy can index.
 MAX_INTERVALS = int(np.iinfo(np.intp).max) - 1
+
+# The highest temporal degree, up to which the method is well conditioned:
+# on case1 (`TensorSpace(5, 5, 2)`, 5 slabs) Linf_L2 is 1.8e-12 at degree
+# 10, 4.1e-9 at 20 and 2.3e-6 at 30, as the condition number of
+# `nodal_to_modal` grows from 41 to 1.4e4 and 7.8e6.
+MAX_TIME_DEGREE = 10
 
 
 @dataclass(frozen=True)
@@ -56,8 +63,8 @@ class TimeGrid:
             raise ValueError("grid needs N+1 nodes and N degrees")
         if np.any(np.diff(nodes) <= 0):
             raise ValueError("grid nodes must be strictly increasing")
-        if np.any(degrees < 2):
-            raise ValueError("temporal degree must be >= 2 on every interval")
+        if np.any((degrees < 2) | (degrees > MAX_TIME_DEGREE)):
+            raise ValueError(f"temporal degrees must lie in [2, {MAX_TIME_DEGREE}]")
 
     @classmethod
     def uniform(cls, T: float, n: int, degree: int) -> "TimeGrid":
@@ -322,14 +329,17 @@ class SlabSolution:
     `u1h` are made read-only at construction, so `jumps`, computed on first
     use, stays in step with them.
 
-    A march given a dict of `SlabRecord` also hands the solution its
-    per-slab values, NaN where not yet known (see `march`): `lap`, the
-    broken-Laplacian norms of each slab's top mode and jump
-    (`estimator.laplacian_norms`), `osc_l1`, the time L1 norm of each
-    slab's forcing defect (`estimator.osc_terms`), and `partials`, each
-    slab's five error partials for `data.exact` (`errors.compute_errors`).
-    Those functions read the known values and fill in the others.  On any
-    other solution these are None, and nothing is stored.
+    Every solution carries its per-slab values from construction, NaN
+    until known, as attributes that are not fields (`dataclasses.replace`
+    gives the copy tables of its own): `lap` (N, 2), the broken-Laplacian
+    norms of each slab's top mode and jump (`estimator.laplacian_norms`),
+    `osc_l1` (N,), the time L1 norm of each slab's forcing defect
+    (`estimator.osc_terms`), `partials` (N, 5), each slab's five error
+    partials for `data.exact` (`errors.compute_errors`), and a private
+    column of the squared jump norms (`jump_sq`).  Their readers take the known rows and fill in the
+    others in place, so a second read computes nothing.  A march given the
+    last march's records (`kept`) seeds them from the last solution (see
+    `march`).
     """
 
     grid: TimeGrid
@@ -337,13 +347,16 @@ class SlabSolution:
     blocks: tuple
     u1h: np.ndarray
     data: ProblemData | None = None
-    lap: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    osc_l1: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
-    partials: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
         _freeze((self.blocks, self.u1h))
+        count = self.grid.n_intervals
+        for name, shape in (("lap", (count, 2)), ("osc_l1", count), ("partials", (count, 5)),
+                            ("_jump_sq", count)):
+            object.__setattr__(self, name, np.full(shape, np.nan))
+        object.__setattr__(self, "_jump_sq_view", self._jump_sq.view())  # what jump_sq returns
+        self._jump_sq_view.flags.writeable = False
 
     def poly(self, n: int) -> IntervalPoly:
         return IntervalPoly.from_nodal(self.grid.interval(n), self.blocks[n])
@@ -382,16 +395,22 @@ class SlabSolution:
         out.flags.writeable = False
         return out
 
-    @cached_property
+    @property
     def jump_sq(self) -> np.ndarray:
         """Squared mass norms of the rows of `jumps`, shape (N,), read-only.
 
-        Computed once per solution: the estimator's eta1, the error norms'
-        jump term and the stability check's jump sum all read it.
+        The same array on every read: the estimator's eta1, the error norms'
+        jump term and the stability check's jump sum all read it.  The
+        unknown rows are a suffix (a resumed march knows those of its copied
+        slabs), filled on first read by one `m_inner` of those rows of
+        `jumps`, a view, so a fresh solution takes one product of all of
+        them, without a copy.
         """
-        out = self.space.m_inner(self.jumps, self.jumps)
-        out.flags.writeable = False
-        return out
+        if np.isnan(self._jump_sq[-1]):
+            start = int(np.argmax(np.isnan(self._jump_sq)))
+            rows = self.jumps[start:]
+            self._jump_sq[start:] = self.space.m_inner(rows, rows)
+        return self._jump_sq_view
 
 
 @dataclass
@@ -436,24 +455,17 @@ def _resumable(last: SlabSolution, keys: list, u0h: np.ndarray, u1h: np.ndarray)
     return count
 
 
-def _carry_values(sol: SlabSolution, last: SlabSolution | None, keys: list,
-                  resumed: int) -> None:
-    """Give `sol` its per-slab values, the known ones taken from `last`.
+def _carry_values(sol: SlabSolution, last: SlabSolution, keys: list, resumed: int) -> None:
+    """Seed the per-slab values of `sol` with those `last` knows.
 
-    The copied slabs keep their Laplacian norms and error partials, and
-    every slab whose key `last` has keeps its forcing defect.
+    The copied slabs keep their Laplacian norms, error partials and squared
+    jump norms, and every slab whose key `last` has keeps its forcing
+    defect.
     """
-    count = sol.grid.n_intervals
-    lap, osc_l1 = np.full((count, 2), np.nan), np.full(count, np.nan)
-    partials = np.full((count, 5), np.nan)
-    if last is not None:
-        lap[:resumed], partials[:resumed] = last.lap[:resumed], last.partials[:resumed]
-        index = {key: i for i, key in enumerate(last.grid.slab_keys())}
-        for n, key in enumerate(keys):
-            if key in index:
-                osc_l1[n] = last.osc_l1[index[key]]
-    for name, values in (("lap", lap), ("osc_l1", osc_l1), ("partials", partials)):
-        object.__setattr__(sol, name, values)
+    for name in ("lap", "partials", "_jump_sq"):
+        getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]
+    known = dict(zip(last.grid.slab_keys(), last.osc_l1))
+    sol.osc_l1[:] = [known.get(key, np.nan) for key in keys]
 
 
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
@@ -496,10 +508,10 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     load, factorization and incoming state, and a load depends only on f,
     the space and the key, with the same bits whichever chunk of slabs it
     is assembled with.  So the solution has the bits a march without
-    `kept` computes.  It carries its per-slab values (see
-    `SlabSolution`): the copied slabs' Laplacian norms and error partials
-    and the forcing defect of every slab whose key the dict holds are
-    taken from the last solution, the rest are unknown.  The dict is then
+    `kept` computes.  Its per-slab values (see `SlabSolution`) are seeded
+    from the last solution: the copied slabs' Laplacian norms, error
+    partials and squared jump norms, and the forcing defect of every slab
+    whose key the dict holds; the rest are unknown.  The dict is then
     left holding exactly this grid's records.  Without `kept`, nothing is
     kept.
 
@@ -565,8 +577,9 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
 
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
     sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h, data=data)
-    if kept is not None:
+    if last is not None:
         _carry_values(sol, last, keys, resumed)
+    if kept is not None:
         kept.clear()
         kept.update((key, SlabRecord(load=load, end=end, solution=sol))
                     for key, load, end in zip(keys, slab_loads, ends))

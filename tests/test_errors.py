@@ -193,7 +193,7 @@ def test_kept_error_partials_are_read_only_for_the_same_block(monkeypatch):
     blocks[2] = blocks[2].copy()
     blocks[2][1, 0] = np.nextafter(blocks[2][1, 0], np.inf)
     nudged = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=sol.u1h, data=data)
-    assert nudged.partials is None
+    assert nudged.partials.shape == (4, 5) and np.isnan(nudged.partials).all()
     assert scored(nudged)[1] == 4
 
     # bisecting slab 0 changes the blocks of every later slab, whose
@@ -205,6 +205,26 @@ def test_kept_error_partials_are_read_only_for_the_same_block(monkeypatch):
     assert scored(march(data, space, grid, kept=kept))[1] == 4
     # bisecting the last slab keeps the first three: its two halves alone
     assert scored(march(data, space, bisect(grid, [3]), kept=kept))[1] == 2
+
+
+def test_a_second_error_evaluation_of_the_solved_case_calls_no_exact_function():
+    # a uniform level's solution keeps the partials it scored for its own
+    # case; another case object, or a solution without data, is scored again
+    calls = {}
+    case = counting_exact(make_case("case2", alpha=1.75), calls)
+    sol = march(problem_data(case), TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2))
+    once = dict.fromkeys(("u", "du", "ux", "uy"), 1)
+    first = compute_errors(sol, case)
+    assert calls == once
+    calls.clear()
+    assert compute_errors(sol, case) == first
+    assert calls == {}
+    assert compute_errors(sol, dataclasses.replace(case)) == first
+    assert calls == once
+    calls.clear()
+    bare = SlabSolution(grid=sol.grid, space=sol.space, blocks=sol.blocks, u1h=sol.u1h)
+    assert compute_errors(bare, case) == first
+    assert calls == once
 
 
 def stored_results(fn):

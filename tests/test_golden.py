@@ -1,5 +1,6 @@
 """Every demo config still writes its golden CSV (`golden_csv`), up to round-off,
-and demo scripts 03 to 05 still print their golden text.
+and demo scripts 03 to 05 still print their golden text.  Every row of a
+uniform demo suite is, bit for bit, the row its level gives run alone.
 
 `tests/golden/<script>.txt` is what `demos/<script>.py` printed when that
 golden was made.  The numbers there have 3 to 7 significant digits, so an
@@ -12,12 +13,14 @@ the order of the arithmetic does.  They must still run to the end under
 the project's warning filters, which make a `RuntimeWarning` an error.
 """
 
+import random
 import runpy
 from pathlib import Path
 
 import pytest
 
 from golden_csv import GOLDEN, csv_differences
+from waveslab import TensorSpace, experiments
 from waveslab.experiments import emit_csv, parse_config, run_suite
 
 DEMOS = Path(__file__).resolve().parent.parent / "demos"
@@ -31,9 +34,28 @@ def test_every_demo_config_has_a_golden():
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in CONFIGS.glob("*.yaml")))
 def test_demo_config_matches_its_golden(name, tmp_path):
-    result = run_suite(parse_config(CONFIGS / f"{name}.yaml"))
+    config = parse_config(CONFIGS / f"{name}.yaml")
+    result = run_suite(config)
     path = emit_csv(result, tmp_path / f"{name}.csv")
     assert csv_differences(path) == []
+    if config.suite == "adaptive":
+        return
+    # the levels of a uniform suite share a space and its kept factorizations
+    # (`TensorSpace.slab_lu`); every row must still be, to the bit, the one
+    # its level gives alone on a fresh space, whatever ran before it
+    case = experiments._build_case(config)
+    levels = list(enumerate(experiments._level_specs(config)))
+    assert len(levels) == len(result.rows)
+    random.Random(7).shuffle(levels)
+    for level, (h, tau, p_x, p_t, T) in levels:
+        space = TensorSpace(round(2.0 / h), round(2.0 / h), p_x)
+        grid, errs, report, wall = experiments._uniform_level(case, config, space, tau, p_t, T)
+        alone = experiments._level_row(level, grid.T / grid.n_intervals, p_x, p_t,
+                                       grid, space, errs, report, wall)
+        for key in result.columns:
+            if key != "wall_time":
+                got, want = float(result.rows[level][key]).hex(), float(alone[key]).hex()
+                assert got == want, (level, key)
 
 
 def test_the_comparison_catches_a_moved_cell(tmp_path):

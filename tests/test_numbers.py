@@ -15,6 +15,7 @@ built.  The `@example`s pin values that fell between the per-module
 checks this rule replaced.
 """
 
+import functools
 import math
 import sys
 from fractions import Fraction
@@ -29,8 +30,9 @@ from waveslab import (
     TensorSpace, TimeGrid, bisect, doerfler_mark, make_case, problem_data, run_adaptive,
 )
 from waveslab.cli import main
+from waveslab.estimator import eta2_terms, laplacian_norms, osc_terms
 from waveslab.experiments import ConfigError, parse_config
-from waveslab.slabsolver import MAX_INTERVALS
+from waveslab.slabsolver import MAX_INTERVALS, MAX_TIME_DEGREE, march
 from waveslab.spacefem import ELEMENT_SIZES
 from waveslab.timebasis import equispaced_nodes, gauss_legendre, legendre_eval, nodal_to_modal
 
@@ -159,10 +161,12 @@ def test_space_domain(bounds):
 @example([10**200, 4.0, np.int64(3)])
 @example([1.0, 2**63, 2])  # IndexError inside np.linspace
 @example([1.0, 10**400, 2])  # numpy's "Maximum allowed size exceeded"
+@example([1.0, 4, 11])
 def test_uniform_grid(args):
     got = outcome(lambda: TimeGrid.uniform(*args))
     T, n, p = expected(args[0]), expected(args[1], True), expected(args[2], True)
-    ok = None not in (T, n, p) and T > 0 and 1 <= n <= MAX_INTERVALS and p >= 2
+    ok = (None not in (T, n, p) and T > 0 and 1 <= n <= MAX_INTERVALS
+          and 2 <= p <= MAX_TIME_DEGREE)
     if settle(got, ok, args[2:]):  # np.full holds the degree as given
         assert np.array_equal(got.nodes, np.linspace(0.0, T, n + 1))
         assert got.degrees.dtype.kind == "i" and list(got.degrees) == [p] * n
@@ -188,13 +192,15 @@ def grid_arguments(draw):
 @example(([0, 0.5, 1], ["2", "2"]))
 @example(([0, 0.5, True], [2, 2]))
 @example(([0.0, 1.5, np.float64(3.0)], [2.0, np.int64(3)]))
+@example(([0, 0.5, 1], [10, 11]))  # above MAX_TIME_DEGREE
 def test_grid(args):
     nodes, degrees = args
     got = outcome(lambda: TimeGrid(nodes, degrees))
     want_t = [expected(v) for v in nodes]
     want_p = [expected(v, integer=True) for v in degrees]
     ok = (None not in want_t + want_p and len(want_p) == len(want_t) - 1 >= 1
-          and all(a < b for a, b in zip(want_t, want_t[1:])) and min(want_p) >= 2)
+          and all(a < b for a, b in zip(want_t, want_t[1:]))
+          and 2 <= min(want_p) and max(want_p) <= MAX_TIME_DEGREE)
     if settle(got, ok, nodes + degrees):
         assert list(got.nodes) == want_t and list(got.degrees) == want_p
         assert got.degrees.dtype.kind == "i"
@@ -212,6 +218,41 @@ def test_bisect_marks(marks):
     if settle(got, ok, marks):
         mids = [(m + 0.5) / 4 for m in set(want)]
         assert list(got.nodes) == sorted(list(grid.nodes) + mids)
+
+
+@functools.lru_cache(maxsize=None)
+def case2_run():
+    """case2 (alpha 1.75) marched on `TensorSpace(3, 3, 2)` over 4 slabs at p = 2."""
+    data = problem_data(make_case("case2", alpha=1.75))
+    return data, march(data, TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2))
+
+
+TERMS = {
+    "laplacian_norms": lambda data, sol, m, points: laplacian_norms(sol, m),
+    "eta2_terms": lambda data, sol, m, points: eta2_terms(sol, m, points),
+    "osc_terms": osc_terms,
+}
+POINTS = ["gauss", "gauss_doubled", "equispaced", "graded_load", "Gauss", "", None, 1]
+
+
+@pytest.mark.parametrize("name", TERMS)
+@given(scalars(-2, 5), st.sampled_from(POINTS))
+@example(-1, "gauss")  # all zeros
+@example(True, "gauss")  # taken as 1
+@example(2.0, "gauss")  # a TypeError
+@example(4, "gauss")  # an IndexError
+@example(1, "equispaced")  # no weights: fails inside matmul
+@example(1, "unknown")  # a KeyError
+def test_estimator_terms_check_the_target_and_the_points(name, m, points):
+    # m is a slab index of the grid, and the terms integrate on a Gauss rule
+    data, sol = case2_run()
+    term = TERMS[name]
+    got = outcome(lambda: term(data, sol, m, points))
+    want = expected(m, integer=True)
+    ok = (want is not None and 0 <= want < sol.grid.n_intervals
+          and (name == "laplacian_norms" or points in ("gauss", "gauss_doubled")))
+    if settle(got, ok):
+        assert np.array_equal(got, term(data, sol, want, points))
 
 
 @given(scalars(-1, 2))

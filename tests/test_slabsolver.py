@@ -424,8 +424,9 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
         for kept_block, block in zip(adaptive_sol.blocks, sol.blocks, strict=True):
             assert np.array_equal(kept_block, block)
         assert record.report.eta1 == report.eta1 and record.report.m == report.m
-        for name in ("eta2_n", "osc_n", "local_n", "laplacian_norms"):
+        for name in ("eta2_n", "osc_n", "local_n"):
             assert np.array_equal(getattr(record.report, name), getattr(report, name))
+        assert adaptive_sol.jump_sq.tobytes() == sol.jump_sq.tobytes()
         assert record.report.eta == report.eta and record.report.total == report.total
         assert record.errors == errs
         assert record.kappa == effectivity(report, errs.Linf_L2)
@@ -454,6 +455,58 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise_in_the_local
     # the kept records need a slab's values to have the same bits in any stack
     monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
     test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
+
+
+def test_an_adaptive_march_knows_the_values_of_its_copied_slabs(monkeypatch):
+    # a march resumed from the last one knows the squared jumps and Laplacian
+    # norms of the slabs it copies, and the forcing defect of every slab whose
+    # key it kept: an estimate computes only the others, from the first slab
+    # that was not copied on, and every row has the bits of a fresh evaluation
+    samples = []
+    case = make_case("case2", alpha=1.75)
+
+    def f(t, x, y):
+        samples.append(np.size(t))
+        return case.f(t, x, y)
+
+    data = dataclasses.replace(problem_data(case), f=f)
+    space, kept = TensorSpace(3, 3, 2), {}
+    jump_rows, lap_rows = [], []
+    real_inner, real_lap = TensorSpace.m_inner, TensorSpace.eval_laplacian_gauss
+
+    def inner(self, u, v):
+        jump_rows.append(len(u))
+        return real_inner(self, u, v)
+
+    def laplacian(self, vec):
+        lap_rows.append(len(vec))
+        return real_lap(self, vec)
+
+    monkeypatch.setattr(TensorSpace, "m_inner", inner)
+    monkeypatch.setattr(TensorSpace, "eval_laplacian_gauss", laplacian)
+    grid, keys = TimeGrid.uniform(1.0, 4, 2), []
+    n_gauss = len(reference_blocks(2)["gauss"][0])
+    for marks in (None, [2], [0], [5], []):
+        last_keys, grid = keys, grid if marks is None else bisect(grid, marks)
+        keys = grid.slab_keys()
+        sol = march(data, space, grid, kept=kept)
+        copied = common_prefix(keys, last_keys)
+        unseen = len(set(keys) - set(last_keys))
+        for rows in (jump_rows, lap_rows, samples):
+            rows.clear()
+        report = estimate(sol, data)  # every slab's terms
+        new = grid.n_intervals - copied
+        assert jump_rows == [new] * (new > 0)
+        assert lap_rows == [new] * 2 * (new > 0)
+        assert sum(samples) == n_gauss * unseen
+        fresh = dataclasses.replace(sol)
+        expect = estimate(fresh, data)
+        assert (report.eta1, report.m) == (expect.eta1, expect.m)
+        for got, want in ((report.eta2_n, expect.eta2_n), (report.osc_n, expect.osc_n),
+                          (sol.jump_sq, fresh.jump_sq), (sol.lap, fresh.lap),
+                          (sol.osc_l1, fresh.osc_l1)):
+            assert got.tobytes() == want.tobytes()
+    assert copied == grid.n_intervals  # the last march copied every slab
 
 
 def test_kept_loads_are_read_only_and_unchanged_by_a_march(monkeypatch):
@@ -597,7 +650,7 @@ def test_forcing_defects_serve_only_the_data_the_solution_solved():
     report, expect = estimate(again, second), estimate(march(second, TensorSpace(4, 4, 2), grid),
                                                        second)
     assert report.eta1 == expect.eta1
-    for name in ("eta2_n", "osc_n", "laplacian_norms"):
+    for name in ("eta2_n", "osc_n"):
         assert np.array_equal(getattr(report, name), getattr(expect, name))
 
 
