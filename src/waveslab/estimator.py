@@ -25,13 +25,7 @@ import numpy as np
 
 from . import slabsolver
 from ._numbers import number
-from .slabsolver import (
-    ProblemData,
-    SlabSolution,
-    _chunks,
-    _sample_times,
-    reference_blocks,
-)
+from .slabsolver import ProblemData, SlabSolution, _forcing_rows, reference_blocks
 from .spacefem import _sqrt_pos
 from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
 
@@ -130,30 +124,25 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
     `reference_blocks`); norms follow the same conventions as the estimator
     terms.  Slabs of one degree are sampled together, in chunks under
     `slabsolver.STACK_BUDGET`, and one projector takes the defect of the
-    whole chunk.  Each slab's time L1 norm of the defect is summed on its
-    own row, so it has the same bits in any chunk; the weights, which
-    depend on the grid and on m, are applied after.
+    whole chunk (`slabsolver._forcing_terms`).  Each slab's time L1 norm of
+    the defect is summed on its own row, so it has the same bits in any
+    chunk; the weights, which depend on the grid and on m, are applied
+    after.
 
     That L1 norm depends only on f, the space and the slab's key.  When
     `data` is the problem `sol` solved (`SlabSolution.data`) and `points`
     is "gauss", the norms are the rows of the solution's table
-    `SlabSolution.osc_l1`: the known ones are read and the others computed
-    and written there.
+    `SlabSolution.osc_l1`, which the march fills from its load's samples:
+    the known ones are read and the others (slab 0 of a singular load,
+    whose load takes the graded rule) computed and written there.
     """
     m = _target(sol, m, points)
-    grid, space = sol.grid, sol.space
+    grid = sol.grid
     own = data is sol.data and points == "gauss"
     l1 = sol.osc_l1 if own else np.full(grid.n_intervals, np.nan)
+    missing = np.flatnonzero(np.isnan(l1[:m + 1]))
+    l1[missing] = _forcing_rows(data, sol, missing, points)[0, missing]
     tau = np.diff(grid.nodes[:m + 2])
-    for p, slabs in _chunks(space, grid, np.flatnonzero(np.isnan(l1[:m + 1])), points):
-        x, w, leg, _ = reference_blocks(p)[points]
-        vander = leg[:, :p]  # (nq, p)
-        scale = 0.5 * (2.0 * np.arange(p) + 1.0)
-        to_defect = np.eye(len(x)) - vander @ (scale[:, None] * (vander * w[:, None]).T)
-        samples = space.grid_eval(data.f, _sample_times(grid, slabs, x).ravel())
-        defect = to_defect @ samples.reshape(len(slabs), len(x), -1)
-        norms = space.l2_norm(defect.reshape(samples.shape)).reshape(len(slabs), len(x))
-        l1[slabs] = 0.5 * tau[slabs] * np.sum(norms * w, axis=1)
     c3 = np.array([c3_constant(p - 1) for p in grid.degrees[: m + 1].tolist()])
     out = np.zeros(grid.n_intervals)
     last = np.arange(m + 1) == m

@@ -32,7 +32,7 @@ import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 
 from ._numbers import number, number_array
-from .spacefem import TensorSpace
+from .spacefem import TensorSpace, _sqrt_pos
 from .timebasis import IntervalPoly, gauss_legendre, mu_n, nodal_to_modal
 
 
@@ -115,9 +115,9 @@ class ProblemData:
     fixed-order Gauss rule there would cap the convergence rate of the
     whole march at the quadrature's own algebraic rate.
 
-    The data are frozen: `march` and `estimator.osc_terms` reuse values
-    computed for a problem only for the same data object
-    (`SlabSolution.data`), so its fields must not change.
+    The data are frozen: `march`, `estimator.osc_terms` and
+    `stability_check` reuse values computed for a problem only for the same
+    data object (`SlabSolution.data`), so its fields must not change.
     """
 
     u0: object
@@ -268,48 +268,113 @@ def _sample_times(grid: TimeGrid, slabs: np.ndarray, x: np.ndarray) -> np.ndarra
     return a + 0.5 * (grid.nodes[slabs + 1][:, None] - a) * (x + 1.0)
 
 
+def _forcing_terms(space: TensorSpace, samples: np.ndarray, p: int, tau: np.ndarray,
+                   points: str = "gauss") -> np.ndarray:
+    """Forcing terms of S slabs of degree p from samples of f, shape (2, S).
+
+    `samples` has shape (S * nq, ngx, ngy): f on the Gauss grid at the nq
+    times of the point set `points` of `reference_blocks(p)` on each slab,
+    slab-major; `tau` holds the slab lengths.  Row 0 is the time L1 norm of
+    the defect of f against its temporal L2 projection onto degree p - 1,
+    taken per spatial quadrature point (`SlabSolution.osc_l1`), and row 1
+    the squared time L2 norm 0.5 tau sum_q w_q |f(t_q)|^2
+    (`SlabSolution.f_sq`).  Each slab's terms are summed on its own row, so
+    they have the same bits in any stack.  The samples are overwritten.
+    """
+    x, w, leg, _ = reference_blocks(p)[points]
+    vander = leg[:, :p]  # (nq, p)
+    scale = 0.5 * (2.0 * np.arange(p) + 1.0)
+    to_defect = np.eye(len(x)) - vander @ (scale[:, None] * (vander * w[:, None]).T)
+    defect = to_defect @ samples.reshape(len(tau), len(x), -1)
+    # squared in place, so that no third array of the samples' size is made
+    norms = _sqrt_pos(space.integrate(np.square(defect, out=defect).reshape(samples.shape)))
+    squares = space.integrate(np.square(samples, out=samples))
+    rows = np.stack((norms, squares)).reshape(2, len(tau), len(x))
+    return 0.5 * tau * np.sum(rows * w, axis=2)
+
+
+def _forcing_rows(data: ProblemData, sol: SlabSolution, slabs, points: str = "gauss"):
+    """Forcing terms (`_forcing_terms`) of `slabs` of `sol`, shape (2, N), NaN elsewhere.
+
+    f is sampled at the point set `points` of `reference_blocks`, slabs of
+    one degree together, in chunks under `STACK_BUDGET`.
+    """
+    grid, space = sol.grid, sol.space
+    out = np.full((2, grid.n_intervals), np.nan)
+    for p, chunk in _chunks(space, grid, slabs, points):
+        x = reference_blocks(p)[points][0]
+        samples = space.grid_eval(data.f, _sample_times(grid, chunk, x).ravel())
+        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
+        out[:, chunk] = _forcing_terms(space, samples, p, tau, points)
+    return out
+
+
 def _load(data: ProblemData, space: TensorSpace, a: np.ndarray, tau: np.ndarray, rule):
     """Load moments (f, psi_k phi_i) on S slabs (a, a + tau) of one degree by a load rule.
 
-    `a` and `tau` are arrays over the slabs; the moments have shape
-    (S, p, n_dofs).  Time moments of f are formed on the Gauss grid one
-    panel at a time, with one call of f for all slabs, which holds one
-    panel's samples at once; one load_vector call assembles them all.
+    `a` and `tau` are arrays over the slabs.  Returns the moments, shape
+    (S, p, n_dofs), and the slabs' forcing terms, shape (2, S): those
+    `_forcing_terms` takes from the samples of a one-panel rule, whose
+    panel is the "gauss" point set (the times are bitwise those of
+    `_sample_times`), and NaN for another rule.  Time moments of f are
+    formed on the Gauss grid and summed one panel at a time, in rule
+    order; one call of f samples as many panels for all slabs as
+    `STACK_BUDGET` holds, at least one, so a slab's moments have the same
+    bits under any budget.  One load_vector call assembles them all.
     """
     a, tau = a[:, None], tau[:, None]
+    grid_shape = (space.gauss_x.size, space.gauss_y.size)
+    p, nq = rule[0][1].shape  # test functions, points per panel
+    per_call = max(1, STACK_BUDGET // (len(a) * nq * grid_shape[0] * grid_shape[1]))
     moments = 0.0
-    for theta, weights in rule:
-        samples = space.grid_eval(data.f, (a + tau * theta).ravel())
-        moments = moments + weights @ samples.reshape(len(a), len(theta), -1)
-    values = (tau[:, :, None] * moments).reshape((-1,) + samples.shape[1:])
-    return space.load_vector(values).reshape((len(a), len(weights), space.n_dofs))
+    for start in range(0, len(rule), per_call):
+        panels = rule[start:start + per_call]
+        times = np.stack([a + tau * theta for theta, _ in panels])  # (panels, S, nq)
+        samples = space.grid_eval(data.f, times.ravel()).reshape((len(panels), -1) + grid_shape)
+        for j, (_, weights) in enumerate(panels):
+            moments = moments + weights @ samples[j].reshape(len(a), nq, -1)
+    forcing = (_forcing_terms(space, samples[0], p, tau[:, 0]) if len(rule) == 1
+               else np.full((2, len(a)), np.nan))
+    del samples
+    values = (tau[:, :, None] * moments).reshape((-1,) + grid_shape)
+    return space.load_vector(values).reshape((len(a), p, space.n_dofs)), forcing
 
 
-def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid, known: list) -> list:
+def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
+                known: list) -> tuple[list, np.ndarray]:
     """Load moments of every slab in the spatial eigenbasis, (p_n, n_dofs) each.
 
     `known` holds the last march's load or None per slab (see `march`);
     only the None slabs are assembled.  The first slab of a singular load
     takes the graded rule on its own; every other slab is loaded with the
     one-panel Gauss rule, a chunk of slabs of one degree at a time (that
-    panel is the "gauss" point set).  Each load is read-only.
+    panel is the "gauss" point set).  Each load is read-only, and checked
+    for finiteness once per chunk.
+
+    Returns the loads and the forcing terms of `_load`, shape (2, N):
+    those of every slab assembled by the Gauss rule, NaN for the others.
     """
     loads = list(known)
+    forcing = np.full((2, grid.n_intervals), np.nan)
     missing = np.array([n for n, load in enumerate(loads) if load is None], dtype=int)
+    jobs = []
     if data.singular_load and loads[0] is None:
-        rule = reference_blocks(int(grid.degrees[0]))["graded_load"]
-        loads[0] = space.to_eigenbasis(_load(data, space, grid.nodes[:1],
-                                             np.diff(grid.nodes[:2]), rule))[0]
+        jobs.append((reference_blocks(int(grid.degrees[0]))["graded_load"], missing[:1]))
         missing = missing[1:]
-    for p, chunk in _chunks(space, grid, missing, "gauss"):
+    jobs += [(reference_blocks(p)["gauss_load"], chunk)
+             for p, chunk in _chunks(space, grid, missing, "gauss")]
+    for rule, chunk in jobs:
         a = grid.nodes[chunk]
-        moments = space.to_eigenbasis(_load(data, space, a, grid.nodes[chunk + 1] - a,
-                                            reference_blocks(p)["gauss_load"]))
+        moments, forcing[:, chunk] = _load(data, space, a, grid.nodes[chunk + 1] - a, rule)
+        moments = space.to_eigenbasis(moments)
+        finite = np.isfinite(moments).all(axis=(1, 2))
+        if not finite.all():
+            raise FloatingPointError(
+                f"non-finite values in the load of slab {chunk[np.argmin(finite)]}")
+        moments.flags.writeable = False
         for n, slab_moments in zip(chunk, moments):
             loads[n] = slab_moments
-    for load in loads:
-        load.flags.writeable = False
-    return loads
+    return loads, forcing
 
 
 @dataclass(frozen=True)
@@ -334,12 +399,18 @@ class SlabSolution:
     gives the copy tables of its own): `lap` (N, 2), the broken-Laplacian
     norms of each slab's top mode and jump (`estimator.laplacian_norms`),
     `osc_l1` (N,), the time L1 norm of each slab's forcing defect
-    (`estimator.osc_terms`), `partials` (N, 5), each slab's five error
-    partials for `data.exact` (`errors.compute_errors`), and a private
-    column of the squared jump norms (`jump_sq`).  Their readers take the known rows and fill in the
-    others in place, so a second read computes nothing.  A march given the
-    last march's records (`kept`) seeds them from the last solution (see
-    `march`).
+    (`estimator.osc_terms`), `f_sq` (N,), each slab's squared time L2 norm
+    of the forcing (`stability_check`), `grams` (N, 2, q, q) for the
+    grid's highest degree q - 1, the Gram matrices E E^T and (E s) E^T of
+    each slab's temporal modes in eigen-coordinates, in the top-left
+    (p + 1) x (p + 1) corner (`stability_check`), `partials` (N, 5), each
+    slab's five error partials for `data.exact` (`errors.compute_errors`),
+    and a private column of the squared jump norms (`jump_sq`).  Their
+    readers take the known rows and fill in the others in place, so a
+    second read computes nothing.  The march fills `osc_l1` and `f_sq`
+    from its load's samples and `grams` from its solves, and a march given
+    the last march's records (`kept`) seeds the rest from the last
+    solution (see `march`).
     """
 
     grid: TimeGrid
@@ -352,7 +423,9 @@ class SlabSolution:
         object.__setattr__(self, "blocks", tuple(self.blocks))
         _freeze((self.blocks, self.u1h))
         count = self.grid.n_intervals
-        for name, shape in (("lap", (count, 2)), ("osc_l1", count), ("partials", (count, 5)),
+        size = int(self.grid.degrees.max()) + 1
+        for name, shape in (("lap", (count, 2)), ("osc_l1", count), ("f_sq", count),
+                            ("grams", (count, 2, size, size)), ("partials", (count, 5)),
                             ("_jump_sq", count)):
             object.__setattr__(self, name, np.full(shape, np.nan))
         object.__setattr__(self, "_jump_sq_view", self._jump_sq.view())  # what jump_sq returns
@@ -455,17 +528,37 @@ def _resumable(last: SlabSolution, keys: list, u0h: np.ndarray, u1h: np.ndarray)
     return count
 
 
+def _grams(coords: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Gram matrices E E^T and (E s) E^T of eigen-coordinate rows E, shape (..., 2, k, k).
+
+    `coords` has shape (..., 2 k, d) and holds E in its first k rows; s
+    holds the d stiffness eigenvalues.  The last k rows are overwritten
+    with E s, and one product of all 2 k rows with E^T gives the mass and
+    stiffness Grams of the k vectors behind E (see
+    `TensorSpace.eigen_coords`).
+    """
+    k = coords.shape[-2] // 2
+    np.multiply(coords[..., :k, :], s, out=coords[..., k:, :])
+    grams = coords @ coords[..., :k, :].swapaxes(-1, -2)
+    return grams.reshape(grams.shape[:-2] + (2, k, k))
+
+
 def _carry_values(sol: SlabSolution, last: SlabSolution, keys: list, resumed: int) -> None:
     """Seed the per-slab values of `sol` with those `last` knows.
 
-    The copied slabs keep their Laplacian norms, error partials and squared
-    jump norms, and every slab whose key `last` has keeps its forcing
-    defect.
+    The copied slabs keep their Laplacian norms, Grams, error partials and
+    squared jump norms, and every slab whose key `last` has keeps its
+    forcing terms (`osc_l1`, `f_sq`), which depend only on f, the space
+    and the key.
     """
     for name in ("lap", "partials", "_jump_sq"):
         getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]
-    known = dict(zip(last.grid.slab_keys(), last.osc_l1))
-    sol.osc_l1[:] = [known.get(key, np.nan) for key in keys]
+    size = min(sol.grams.shape[-1], last.grams.shape[-1])  # a copied slab's corner fits
+    sol.grams[:resumed, :, :size, :size] = last.grams[:resumed, :, :size, :size]
+    known = dict(zip(last.grid.slab_keys(), zip(last.osc_l1, last.f_sq)))
+    for n, key in enumerate(keys):
+        if key in known:
+            sol.osc_l1[n], sol.f_sq[n] = known[key]
 
 
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
@@ -475,9 +568,9 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     The initial displacement is projected in the Dirichlet inner product and
     the initial velocity in L2.  Every slab's load is formed before the
     sequential solves, a chunk of slabs of one degree at a time, and checked
-    for finiteness.  The factorized slab operator is reused whenever the
-    degree repeats and the length agrees to 12 significant digits, so slabs
-    of a uniform or bisected grid share it.  The factorizations are kept on
+    for finiteness (`_slab_loads`).  The factorized slab operator is reused
+    whenever the degree repeats and the length agrees to 12 significant
+    digits, so slabs of a uniform or bisected grid share it.  The factorizations are kept on
     the space (`space.slab_lu`), so a later march on the same space reuses
     them too, as the nested grids of adaptive bisection do; each march
     first drops every kept factorization its own grid does not use, so at
@@ -494,6 +587,13 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     nodal rows for the whole march: `blocks[n]` is a view of its p_n + 1
     rows, sharing the junction rows with its neighbours.
 
+    The march hands on what it computed on the way (see `SlabSolution`):
+    the forcing terms `osc_l1` and `f_sq` of every slab its Gauss rule
+    loads, from that load's samples, and the Grams of every slab it
+    solves, from the slab's modal eigen-coordinates E = nodal_to_modal(p)
+    @ (its nodal eigen-coordinates), so the estimator and the stability
+    check neither sample f nor take eigen-coordinates again.
+
     `kept` is the one way to reuse work between marches: a dict of
     `SlabRecord` that the caller passes to each of them, as `run_adaptive`
     does.  A march reuses nothing from it unless the last march given it
@@ -508,12 +608,11 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     load, factorization and incoming state, and a load depends only on f,
     the space and the key, with the same bits whichever chunk of slabs it
     is assembled with.  So the solution has the bits a march without
-    `kept` computes.  Its per-slab values (see `SlabSolution`) are seeded
-    from the last solution: the copied slabs' Laplacian norms, error
-    partials and squared jump norms, and the forcing defect of every slab
-    whose key the dict holds; the rest are unknown.  The dict is then
-    left holding exactly this grid's records.  Without `kept`, nothing is
-    kept.
+    `kept` computes.  Its other per-slab values are seeded from the last
+    solution: the copied slabs' Laplacian norms, Grams, error partials and
+    squared jump norms, and the forcing terms of every slab whose key the
+    dict holds; the rest are unknown.  The dict is then left holding
+    exactly this grid's records.  Without `kept`, nothing is kept.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -530,10 +629,8 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     if last is not None and (last.data is not data or last.space is not space):
         last = None
     records = [None if last is None else kept.get(key) for key in keys]
-    slab_loads = _slab_loads(data, space, grid,
-                             [None if record is None else record.load for record in records])
-    for n, load in enumerate(slab_loads):
-        _check_finite(load, f"load of slab {n}")
+    slab_loads, forcing = _slab_loads(
+        data, space, grid, [None if record is None else record.load for record in records])
     resumed = 0 if last is None else _resumable(last, keys, u0h, u1h)
     lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
     factors = space.slab_lu
@@ -550,6 +647,9 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     ends = [record.end for record in records[:resumed]]
     deriv, value = ends[-1] if resumed else space.eigen_coords(np.stack((u1h, u0h)))
     history = np.empty((3, d))  # V^T of M u', M u and K u at the slab's left end
+    size = int(grid.degrees.max()) + 1
+    grams = np.full((grid.n_intervals, 2, size, size), np.nan)
+    coords = np.empty((2 * size, d))  # a slab's modal eigen-coordinates E, then E s
 
     for n in range(resumed, grid.n_intervals):
         p, tau, key = int(grid.degrees[n]), grid.tau(n), lu_keys[n]
@@ -567,6 +667,8 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
         rows = values[starts[n] + 1:starts[n + 1] + 1]
         rows[:] = space.from_eigenbasis(modes[1:])
         _check_finite(rows, f"solve of slab {n}")
+        np.matmul(nodal_to_modal(p), modes, out=coords[:p + 1])
+        grams[n, :, :p + 1, :p + 1] = _grams(coords[:2 * p + 2], s)
 
         end = np.empty((2, d))
         end[0] = (2.0 / tau) * (ref["dphi_right"] @ modes)
@@ -577,6 +679,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
 
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
     sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h, data=data)
+    sol.grams[:], sol.osc_l1[:], sol.f_sq[:] = grams, *forcing
     if last is not None:
         _carry_values(sol, last, keys, resumed)
     if kept is not None:
@@ -606,16 +709,29 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     squared H1 seminorm, sampled at 2p + 3 equispaced times, endpoints
     included.  At the reference point x it is (2 / tau)^2 dleg(x) G_M
     dleg(x)^T + leg(x) G_K leg(x)^T, with the Gram matrices G_M = E E^T and
-    G_K = (E s) E^T of the eigen-coordinates E (`TensorSpace.eigen_coords`)
-    of the slab's p + 1 temporal modes (`SlabSolution.modes`).
+    G_K = (E s) E^T of the eigen-coordinates E of the slab's p + 1 temporal
+    modes.  They are the rows of the solution's table `SlabSolution.grams`,
+    which the march fills from its solves; the unknown rows (a solution
+    the march did not build) are computed and written there from
+    `TensorSpace.eigen_coords` of `SlabSolution.modes`.
+
+    The forcing enters through each slab's 0.5 tau sum_q w_q |f(t_q)|^2 on
+    the "gauss" points.  When `data` is the problem `sol` solved
+    (`SlabSolution.data`), these are the rows of `SlabSolution.f_sq`, which
+    the march fills from its load's samples: the known ones are read and
+    the others (slab 0 of a singular load) computed and written there.
     """
     space, grid = sol.space, sol.grid
+    grams = sol.grams
+    for p, slabs in _chunks(space, grid, np.flatnonzero(np.isnan(grams[:, 0, 0, 0])), "modes"):
+        coords = np.empty((len(slabs), 2 * p + 2, space.n_dofs))
+        coords[:, :p + 1] = space.eigen_coords(sol.modes(slabs))
+        grams[slabs, :, :p + 1, :p + 1] = _grams(coords, space.stiffness_eigs)
     energies = np.empty(grid.n_intervals)
-    for p, slabs in _chunks(space, grid, range(grid.n_intervals), "modes"):
+    for p in np.unique(grid.degrees).tolist():
+        slabs = np.flatnonzero(grid.degrees == p)
         _, _, leg, dleg = reference_blocks(p)["equispaced"]
-        coords = space.eigen_coords(sol.modes(slabs))
-        gram_m = coords @ coords.swapaxes(1, 2)
-        gram_k = (coords * space.stiffness_eigs) @ coords.swapaxes(1, 2)
+        gram_m, gram_k = grams[slabs, :, :p + 1, :p + 1].swapaxes(0, 1)
         tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
         energy = (2.0 / tau[:, None]) ** 2 * np.sum((dleg @ gram_m) * dleg, axis=-1)
         energy += np.sum((leg @ gram_k) * leg, axis=-1)
@@ -630,13 +746,10 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     gx, gy = data.grad_u0
     h1_u0 = space.h1_semi_norm(space.grid_eval(gx), space.grid_eval(gy))
     l2_u1 = space.l2_norm(space.grid_eval(data.u1))
-    f_sq = 0.0
-    for p, slabs in _chunks(space, grid, range(m + 1), "gauss"):
-        x, w, _, _ = reference_blocks(p)["gauss"]
-        tq = _sample_times(grid, slabs, x)
-        weights = 0.5 * (grid.nodes[slabs + 1] - grid.nodes[slabs])[:, None] * w
-        f_sq += float(weights.ravel() @ space.l2_norm(space.grid_eval(data.f, tq.ravel())) ** 2)
-    rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (t_m / mu) * f_sq
+    f_sq = sol.f_sq if data is sol.data else np.full(grid.n_intervals, np.nan)
+    missing = np.flatnonzero(np.isnan(f_sq[:m + 1]))
+    f_sq[missing] = _forcing_rows(data, sol, missing)[1, missing]
+    rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (t_m / mu) * float(np.sum(f_sq[:m + 1]))
 
     return StabilityReport(
         satisfied=bool(lhs <= rhs), lhs=float(lhs), rhs=float(rhs),

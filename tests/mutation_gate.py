@@ -92,8 +92,11 @@ MUTANTS = [
            'for name in ("lap", "partials", "_jump_sq"):', 'for name in ("lap", "_jump_sq"):'),
     Mutant("carry drops the squared jumps", "src/waveslab/slabsolver.py",
            'for name in ("lap", "partials", "_jump_sq"):', 'for name in ("lap", "partials"):'),
-    Mutant("carry drops the forcing defects", "src/waveslab/slabsolver.py",
-           "known.get(key, np.nan) for key in keys", "np.nan for key in keys"),
+    Mutant("carry drops the Grams", "src/waveslab/slabsolver.py",
+           "    sol.grams[:resumed, :, :size, :size] = last.grams[:resumed, :, :size, :size]\n",
+           ""),
+    Mutant("carry drops the forcing terms", "src/waveslab/slabsolver.py",
+           "        if key in known:\n", "        if False:\n"),
     Mutant("carry lap of one slab too many", "src/waveslab/slabsolver.py",
            "getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]",
            'stop = resumed + (name == "lap")\n'
@@ -102,13 +105,16 @@ MUTANTS = [
            "getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]",
            'stop = resumed + (name == "partials")\n'
            "        getattr(sol, name)[:stop] = getattr(last, name)[:stop]"),
+    Mutant("carry Grams of one slab too many", "src/waveslab/slabsolver.py",
+           "sol.grams[:resumed, :, :size, :size] = last.grams[:resumed, :, :size, :size]",
+           "sol.grams[:resumed + 1, :, :size, :size] = last.grams[:resumed + 1, :, :size, :size]"),
     Mutant("carry squared jumps of one slab too many", "src/waveslab/slabsolver.py",
            "getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]",
            'stop = resumed + (name == "_jump_sq")\n'
            "        getattr(sol, name)[:stop] = getattr(last, name)[:stop]"),
     Mutant("carry lap by key, whatever the slab's solution", "src/waveslab/slabsolver.py",
-           "    sol.osc_l1[:] = [known.get(key, np.nan) for key in keys]\n",
-           "    sol.osc_l1[:] = [known.get(key, np.nan) for key in keys]\n"
+           "            sol.osc_l1[n], sol.f_sq[n] = known[key]\n",
+           "            sol.osc_l1[n], sol.f_sq[n] = known[key]\n"
            "    rows = dict(zip(last.grid.slab_keys(), last.lap))\n"
            "    sol.lap[:] = [rows.get(key, (np.nan, np.nan)) for key in keys]\n"),
     Mutant("jump_sq filled from the slab after its first unknown one",
@@ -117,6 +123,16 @@ MUTANTS = [
            "start = int(np.argmax(np.isnan(self._jump_sq))) + 1"),
     Mutant("stability jump weight 0.5", "src/waveslab/slabsolver.py",
            "lhs = mu * energies[m] + 0.25 * float(", "lhs = mu * energies[m] + 0.5 * float("),
+    Mutant("stability reads the forcing norms of another forcing", "src/waveslab/slabsolver.py",
+           "f_sq = sol.f_sq if data is sol.data else", "f_sq = sol.f_sq if True else"),
+    # the loads and the forcing terms taken from their samples
+    Mutant("a graded panel reads its neighbour's samples", "src/waveslab/slabsolver.py",
+           "weights @ samples[j].reshape(", "weights @ samples[j - 1].reshape("),
+    Mutant("slab 0 of a singular load takes its forcing terms from the graded samples",
+           "src/waveslab/slabsolver.py",
+           "if len(rule) == 1\n", "if True\n"),
+    Mutant("forcing row sum by a matrix-vector product", "src/waveslab/slabsolver.py",
+           "np.sum(rows * w, axis=2)", "(rows @ w)"),
     # the estimator
     Mutant("eta1 takes a plain argmax", "src/waveslab/estimator.py",
            "arg = int(np.argmax(vals * (1.0 + 1e-14) >= np.max(vals)))",
@@ -128,8 +144,6 @@ MUTANTS = [
            "if False:"),
     Mutant("eta2 weight c3(p) for c3(p - 1)", "src/waveslab/estimator.py",
            "tau * c3_constant(p - 1) * lap_l1", "tau * c3_constant(p) * lap_l1"),
-    Mutant("osc row sum by a matrix-vector product", "src/waveslab/estimator.py",
-           "np.sum(norms * w, axis=1)", "norms @ w"),
     Mutant("osc target slab weight tau for 2 tau", "src/waveslab/estimator.py",
            "np.where(last, 2.0 * tau,", "np.where(last, tau,"),
     Mutant("osc reads the defects of another forcing", "src/waveslab/estimator.py",

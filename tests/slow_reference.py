@@ -333,6 +333,20 @@ def slab_energy(sol, n):
                         for k in range(len(ts))))
 
 
+def forcing_sq(data, sol, n):
+    """0.5 tau sum_q w_q |f(t_q)|^2 of slab n (`SlabSolution.f_sq`), one sample at a time."""
+    grid, space = sol.grid, sol.space
+    p = int(grid.degrees[n])
+    tau = grid.tau(n)
+    a, _ = grid.interval(n)
+    xq, wq = gauss_legendre(2 * p + 3)
+    f_sq = 0.0
+    for x, w in zip(xq, wq):
+        fv = grid_eval_at(space, data.f, a + 0.5 * tau * (x + 1.0))
+        f_sq += 0.5 * tau * w * l2_norm(space, fv) ** 2
+    return f_sq
+
+
 def stability_check(sol, data):
     """(lhs, rhs, m, slab energies) of `slabsolver.stability_check`."""
     space, grid = sol.space, sol.grid
@@ -343,14 +357,6 @@ def stability_check(sol, data):
     gx, gy = data.grad_u0
     h1_u0 = h1_semi_norm(space, space.grid_eval(gx), space.grid_eval(gy))
     l2_u1 = l2_norm(space, space.grid_eval(data.u1))
-    f_sq = 0.0
-    for n in range(m + 1):
-        p = int(grid.degrees[n])
-        tau = grid.tau(n)
-        a, _ = grid.interval(n)
-        xq, wq = gauss_legendre(2 * p + 3)
-        for x, w in zip(xq, wq):
-            fv = grid_eval_at(space, data.f, a + 0.5 * tau * (x + 1.0))
-            f_sq += 0.5 * tau * w * l2_norm(space, fv) ** 2
+    f_sq = sum(forcing_sq(data, sol, n) for n in range(m + 1))
     rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (float(grid.nodes[m + 1]) / mu) * f_sq
     return lhs, rhs, m, energies

@@ -225,6 +225,53 @@ def test_errors_osc_and_stability_match_per_point_loops():
     assert_close(report.rhs, rhs)
 
 
+@pytest.mark.parametrize("singular", [True, False])
+def test_the_march_keeps_forcing_terms_and_grams_of_the_slow_reference(singular):
+    # the march takes each slab's forcing terms from its load's samples, all
+    # but those of a graded first slab, and each slab's Grams from its solve
+    case, data, space, grid = mixed_degree_run()
+    data = dataclasses.replace(data, singular_load=singular)
+    sol = march(data, space, grid)
+    M, K = slow.mass_stiffness(space)
+    for n, p in enumerate(grid.degrees.tolist()):
+        if n == 0 and singular:
+            assert np.isnan(sol.f_sq[n]) and np.isnan(sol.osc_l1[n])
+        else:
+            assert_close(sol.f_sq[n], slow.forcing_sq(data, sol, n))
+        modes = sol.modes([n])[0]
+        coords = space.eigen_coords(modes)
+        gram_m, gram_k = sol.grams[n, :, :p + 1, :p + 1]
+        assert_close(gram_m, modes @ (M @ modes.T))
+        assert_close(gram_k, modes @ (K @ modes.T))
+        assert_close(gram_m, coords @ coords.T)
+        assert_close(gram_k, (coords * space.stiffness_eigs) @ coords.T)
+        padding = np.ones(sol.grams.shape[1:], dtype=bool)
+        padding[:, :p + 1, :p + 1] = False
+        assert np.isnan(sol.grams[n][padding]).all()
+    osc = osc_terms(data, sol, grid.n_intervals - 1)
+    assert_close(osc, slow.osc_terms(data, sol, grid.n_intervals - 1))
+
+
+@pytest.mark.parametrize("singular", [True, False])
+def test_the_march_forcing_terms_have_the_bits_of_a_fresh_evaluation(monkeypatch, singular):
+    # chunks of two or three slabs, so that the load, which leaves out a
+    # graded first slab, stacks the slabs otherwise than a fresh evaluation
+    case, data, space, grid = repeated_degree_run()
+    data = dataclasses.replace(data, singular_load=singular)
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 108)
+    sol = march(data, space, grid)
+    fresh = dataclasses.replace(sol)
+    assert np.isnan(fresh.osc_l1).all() and np.isnan(fresh.f_sq).all()
+    rows = slabsolver._forcing_rows(data, fresh, np.arange(grid.n_intervals))
+    start = int(singular)
+    assert sol.osc_l1[start:].tobytes() == rows[0, start:].tobytes()
+    assert sol.f_sq[start:].tobytes() == rows[1, start:].tobytes()
+    m = grid.n_intervals - 1
+    assert osc_terms(data, sol, m).tobytes() == osc_terms(data, fresh, m).tobytes()
+    assert sol.osc_l1.tobytes() == fresh.osc_l1.tobytes()
+    assert stability_check(sol, data).rhs == stability_check(fresh, data).rhs
+
+
 def repeated_degree_run():
     """case2 with the graded first slab on a non-uniform grid whose degrees
     repeat, so slabs of one degree are batched."""
@@ -536,10 +583,17 @@ def test_callables_are_called_once_per_chunk(monkeypatch, budget):
     compute_errors(sol, counted_case)
     assert calls == {"u": both, "du": both, "ux": both, "uy": both}
     calls.clear()
+    # the oscillation and the stability check read the forcing terms the
+    # march took from its load's samples, and sample f only for another
+    # forcing, once per chunk
     osc_terms(data, sol, grid.n_intervals - 1)
+    stability_check(sol, data)
+    assert calls == {}
+    other = dataclasses.replace(data)
+    osc_terms(other, sol, grid.n_intervals - 1)
     assert calls == {"f": gauss}
     calls.clear()
-    report = stability_check(sol, data)
+    report = stability_check(sol, other)
     assert calls == {"f": n_chunks(report.m + 1, "gauss")}
 
 
@@ -560,19 +614,27 @@ def test_callables_are_called_once_per_slab_or_panel():
     counted_data = ProblemData(u0=data.u0, grad_u0=data.grad_u0, u1=data.u1,
                                f=counted_case.f, exact=counted_case, singular_load=True)
     n_slabs = grid.n_intervals
-    graded_panels = 46
+    # the graded first slab's 46 panels, as many per call as the stack
+    # budget holds
+    panels = reference_blocks(int(grid.degrees[0]))["graded_load"]
+    assert len(panels) == 46
+    values = len(panels[0][0]) * space.gauss_x.size * space.gauss_y.size
+    per_call = max(1, slabsolver.STACK_BUDGET // values)
+    assert per_call > 1
 
     sol = march(counted_data, space, grid)
-    assert calls == {"f": graded_panels + n_slabs - 1}
+    assert calls == {"f": -(-46 // per_call) + n_slabs - 1}
     calls.clear()
     compute_errors(sol, counted_case)
     assert calls == {"u": n_slabs, "du": n_slabs, "ux": n_slabs, "uy": n_slabs}
     calls.clear()
+    # the march's load samples give every slab's forcing terms but those
+    # of the graded first slab, which keeps its plain Gauss rule
     osc_terms(counted_data, sol, n_slabs - 1)
-    assert calls == {"f": n_slabs}
+    assert calls == {"f": 1}
     calls.clear()
-    report = stability_check(sol, counted_data)
-    assert calls == {"f": report.m + 1}
+    stability_check(sol, counted_data)
+    assert calls == {"f": 1}
 
 
 def test_one_load_assembly_per_slab_and_no_rule_rebuilt_when_warm(monkeypatch):

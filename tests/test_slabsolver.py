@@ -459,9 +459,12 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise_in_the_local
 
 def test_an_adaptive_march_knows_the_values_of_its_copied_slabs(monkeypatch):
     # a march resumed from the last one knows the squared jumps and Laplacian
-    # norms of the slabs it copies, and the forcing defect of every slab whose
-    # key it kept: an estimate computes only the others, from the first slab
-    # that was not copied on, and every row has the bits of a fresh evaluation
+    # norms of the slabs it copies, and the forcing defect of every slab: it
+    # keeps those of the slabs whose key it kept and takes the others from
+    # its load's samples, all but that of the graded first slab.  An
+    # estimate computes only the others, from the first slab that was not
+    # copied on, and samples f only on a new first slab; every row has the
+    # bits of a fresh evaluation
     samples = []
     case = make_case("case2", alpha=1.75)
 
@@ -491,14 +494,13 @@ def test_an_adaptive_march_knows_the_values_of_its_copied_slabs(monkeypatch):
         keys = grid.slab_keys()
         sol = march(data, space, grid, kept=kept)
         copied = common_prefix(keys, last_keys)
-        unseen = len(set(keys) - set(last_keys))
         for rows in (jump_rows, lap_rows, samples):
             rows.clear()
         report = estimate(sol, data)  # every slab's terms
         new = grid.n_intervals - copied
         assert jump_rows == [new] * (new > 0)
         assert lap_rows == [new] * 2 * (new > 0)
-        assert sum(samples) == n_gauss * unseen
+        assert sum(samples) == n_gauss * (keys[0] not in last_keys)
         fresh = dataclasses.replace(sol)
         expect = estimate(fresh, data)
         assert (report.eta1, report.m) == (expect.eta1, expect.m)
@@ -652,6 +654,74 @@ def test_forcing_defects_serve_only_the_data_the_solution_solved():
     assert report.eta1 == expect.eta1
     for name in ("eta2_n", "osc_n"):
         assert np.array_equal(getattr(report, name), getattr(expect, name))
+
+
+def test_a_stability_check_of_another_forcing_reads_no_forcing_row():
+    # the forcing norms the march kept serve only its own data: for another
+    # forcing the check samples every slab up to its m again, and leaves the
+    # solution's rows as they were
+    first, second = two_problems()
+    space, grid = TensorSpace(4, 4, 2), TimeGrid.uniform(1.0, 4, 2)
+    sol = march(first, space, grid)
+    known = sol.f_sq.tobytes()
+    report = stability_check(sol, second)
+    assert sol.f_sq.tobytes() == known
+    expect = stability_check(dataclasses.replace(sol, data=None), second)
+    assert report.m == expect.m and report.rhs == expect.rhs
+    assert_close(report.rhs, slow.stability_check(sol, second)[1])
+
+
+def test_a_resumed_march_carries_its_grams_and_forcing_terms():
+    # the copied slabs keep their Grams and the kept slabs their forcing
+    # terms; the march samples f only for the slabs it loads, and every row
+    # has the bits of a fresh march
+    samples = []
+    case = make_case("case2", alpha=1.75)
+
+    def f(t, x, y):
+        samples.append(np.size(t))
+        return case.f(t, x, y)
+
+    data = dataclasses.replace(problem_data(case), f=f)
+    space, kept = TensorSpace(3, 3, 2), {}
+    grid = TimeGrid.uniform(1.0, 4, 2)
+    march(data, space, grid, kept=kept)
+    fine = bisect(grid, [2])
+    samples.clear()
+    sol = march(data, space, fine, kept=kept)
+    assert sum(samples) == 2 * len(reference_blocks(2)["gauss"][0])  # the two new halves
+    fresh = march(data, TensorSpace(3, 3, 2), fine)
+    for name in ("grams", "osc_l1", "f_sq"):
+        assert getattr(sol, name).tobytes() == getattr(fresh, name).tobytes(), name
+    assert np.isnan(sol.f_sq[0]) and not np.isnan(sol.f_sq[1:]).any()
+    assert not np.isnan(sol.grams[:, :, :3, :3]).any()
+
+
+def test_graded_loads_have_the_same_bits_under_any_stack_budget(monkeypatch):
+    # the graded rule's panels share f calls as the budget allows, and are
+    # summed one by one in rule order all the same
+    data = problem_data(make_case("case2", alpha=1.75))
+    space = TensorSpace(3, 3, 2)
+    panels = reference_blocks(3)["graded_load"]
+    values = len(panels[0][0]) * space.gauss_x.size * space.gauss_y.size
+    calls, loads = [], set()
+    real = TensorSpace.grid_eval
+
+    def grid_eval(self, fn, t=None):
+        calls.append(np.size(t))
+        return real(self, fn, t)
+
+    monkeypatch.setattr(TensorSpace, "grid_eval", grid_eval)
+    for per_call in (1, 2, 7, 46, None):
+        if per_call is not None:
+            monkeypatch.setattr(slabsolver, "STACK_BUDGET", per_call * values)
+        calls.clear()
+        moments, forcing = _load(data, space, np.array([0.0]), np.array([0.37]), panels)
+        if per_call is not None:
+            assert len(calls) == -(-46 // per_call)
+        assert np.isnan(forcing).all()
+        loads.add(moments.tobytes())
+    assert len(loads) == 1
 
 
 def test_an_adaptive_solution_goes_with_its_last_reference():
@@ -818,8 +888,8 @@ def test_graded_first_slab_load_moments():
                        singular_load=True)
     tau = 0.37
     for p in (2, 3):
-        [got] = _load(data, space, np.array([0.0]), np.array([tau]),
-                      reference_blocks(p)["graded_load"])
+        [got], _ = _load(data, space, np.array([0.0]), np.array([tau]),
+                         reference_blocks(p)["graded_load"])
         load_bump = space.load_vector(space.grid_eval(bump))
         load_curv = space.load_vector(space.grid_eval(neg_lap_bump))
         for k in range(p):
