@@ -30,16 +30,33 @@ from .spacefem import _sqrt_pos
 from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
 
 
+def _distinct(degrees: np.ndarray) -> list:
+    """The distinct degrees of a grid's slabs, ascending."""
+    return np.flatnonzero(np.bincount(degrees)).tolist()
+
+
+def _by_degree(degrees: np.ndarray, value) -> np.ndarray:
+    """value(p) for each entry p of `degrees`, one call per distinct degree."""
+    distinct = _distinct(degrees)
+    table = np.zeros(distinct[-1] + 1)
+    table[distinct] = [value(p) for p in distinct]
+    return table[degrees]
+
+
 def eta1(sol: SlabSolution) -> tuple[float, int]:
     """Jump estimator: worst slab value and the first slab attaining it.
 
-    Values within a relative 1e-14 of the worst count as attaining it.
+    A slab's value is tau (c1 c2)^(1/2) times its jump norm, with one
+    `reconstruction_constants` per degree of the grid.  Values within a
+    relative 1e-14 of the worst count as attaining it.
     """
     grid = sol.grid
-    weights = np.array([
-        (c1_sq * c2_sq) ** 0.25
-        for c1_sq, c2_sq, _ in map(reconstruction_constants, grid.degrees)
-    ])
+
+    def weight(p):
+        c1_sq, c2_sq, _ = reconstruction_constants(p)
+        return (c1_sq * c2_sq) ** 0.25
+
+    weights = _by_degree(grid.degrees, weight)
     vals = np.diff(grid.nodes) * weights * _sqrt_pos(sol.jump_sq)
     arg = int(np.argmax(vals * (1.0 + 1e-14) >= np.max(vals)))
     return float(vals[arg]), arg
@@ -92,26 +109,34 @@ def eta2_terms(sol: SlabSolution, m: int, points: str = "gauss") -> np.ndarray:
     0..m, which the solution keeps; the weights, which depend on the grid
     and on m, and the Legendre L1 factor, which `points` ("gauss" or
     "gauss_doubled" of `reference_blocks`) integrates, are applied to them
-    here.
+    here as arrays over the slabs.  Each degree takes one
+    `reconstruction_constants`, one `c3_constant`, one `c4_constant` (over
+    the slabs of that degree) and one Legendre L1 factor; each term has
+    the bits of the same expression in scalars.
     """
     m = _target(sol, m, points)
     grid = sol.grid
     top_lap, jump_lap = laplacian_norms(sol, m).T
+    left = grid.nodes[:m + 1]
+    tau = np.diff(grid.nodes[:m + 2])
+    degrees = grid.degrees[:m + 1]
     t_m = float(grid.nodes[m + 1])
-    out = np.zeros(grid.n_intervals)
-    for n, p in enumerate(grid.degrees[: m + 1].tolist()):
-        tau = grid.tau(n)
-        _, c2_sq, _ = reconstruction_constants(p)
+
+    l1, c2, c3, c4 = np.empty((4, m + 1))
+    for p in _distinct(degrees):
+        slabs = degrees == p
         _, w, leg, _ = reference_blocks(p)[points]
-        lap_l1 = 0.5 * tau * float(w @ np.abs(leg[:, p])) * top_lap[n]
-        if n == m:
-            out[n] = 2.0 * (tau * lap_l1 + np.sqrt(c2_sq) * tau**3 * jump_lap[n])
-        else:
-            c4 = c4_constant(p, t_m, float(grid.nodes[n]), tau)
-            out[n] = (2.0 / np.pi) * (
-                tau * c3_constant(p - 1) * lap_l1
-                + tau**3 * np.sqrt(c2_sq) * c4 * jump_lap[n]
-            )
+        l1[slabs] = float(w @ np.abs(leg[:, p]))
+        c2[slabs] = np.sqrt(reconstruction_constants(p)[1])
+        c3[slabs] = c3_constant(p - 1)
+        c4[slabs] = c4_constant(p, t_m, left[slabs], tau[slabs])
+    lap_l1 = 0.5 * tau * l1 * top_lap
+    # cubed one by one: numpy's vectorized power may round differently from
+    # the scalar one (it did for 5% of random lengths on AVX-512)
+    cubes = np.array([length**3 for length in tau.tolist()])
+    out = np.zeros(grid.n_intervals)
+    out[:m + 1] = (2.0 / np.pi) * (tau * c3 * lap_l1 + cubes * c2 * c4 * jump_lap)
+    out[m] = 2.0 * (tau[m] * lap_l1[m] + c2[m] * cubes[m] * jump_lap[m])
     return out
 
 
@@ -143,7 +168,7 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
     missing = np.flatnonzero(np.isnan(l1[:m + 1]))
     l1[missing] = _forcing_rows(data, sol, missing, points)[0, missing]
     tau = np.diff(grid.nodes[:m + 2])
-    c3 = np.array([c3_constant(p - 1) for p in grid.degrees[: m + 1].tolist()])
+    c3 = _by_degree(grid.degrees[:m + 1], lambda p: c3_constant(p - 1))
     out = np.zeros(grid.n_intervals)
     last = np.arange(m + 1) == m
     out[: m + 1] = np.where(last, 2.0 * tau, (2.0 * tau / np.pi) * c3) * l1[:m + 1]

@@ -232,10 +232,11 @@ def slab_operator(p: int, tau: float, s: np.ndarray) -> sp.csc_matrix:
 # Gauss-grid values per stacked array in the batched passes over slabs: the
 # loads, error norms, stability check and oscillation send the slabs of one
 # degree through the space kernel together, in chunks of at most this many
-# values (at least one slab each).  On the d = 81 acceptance-study levels
-# (1 400 slabs, p = 2 to 10) budgets from 2**14 to 2**20 ran within noise of
-# each other, while peak memory rose from 77 MB at 2**16 to 86 MB at 2**18
-# and 109 MB at 2**20.
+# values (at least one slab each), and the march and the jumps take runs of
+# consecutive slabs of one degree whose Gram rows fit in it (`_runs`).  On
+# the d = 81 acceptance-study levels (1 400 slabs, p = 2 to 10) budgets
+# from 2**14 to 2**20 ran within noise of each other, while peak memory
+# rose from 77 MB at 2**16 to 86 MB at 2**18 and 109 MB at 2**20.
 STACK_BUDGET = 1 << 16
 
 
@@ -260,6 +261,22 @@ def _chunks(space: TensorSpace, grid: TimeGrid, slabs, *points: str):
         size = max(1, STACK_BUDGET // max(values, 1))
         for start in range(0, len(group), size):
             yield int(p), group[start:start + size]
+
+
+def _runs(grid: TimeGrid, start: int, d: int):
+    """Runs of slabs from slab `start` on: (p, first, stop) for slabs first..stop-1.
+
+    A run is a stretch of consecutive slabs of one degree p whose Gram
+    rows in the march, 2 p + 2 of d values per slab, number at most
+    `STACK_BUDGET`, or a single slab.
+    """
+    # where the degree changes, both ends included (a degree is at least 2)
+    edges = (np.flatnonzero(np.diff(grid.degrees[start:], prepend=0, append=0)) + start).tolist()
+    for a, b in zip(edges[:-1], edges[1:]):
+        p = int(grid.degrees[a])
+        size = max(1, STACK_BUDGET // max((2 * p + 2) * d, 1))
+        for first in range(a, b, size):
+            yield p, first, min(first + size, b)
 
 
 def _sample_times(grid: TimeGrid, slabs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -455,16 +472,26 @@ class SlabSolution:
 
         Row n is the one-sided time derivative of interval n at t_n minus
         that of interval n - 1; for n = 0 the prescribed projected velocity
-        acts as the incoming derivative.  Computed once per solution and
+        acts as the incoming derivative.  The intervals go through the
+        march's runs of one degree (`_runs`): one product per run gives
+        every left and every right derivative, and each row is the same
+        one subtraction whatever the runs.  Computed once per solution and
         read-only: the estimator, error norms and stability check share it.
         """
-        out = np.empty((self.grid.n_intervals, self.space.n_dofs))
+        grid, d = self.grid, self.space.n_dofs
+        out = np.empty((grid.n_intervals, d))
+        scale = (2.0 / np.diff(grid.nodes))[:, None]
         incoming = self.u1h
-        for n in range(self.grid.n_intervals):
-            ref = reference_blocks(int(self.grid.degrees[n]))
-            scale = 2.0 / self.grid.tau(n)
-            out[n] = scale * (ref["dphi_left"] @ self.blocks[n]) - incoming
-            incoming = scale * (ref["dphi_right"] @ self.blocks[n])
+        for p, first, stop in _runs(grid, 0, d):
+            ref = reference_blocks(p)
+            # a run of one slab reads its block in place
+            stack = (np.stack(self.blocks[first:stop]) if stop - first > 1
+                     else self.blocks[first][None])
+            out[first:stop] = scale[first:stop] * (ref["dphi_left"] @ stack)
+            right = scale[first:stop] * (ref["dphi_right"] @ stack)
+            out[first] -= incoming
+            out[first + 1:stop] -= right[:-1]
+            incoming = right[-1]
         out.flags.writeable = False
         return out
 
@@ -582,17 +609,28 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     A' (x) I + B' (x) diag(s), couples each eigenmode only to itself in
     time.  It is factorized in its natural, time-major column order, which
     leaves p (p + 1) factor entries per mode, as a fill-reducing ordering
-    does, and makes the solves several times cheaper.  Each slab's
-    coefficients return to the nodal basis through V, into one array of
-    nodal rows for the whole march: `blocks[n]` is a view of its p_n + 1
-    rows, sharing the junction rows with its neighbours.
+    does, and makes the solves several times cheaper.
+
+    The slabs go through the march in runs (`_runs`): stretches of
+    consecutive slabs of one degree p whose Gram rows, 2 p + 2 of n_dofs
+    values per slab, stay under `STACK_BUDGET`, or a single slab.  Per slab
+    the loop does only the sequential work: the right-hand side from the
+    load and the previous slab's end derivative and value, the solve, and
+    the slab's own end derivative.  It writes the slab's nodal
+    eigen-coordinates into the run's buffer, whose rows the slabs share at
+    their junctions as their nodal rows do.  Each run then takes three
+    stacked steps: one return through V into the march's array of nodal
+    rows (`blocks[n]` is a view of its p_n + 1 rows, sharing the junction
+    rows with its neighbours), one finiteness check, which names the first
+    slab with a non-finite value, and the Grams of its slabs from their
+    modal eigen-coordinates E = nodal_to_modal(p) @ (nodal
+    eigen-coordinates).  Each of these has a slab's bits in any run.
 
     The march hands on what it computed on the way (see `SlabSolution`):
     the forcing terms `osc_l1` and `f_sq` of every slab its Gauss rule
     loads, from that load's samples, and the Grams of every slab it
-    solves, from the slab's modal eigen-coordinates E = nodal_to_modal(p)
-    @ (its nodal eigen-coordinates), so the estimator and the stability
-    check neither sample f nor take eigen-coordinates again.
+    solves, so the estimator and the stability check neither sample f nor
+    take eigen-coordinates again.
 
     `kept` is the one way to reuse work between marches: a dict of
     `SlabRecord` that the caller passes to each of them, as `run_adaptive`
@@ -632,7 +670,8 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     slab_loads, forcing = _slab_loads(
         data, space, grid, [None if record is None else record.load for record in records])
     resumed = 0 if last is None else _resumable(last, keys, u0h, u1h)
-    lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, np.diff(grid.nodes))]
+    taus = np.diff(grid.nodes).tolist()
+    lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, taus)]
     factors = space.slab_lu
     for key in set(factors) - set(lu_keys):
         del factors[key]
@@ -643,39 +682,51 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     values[0] = u0h
     for n in range(resumed):
         values[starts[n] + 1:starts[n + 1] + 1] = last.blocks[n][1:]
-    # previous slab's end derivative and value, in eigen-coordinates
     ends = [record.end for record in records[:resumed]]
-    deriv, value = ends[-1] if resumed else space.eigen_coords(np.stack((u1h, u0h)))
     history = np.empty((3, d))  # V^T of M u', M u and K u at the slab's left end
+    # previous slab's end derivative and value, in eigen-coordinates
+    history[0], value = ends[-1] if resumed else space.eigen_coords(np.stack((u1h, u0h)))
     size = int(grid.degrees.max()) + 1
     grams = np.full((grid.n_intervals, 2, size, size), np.nan)
-    coords = np.empty((2 * size, d))  # a slab's modal eigen-coordinates E, then E s
+    runs = list(_runs(grid, resumed, d))
+    # a run's nodal eigen-coordinates, junction rows shared, and its Gram
+    # rows: each slab's modal eigen-coordinates E, then E s
+    run_rows = np.empty((max(((b - a) * p + 1 for p, a, b in runs), default=0), d))
+    gram_rows = np.empty((max(((b - a) * (2 * p + 2) for p, a, b in runs), default=0), d))
 
-    for n in range(resumed, grid.n_intervals):
-        p, tau, key = int(grid.degrees[n]), grid.tau(n), lu_keys[n]
+    for p, first, stop in runs:
         ref = reference_blocks(p)
-        if key not in factors:
-            factors[key] = spla.splu(slab_operator(p, tau, s), permc_spec="NATURAL")
+        count = stop - first
+        run = run_rows[:count * p + 1]
+        run[0] = value
+        for j, n in enumerate(range(first, stop)):
+            tau, key = taus[n], lu_keys[n]
+            if key not in factors:
+                factors[key] = spla.splu(slab_operator(p, tau, s), permc_spec="NATURAL")
+            nodal = run[j * p:(j + 1) * p + 1]
 
-        history[0], history[1] = deriv, value
-        np.multiply(s, value, out=history[2])
-        rhs = slab_loads[n] + (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
+            history[1] = nodal[0]
+            np.multiply(s, nodal[0], out=history[2])
+            rhs = slab_loads[n] + (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
+            nodal[1:] = factors[key].solve(rhs.ravel()).reshape(p, d) if d else 0.0
+            # the slab's end derivative, which the next slab takes in
+            np.multiply(2.0 / tau, ref["dphi_right"] @ nodal, out=history[0])
+            if kept is not None:
+                ends.append(np.stack((history[0], nodal[-1])))
+        value = run[-1]
 
-        modes = np.empty((p + 1, d))
-        modes[0] = value
-        modes[1:] = factors[key].solve(rhs.ravel()).reshape(p, d) if d else 0.0
-        rows = values[starts[n] + 1:starts[n + 1] + 1]
-        rows[:] = space.from_eigenbasis(modes[1:])
-        _check_finite(rows, f"solve of slab {n}")
-        np.matmul(nodal_to_modal(p), modes, out=coords[:p + 1])
-        grams[n, :, :p + 1, :p + 1] = _grams(coords[:2 * p + 2], s)
-
-        end = np.empty((2, d))
-        end[0] = (2.0 / tau) * (ref["dphi_right"] @ modes)
-        end[1] = modes[-1]
-        deriv, value = end
-        if kept is not None:
-            ends.append(end)
+        rows = values[starts[first] + 1:starts[stop] + 1]
+        rows[:] = space.from_eigenbasis(run[1:])
+        finite = np.isfinite(rows).reshape(count, -1).all(axis=1)
+        if not finite.all():
+            raise FloatingPointError(
+                f"non-finite values in the solve of slab {first + int(np.argmin(finite))}")
+        # each slab's p + 1 nodal rows, overlapping at the junctions
+        windows = np.lib.stride_tricks.as_strided(
+            run, (count, p + 1, d), (p * run.strides[0],) + run.strides, writeable=False)
+        coords = gram_rows[:count * (2 * p + 2)].reshape(count, 2 * p + 2, d)
+        np.matmul(nodal_to_modal(p), windows, out=coords[:, :p + 1])
+        grams[first:stop, :, :p + 1, :p + 1] = _grams(coords, s)
 
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
     sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h, data=data)

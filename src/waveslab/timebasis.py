@@ -268,7 +268,7 @@ def reconstruction_constants(p: int) -> tuple[float, float, float]:
     c1 and c2 scale the derivative and value gaps between a slab solution
     and its lifted reconstruction in terms of the derivative jump; c3 enters
     the weighted bound for the top temporal mode.  Cached per degree: the
-    estimator asks for them once per slab.
+    estimator asks for them once per degree of a grid.
     """
     if p < 2:
         raise ValueError(f"reconstruction constants need p >= 2, got {p}")
@@ -288,11 +288,13 @@ def c3_constant(p: int) -> float:
     return 1.0 / (p - 2.0)
 
 
-def c4_constant(p: int, t_m: float, t_prev: float, tau_n: float) -> float:
+def c4_constant(p: int, t_m: float, t_prev, tau_n):
     """Weight multiplying the derivative-jump term away from the target slab.
 
     For p = 2 it grows with the distance from the slab's left endpoint to
     the target time t_m; for p >= 3 it is the c3 constant at p - 3.
+    `t_prev` and `tau_n` may be arrays over slabs of degree p, giving the
+    weight of each (elementwise, with a scalar's bits).
 
     The distance factor is capped at sqrt(pi): without the cap a sustained
     sequence of jumps makes the summed weight grow quadratically in the
@@ -302,7 +304,7 @@ def c4_constant(p: int, t_m: float, t_prev: float, tau_n: float) -> float:
     if p < 2:
         raise ValueError(f"c4 needs p >= 2, got {p}")
     if p == 2:
-        dist = min(abs(t_m - t_prev), float(np.sqrt(np.pi)))
+        dist = np.minimum(np.abs(t_m - t_prev), float(np.sqrt(np.pi)))
         return float(np.pi) * dist / tau_n
     return c3_constant(p - 3)
 

@@ -38,8 +38,13 @@ COPIED = ("src", "tests", "demos", "pyproject.toml")
 # patch writer, whose optional dependency libcst raises a DeprecationWarning
 # on import in some environments, which the project's warning filters turn
 # into an internal error (exit 3) in place of the test failure (exit 1).
+# Without the tier-1 check that every mutant matches the code: a planted
+# mutant no longer matches by construction, so that check would kill every
+# mutant whatever the other tests do (`main` runs the check itself).
 PYTEST = (sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-          "-p", "no:hypothesispytest", "tests")
+          "-p", "no:hypothesispytest",
+          "--deselect", "tests/test_mutation_gate.py::test_every_mutant_matches_the_code_once",
+          "tests")
 
 
 @dataclass(frozen=True)
@@ -121,6 +126,11 @@ MUTANTS = [
            "src/waveslab/slabsolver.py",
            "start = int(np.argmax(np.isnan(self._jump_sq)))",
            "start = int(np.argmax(np.isnan(self._jump_sq))) + 1"),
+    Mutant("a run's first slab reads a wrong junction row", "src/waveslab/slabsolver.py",
+           "        value = run[-1]\n", "        value = run[-2]\n"),
+    Mutant("jumps subtract slab n's right derivative where slab n - 1's belongs",
+           "src/waveslab/slabsolver.py",
+           "out[first + 1:stop] -= right[:-1]", "out[first + 1:stop] -= right[1:]"),
     Mutant("stability jump weight 0.5", "src/waveslab/slabsolver.py",
            "lhs = mu * energies[m] + 0.25 * float(", "lhs = mu * energies[m] + 0.5 * float("),
     Mutant("stability reads the forcing norms of another forcing", "src/waveslab/slabsolver.py",
@@ -143,14 +153,20 @@ MUTANTS = [
            'if not isinstance(points, str) or points not in ("gauss", "gauss_doubled"):',
            "if False:"),
     Mutant("eta2 weight c3(p) for c3(p - 1)", "src/waveslab/estimator.py",
-           "tau * c3_constant(p - 1) * lap_l1", "tau * c3_constant(p) * lap_l1"),
+           "c3[slabs] = c3_constant(p - 1)", "c3[slabs] = c3_constant(p)"),
     Mutant("osc target slab weight tau for 2 tau", "src/waveslab/estimator.py",
            "np.where(last, 2.0 * tau,", "np.where(last, tau,"),
     Mutant("osc reads the defects of another forcing", "src/waveslab/estimator.py",
            'own = data is sol.data and points == "gauss"', 'own = points == "gauss"'),
     Mutant("osc reads the defects on other points", "src/waveslab/estimator.py",
            'own = data is sol.data and points == "gauss"', "own = data is sol.data"),
+    Mutant("c4 distance factor without its sqrt(pi) cap", "src/waveslab/timebasis.py",
+           "dist = np.minimum(np.abs(t_m - t_prev), float(np.sqrt(np.pi)))",
+           "dist = np.abs(t_m - t_prev)"),
     # the error norms
+    Mutant("case2 default alpha 2.75", "src/waveslab/errors.py",
+           'alpha = number(params.get("alpha", 1.75), "alpha")',
+           'alpha = number(params.get("alpha", 2.75), "alpha")'),
     Mutant("errors read the partials of another case", "src/waveslab/errors.py",
            "own = sol.data is not None and case is sol.data.exact", "own = sol.data is not None"),
     Mutant("errors assume every solution has data", "src/waveslab/errors.py",
@@ -163,6 +179,9 @@ MUTANTS = [
     # adaptivity and the time basis
     Mutant("Doerfler marking without its round-off tolerance", "src/waveslab/adaptive.py",
            "theta * total - 1e-14 * total", "theta * total"),
+    Mutant("project_L2 default rule of order 2 p + 4", "src/waveslab/timebasis.py",
+           "gauss_legendre(quad_order if quad_order is not None else 2 * degree + 3)",
+           "gauss_legendre(quad_order if quad_order is not None else 2 * degree + 4)"),
     Mutant("reconstruction_constants not cached", "src/waveslab/timebasis.py",
            "@lru_cache(maxsize=None, typed=True)\ndef reconstruction_constants(",
            "def reconstruction_constants(",

@@ -23,7 +23,9 @@ from waveslab import (
     problem_data,
     stability_check,
 )
+import waveslab.adaptive
 from waveslab import slabsolver, spacefem
+from waveslab.adaptive import run_adaptive
 from waveslab.estimator import (
     estimate,
     eta1,
@@ -522,6 +524,60 @@ def test_per_slab_error_partials_do_not_depend_on_the_chunks_in_the_local_form(
         monkeypatch, degree, n_slabs):
     monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
     test_per_slab_error_partials_do_not_depend_on_the_chunks(monkeypatch, degree, n_slabs)
+
+
+def test_runs_and_stacks_never_change_bits(monkeypatch):
+    # the march solves and checks slabs in runs of one degree cut to
+    # `STACK_BUDGET`, and the jumps go through the same runs; every value,
+    # the estimate's included, must have the same bits under any cut.
+    # The grid mixes degrees and has a long stretch of degree 2: a budget of
+    # 300 values on this space (d = 25) cuts it into runs of two slabs
+    # (2 p + 2 rows of d each), and a budget of 1 makes every run one
+    # slab.  The adaptive history resumes a march at slab 3, inside a
+    # fresh march's run of slabs 2 and 3, so its runs are cut elsewhere.
+    case = make_case("case2", alpha=1.75)
+    data = problem_data(case)
+    space = TensorSpace(3, 3, 2)
+    degrees = [2] * 7 + [3, 3] + [2] * 4 + [4]
+    grid = TimeGrid(np.linspace(0.0, 1.0, len(degrees) + 1), np.array(degrees))
+    middle, default = 300, slabsolver.STACK_BUDGET
+    real_resumable = slabsolver._resumable
+
+    def values(budget):
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+        solutions, resumed = [], []
+
+        def recording_march(*args, **kwargs):
+            solutions.append(slabsolver.march(*args, **kwargs))
+            return solutions[-1]
+
+        def recording_resumable(*args):
+            resumed.append(real_resumable(*args))
+            return resumed[-1]
+
+        monkeypatch.setattr(waveslab.adaptive, "march", recording_march)
+        monkeypatch.setattr(slabsolver, "_resumable", recording_resumable)
+        fresh = march(data, space, grid)
+        result = run_adaptive(data, space, grid, max_iters=6)
+        assert 3 in resumed
+        out = []
+        for sol, report in [(fresh, estimate(fresh, data))] + [
+                (sol, record.report) for sol, record in zip(solutions, result.history)]:
+            e1, arg = eta1(sol)
+            out += [np.concatenate(sol.blocks), sol.grams, sol.jumps, report.eta2_n,
+                    np.array([report.eta, report.eta1, e1, arg])]
+        return out
+
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", middle)
+    assert [stop - first for _, first, stop in slabsolver._runs(grid, 0, space.n_dofs)] == [
+        2, 2, 2, 1, 1, 1, 2, 2, 1]
+    single = values(1)
+    for budget in (middle, default):
+        regrouped = values(budget)
+        assert len(regrouped) == len(single)
+        for one, other in zip(single, regrouped):
+            # the Gram corners past a slab's degree are nan in both
+            assert np.array_equal(one, other, equal_nan=True)
 
 
 def test_gauss_rule_is_shared_and_read_only():

@@ -57,6 +57,12 @@ def test_case2_is_consistent_and_starts_from_rest():
     finite_difference_consistency(case, pts, 2e-4)
 
 
+def test_case2_default_alpha_is_the_studied_one():
+    # the acceptance study and the adaptive workload take case2 at 1.75;
+    # configs pass their own default, so only API callers see this one
+    assert make_case("case2").params["alpha"] == 1.75
+
+
 def test_case2_rejects_small_alpha():
     with pytest.raises(ValueError):
         make_case("case2", alpha=1.2)

@@ -829,14 +829,25 @@ def nan_on_second_factorization(monkeypatch):
 @pytest.mark.parametrize("nodes, degrees, slab", [
     ([0.0, 0.2, 0.4, 0.5, 0.6, 0.8], [2, 2, 2, 2, 2], 2),  # second length
     ([0.0, 0.2, 0.4, 0.6, 0.8, 1.0], [2, 2, 2, 3, 2], 3),  # second degree
+    ([0.0, 0.1, 0.2, 0.3, 0.4, 0.5, 0.55, 0.65, 0.75], [2] * 8, 5),  # inside a run
 ])
 def test_a_failed_solve_names_the_first_slab_using_it(monkeypatch, nodes, degrees, slab):
-    nan_on_second_factorization(monkeypatch)
+    # the march checks a run of slabs at once, after the slabs behind the
+    # failed one have solved from its nan state: under a budget of 600
+    # values a run holds four slabs of degree 2 on this space (2 p + 2
+    # rows of 25 values each), so slab 5 of the last grid fails inside the
+    # run of slabs 4..7; under a budget of 1 every slab is a run of its own
     data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
                        f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
     grid = TimeGrid(np.array(nodes), np.array(degrees))
-    with pytest.raises(FloatingPointError, match=f"solve of slab {slab}$"):
-        march(data, TensorSpace(3, 3, 2), grid)
+    space = TensorSpace(3, 3, 2)
+    for budget in (1, 600, slabsolver.STACK_BUDGET):
+        with monkeypatch.context() as patch:
+            nan_on_second_factorization(patch)
+            patch.setattr(slabsolver, "STACK_BUDGET", budget)
+            space.slab_lu.clear()
+            with pytest.raises(FloatingPointError, match=f"solve of slab {slab}$"):
+                march(data, space, grid)
 
 
 def test_non_finite_load_or_solution_stops_the_march():

@@ -132,6 +132,19 @@ def test_l2_projection_reproduces_polynomials(degree):
     assert np.allclose(proj.eval(probe), w(probe), rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("degree", range(5))
+def test_l2_projection_default_rule_has_order_2p_plus_3(degree):
+    # a non-polynomial w moves with the rule by its quadrature error only,
+    # so the default is pinned bit for bit, against a rule one point larger
+    w = lambda t: np.exp(np.sin(3.0 * np.asarray(t)))
+    interval = (0.2, 1.3)
+    default = project_L2(w, degree, interval).modes
+    assert np.array_equal(default, project_L2(w, degree, interval,
+                                              quad_order=2 * degree + 3).modes)
+    assert not np.array_equal(default, project_L2(w, degree, interval,
+                                                  quad_order=2 * degree + 4).modes)
+
+
 def test_l2_projection_residual_orthogonality():
     w = lambda t: np.sin(3.0 * np.asarray(t))
     proj = project_L2(w, 3, (0.0, 1.0), quad_order=41)
