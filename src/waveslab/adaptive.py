@@ -3,8 +3,9 @@
 One iteration solves on the current grid, evaluates the localized
 estimator, marks a minimal bulk of slabs whose indicators reach a fraction
 theta of the total, and bisects the marked slabs (children inherit the
-parent's degree).  The loop stops on the iteration budget, on a tolerance
-for the total estimator, or when nothing is marked.
+parent's degree).  The loop stops on the iteration budget, when eta (plus
+the data oscillation, with `include_osc`) is at most `eta_tol`, or when
+nothing is marked.
 """
 
 from __future__ import annotations
@@ -124,7 +125,7 @@ def run_adaptive(
     for _ in range(max_iters):
         started = time.perf_counter()
         sol = march(data, space, grid, kept=kept)
-        report = estimate(sol, data, include_osc=include_osc, localized=True)
+        report = estimate(sol, data, localized=True)
         errs = compute_errors(sol, data.exact) if data.exact is not None else None
         kappa = effectivity(report, errs.Linf_L2) if errs is not None else None
         result.history.append(AdaptiveRecord(
@@ -136,7 +137,7 @@ def run_adaptive(
             wall_time=time.perf_counter() - started,
         ))
         result.final_solution = sol
-        if report.total <= eta_tol:
+        if report.eta + (report.osc if include_osc else 0.0) <= eta_tol:
             break
         marked = doerfler_mark(report.local_n, theta)
         if not marked:

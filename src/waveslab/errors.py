@@ -30,7 +30,8 @@ from ._numbers import number, number_array
 from .slabsolver import (
     ProblemData,
     SlabSolution,
-    _chunks,
+    _runs,
+    _sample_cost,
     _sample_times,
     reference_blocks,
 )
@@ -158,17 +159,17 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     its squared H1, W1inf and L2 misfits.  The norms reduce these (N, 5)
     partials in slab order.
 
-    Slabs of one degree are scored together in one pass, in chunks whose
-    samples at the "gauss" and "equispaced" point sets together stay under
-    `slabsolver.STACK_BUDGET`, each exact callable once per chunk.  The
-    space kernel evaluates values and gradients of a chunk's p + 1 temporal
-    modes (`SlabSolution.modes`) once; the samples at both point sets follow
-    on the Gauss grid through one stacked `leg` and `(2 / tau) dleg` table,
-    Gauss rows first, but are never stored: one BLAS update C <- -A B + C
-    per slab (`scipy.linalg.blas.dgemm`) overwrites the slab's exact
-    samples, which `TensorSpace.grid_eval` returns as an array the call
-    owns, with its misfit, and a wrapper that returns a copy of C raises
-    `RuntimeError`.  The misfits split into the Gauss columns, summed per
+    The slabs are scored a run at a time (`slabsolver._runs`): a stretch
+    of slabs of one degree whose samples at the "gauss" and "equispaced"
+    point sets together stay under `slabsolver.STACK_BUDGET`, each exact
+    callable once per run.  The space kernel evaluates values and
+    gradients of a run's p + 1 temporal modes (`SlabSolution.modes`)
+    once; the samples at both point sets follow on the Gauss grid through
+    one stacked `leg` and `(2 / tau) dleg` table, Gauss rows first, but are
+    never stored: one BLAS update C <- -A B + C per slab
+    (`scipy.linalg.blas.dgemm`) overwrites the slab's exact samples, which
+    `TensorSpace.grid_eval` returns as an array the call owns, with its
+    misfit, and a wrapper that returns a copy of C raises `RuntimeError`.  The misfits split into the Gauss columns, summed per
     slab with the rule's weights, and the equispaced columns, maximized
     per slab.
 
@@ -176,7 +177,7 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     (`sol.data.exact`), the partials are the rows of the solution's table
     `SlabSolution.partials`: the known ones are read and the others scored
     and written there, so a second call for the case scores nothing.  A
-    slab's partials come from the same operations whichever chunk it is
+    slab's partials come from the same operations whichever run it is
     scored with, and the reduction runs over all of them in slab order, so
     the norms have the same bits either way.
     """
@@ -202,24 +203,24 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
                                    "array, so a misfit would read as the exact solution")
         return space.integrate(np.square(blocks, out=blocks).reshape(err.shape)).reshape(t.shape)
 
-    for p, chunk in _chunks(space, grid, missing, "gauss", "equispaced"):
+    for p, run in _runs(grid, missing, _sample_cost(space, "gauss", "equispaced")):
         xg, wq, leg_g, dleg_g = reference_blocks(p)["gauss"]
         xe, _, leg_e, dleg_e = reference_blocks(p)["equispaced"]
         ng = len(xg)
-        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
-        t = _sample_times(grid, chunk, np.concatenate((xg, xe)))
+        tau = grid.nodes[run + 1] - grid.nodes[run]
+        t = _sample_times(grid, run, np.concatenate((xg, xe)))
         leg = np.vstack((leg_g, leg_e))
         dt_leg = (2.0 / tau)[:, None, None] * np.vstack((dleg_g, dleg_e))
-        # values and gradients of the chunk's modes on the Gauss grid, each
+        # values and gradients of the run's modes on the Gauss grid, each
         # of shape (S, p + 1, ngx * ngy); samples are basis @ modes
-        modes = sol.modes(chunk)
+        modes = sol.modes(run)
         flat = modes.reshape(-1, space.n_dofs)
         vals, gx, gy = (v.reshape(modes.shape[:2] + (-1,))
                         for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat)))
         h1 = misfit_sq(case.ux, t, leg, gx) + misfit_sq(case.uy, t, leg, gy)
         dl2 = misfit_sq(case.du, t, dt_leg, vals)
         weights = 0.5 * tau[:, None] * wq
-        partials[chunk] = np.column_stack((
+        partials[run] = np.column_stack((
             np.sum(weights * h1[:, :ng], axis=1),
             np.sum(weights * dl2[:, :ng], axis=1),
             np.max(h1[:, ng:], axis=1),

@@ -147,11 +147,11 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
     The projection onto degree p - 1 is taken per spatial quadrature point
     from samples at the point set `points` ("gauss" or "gauss_doubled" of
     `reference_blocks`); norms follow the same conventions as the estimator
-    terms.  Slabs of one degree are sampled together, in chunks under
-    `slabsolver.STACK_BUDGET`, and one projector takes the defect of the
-    whole chunk (`slabsolver._forcing_terms`).  Each slab's time L1 norm of
-    the defect is summed on its own row, so it has the same bits in any
-    chunk; the weights, which depend on the grid and on m, are applied
+    terms.  The slabs are sampled a run at a time (`slabsolver._runs`),
+    and one projector takes the defect of the whole run
+    (`slabsolver._forcing_terms`).  Each slab's time L1 norm of the defect
+    is summed on its own row, so it has the same bits in any run; the
+    weights, which depend on the grid and on m, are applied
     after.
 
     That L1 norm depends only on f, the space and the slab's key.  When
@@ -179,10 +179,9 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
 class EstimatorReport:
     """Estimator evaluation on one solution.
 
-    `eta` is eta1 plus the sum of the eta2 terms; `total` additionally
-    carries the oscillation when `include_osc` is set.  `local_n` places
-    eta1 on its carrying slab on top of that slab's eta2 term, so the
-    indicators sum to `eta`.
+    `eta` is eta1 plus the sum of the eta2 terms and `osc` the sum of the
+    oscillation terms.  `local_n` places eta1 on its carrying slab on top
+    of that slab's eta2 term, so the indicators sum to `eta`.
     """
 
     m: int
@@ -190,8 +189,6 @@ class EstimatorReport:
     eta1_argmax: int
     eta2_n: np.ndarray
     osc_n: np.ndarray
-    include_osc: bool
-    localized: bool
 
     @property
     def eta(self) -> float:
@@ -200,10 +197,6 @@ class EstimatorReport:
     @property
     def osc(self) -> float:
         return float(np.sum(self.osc_n))
-
-    @property
-    def total(self) -> float:
-        return self.eta + self.osc if self.include_osc else self.eta
 
     @property
     def local_n(self) -> np.ndarray:
@@ -215,14 +208,13 @@ class EstimatorReport:
 def estimate(
     sol: SlabSolution,
     data: ProblemData,
-    include_osc: bool = False,
     localized: bool = False,
 ) -> EstimatorReport:
     """Evaluate the estimator on a computed solution.
 
     With `localized` the target slab is the one carrying eta1; otherwise it
-    is the final slab.  Oscillation terms are always computed so that
-    reliability checks can add them regardless of `include_osc`.
+    is the final slab.  Oscillation terms are always computed and reported
+    apart from `eta`.
 
     The solution's known Laplacian norms and forcing defects
     (`SlabSolution.lap`, `osc_l1`) are read, not computed again, and the
@@ -238,8 +230,6 @@ def estimate(
         eta1_argmax=arg,
         eta2_n=eta2_terms(sol, m),
         osc_n=osc_terms(data, sol, m),
-        include_osc=include_osc,
-        localized=localized,
     )
 
 

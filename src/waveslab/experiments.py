@@ -1,34 +1,58 @@
 """Configured studies producing one CSV row per refinement level.
 
-A study is described by a flat YAML mapping.  Common keys:
+A study is described by a flat YAML mapping with a ``suite``, a ``case``
+and the keys that suite and case read (`SUITES`, `CASES`):
 
-- ``suite``: one of ``tau_refine``, ``p_refine``, ``spacetime_refine``,
-  ``long_time``, ``effectivity``, ``adaptive``.
-- ``case``: ``case1``, ``case2`` or ``case3``; ``alpha`` tunes case2
-  (must exceed 1.5), ``mode_m``/``mode_n``/``omega`` tune case3.
-- ``T``: final time (default 1.0); ``long_time`` instead takes ``T_list``.
+=====================  ======================  ============================
+suite                  required                optional
+=====================  ======================  ============================
+``tau_refine``         ``tau_list``            ``T``, ``h``, ``p_x``, ``p_t``
+``p_refine``           ``tau``, ``p_t_list``   ``T``, ``h``, ``p_x``
+``spacetime_refine``   ``tau_list``            ``T``, ``p_t``
+``long_time``          ``T_list``, ``tau``     ``h``, ``p_x``, ``p_t``
+``effectivity``        ``tau_list``,           ``T``, ``h``, ``p_x``
+                       ``p_t_list``
+``adaptive``                                   ``T``, ``h``, ``p_x``, ``p_t``,
+                                               ``initial_n``, ``theta``,
+                                               ``max_iters``, ``eta_tol``,
+                                               ``include_osc``
+=====================  ======================  ============================
+
+``case1`` reads no key, ``case2`` reads ``alpha`` (default 1.75, must
+exceed 1.5) and ``case3`` reads ``mode_m``, ``mode_n`` (default 1 each)
+and ``omega`` (default sqrt 2).  Every suite also reads ``out``, the
+output CSV path, and accepts ``seed``, an optional unsigned integer that
+is validated and kept on the ``Config`` but read by no study (none draws
+random numbers).  Any other key, known or not, is refused, also when
+``waveslab run --suite`` replaces the suite of a file, and the ``Config``
+holds exactly the keys its suite and case read, with their defaults.
+
+- ``T``: final time (default 1.0); ``long_time`` reads none, and runs one
+  level per entry of ``T_list``.
 - ``tau`` or ``tau_list``: time step(s); each step must divide the final
-  time up to a 2 percent rounding allowance (the step lists in common use
-  are decimal roundings of 1/N), in at most ``slabsolver.MAX_INTERVALS``
-  steps, the most whose nodes numpy can index.
-- ``p_t`` or ``p_t_list``: temporal degree(s), between 2 and
+  time (each ``T_list`` entry for ``long_time``) up to a 2 percent
+  rounding allowance (the step lists in common use are decimal roundings
+  of 1/N), in at most ``slabsolver.MAX_INTERVALS`` steps, the most whose
+  nodes numpy can index.
+- ``p_t`` (default 2) or ``p_t_list``: temporal degree(s), between 2 and
   ``slabsolver.MAX_TIME_DEGREE`` (10).
 - ``p_x``: spatial degree (default 2, at most 5); ``h``: spatial mesh size
   on (-1, 1)^2 (default 0.4), must similarly divide the side length 2, as
-  must every step of ``spacetime_refine``, which sets h = tau.  The ``h``
-  column reports the mesh that ran, 2 / round(2 / h).
+  must every step of ``spacetime_refine``, which sets h = tau and
+  p_x = p_t + 1.  The ``h`` column reports the mesh that ran,
+  2 / round(2 / h).
 - ``theta`` (default 0.5), ``max_iters`` (default 25), ``eta_tol``
   (default 0.0), ``initial_n`` (default 5, at most
   ``slabsolver.MAX_INTERVALS``): adaptive loop controls.
-- ``include_osc``: add data oscillation to the reported total (default
-  false; the oscillation column is always filled).
-- ``out``: output CSV path; ``seed``: optional unsigned integer, validated
-  and kept on the ``Config`` (no study draws random numbers).
+- ``include_osc``: the adaptive loop stops on eta plus the data
+  oscillation, not on eta alone (default false; the oscillation column is
+  always filled).
 
-Unknown keys are rejected, as are numbers that the package-wide rule
-refuses (booleans, strings such as a quoted ``"2"``, infinite or nan
-values, fractional values of integer keys), and all validation problems
-are reported at once.
+Every known key's value is validated, whichever suite it is given to.
+Refused are unknown keys, keys that the suite and case do not read, and
+numbers that the package-wide rule refuses (booleans, strings such as a
+quoted ``"2"``, infinite or nan values, fractional values of integer
+keys); all validation problems are reported at once.
 A fixed configuration yields identical CSV output up to the wall time
 column.
 """
@@ -51,10 +75,19 @@ from .estimator import effectivity, estimate
 from .slabsolver import MAX_INTERVALS, MAX_TIME_DEGREE, TimeGrid, march
 from .spacefem import MAX_DEGREE, TensorSpace
 
-SUITES = (
-    "tau_refine", "p_refine", "spacetime_refine", "long_time", "effectivity", "adaptive",
-)
-CASES = ("case1", "case2", "case3")
+# The keys each suite reads: (required, optional).  Every suite also reads
+# `out` and accepts `seed`, which no study reads.
+SUITES = {
+    "tau_refine": (("tau_list",), ("T", "h", "p_x", "p_t")),
+    "p_refine": (("tau", "p_t_list"), ("T", "h", "p_x")),
+    "spacetime_refine": (("tau_list",), ("T", "p_t")),
+    "long_time": (("T_list", "tau"), ("h", "p_x", "p_t")),
+    "effectivity": (("tau_list", "p_t_list"), ("T", "h", "p_x")),
+    "adaptive": ((), ("T", "h", "p_x", "p_t", "initial_n", "theta", "max_iters",
+                      "eta_tol", "include_osc")),
+}
+# The keys each case reads, all optional.
+CASES = {"case1": (), "case2": ("alpha",), "case3": ("mode_m", "mode_n", "omega")}
 
 COLUMNS = (
     "level", "h", "tau", "p_x", "p_t", "N", "dofs",
@@ -62,6 +95,7 @@ COLUMNS = (
     "eta", "eta1", "osc", "kappa", "wall_time",
 )
 
+# the value of every optional key that a config leaves out
 _DEFAULTS = {
     "alpha": 1.75, "mode_m": 1, "mode_n": 1, "omega": float(np.sqrt(2.0)),
     "T": 1.0, "p_x": 2, "h": 0.4, "theta": 0.5, "include_osc": False,
@@ -69,9 +103,7 @@ _DEFAULTS = {
     "seed": None, "p_t": 2,
 }
 
-_KNOWN_KEYS = set(_DEFAULTS) | {
-    "suite", "case", "T_list", "tau", "tau_list", "p_t_list",
-}
+_KNOWN_KEYS = {"suite", "case", *_DEFAULTS}.union(*(keys for keys, _ in SUITES.values()))
 
 
 class ConfigError(Exception):
@@ -140,13 +172,16 @@ def parse_config(source) -> Config:
     for key in sorted(set(raw) - _KNOWN_KEYS, key=repr):
         problems.append(f"unknown key {key!r}")
 
-    suite = raw.get("suite")
-    if suite not in SUITES:
-        problems.append(f"suite must be one of {SUITES}, got {suite!r}")
-        suite = None  # reported here; no suite-specific check applies
-    case = raw.get("case")
-    if case not in CASES:
-        problems.append(f"case must be one of {CASES}, got {case!r}")
+    # an unknown suite or case is reported here, and no check of its own applies
+    suite, case = raw.get("suite"), raw.get("case")
+    if suite not in tuple(SUITES):  # a value such as a list cannot be looked up
+        problems.append(f"suite must be one of {tuple(SUITES)}, got {suite!r}")
+        suite = None
+    if case not in tuple(CASES):
+        problems.append(f"case must be one of {tuple(CASES)}, got {case!r}")
+        case = None
+    required, optional = SUITES.get(suite, ((), ()))
+    reads = {*required, *optional, *CASES.get(case, ()), "out", "seed"}
 
     values = dict(_DEFAULTS)
     for key in raw:
@@ -211,32 +246,26 @@ def parse_config(source) -> Config:
         values[key] = out
         return out
 
-    def tau_ok(t):  # an invalid T is reported on its own
-        return T is None or _steps_per(T, t) is not None
+    def tau_ok(t):  # an invalid T is reported on its own; long_time reads no T
+        return T is None or suite == "long_time" or _steps_per(T, t) is not None
 
     divides_T = f"must divide T={T} into at most {MAX_INTERVALS} steps"
-    check_num("tau", tau_ok, divides_T)
+    tau = check_num("tau", tau_ok, divides_T)
     taus = check_list("tau_list", tau_ok, divides_T)
     check_list("p_t_list", *degree, integer=True)
-    if "T_list" in values:
-        check_list("T_list", lambda v: v > 0, "must be positive")
-        if suite == "long_time" and "tau" in values and not problems:
-            for Ti in values["T_list"]:
-                if _steps_per(Ti, values["tau"]) is None:
-                    problems.append(f"tau {values['tau']} must divide T={Ti} into at most "
-                                    f"{MAX_INTERVALS} steps")
+    T_list = check_list("T_list", lambda v: v > 0, "must be positive")
+    if suite == "long_time" and tau is not None and T_list:
+        for end in T_list:
+            if _steps_per(end, tau) is None:
+                problems.append(f"tau {tau} must divide T={end} into at most "
+                                f"{MAX_INTERVALS} steps")
 
-    requirements = {
-        "tau_refine": ("tau_list",),
-        "p_refine": ("p_t_list", "tau"),
-        "spacetime_refine": ("tau_list",),
-        "long_time": ("T_list", "tau"),
-        "effectivity": ("tau_list", "p_t_list"),
-        "adaptive": (),
-    }
-    for key in requirements.get(suite, ()):
+    for key in required:
         if key not in raw:
             problems.append(f"suite {suite!r} requires key {key!r}")
+    if suite is not None and case is not None:
+        for key in sorted(_KNOWN_KEYS.intersection(raw) - reads - {"suite", "case"}):
+            problems.append(f"suite {suite!r} with case {case!r} does not read key {key!r}")
 
     if suite == "spacetime_refine" and p_t is not None and p_t + 1 > MAX_DEGREE:
         problems.append(
@@ -249,12 +278,13 @@ def parse_config(source) -> Config:
                     f"spacetime_refine sets h = tau, so tau_list entry must divide "
                     f"the domain side 2, got {t}"
                 )
-    if case == "case2" and suite in ("spacetime_refine",):
+    if case == "case2" and suite == "spacetime_refine":
         problems.append("spacetime_refine is meant for case3")
 
     if problems:
         raise ConfigError(problems)
-    return Config(suite=suite, case=case, values=values)
+    return Config(suite=suite, case=case,
+                  values={key: val for key, val in values.items() if key in reads})
 
 
 def _build_case(config: Config):
@@ -287,11 +317,16 @@ def _level_row(level, tau, p_x, p_t, grid, space, errs, report, wall):
 
 
 def _uniform_level(case, config, space, tau, p_t, T):
+    """One level of a uniform suite: its grid, errors, report and wall time.
+
+    `config` is unused: no key changes a level but those in its arguments.
+    The golden test passes it.
+    """
     grid = TimeGrid.uniform(T, round(T / tau), p_t)
     data = problem_data(case)
     started = time.perf_counter()
     sol = march(data, space, grid)
-    report = estimate(sol, data, include_osc=config.include_osc)
+    report = estimate(sol, data)
     errs = compute_errors(sol, case)
     wall = time.perf_counter() - started
     return grid, errs, report, wall

@@ -105,7 +105,7 @@ class ProblemData:
 
     All callables are vectorized over numpy arrays.  `f` takes (t, x, y)
     and must broadcast over an array t of shape (nt, 1, 1) against x and y
-    of shapes (nx, 1) and (1, ny): the time samples of a chunk of slabs of
+    of shapes (nx, 1) and (1, ny): the time samples of a run of slabs of
     one degree (see `STACK_BUDGET`) are evaluated in one call.  `exact` may
     hold a manufactured solution for error studies.
 
@@ -229,54 +229,42 @@ def slab_operator(p: int, tau: float, s: np.ndarray) -> sp.csc_matrix:
     return sp.csc_matrix((data.ravel(), rows.ravel(), indptr), shape=(p * d, p * d))
 
 
-# Gauss-grid values per stacked array in the batched passes over slabs: the
-# loads, error norms, stability check and oscillation send the slabs of one
-# degree through the space kernel together, in chunks of at most this many
-# values (at least one slab each), and the march and the jumps take runs of
-# consecutive slabs of one degree whose Gram rows fit in it (`_runs`).  On
-# the d = 81 acceptance-study levels (1 400 slabs, p = 2 to 10) budgets
-# from 2**14 to 2**20 ran within noise of each other, while peak memory
-# rose from 77 MB at 2**16 to 86 MB at 2**18 and 109 MB at 2**20.
+# Values per stacked array in the batched passes over slabs.  Every pass
+# sends the slabs through in runs (`_runs`): stretches of one degree whose
+# stacked values, `cost(p)` per slab, fit in this budget, or a single slab.
+# The loads, error norms and oscillation stack samples on the Gauss grid
+# (`_sample_cost`), the stability check a slab's p + 1 modes, and the
+# march and the jumps its 2 p + 2 Gram rows.  On the d = 81 acceptance-
+# study levels (1 400 slabs, p = 2 to 10) budgets from 2**14 to 2**20 ran
+# within noise of each other, while peak memory rose from 77 MB at 2**16
+# to 86 MB at 2**18 and 109 MB at 2**20.
 STACK_BUDGET = 1 << 16
 
 
-def _chunks(space: TensorSpace, grid: TimeGrid, slabs, *points: str):
-    """Slab indices grouped by degree and split to `STACK_BUDGET`.
+def _runs(grid: TimeGrid, slabs, cost):
+    """The runs of `slabs`: (p, indices) per stretch of one degree p.
 
-    Yields (p, indices), the indices an ascending array of slabs of degree
-    p whose stacked values at `points`, all of them together, number at
-    most `STACK_BUDGET`, or a single slab.  A point set of
-    `reference_blocks` stacks its samples at every Gauss-grid value;
-    "modes" stacks the slab's p + 1 temporal modes (`SlabSolution.modes`)
-    of n_dofs coefficients each.
+    `slabs` is an ascending array of slab indices and `cost(p)` the number
+    of values a slab of degree p adds to a stack.  A run is a stretch of
+    consecutive entries of `slabs` of one degree p, with at most
+    `STACK_BUDGET // cost(p)` slabs and always at least one.
     """
     slabs = np.asarray(slabs, dtype=int)
     degrees = grid.degrees[slabs]
-    grid_values = space.gauss_x.size * space.gauss_y.size
-    for p in np.unique(degrees):
-        group = slabs[degrees == p]
-        values = sum((p + 1) * space.n_dofs if name == "modes"
-                     else len(reference_blocks(int(p))[name][0]) * grid_values
-                     for name in points)
-        size = max(1, STACK_BUDGET // max(values, 1))
-        for start in range(0, len(group), size):
-            yield int(p), group[start:start + size]
-
-
-def _runs(grid: TimeGrid, start: int, d: int):
-    """Runs of slabs from slab `start` on: (p, first, stop) for slabs first..stop-1.
-
-    A run is a stretch of consecutive slabs of one degree p whose Gram
-    rows in the march, 2 p + 2 of d values per slab, number at most
-    `STACK_BUDGET`, or a single slab.
-    """
     # where the degree changes, both ends included (a degree is at least 2)
-    edges = (np.flatnonzero(np.diff(grid.degrees[start:], prepend=0, append=0)) + start).tolist()
+    edges = np.flatnonzero(np.diff(degrees, prepend=0, append=0)).tolist()
     for a, b in zip(edges[:-1], edges[1:]):
-        p = int(grid.degrees[a])
-        size = max(1, STACK_BUDGET // max((2 * p + 2) * d, 1))
+        p = int(degrees[a])
+        size = max(1, STACK_BUDGET // max(cost(p), 1))
         for first in range(a, b, size):
-            yield p, first, min(first + size, b)
+            yield p, slabs[first:min(first + size, b)]
+
+
+def _sample_cost(space: TensorSpace, *points: str):
+    """A run's `cost` of stacking samples on the Gauss grid at the point sets
+    `points` of `reference_blocks`, all of them together."""
+    values = space.gauss_x.size * space.gauss_y.size
+    return lambda p: values * sum(len(reference_blocks(p)[name][0]) for name in points)
 
 
 def _sample_times(grid: TimeGrid, slabs: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -313,16 +301,16 @@ def _forcing_terms(space: TensorSpace, samples: np.ndarray, p: int, tau: np.ndar
 def _forcing_rows(data: ProblemData, sol: SlabSolution, slabs, points: str = "gauss"):
     """Forcing terms (`_forcing_terms`) of `slabs` of `sol`, shape (2, N), NaN elsewhere.
 
-    f is sampled at the point set `points` of `reference_blocks`, slabs of
-    one degree together, in chunks under `STACK_BUDGET`.
+    f is sampled at the point set `points` of `reference_blocks`, a run
+    of slabs at a time (`_runs`).
     """
     grid, space = sol.grid, sol.space
     out = np.full((2, grid.n_intervals), np.nan)
-    for p, chunk in _chunks(space, grid, slabs, points):
+    for p, run in _runs(grid, slabs, _sample_cost(space, points)):
         x = reference_blocks(p)[points][0]
-        samples = space.grid_eval(data.f, _sample_times(grid, chunk, x).ravel())
-        tau = grid.nodes[chunk + 1] - grid.nodes[chunk]
-        out[:, chunk] = _forcing_terms(space, samples, p, tau, points)
+        samples = space.grid_eval(data.f, _sample_times(grid, run, x).ravel())
+        tau = grid.nodes[run + 1] - grid.nodes[run]
+        out[:, run] = _forcing_terms(space, samples, p, tau, points)
     return out
 
 
@@ -364,9 +352,9 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
     `known` holds the last march's load or None per slab (see `march`);
     only the None slabs are assembled.  The first slab of a singular load
     takes the graded rule on its own; every other slab is loaded with the
-    one-panel Gauss rule, a chunk of slabs of one degree at a time (that
-    panel is the "gauss" point set).  Each load is read-only, and checked
-    for finiteness once per chunk.
+    one-panel Gauss rule, a run of slabs (`_runs`) at a time (that panel
+    is the "gauss" point set).  Each load is read-only, and checked for
+    finiteness once per run.
 
     Returns the loads and the forcing terms of `_load`, shape (2, N):
     those of every slab assembled by the Gauss rule, NaN for the others.
@@ -378,18 +366,18 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
     if data.singular_load and loads[0] is None:
         jobs.append((reference_blocks(int(grid.degrees[0]))["graded_load"], missing[:1]))
         missing = missing[1:]
-    jobs += [(reference_blocks(p)["gauss_load"], chunk)
-             for p, chunk in _chunks(space, grid, missing, "gauss")]
-    for rule, chunk in jobs:
-        a = grid.nodes[chunk]
-        moments, forcing[:, chunk] = _load(data, space, a, grid.nodes[chunk + 1] - a, rule)
+    jobs += [(reference_blocks(p)["gauss_load"], run)
+             for p, run in _runs(grid, missing, _sample_cost(space, "gauss"))]
+    for rule, run in jobs:
+        a = grid.nodes[run]
+        moments, forcing[:, run] = _load(data, space, a, grid.nodes[run + 1] - a, rule)
         moments = space.to_eigenbasis(moments)
         finite = np.isfinite(moments).all(axis=(1, 2))
         if not finite.all():
             raise FloatingPointError(
-                f"non-finite values in the load of slab {chunk[np.argmin(finite)]}")
+                f"non-finite values in the load of slab {run[np.argmin(finite)]}")
         moments.flags.writeable = False
-        for n, slab_moments in zip(chunk, moments):
+        for n, slab_moments in zip(run, moments):
             loads[n] = slab_moments
     return loads, forcing
 
@@ -402,7 +390,7 @@ class SlabSolution:
     coefficients at the k-th equispaced time node of interval n.  The first
     row of block 0 is the projected initial value and consecutive blocks
     share their junction row; `u1h` is the projected initial velocity.  The
-    error norms and the stability check read a chunk of intervals of one
+    error norms and the stability check read a run of intervals of one
     degree through `modes`, its Legendre coefficients in time.
 
     `data` is the problem the march solved.
@@ -482,8 +470,9 @@ class SlabSolution:
         out = np.empty((grid.n_intervals, d))
         scale = (2.0 / np.diff(grid.nodes))[:, None]
         incoming = self.u1h
-        for p, first, stop in _runs(grid, 0, d):
+        for p, slabs in _runs(grid, range(grid.n_intervals), lambda p: (2 * p + 2) * d):
             ref = reference_blocks(p)
+            first, stop = int(slabs[0]), int(slabs[-1]) + 1
             # a run of one slab reads its block in place
             stack = (np.stack(self.blocks[first:stop]) if stop - first > 1
                      else self.blocks[first][None])
@@ -594,7 +583,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
 
     The initial displacement is projected in the Dirichlet inner product and
     the initial velocity in L2.  Every slab's load is formed before the
-    sequential solves, a chunk of slabs of one degree at a time, and checked
+    sequential solves, a run of slabs of one degree at a time, and checked
     for finiteness (`_slab_loads`).  The factorized slab operator is reused
     whenever the degree repeats and the length agrees to 12 significant
     digits, so slabs of a uniform or bisected grid share it.  The factorizations are kept on
@@ -644,7 +633,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     state the last march kept for the slab before it.  That is the
     computation the last march made: a slab's rows depend only on its key,
     load, factorization and incoming state, and a load depends only on f,
-    the space and the key, with the same bits whichever chunk of slabs it
+    the space and the key, with the same bits whichever run of slabs it
     is assembled with.  So the solution has the bits a march without
     `kept` computes.  Its other per-slab values are seeded from the last
     solution: the copied slabs' Laplacian norms, Grams, error partials and
@@ -688,15 +677,15 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     history[0], value = ends[-1] if resumed else space.eigen_coords(np.stack((u1h, u0h)))
     size = int(grid.degrees.max()) + 1
     grams = np.full((grid.n_intervals, 2, size, size), np.nan)
-    runs = list(_runs(grid, resumed, d))
+    runs = list(_runs(grid, range(resumed, grid.n_intervals), lambda p: (2 * p + 2) * d))
     # a run's nodal eigen-coordinates, junction rows shared, and its Gram
     # rows: each slab's modal eigen-coordinates E, then E s
-    run_rows = np.empty((max(((b - a) * p + 1 for p, a, b in runs), default=0), d))
-    gram_rows = np.empty((max(((b - a) * (2 * p + 2) for p, a, b in runs), default=0), d))
+    run_rows = np.empty((max((len(slabs) * p + 1 for p, slabs in runs), default=0), d))
+    gram_rows = np.empty((max((len(slabs) * (2 * p + 2) for p, slabs in runs), default=0), d))
 
-    for p, first, stop in runs:
+    for p, slabs in runs:
         ref = reference_blocks(p)
-        count = stop - first
+        count, first, stop = len(slabs), int(slabs[0]), int(slabs[-1]) + 1
         run = run_rows[:count * p + 1]
         run[0] = value
         for j, n in enumerate(range(first, stop)):
@@ -774,7 +763,8 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     """
     space, grid = sol.space, sol.grid
     grams = sol.grams
-    for p, slabs in _chunks(space, grid, np.flatnonzero(np.isnan(grams[:, 0, 0, 0])), "modes"):
+    missing = np.flatnonzero(np.isnan(grams[:, 0, 0, 0]))
+    for p, slabs in _runs(grid, missing, lambda p: (p + 1) * space.n_dofs):
         coords = np.empty((len(slabs), 2 * p + 2, space.n_dofs))
         coords[:, :p + 1] = space.eigen_coords(sol.modes(slabs))
         grams[slabs, :, :p + 1, :p + 1] = _grams(coords, space.stiffness_eigs)

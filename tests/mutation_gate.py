@@ -131,6 +131,12 @@ MUTANTS = [
     Mutant("jumps subtract slab n's right derivative where slab n - 1's belongs",
            "src/waveslab/slabsolver.py",
            "out[first + 1:stop] -= right[:-1]", "out[first + 1:stop] -= right[1:]"),
+    # the runs every stacked pass takes
+    Mutant("a run crosses a degree change", "src/waveslab/slabsolver.py",
+           "edges = np.flatnonzero(np.diff(degrees, prepend=0, append=0)).tolist()",
+           "edges = [0, len(slabs)]"),
+    Mutant("a run ignores its cost", "src/waveslab/slabsolver.py",
+           "size = max(1, STACK_BUDGET // max(cost(p), 1))", "size = max(1, STACK_BUDGET)"),
     Mutant("stability jump weight 0.5", "src/waveslab/slabsolver.py",
            "lhs = mu * energies[m] + 0.25 * float(", "lhs = mu * energies[m] + 0.5 * float("),
     Mutant("stability reads the forcing norms of another forcing", "src/waveslab/slabsolver.py",
@@ -179,6 +185,27 @@ MUTANTS = [
     # adaptivity and the time basis
     Mutant("Doerfler marking without its round-off tolerance", "src/waveslab/adaptive.py",
            "theta * total - 1e-14 * total", "theta * total"),
+    Mutant("the adaptive loop stops without osc under include_osc", "src/waveslab/adaptive.py",
+           "if report.eta + (report.osc if include_osc else 0.0) <= eta_tol:",
+           "if report.eta <= eta_tol:"),
+    # the study configuration
+    Mutant("tau_refine takes a degree list", "src/waveslab/experiments.py",
+           '"tau_refine": (("tau_list",), ("T", "h", "p_x", "p_t")),',
+           '"tau_refine": (("tau_list",), ("T", "h", "p_x", "p_t", "p_t_list")),'),
+    Mutant("a key its suite and case do not read is accepted", "src/waveslab/experiments.py",
+           'for key in sorted(_KNOWN_KEYS.intersection(raw) - reads - {"suite", "case"}):',
+           "for key in ():"),
+    Mutant("long_time reads T", "src/waveslab/experiments.py",
+           '"long_time": (("T_list", "tau"), ("h", "p_x", "p_t")),',
+           '"long_time": (("T_list", "tau"), ("T", "h", "p_x", "p_t")),'),
+    Mutant("long_time checks tau against T", "src/waveslab/experiments.py",
+           'T is None or suite == "long_time" or _steps_per(T, t)',
+           "T is None or _steps_per(T, t)"),
+    Mutant("p_refine's tau made optional", "src/waveslab/experiments.py",
+           '"p_refine": (("tau", "p_t_list"), ("T", "h", "p_x")),',
+           '"p_refine": (("p_t_list",), ("tau", "T", "h", "p_x")),'),
+    Mutant("seed 0 refused", "src/waveslab/experiments.py",
+           'check_num("seed", lambda v: v >= 0,', 'check_num("seed", lambda v: v > 0,'),
     Mutant("project_L2 default rule of order 2 p + 4", "src/waveslab/timebasis.py",
            "gauss_legendre(quad_order if quad_order is not None else 2 * degree + 3)",
            "gauss_legendre(quad_order if quad_order is not None else 2 * degree + 4)"),

@@ -131,7 +131,7 @@ def test_zero_data_stops_immediately():
     space = TensorSpace(2, 2, 2)
     result = run_adaptive(data, space, TimeGrid.uniform(1.0, 4, 2))
     assert len(result.history) == 1
-    assert result.final.report.total == 0.0
+    assert result.final.report.eta == 0.0 and result.final.report.osc == 0.0
     assert result.final.errors is None and result.final.kappa is None
     assert result.final_solution is not None
     with pytest.raises(ValueError):
@@ -177,7 +177,7 @@ def test_singular_case_refines_toward_the_origin():
         assert rec.dofs == total_dofs(rec.grid, space)
         assert rec.kappa is not None and rec.kappa > 0.0
         assert rec.errors is not None
-        assert rec.report.localized
+        assert rec.report.m == rec.report.eta1_argmax
         assert rec.wall_time > 0.0
 
 

@@ -287,13 +287,16 @@ def repeated_degree_run():
 
 def test_repeated_degrees_in_split_chunks_match_per_point_loops(monkeypatch):
     case, data, space, grid = repeated_degree_run()
-    # 14 time samples of the 12 x 9 Gauss grid: two or three slabs per chunk
+    # 14 time samples of the 12 x 9 Gauss grid: two or three slabs per run
+    # at the 4 and 5 "gauss" points of degrees 2 and 3, and one at the 7 and
+    # 9 "equispaced" points; the degrees 2, 2, 3, 2, 3, 3, 2 split each
+    # degree's slabs into several runs, and the budget cuts slabs 4 and 5
     monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 108)
-    for points in ("gauss", "equispaced"):
-        chunks = list(slabsolver._chunks(space, grid, range(grid.n_intervals), points))
-        assert max(len(slabs) for _, slabs in chunks) > 1
-        assert len(chunks) > len(set(grid.degrees))  # some degree group is split
-        assert sorted(np.concatenate([slabs for _, slabs in chunks])) == list(range(7))
+    for points, expected in [("gauss", [[0, 1], [2], [3], [4, 5], [6]]),
+                             ("equispaced", [[0, 1], [2], [3], [4], [5], [6]])]:
+        cost = slabsolver._sample_cost(space, points)
+        runs = slabsolver._runs(grid, range(grid.n_intervals), cost)
+        assert [slabs.tolist() for _, slabs in runs] == expected
 
     sol = march(data, space, grid)
     ref = slow.march(data, space, grid)
@@ -339,6 +342,22 @@ def test_the_h1_max_counts_the_initial_sample():
         assert_close(errs[key], value)
 
 
+def test_runs_are_stretches_of_one_degree_within_the_budget(monkeypatch):
+    # a run takes consecutive entries of the slab array, gaps included, of
+    # one degree, at most STACK_BUDGET // cost(p) of them and at least one
+    grid = TimeGrid(np.linspace(0.0, 1.0, 11), np.array([2, 2, 3, 3, 3, 2, 2, 2, 2, 4]))
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 6)
+
+    def runs(slabs, cost):
+        return [(p, run.tolist()) for p, run in slabsolver._runs(grid, slabs, cost)]
+
+    assert runs(range(10), lambda p: p) == [
+        (2, [0, 1]), (3, [2, 3]), (3, [4]), (2, [5, 6, 7]), (2, [8]), (4, [9])]
+    assert runs([0, 1, 5, 6, 9], lambda p: 0) == [(2, [0, 1, 5, 6]), (4, [9])]
+    assert runs([1, 2, 8], lambda p: 7) == [(2, [1]), (3, [2]), (2, [8])]
+    assert runs([], lambda p: 1) == []
+
+
 @pytest.mark.parametrize("run", [mixed_degree_run, repeated_degree_run])
 def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
     case, data, space, grid = run()
@@ -353,8 +372,8 @@ def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
 
     compute_errors(sol, case)
     expected = []
-    for p, slabs in slabsolver._chunks(space, grid, range(grid.n_intervals),
-                                       "gauss", "equispaced"):
+    cost = slabsolver._sample_cost(space, "gauss", "equispaced")
+    for p, slabs in slabsolver._runs(grid, range(grid.n_intervals), cost):
         rows = (len(slabs) * (p + 1), space.n_dofs)
         expected += [("eval_gauss", rows), ("eval_grad_gauss", rows)]
     assert calls == expected
@@ -480,7 +499,8 @@ def test_per_slab_estimator_terms_do_not_depend_on_the_chunks(monkeypatch, degre
         # on a copy of the solution that knows no terms yet, so that every
         # value is computed in this budget's chunks
         monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
-        assert len(list(slabsolver._chunks(space, grid, range(n_slabs), "gauss"))) == chunks
+        cost = slabsolver._sample_cost(space, "gauss")
+        assert len(list(slabsolver._runs(grid, range(n_slabs), cost))) == chunks
         fresh = dataclasses.replace(sol)
         return [(laplacian_norms(fresh, m), eta2_terms(fresh, m), osc_terms(data, fresh, m))
                 for m in (n_slabs - 1, 5)]
@@ -510,8 +530,8 @@ def test_per_slab_error_partials_do_not_depend_on_the_chunks(monkeypatch, degree
 
     def partials(budget, chunks):
         monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
-        assert len(list(slabsolver._chunks(space, grid, range(n_slabs),
-                                           "gauss", "equispaced"))) == chunks
+        cost = slabsolver._sample_cost(space, "gauss", "equispaced")
+        assert len(list(slabsolver._runs(grid, range(n_slabs), cost))) == chunks
         sol.partials[:] = np.nan
         compute_errors(sol, case)
         return sol.partials.copy()
@@ -569,7 +589,8 @@ def test_runs_and_stacks_never_change_bits(monkeypatch):
         return out
 
     monkeypatch.setattr(slabsolver, "STACK_BUDGET", middle)
-    assert [stop - first for _, first, stop in slabsolver._runs(grid, 0, space.n_dofs)] == [
+    runs = slabsolver._runs(grid, range(len(degrees)), lambda p: (2 * p + 2) * space.n_dofs)
+    assert [len(slabs) for _, slabs in runs] == [
         2, 2, 2, 1, 1, 1, 2, 2, 1]
     single = values(1)
     for budget in (middle, default):

@@ -22,6 +22,7 @@ from waveslab import (
     march,
     problem_data,
     reconstruction_constants,
+    run_adaptive,
 )
 from waveslab.estimator import eta1, eta2_terms, laplacian_norms, osc_terms, quadrature_check
 
@@ -68,7 +69,6 @@ def test_zero_solution_zero_report():
     assert report.eta1 == 0.0
     assert report.eta == 0.0
     assert report.osc == 0.0
-    assert report.total == 0.0
     assert report.m == 2
 
 
@@ -222,16 +222,20 @@ def test_report_structure_on_a_singular_run():
 
 
 def test_include_osc_changes_only_the_total():
-    case = make_case("case1")
-    data = problem_data(case)
+    # the oscillation enters only the total that stops the adaptive loop:
+    # a tolerance between eta and eta + osc stops a run without it and lets
+    # one with it go on, through the same reports
+    data = problem_data(make_case("case1"))
     space = TensorSpace(3, 3, 2)
-    sol = march(data, space, TimeGrid.uniform(1.0, 4, 2))
-    bare = estimate(sol, data)
-    withosc = estimate(sol, data, include_osc=True)
-    assert bare.eta == withosc.eta
-    assert bare.total == bare.eta
-    assert withosc.total == withosc.eta + withosc.osc
-    assert withosc.osc > 0.0
+    grid = TimeGrid.uniform(1.0, 4, 2)
+    first = run_adaptive(data, space, grid, max_iters=1).final.report
+    assert first.osc > 0.0
+    tol = first.eta + 0.5 * first.osc
+    bare = run_adaptive(data, space, grid, max_iters=2, eta_tol=tol)
+    withosc = run_adaptive(data, space, grid, max_iters=2, eta_tol=tol, include_osc=True)
+    assert len(bare.history) == 1 and len(withosc.history) == 2
+    for report in (bare.history[0].report, withosc.history[0].report):
+        assert report.eta == first.eta and report.osc == first.osc
 
 
 def test_effectivity_and_reliability_small_run():

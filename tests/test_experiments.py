@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import waveslab
 import waveslab.adaptive
@@ -31,14 +32,21 @@ from waveslab.experiments import (
 def test_defaults_fill_in():
     cfg = parse_config({"suite": "tau_refine", "case": "case1", "tau_list": [0.2]})
     assert cfg.suite == "tau_refine" and cfg.case == "case1"
+    assert cfg.values == {"T": 1.0, "h": 0.4, "p_x": 2, "p_t": 2, "tau_list": [0.2],
+                          "out": "results.csv", "seed": None}
+    cfg = parse_config({"suite": "adaptive", "case": "case2"})
     assert cfg.T == 1.0 and cfg.h == 0.4
     assert cfg.p_x == 2 and cfg.p_t == 2
     assert cfg.theta == 0.5 and cfg.include_osc is False
     assert cfg.alpha == 1.75 and cfg.max_iters == 25
     assert cfg.eta_tol == 0.0 and cfg.initial_n == 5
     assert cfg.out == "results.csv" and cfg.seed is None
+    cfg = parse_config({"suite": "adaptive", "case": "case3"})
+    assert cfg.mode_m == 1 and cfg.mode_n == 1 and cfg.omega == float(np.sqrt(2.0))
     with pytest.raises(AttributeError):
         cfg.not_a_key
+    with pytest.raises(AttributeError):
+        cfg.alpha  # case2's key
 
 
 def test_all_problems_reported_at_once():
@@ -149,6 +157,81 @@ def test_suite_specific_requirements():
         parse_config({
             "suite": "long_time", "case": "case3", "T_list": [1.0, 1.2], "tau": 0.5,
         })
+
+
+# The keys each suite reads, required and optional, and the keys each case
+# reads; every suite also reads `out` and accepts `seed`.
+READS = {
+    "tau_refine": ({"tau_list"}, {"T", "h", "p_x", "p_t"}),
+    "p_refine": ({"tau", "p_t_list"}, {"T", "h", "p_x"}),
+    "spacetime_refine": ({"tau_list"}, {"T", "p_t"}),
+    "long_time": ({"T_list", "tau"}, {"h", "p_x", "p_t"}),
+    "effectivity": ({"tau_list", "p_t_list"}, {"T", "h", "p_x"}),
+    "adaptive": (set(), {"T", "h", "p_x", "p_t", "initial_n", "theta", "max_iters",
+                         "eta_tol", "include_osc"}),
+}
+CASE_KEYS = {"case1": set(), "case2": {"alpha"}, "case3": {"mode_m", "mode_n", "omega"}}
+# a valid value of every known key but `suite`, `case` and `seed`
+VALID = {
+    "T": 1.0, "T_list": [1.0], "tau": 0.5, "tau_list": [0.5], "p_t": 2, "p_t_list": [2],
+    "p_x": 2, "h": 1.0, "alpha": 1.75, "mode_m": 1, "mode_n": 1, "omega": 1.0,
+    "theta": 0.5, "max_iters": 2, "eta_tol": 0.0, "initial_n": 2, "include_osc": True,
+    "out": "study.csv",
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASE_KEYS))
+@pytest.mark.parametrize("suite", sorted(READS))
+def test_a_config_holds_and_takes_only_the_keys_its_suite_and_case_read(
+        suite, case, tmp_path, capsys):
+    required, optional = READS[suite]
+    reads = required | optional | CASE_KEYS[case]
+    base = {"suite": suite, "case": case, **{key: VALID[key] for key in required}}
+    if (suite, case) != ("spacetime_refine", "case2"):  # that pair is refused as such
+        assert set(parse_config(base).values) == reads | {"out", "seed"}
+        given = {key: VALID[key] for key in reads | {"out"}}
+        assert parse_config({**base, **given, "seed": 3}).values == {**given, "seed": 3}
+    # any other key exits 1 and is named, also when its value is valid
+    # (tau_refine ran a p_t_list at p_t = 2 and exited 0)
+    for key in sorted(set(VALID) - reads - {"out"}):
+        path = _write_config(tmp_path, yaml.safe_dump({**base, key: VALID[key]}))
+        assert main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+        assert (f"config error: suite {suite!r} with case {case!r} does not read key {key!r}"
+                in capsys.readouterr().err)
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("suite", sorted(READS))
+def test_every_required_key_is_required(suite):
+    required, _ = READS[suite]
+    for key in required:
+        raw = {"suite": suite, "case": "case3", **{k: VALID[k] for k in required - {key}}}
+        with pytest.raises(ConfigError, match=f"suite '{suite}' requires key '{key}'"):
+            parse_config(raw)
+
+
+def test_long_time_checks_tau_only_against_its_final_times(tmp_path):
+    # tau = 0.3 does not divide the T = 1.0 that long_time never reads
+    raw = {"suite": "long_time", "case": "case3", "tau": 0.3, "T_list": [0.9, 1.2]}
+    path = _write_config(tmp_path, yaml.safe_dump(raw))
+    assert main(["run", str(path), "--out", str(tmp_path / "rows.csv")]) == 0
+    with open(tmp_path / "rows.csv", newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    assert [int(row["N"]) for row in rows] == [3, 4]
+    with pytest.raises(ConfigError) as info:
+        parse_config({**raw, "T": 1.0})
+    assert info.value.problems == [
+        "suite 'long_time' with case 'case3' does not read key 'T'"]
+
+
+def test_seed_zero_is_kept_and_a_negative_seed_refused(tmp_path, capsys):
+    base = {"suite": "adaptive", "case": "case1"}
+    cfg = parse_config({**base, "seed": 0})
+    assert cfg.seed == 0 and type(cfg.seed) is int
+    path = _write_config(tmp_path, yaml.safe_dump({**base, "seed": -1}))
+    assert main(["run", str(path), "--out", str(tmp_path / "x.csv")]) == 1
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_parse_accepts_mapping_string_and_file(tmp_path):
@@ -270,17 +353,16 @@ def test_levels_on_one_mesh_share_one_space(monkeypatch):
             super().__init__(*args, **kwargs)
 
     monkeypatch.setattr(experiments, "TensorSpace", Counting)
-    base = {"case": "case1", "h": 1.0, "tau": 0.5, "T_list": [0.5, 1.0]}
     rows = {}
     for suite, lists, spaces in [
-        ("effectivity", {"tau_list": [0.5, 0.25], "p_t_list": [2, 3]}, [(2, 2, 2)]),
-        ("tau_refine", {"tau_list": [0.5, 0.25]}, [(2, 2, 2)]),
-        ("p_refine", {"p_t_list": [2, 3]}, [(2, 2, 2)]),
-        ("long_time", {}, [(2, 2, 2)]),
+        ("effectivity", {"h": 1.0, "tau_list": [0.5, 0.25], "p_t_list": [2, 3]}, [(2, 2, 2)]),
+        ("tau_refine", {"h": 1.0, "tau_list": [0.5, 0.25]}, [(2, 2, 2)]),
+        ("p_refine", {"h": 1.0, "tau": 0.5, "p_t_list": [2, 3]}, [(2, 2, 2)]),
+        ("long_time", {"h": 1.0, "tau": 0.5, "T_list": [0.5, 1.0]}, [(2, 2, 2)]),
         ("spacetime_refine", {"tau_list": [0.5, 0.25]}, [(4, 4, 3), (8, 8, 3)]),
     ]:
         built.clear()
-        rows[suite] = run_suite(parse_config({**base, "suite": suite, **lists})).rows
+        rows[suite] = run_suite(parse_config({"case": "case1", "suite": suite, **lists})).rows
         assert built == spaces, suite
     # a shared space gives the rows of a space built for the level alone
     for row in rows["effectivity"]:
@@ -372,6 +454,7 @@ def test_cli_config_problems_exit_1(tmp_path, capsys):
     good = _write_config(tmp_path, "suite: tau_refine\ncase: case1\ntau_list: [0.5]\n")
     assert main(["run", str(good), "--suite", "p_refine",
                  "--out", str(tmp_path / "x.csv")]) == 1
+    assert "does not read key 'tau_list'" in capsys.readouterr().err
     assert main(["run", str(tmp_path / "missing.yaml")]) == 1
     assert main(["frobnicate"]) == 1
 

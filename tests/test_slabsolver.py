@@ -427,16 +427,15 @@ def test_adaptive_history_equals_marches_without_kept_loads_bitwise(monkeypatch)
         for name in ("eta2_n", "osc_n", "local_n"):
             assert np.array_equal(getattr(record.report, name), getattr(report, name))
         assert adaptive_sol.jump_sq.tobytes() == sol.jump_sq.tobytes()
-        assert record.report.eta == report.eta and record.report.total == report.total
+        assert record.report.eta == report.eta and record.report.osc == report.osc
         assert record.errors == errs
         assert record.kappa == effectivity(report, errs.Linf_L2)
         # the adaptive run scored only the slabs whose key or block is new
         keys, blocks = record.grid.slab_keys(), [b.tobytes() for b in sol.blocks]
         new = [n for n, key in enumerate(keys) if kept_blocks.get(key) != blocks[n]]
-        scored_chunks += len(list(slabsolver._chunks(space, record.grid, new,
-                                                     "gauss", "equispaced")))
-        all_chunks += len(list(slabsolver._chunks(space, record.grid, range(len(keys)),
-                                                  "gauss", "equispaced")))
+        cost = slabsolver._sample_cost(space, "gauss", "equispaced")
+        scored_chunks += len(list(slabsolver._runs(record.grid, new, cost)))
+        all_chunks += len(list(slabsolver._runs(record.grid, range(len(keys)), cost)))
         kept_blocks = dict(zip(keys, blocks))
         # and solved only the slabs from the first one its bisection changed
         solved += len(keys) - common_prefix(keys, previous_keys)
