@@ -82,7 +82,9 @@ def laplacian_norms(sol: SlabSolution, m: int) -> np.ndarray:
     written there, so a second call costs nothing.  The slabs go through the
     space kernel in stacks of at most `slabsolver.STACK_BUDGET` Gauss-grid
     values, at least one slab each, whatever their degrees; each slab's
-    norms have the same bits in any stack.
+    norms have the same bits in any stack.  The top modes of a stack take
+    one product per stretch of one degree, which gives each slab the bits
+    of its own product.
     """
     m = _target(sol, m)
     grid, space, lap = sol.grid, sol.space, sol.lap
@@ -90,8 +92,13 @@ def laplacian_norms(sol: SlabSolution, m: int) -> np.ndarray:
     size = max(1, slabsolver.STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
     for start in range(0, len(missing), size):
         chunk = missing[start:start + size]
-        tops = np.array([nodal_to_modal(p)[p] @ sol.blocks[n]
-                         for n, p in zip(chunk, grid.degrees[chunk].tolist())])
+        tops = np.empty((len(chunk), space.n_dofs))
+        done = 0
+        # the chunk's stretches of one degree, uncut: it is within the budget
+        for p, run in slabsolver._runs(grid, chunk, lambda p: 0):
+            tops[done:done + len(run)] = (
+                nodal_to_modal(p)[p] @ np.stack([sol.blocks[n] for n in run.tolist()]))
+            done += len(run)
         lap[chunk, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
         lap[chunk, 1] = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[chunk]))
     out = lap[:m + 1].view()
@@ -159,7 +166,9 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
     is "gauss", the norms are the rows of the solution's table
     `SlabSolution.osc_l1`, which the march fills from its load's samples:
     the known ones are read and the others (slab 0 of a singular load,
-    whose load takes the graded rule) computed and written there.
+    whose load takes the graded rule) computed and written there, with
+    their `SlabSolution.f_sq` (`slabsolver._forcing_rows`), so the
+    stability check does not sample them again.
     """
     m = _target(sol, m, points)
     grid = sol.grid

@@ -316,12 +316,8 @@ def _level_row(level, tau, p_x, p_t, grid, space, errs, report, wall):
     return row
 
 
-def _uniform_level(case, config, space, tau, p_t, T):
-    """One level of a uniform suite: its grid, errors, report and wall time.
-
-    `config` is unused: no key changes a level but those in its arguments.
-    The golden test passes it.
-    """
+def _uniform_level(case, space, tau, p_t, T):
+    """One level of a uniform suite: its grid, errors, report and wall time."""
     grid = TimeGrid.uniform(T, round(T / tau), p_t)
     data = problem_data(case)
     started = time.perf_counter()
@@ -374,7 +370,7 @@ def run_suite(config: Config) -> ExperimentResult:
             if (nx, p_x) not in spaces:
                 spaces[nx, p_x] = TensorSpace(nx, nx, p_x)
             space = spaces[nx, p_x]
-            grid, errs, report, wall = _uniform_level(case, config, space, tau, p_t, T)
+            grid, errs, report, wall = _uniform_level(case, space, tau, p_t, T)
             rows.append(_level_row(
                 level, grid.T / grid.n_intervals, p_x, p_t, grid, space, errs, report, wall,
             ))

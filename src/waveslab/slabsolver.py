@@ -196,6 +196,22 @@ def reference_blocks(p: int):
     return tables
 
 
+@lru_cache(maxsize=None)
+def _defect_projector(p: int, points: str) -> np.ndarray:
+    """I minus the temporal L2 projection onto degree p - 1, shape (nq, nq), read-only.
+
+    It maps samples of a function at the nq points of the point set
+    `points` of `reference_blocks(p)` to the samples of its defect against
+    that projection, taken with the set's own weights.
+    """
+    x, w, leg, _ = reference_blocks(p)[points]
+    vander = leg[:, :p]  # (nq, p)
+    scale = 0.5 * (2.0 * np.arange(p) + 1.0)
+    out = np.eye(len(x)) - vander @ (scale[:, None] * (vander * w[:, None]).T)
+    out.flags.writeable = False
+    return out
+
+
 def _freeze(item) -> None:
     if isinstance(item, np.ndarray):
         item.flags.writeable = False
@@ -250,9 +266,11 @@ def _runs(grid: TimeGrid, slabs, cost):
     `STACK_BUDGET // cost(p)` slabs and always at least one.
     """
     slabs = np.asarray(slabs, dtype=int)
+    if not len(slabs):
+        return
     degrees = grid.degrees[slabs]
-    # where the degree changes, both ends included (a degree is at least 2)
-    edges = np.flatnonzero(np.diff(degrees, prepend=0, append=0)).tolist()
+    # the first entry of each stretch of one degree, and the end
+    edges = [0, *(np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist(), len(slabs)]
     for a, b in zip(edges[:-1], edges[1:]):
         p = int(degrees[a])
         size = max(1, STACK_BUDGET // max(cost(p), 1))
@@ -286,11 +304,8 @@ def _forcing_terms(space: TensorSpace, samples: np.ndarray, p: int, tau: np.ndar
     (`SlabSolution.f_sq`).  Each slab's terms are summed on its own row, so
     they have the same bits in any stack.  The samples are overwritten.
     """
-    x, w, leg, _ = reference_blocks(p)[points]
-    vander = leg[:, :p]  # (nq, p)
-    scale = 0.5 * (2.0 * np.arange(p) + 1.0)
-    to_defect = np.eye(len(x)) - vander @ (scale[:, None] * (vander * w[:, None]).T)
-    defect = to_defect @ samples.reshape(len(tau), len(x), -1)
+    x, w, _, _ = reference_blocks(p)[points]
+    defect = _defect_projector(p, points) @ samples.reshape(len(tau), len(x), -1)
     # squared in place, so that no third array of the samples' size is made
     norms = _sqrt_pos(space.integrate(np.square(defect, out=defect).reshape(samples.shape)))
     squares = space.integrate(np.square(samples, out=samples))
@@ -302,7 +317,11 @@ def _forcing_rows(data: ProblemData, sol: SlabSolution, slabs, points: str = "ga
     """Forcing terms (`_forcing_terms`) of `slabs` of `sol`, shape (2, N), NaN elsewhere.
 
     f is sampled at the point set `points` of `reference_blocks`, a run
-    of slabs at a time (`_runs`).
+    of slabs at a time (`_runs`).  When `data` is the problem `sol` solved
+    (`SlabSolution.data`) and `points` is "gauss", both rows are also
+    written to the solution's tables `osc_l1` and `f_sq`, so that neither
+    of their readers (`estimator.osc_terms`, `stability_check`) samples
+    these slabs again.
     """
     grid, space = sol.grid, sol.space
     out = np.full((2, grid.n_intervals), np.nan)
@@ -311,6 +330,8 @@ def _forcing_rows(data: ProblemData, sol: SlabSolution, slabs, points: str = "ga
         samples = space.grid_eval(data.f, _sample_times(grid, run, x).ravel())
         tau = grid.nodes[run + 1] - grid.nodes[run]
         out[:, run] = _forcing_terms(space, samples, p, tau, points)
+    if data is sol.data and points == "gauss":
+        sol.osc_l1[slabs], sol.f_sq[slabs] = out[:, slabs]
     return out
 
 
@@ -413,7 +434,8 @@ class SlabSolution:
     and a private column of the squared jump norms (`jump_sq`).  Their
     readers take the known rows and fill in the others in place, so a
     second read computes nothing.  The march fills `osc_l1` and `f_sq`
-    from its load's samples and `grams` from its solves, and a march given
+    from its load's samples and `grams` from its solves; a reader that
+    samples a slab's forcing fills both of its forcing terms.  A march given
     the last march's records (`kept`) seeds the rest from the last
     solution (see `march`).
     """
@@ -426,7 +448,9 @@ class SlabSolution:
 
     def __post_init__(self):
         object.__setattr__(self, "blocks", tuple(self.blocks))
-        _freeze((self.blocks, self.u1h))
+        for block in self.blocks:
+            block.flags.writeable = False
+        self.u1h.flags.writeable = False
         count = self.grid.n_intervals
         size = int(self.grid.degrees.max()) + 1
         for name, shape in (("lap", (count, 2)), ("osc_l1", count), ("f_sq", count),
@@ -659,8 +683,8 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     slab_loads, forcing = _slab_loads(
         data, space, grid, [None if record is None else record.load for record in records])
     resumed = 0 if last is None else _resumable(last, keys, u0h, u1h)
-    taus = np.diff(grid.nodes).tolist()
-    lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, taus)]
+    taus = np.diff(grid.nodes)
+    lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, taus.tolist())]
     factors = space.slab_lu
     for key in set(factors) - set(lu_keys):
         del factors[key]
@@ -688,18 +712,25 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
         count, first, stop = len(slabs), int(slabs[0]), int(slabs[-1]) + 1
         run = run_rows[:count * p + 1]
         run[0] = value
+        # per slab of the run: 2 / tau and its history weights, whose
+        # columns scale by 1, 2 / tau and tau / 2 (`reference_blocks`)
+        tau = taus[first:stop]
+        inverse = 2.0 / tau
+        weights = ref["history"] * np.stack((np.ones(count), inverse, 0.5 * tau), axis=1)[:, None]
         for j, n in enumerate(range(first, stop)):
-            tau, key = taus[n], lu_keys[n]
+            key = lu_keys[n]
             if key not in factors:
-                factors[key] = spla.splu(slab_operator(p, tau, s), permc_spec="NATURAL")
+                factors[key] = spla.splu(slab_operator(p, float(tau[j]), s),
+                                         permc_spec="NATURAL")
             nodal = run[j * p:(j + 1) * p + 1]
 
             history[1] = nodal[0]
             np.multiply(s, nodal[0], out=history[2])
-            rhs = slab_loads[n] + (ref["history"] * (1.0, 2.0 / tau, 0.5 * tau)) @ history
+            rhs = weights[j] @ history
+            rhs += slab_loads[n]
             nodal[1:] = factors[key].solve(rhs.ravel()).reshape(p, d) if d else 0.0
             # the slab's end derivative, which the next slab takes in
-            np.multiply(2.0 / tau, ref["dphi_right"] @ nodal, out=history[0])
+            np.multiply(inverse[j], ref["dphi_right"] @ nodal, out=history[0])
             if kept is not None:
                 ends.append(np.stack((history[0], nodal[-1])))
         value = run[-1]
@@ -759,7 +790,9 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     the "gauss" points.  When `data` is the problem `sol` solved
     (`SlabSolution.data`), these are the rows of `SlabSolution.f_sq`, which
     the march fills from its load's samples: the known ones are read and
-    the others (slab 0 of a singular load) computed and written there.
+    the others (slab 0 of a singular load) computed and written there, with
+    their `SlabSolution.osc_l1` (`_forcing_rows`), so the estimator does
+    not sample them again.
     """
     space, grid = sol.space, sol.grid
     grams = sol.grams

@@ -126,6 +126,10 @@ MUTANTS = [
            "src/waveslab/slabsolver.py",
            "start = int(np.argmax(np.isnan(self._jump_sq)))",
            "start = int(np.argmax(np.isnan(self._jump_sq))) + 1"),
+    Mutant("a slab reads its neighbour's history weights", "src/waveslab/slabsolver.py",
+           "rhs = weights[j] @ history", "rhs = weights[j - 1] @ history"),
+    Mutant("a slab reads its neighbour's 2 / tau", "src/waveslab/slabsolver.py",
+           "np.multiply(inverse[j], ", "np.multiply(inverse[j - 1], "),
     Mutant("a run's first slab reads a wrong junction row", "src/waveslab/slabsolver.py",
            "        value = run[-1]\n", "        value = run[-2]\n"),
     Mutant("jumps subtract slab n's right derivative where slab n - 1's belongs",
@@ -133,7 +137,7 @@ MUTANTS = [
            "out[first + 1:stop] -= right[:-1]", "out[first + 1:stop] -= right[1:]"),
     # the runs every stacked pass takes
     Mutant("a run crosses a degree change", "src/waveslab/slabsolver.py",
-           "edges = np.flatnonzero(np.diff(degrees, prepend=0, append=0)).tolist()",
+           "edges = [0, *(np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist(), len(slabs)]",
            "edges = [0, len(slabs)]"),
     Mutant("a run ignores its cost", "src/waveslab/slabsolver.py",
            "size = max(1, STACK_BUDGET // max(cost(p), 1))", "size = max(1, STACK_BUDGET)"),
@@ -149,7 +153,17 @@ MUTANTS = [
            "if len(rule) == 1\n", "if True\n"),
     Mutant("forcing row sum by a matrix-vector product", "src/waveslab/slabsolver.py",
            "np.sum(rows * w, axis=2)", "(rows @ w)"),
+    # the forcing terms a reader samples, stored for the other reader
+    Mutant("the stored f_sq taken from the osc_l1 row", "src/waveslab/slabsolver.py",
+           "sol.osc_l1[slabs], sol.f_sq[slabs] = out[:, slabs]",
+           "sol.osc_l1[slabs], sol.f_sq[slabs] = out[0, slabs], out[0, slabs]"),
+    Mutant("forcing terms stored for another data object", "src/waveslab/slabsolver.py",
+           'if data is sol.data and points == "gauss":', 'if points == "gauss":'),
+    Mutant("forcing terms stored for other points", "src/waveslab/slabsolver.py",
+           'if data is sol.data and points == "gauss":', "if data is sol.data:"),
     # the estimator
+    Mutant("a chunk's top modes overwrite those of its earlier degrees",
+           "src/waveslab/estimator.py", "done += len(run)", "done += 0"),
     Mutant("eta1 takes a plain argmax", "src/waveslab/estimator.py",
            "arg = int(np.argmax(vals * (1.0 + 1e-14) >= np.max(vals)))",
            "arg = int(np.argmax(vals))"),

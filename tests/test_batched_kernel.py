@@ -25,7 +25,7 @@ from waveslab import (
 )
 import waveslab.adaptive
 from waveslab import slabsolver, spacefem
-from waveslab.adaptive import run_adaptive
+from waveslab.adaptive import bisect, run_adaptive
 from waveslab.estimator import (
     estimate,
     eta1,
@@ -264,7 +264,7 @@ def test_the_march_forcing_terms_have_the_bits_of_a_fresh_evaluation(monkeypatch
     sol = march(data, space, grid)
     fresh = dataclasses.replace(sol)
     assert np.isnan(fresh.osc_l1).all() and np.isnan(fresh.f_sq).all()
-    rows = slabsolver._forcing_rows(data, fresh, np.arange(grid.n_intervals))
+    rows = slabsolver._forcing_rows(data, dataclasses.replace(sol), np.arange(grid.n_intervals))
     start = int(singular)
     assert sol.osc_l1[start:].tobytes() == rows[0, start:].tobytes()
     assert sol.f_sq[start:].tobytes() == rows[1, start:].tobytes()
@@ -356,6 +356,40 @@ def test_runs_are_stretches_of_one_degree_within_the_budget(monkeypatch):
     assert runs([0, 1, 5, 6, 9], lambda p: 0) == [(2, [0, 1, 5, 6]), (4, [9])]
     assert runs([1, 2, 8], lambda p: 7) == [(2, [1]), (3, [2]), (2, [8])]
     assert runs([], lambda p: 1) == []
+
+
+def test_runs_cut_where_the_degree_changes(monkeypatch):
+    # the runs of random degree sequences and ascending slab subsets, empty
+    # and single-slab ones included, are those cut at the degree changes
+    # np.diff(degrees, prepend=0, append=0) marks (a degree is at least 2)
+    def expected(grid, slabs, cost):
+        degrees = grid.degrees[slabs]
+        edges = np.flatnonzero(np.diff(degrees, prepend=0, append=0)).tolist()
+        out = []
+        for a, b in zip(edges[:-1], edges[1:]):
+            p = int(degrees[a])
+            size = max(1, slabsolver.STACK_BUDGET // max(cost(p), 1))
+            out += [(p, slabs[first:min(first + size, b)].tolist())
+                    for first in range(a, b, size)]
+        return out
+
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 12)
+    local = np.random.default_rng(11)
+    for trial in range(300):
+        n = int(local.integers(1, 30))
+        degrees = local.integers(2, 5, size=n) if trial % 3 else np.full(n, 3)
+        grid = TimeGrid(np.linspace(0.0, 1.0, n + 1), degrees)
+        keep = local.random(n) < local.random()
+        slabs = np.flatnonzero(keep) if trial % 4 else np.arange(n)
+        if trial % 7 == 0:
+            slabs = slabs[:1]
+        cost = (lambda p: 0) if trial % 5 == 0 else (lambda p: p)
+        got = [(p, run.tolist()) for p, run in slabsolver._runs(grid, slabs, cost)]
+        assert got == expected(grid, slabs, cost)
+    grid = TimeGrid(np.linspace(0.0, 1.0, 4), np.array([2, 3, 3]))
+    assert list(slabsolver._runs(grid, np.array([], dtype=int), lambda p: 1)) == []
+    assert [(p, run.tolist()) for p, run in slabsolver._runs(grid, [2], lambda p: 1)] == [
+        (3, [2])]
 
 
 @pytest.mark.parametrize("run", [mixed_degree_run, repeated_degree_run])
@@ -600,6 +634,25 @@ def test_runs_and_stacks_never_change_bits(monkeypatch):
             # the Gram corners past a slab's degree are nan in both
             assert np.array_equal(one, other, equal_nan=True)
 
+    # a bisected grid of one degree whose slab lengths differ in their last
+    # bits: in one run, each slab must take its own history weights and
+    # 2 / tau from the run's tables
+    bisected = bisect(bisect(TimeGrid.uniform(1.0, 5, 2), range(5)), [0, 3, 4, 7])
+    lengths = np.diff(bisected.nodes)
+    assert lengths[2] != lengths[3] and abs(lengths[2] - lengths[3]) < 1e-15
+
+    def marched(budget):
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+        fresh = march(data, TensorSpace(3, 3, 2), bisected)
+        return [np.concatenate(fresh.blocks), fresh.grams, fresh.jumps,
+                estimate(fresh, data).eta2_n]
+
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", default)
+    assert len(list(slabsolver._runs(
+        bisected, range(bisected.n_intervals), lambda p: (2 * p + 2) * space.n_dofs))) == 1
+    for one, other in zip(marched(1), marched(default)):
+        assert np.array_equal(one, other, equal_nan=True)
+
 
 def test_gauss_rule_is_shared_and_read_only():
     x, w = gauss_legendre(7)
@@ -706,12 +759,55 @@ def test_callables_are_called_once_per_slab_or_panel():
     assert calls == {"u": n_slabs, "du": n_slabs, "ux": n_slabs, "uy": n_slabs}
     calls.clear()
     # the march's load samples give every slab's forcing terms but those
-    # of the graded first slab, which keeps its plain Gauss rule
+    # of the graded first slab, which keeps its plain Gauss rule; the
+    # first reader to sample it stores both of its terms for the other
     osc_terms(counted_data, sol, n_slabs - 1)
     assert calls == {"f": 1}
     calls.clear()
     stability_check(sol, counted_data)
+    assert calls == {}
+
+    sol = march(counted_data, space, grid)
+    calls.clear()
+    stability_check(sol, counted_data)
     assert calls == {"f": 1}
+    calls.clear()
+    osc_terms(counted_data, sol, n_slabs - 1)
+    assert calls == {}
+
+
+@pytest.mark.parametrize("osc_first", [True, False])
+def test_the_graded_slab_forcing_terms_are_those_of_a_fresh_evaluation(osc_first):
+    # whichever reader samples the graded first slab stores both of its
+    # forcing terms, with the bits a fresh evaluation gives them
+    case, data, space, grid = mixed_degree_run()
+    m = grid.n_intervals - 1
+    sol = march(data, space, grid)
+    assert np.isnan(sol.osc_l1[0]) and np.isnan(sol.f_sq[0])
+    # another data object with the same forcing: computed, never stored
+    fresh = slabsolver._forcing_rows(dataclasses.replace(data), sol, np.array([0]))[:, 0]
+    assert np.isnan(sol.osc_l1[0]) and np.isnan(sol.f_sq[0])
+    readers = [lambda: osc_terms(data, sol, m), lambda: stability_check(sol, data).rhs]
+    first, second = readers if osc_first else readers[::-1]
+    first()
+    assert sol.osc_l1[0].tobytes() == fresh[0].tobytes()
+    assert sol.f_sq[0].tobytes() == fresh[1].tobytes()
+    second()
+    other = march(data, space, grid)
+    assert osc_terms(data, sol, m).tobytes() == osc_terms(data, other, m).tobytes()
+    assert stability_check(sol, data).rhs == stability_check(other, data).rhs
+
+
+def test_other_data_and_other_points_store_no_forcing_terms():
+    case, data, space, grid = mixed_degree_run()
+    sol = march(data, space, grid)
+    before = sol.osc_l1.tobytes(), sol.f_sq.tobytes()
+    assert np.isnan(sol.osc_l1[0]) and np.isnan(sol.f_sq[0])
+    other = dataclasses.replace(data)
+    report = estimate(sol, other)
+    stability_check(sol, other)
+    quadrature_check(sol, data, report, tol=np.inf)  # the "gauss_doubled" points
+    assert (sol.osc_l1.tobytes(), sol.f_sq.tobytes()) == before
 
 
 def test_one_load_assembly_per_slab_and_no_rule_rebuilt_when_warm(monkeypatch):

@@ -49,7 +49,7 @@ def test_demo_config_matches_its_golden(name, tmp_path):
     random.Random(7).shuffle(levels)
     for level, (h, tau, p_x, p_t, T) in levels:
         space = TensorSpace(round(2.0 / h), round(2.0 / h), p_x)
-        grid, errs, report, wall = experiments._uniform_level(case, config, space, tau, p_t, T)
+        grid, errs, report, wall = experiments._uniform_level(case, space, tau, p_t, T)
         alone = experiments._level_row(level, grid.T / grid.n_intervals, p_x, p_t,
                                        grid, space, errs, report, wall)
         for key in result.columns:
