@@ -33,6 +33,7 @@ from .slabsolver import (
     _runs,
     _sample_cost,
     _sample_times,
+    _short_buffer,
     reference_blocks,
 )
 
@@ -151,6 +152,7 @@ class ErrorBundle:
         return asdict(self)
 
 
+@_short_buffer
 def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     """Evaluate all error norms of a slab solution for a manufactured case.
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import slabsolver
 from ._numbers import number
-from .slabsolver import ProblemData, SlabSolution, _forcing_rows, reference_blocks
+from .slabsolver import ProblemData, SlabSolution, _forcing_rows, _short_buffer, reference_blocks
 from .spacefem import _sqrt_pos
 from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
 
@@ -214,6 +214,7 @@ class EstimatorReport:
         return out
 
 
+@_short_buffer
 def estimate(
     sol: SlabSolution,
     data: ProblemData,
@@ -247,6 +248,7 @@ def effectivity(report: EstimatorReport, linf_l2_error: float) -> float:
     return report.eta / linf_l2_error if linf_l2_error > 0 else float("inf")
 
 
+@_short_buffer
 def quadrature_check(sol: SlabSolution, data: ProblemData, report: EstimatorReport,
                      tol: float = 1e-6) -> float:
     """Recompute the quadrature-dependent terms on the "gauss_doubled" points.
@@ -269,6 +271,6 @@ def quadrature_check(sol: SlabSolution, data: ProblemData, report: EstimatorRepo
         warnings.warn(
             f"estimator quadrature sensitivity {worst:.3e} above {tol:.1e}; "
             "the reported values keep the standard rule",
-            stacklevel=2,
+            stacklevel=3,  # the caller's line, past `_short_buffer`
         )
     return worst

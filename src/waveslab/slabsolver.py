@@ -24,7 +24,7 @@ default COLAMD ordering.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, wraps
 
 import numpy as np
 import scipy.sparse as sp
@@ -108,6 +108,13 @@ class ProblemData:
     of shapes (nx, 1) and (1, ny): the time samples of a run of slabs of
     one degree (see `STACK_BUDGET`) are evaluated in one call.  `exact` may
     hold a manufactured solution for error studies.
+
+    The callables run inside the passes that sample them (`march`,
+    `stability_check`, `estimator.estimate`, `estimator.quadrature_check`,
+    `errors.compute_errors`), with NumPy's ufunc buffer at `UFUNC_BUFFER`
+    values; the caller's size is set back when the pass returns or raises.
+    Buffering only moves values, so their elementwise results, like the
+    package's own float64 results, have the same bits at any buffer size.
 
     `singular_load` declares that f has limited smoothness at t = 0 (a
     fractional power of t, say).  The slab touching t = 0 then takes its
@@ -255,6 +262,35 @@ def slab_operator(p: int, tau: float, s: np.ndarray) -> sp.csc_matrix:
 # within noise of each other, while peak memory rose from 77 MB at 2**16
 # to 86 MB at 2**18 and 109 MB at 2**20.
 STACK_BUDGET = 1 << 16
+
+# Values in NumPy's ufunc buffer while the pipeline runs (`_short_buffer`).
+# A product (nt, 1, 1) x (ngx, ngy), as a time-dependent callable forms on
+# the Gauss grid, goes through the buffer when its rows of ngx * ngy values
+# are shorter than about a third of it.  At NumPy's default of 8 192, with
+# numpy 2.4 on a 2-vCPU Xeon VM, rows of 400 to 2 704 values cost 1.0-1.9
+# ns per value; at 1 024 they cost 0.25-0.55 ns, as rows of 3 136 values or
+# more do at either size (0.27-0.41 ns).  Buffering only moves values, so
+# every result keeps its bits.
+UFUNC_BUFFER = 1024
+
+
+def _short_buffer(fn):
+    """Run `fn` with a ufunc buffer of `UFUNC_BUFFER` values, then the caller's.
+
+    The size is set inside `np.errstate()`, which scopes it on numpy 2, and
+    set back explicitly, since numpy 1 keeps it outside that state.
+    """
+
+    @wraps(fn)
+    def wrapped(*args, **kwargs):
+        with np.errstate():
+            old = np.setbufsize(UFUNC_BUFFER)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                np.setbufsize(old)
+
+    return wrapped
 
 
 def _runs(grid: TimeGrid, slabs, cost):
@@ -431,10 +467,12 @@ class SlabSolution:
     each slab's temporal modes in eigen-coordinates, in the top-left
     (p + 1) x (p + 1) corner (`stability_check`), `partials` (N, 5), each
     slab's five error partials for `data.exact` (`errors.compute_errors`),
-    and a private column of the squared jump norms (`jump_sq`).  Their
-    readers take the known rows and fill in the others in place, so a
-    second read computes nothing.  The march fills `osc_l1` and `f_sq`
-    from its load's samples and `grams` from its solves; a reader that
+    `data_norms` (2,), the H1 seminorm of u0 and the L2 norm of u1
+    (`stability_check`), and a private column of the squared jump norms
+    (`jump_sq`).  Their readers take the known rows and fill in the others
+    in place, so a second read computes nothing.  The march fills `osc_l1`
+    and `f_sq` from its load's samples, `grams` from its solves and
+    `data_norms` from the samples of its projections; a reader that
     samples a slab's forcing fills both of its forcing terms.  A march given
     the last march's records (`kept`) seeds the rest from the last
     solution (see `march`).
@@ -455,7 +493,7 @@ class SlabSolution:
         size = int(self.grid.degrees.max()) + 1
         for name, shape in (("lap", (count, 2)), ("osc_l1", count), ("f_sq", count),
                             ("grams", (count, 2, size, size)), ("partials", (count, 5)),
-                            ("_jump_sq", count)):
+                            ("data_norms", 2), ("_jump_sq", count)):
             object.__setattr__(self, name, np.full(shape, np.nan))
         object.__setattr__(self, "_jump_sq_view", self._jump_sq.view())  # what jump_sq returns
         self._jump_sq_view.flags.writeable = False
@@ -601,6 +639,37 @@ def _carry_values(sol: SlabSolution, last: SlabSolution, keys: list, resumed: in
             sol.osc_l1[n], sol.f_sq[n] = known[key]
 
 
+def _initial_samples(data: ProblemData, space: TensorSpace):
+    """The gradient of u0 and u1 on the Gauss grid: (du0/dx, du0/dy, u1)."""
+    gx, gy = data.grad_u0
+    return space.grid_eval(gx), space.grid_eval(gy), space.grid_eval(data.u1)
+
+
+def _data_norms(space: TensorSpace, vx, vy, v1) -> np.ndarray:
+    """The H1 seminorm of u0 and the L2 norm of u1 from `_initial_samples`, shape (2,).
+
+    One `integrate` of both squares gives each norm the bits of
+    `TensorSpace.h1_semi_norm` and `l2_norm` (see `integrate`).
+    """
+    return _sqrt_pos(space.integrate(np.stack((vx * vx + vy * vy, v1 * v1))))
+
+
+def _initial_data(data: ProblemData, space: TensorSpace):
+    """The projected initial displacement and velocity, and `_data_norms`.
+
+    Each initial callable is sampled once.  The projections take the
+    operations of `TensorSpace.elliptic_project` and `l2_project`, so they
+    have their bits.
+    """
+    vx, vy, v1 = _initial_samples(data, space)
+    u0h = space.solve_stiffness(space.load_vector_grad(vx, vy))
+    _check_finite(u0h, "projected initial displacement")
+    u1h = space.solve_mass(space.load_vector(v1))
+    _check_finite(u1h, "projected initial velocity")
+    return u0h, u1h, _data_norms(space, vx, vy, v1)
+
+
+@_short_buffer
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
           kept: dict | None = None) -> SlabSolution:
     """Solve the wave problem slab by slab over the whole grid.
@@ -641,9 +710,11 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
 
     The march hands on what it computed on the way (see `SlabSolution`):
     the forcing terms `osc_l1` and `f_sq` of every slab its Gauss rule
-    loads, from that load's samples, and the Grams of every slab it
-    solves, so the estimator and the stability check neither sample f nor
-    take eigen-coordinates again.
+    loads, from that load's samples, the Grams of every slab it solves,
+    and the norms of the initial data, from the samples its projections
+    take (`_initial_data`), so the estimator and the stability check
+    sample neither f nor the initial data, nor take eigen-coordinates
+    again.
 
     `kept` is the one way to reuse work between marches: a dict of
     `SlabRecord` that the caller passes to each of them, as `run_adaptive`
@@ -669,11 +740,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     projected initial displacement or velocity, or the slab and the stage
     ("load" or "solve").
     """
-    gx, gy = data.grad_u0
-    u0h = space.elliptic_project(gx, gy)
-    _check_finite(u0h, "projected initial displacement")
-    u1h = space.l2_project(data.u1)
-    _check_finite(u1h, "projected initial velocity")
+    u0h, u1h, data_norms = _initial_data(data, space)
     d, s = space.n_dofs, space.stiffness_eigs
     keys = grid.slab_keys()
     last = next(iter(kept.values())).solution if kept else None
@@ -751,6 +818,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
     sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h, data=data)
     sol.grams[:], sol.osc_l1[:], sol.f_sq[:] = grams, *forcing
+    sol.data_norms[:] = data_norms
     if last is not None:
         _carry_values(sol, last, keys, resumed)
     if kept is not None:
@@ -769,6 +837,7 @@ class StabilityReport:
     slab_energy: np.ndarray
 
 
+@_short_buffer
 def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     """Evaluate the unconditional stability bound on a computed solution.
 
@@ -792,7 +861,9 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     the march fills from its load's samples: the known ones are read and
     the others (slab 0 of a singular load) computed and written there, with
     their `SlabSolution.osc_l1` (`_forcing_rows`), so the estimator does
-    not sample them again.
+    not sample them again.  The data norms of u0 and u1 are likewise
+    `SlabSolution.data_norms`, which the march fills, for that data
+    object, and sampled afresh for any other (`_data_norms`).
     """
     space, grid = sol.space, sol.grid
     grams = sol.grams
@@ -817,9 +888,10 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
 
     lhs = mu * energies[m] + 0.25 * float(np.sum(sol.jump_sq[: m + 1]))
 
-    gx, gy = data.grad_u0
-    h1_u0 = space.h1_semi_norm(space.grid_eval(gx), space.grid_eval(gy))
-    l2_u1 = space.l2_norm(space.grid_eval(data.u1))
+    data_norms = sol.data_norms if data is sol.data else np.full(2, np.nan)
+    if np.isnan(data_norms[0]):
+        data_norms[:] = _data_norms(space, *_initial_samples(data, space))
+    h1_u0, l2_u1 = data_norms.tolist()
     f_sq = sol.f_sq if data is sol.data else np.full(grid.n_intervals, np.nan)
     missing = np.flatnonzero(np.isnan(f_sq[:m + 1]))
     f_sq[missing] = _forcing_rows(data, sol, missing)[1, missing]

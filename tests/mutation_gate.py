@@ -145,6 +145,15 @@ MUTANTS = [
            "lhs = mu * energies[m] + 0.25 * float(", "lhs = mu * energies[m] + 0.5 * float("),
     Mutant("stability reads the forcing norms of another forcing", "src/waveslab/slabsolver.py",
            "f_sq = sol.f_sq if data is sol.data else", "f_sq = sol.f_sq if True else"),
+    Mutant("stability reads the data norms of another data object", "src/waveslab/slabsolver.py",
+           "data_norms = sol.data_norms if data is sol.data else",
+           "data_norms = sol.data_norms if True else"),
+    # the short ufunc buffer of the pipeline's passes
+    Mutant("compute_errors runs at the caller's ufunc buffer", "src/waveslab/errors.py",
+           "@_short_buffer\ndef compute_errors(", "def compute_errors("),
+    Mutant("the caller's ufunc buffer size not restored", "src/waveslab/slabsolver.py",
+           "            finally:\n                np.setbufsize(old)\n",
+           "            finally:\n                pass\n"),
     # the loads and the forcing terms taken from their samples
     Mutant("a graded panel reads its neighbour's samples", "src/waveslab/slabsolver.py",
            "weights @ samples[j].reshape(", "weights @ samples[j - 1].reshape("),

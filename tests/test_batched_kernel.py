@@ -5,7 +5,12 @@ per-time-point loops; every fast path must agree with them to 1e-12
 relative to the size of the compared quantity.
 """
 
+import contextlib
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +28,7 @@ from waveslab import (
     problem_data,
     stability_check,
 )
+import waveslab
 import waveslab.adaptive
 from waveslab import slabsolver, spacefem
 from waveslab.adaptive import bisect, run_adaptive
@@ -810,6 +816,47 @@ def test_other_data_and_other_points_store_no_forcing_terms():
     assert (sol.osc_l1.tobytes(), sol.f_sq.tobytes()) == before
 
 
+def test_the_initial_data_are_sampled_once_per_level():
+    # the march's projections and the stability check's data norms share
+    # one sample of each initial callable; another data object's norms are
+    # sampled afresh, and are its own
+    case = make_case("case1")
+    calls = {}
+
+    def counted(name, fn):
+        def wrapped(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapped
+
+    u1 = lambda x, y: x * (1.0 - x**2) * (1.0 - y**2)
+    data = ProblemData(u0=case.u0, grad_u0=(counted("u0x", case.u0x), counted("u0y", case.u0y)),
+                       u1=counted("u1", u1), f=case.f, exact=case)
+    space, grid = TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2)
+    sol = march(data, space, grid)
+    report = stability_check(sol, data)
+    assert calls == {"u0x": 1, "u0y": 1, "u1": 1}
+    # the bits of the space's own projections and norms
+    assert np.array_equal(sol.blocks[0][0], space.elliptic_project(case.u0x, case.u0y))
+    assert np.array_equal(sol.u1h, space.l2_project(u1))
+    assert sol.data_norms.tolist() == [
+        space.h1_semi_norm(space.grid_eval(case.u0x), space.grid_eval(case.u0y)),
+        space.l2_norm(space.grid_eval(u1))]
+    assert stability_check(sol, data).rhs == report.rhs
+    assert calls == {"u0x": 1, "u0y": 1, "u1": 1}
+
+    calls.clear()
+    stretched = lambda x, y: 2.0 * u1(x, y)
+    other = dataclasses.replace(data, u1=counted("u1", stretched))
+    before = sol.data_norms.tobytes()
+    other_rhs = stability_check(sol, other).rhs
+    assert calls == {"u0x": 1, "u0y": 1, "u1": 1}
+    assert sol.data_norms.tobytes() == before
+    # only the velocity term 0.5 |u1|^2 differs, fourfold
+    l2_u1 = sol.data_norms[1]
+    assert other_rhs - report.rhs == pytest.approx(1.5 * l2_u1**2, rel=1e-10)
+
+
 def test_one_load_assembly_per_slab_and_no_rule_rebuilt_when_warm(monkeypatch):
     case, data, space, grid = mixed_degree_run()
 
@@ -841,3 +888,159 @@ def test_one_load_assembly_per_slab_and_no_rule_rebuilt_when_warm(monkeypatch):
     calls.clear()
     run_all()
     assert calls.get("legvander", 0) == 0 and calls.get("leggauss", 0) == 0
+
+
+# ------------------------------------------------------- the ufunc buffer
+
+PASSES = {"march": march, "stability_check": stability_check, "estimate": estimate,
+          "quadrature_check": quadrature_check, "compute_errors": compute_errors}
+
+
+def solution_values(sol):
+    """Every array a solution carries, its per-slab tables included."""
+    return [np.concatenate(sol.blocks), sol.u1h, sol.grams, sol.osc_l1, sol.f_sq,
+            sol.partials, sol.jump_sq, sol.lap, sol.data_norms]
+
+
+def report_values(report):
+    return [np.asarray(value) for value in vars(report).values()]
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 2), (12, 12, 3), (16, 16, 3)])
+def test_the_short_buffer_never_changes_bits(monkeypatch, shape):
+    # The five passes run with a ufunc buffer of UFUNC_BUFFER values; their
+    # undecorated forms (`__wrapped__`), at numpy's default buffer, must
+    # give every value the same bits.  The spaces have Gauss-grid rows of
+    # 400 values, the dense kernel at d = 1 225 and the local kernel at
+    # d = 2 209, whose `m_inner` reduces contiguous rows longer than the
+    # buffer.  The grid is the mixed-degree one with the graded singular
+    # first slab, and the adaptive history resumes its marches.
+    assert np.getbufsize() == 8192
+    assert slabsolver.UFUNC_BUFFER < 8192
+    case, data, _, grid = mixed_degree_run()
+    degrees = [2] * 7 + [3, 3] + [2] * 4 + [4]
+    adaptive_grid = TimeGrid(np.linspace(0.0, 1.0, len(degrees) + 1), np.array(degrees))
+    real_resumable = slabsolver._resumable
+
+    def values(form):
+        solve, check, est, quad, errors = (form(PASSES[name]) for name in PASSES)
+        space = TensorSpace(*shape)
+        sol = solve(data, space, grid)
+        report = est(sol, data)
+        out = [np.asarray(quad(sol, data, report, tol=np.inf)), *report_values(report),
+               *report_values(errors(sol, case)), *report_values(check(sol, data))]
+        out += solution_values(sol)
+        # the adaptive loop, its marches resumed from the last one's records
+        solutions, resumed = [], []
+
+        def recording_march(*args, **kwargs):
+            solutions.append(solve(*args, **kwargs))
+            return solutions[-1]
+
+        def recording_resumable(*args):
+            resumed.append(real_resumable(*args))
+            return resumed[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(waveslab.adaptive, "march", recording_march)
+            patch.setattr(waveslab.adaptive, "estimate", est)
+            patch.setattr(waveslab.adaptive, "compute_errors", errors)
+            patch.setattr(slabsolver, "_resumable", recording_resumable)
+            result = run_adaptive(data, TensorSpace(*shape), adaptive_grid, max_iters=5)
+        assert len(result.history) == 5 and max(resumed) > 0
+        for sol, record in zip(solutions, result.history):
+            out += [*solution_values(sol), *report_values(record.report),
+                    *report_values(record.errors)]
+        assert np.getbufsize() == 8192
+        return out
+
+    short = values(lambda fn: fn)
+    default = values(lambda fn: fn.__wrapped__)
+    assert len(short) == len(default)
+    for one, other in zip(short, default):
+        # the Gram corners past a slab's degree are nan in both
+        assert one.shape == other.shape and np.array_equal(one, other, equal_nan=True)
+
+
+def recording_data(seen):
+    """case1's data with a nonzero u1, whose callables record the ufunc buffer size."""
+    case = make_case("case1")
+
+    def recording(fn):
+        def wrapped(*args):
+            seen.append(np.getbufsize())
+            return fn(*args)
+        return wrapped
+
+    exact = dataclasses.replace(
+        case, **{key: recording(getattr(case, key)) for key in ("u", "du", "ux", "uy", "f")})
+    return ProblemData(u0=case.u0, grad_u0=(recording(case.u0x), recording(case.u0y)),
+                       u1=recording(lambda x, y: x * (1.0 - x**2) * (1.0 - y**2)),
+                       f=exact.f, exact=exact)
+
+
+@pytest.mark.parametrize("name", list(PASSES))
+def test_the_passes_sample_under_the_short_buffer_and_restore_the_callers(name):
+    seen = []
+    data = recording_data(seen)
+    space, grid = TensorSpace(2, 2, 2), TimeGrid.uniform(1.0, 3, 2)
+    sol = march(data, space, grid)
+    report = estimate(sol, data)
+    # another data object, so that the readers sample its callables
+    other = dataclasses.replace(data)
+    calls = {
+        "march": lambda: march(data, space, grid),
+        "stability_check": lambda: stability_check(sol, other),
+        "estimate": lambda: estimate(sol, other),
+        "quadrature_check": lambda: quadrature_check(sol, data, report, tol=np.inf),
+        "compute_errors": lambda: compute_errors(sol, data.exact),
+    }
+    seen.clear()
+    old = np.setbufsize(4096)
+    try:
+        calls[name]()
+        after = np.getbufsize()
+    finally:
+        np.setbufsize(old)
+    assert seen and set(seen) == {slabsolver.UFUNC_BUFFER}
+    assert after == 4096
+
+
+@pytest.mark.parametrize("scoped", [True, False])
+def test_the_callers_buffer_is_back_after_a_pass_returns_or_raises(monkeypatch, scoped):
+    # numpy 1 keeps the buffer size outside the state `np.errstate`
+    # restores, so the restore must also hold without that scope
+    if not scoped:
+        monkeypatch.setattr(np, "errstate", contextlib.nullcontext)
+    data = recording_data([])
+    nan_load = dataclasses.replace(data, f=lambda t, x, y: np.nan * t * x * y)
+    space, grid = TensorSpace(2, 2, 2), TimeGrid.uniform(1.0, 3, 2)
+    sizes = []
+    old = np.setbufsize(4096)
+    try:
+        march(data, space, grid)
+        sizes.append(np.getbufsize())
+        with pytest.raises(FloatingPointError, match="non-finite values in the load"):
+            march(nan_load, space, grid)
+        sizes.append(np.getbufsize())
+    finally:
+        np.setbufsize(old)
+    assert sizes == [4096, 4096]
+
+
+def test_import_and_a_study_leave_numpys_buffer_as_it_was():
+    config = Path(__file__).resolve().parents[1] / "demos" / "configs" / "p_refine.yaml"
+    code = ("import sys\n"
+            "from pathlib import Path\n"
+            "import numpy as np\n"
+            "import waveslab\n"
+            "from waveslab import experiments\n"
+            "print(np.getbufsize())\n"
+            "experiments.run_suite(experiments.parse_config(Path(sys.argv[1])))\n"
+            "print(np.getbufsize())\n")
+    src = str(Path(waveslab.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", code, str(config)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    assert done.stdout.split() == ["8192", "8192"]

@@ -277,8 +277,9 @@ def test_quadrature_check_reports_rule_sensitivity():
     e_std = eta2_terms(sol, 0)[0]
     e_dbl = eta2_terms(sol, 0, points="gauss_doubled")[0]
     expect = abs(e_dbl - e_std) / max(e_std, e_dbl)
-    with pytest.warns(UserWarning, match="quadrature sensitivity"):
+    with pytest.warns(UserWarning, match="quadrature sensitivity") as caught:
         worst = quadrature_check(sol, data, report)
+    assert caught[0].filename == __file__  # the caller's line
     assert abs(worst - expect) < 1e-14
     assert 0.05 < worst < 0.2
 
