@@ -18,13 +18,14 @@ print("interior unknowns:", space.n_dofs)
 mx, kx, my, ky = space.M1x[1, 1], space.K1x[1, 1], space.M1y[1, 1], space.K1y[1, 1]
 print(f"M = {mx * my:.6f} (4/9), K = {kx * my + mx * ky:.6f} (8/3)")
 
-hat = lambda x, y: (1.0 - np.abs(x)) * (1.0 - np.abs(y))
+# the initial displacement is the hat function (1 - |x|)(1 - |y|), given to
+# the march by its gradient, whose elliptic projection is the hat itself
 hat_x = lambda x, y: -np.sign(x) * (1.0 - np.abs(y))
 hat_y = lambda x, y: -np.sign(y) * (1.0 - np.abs(x))
 zero2 = lambda x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 zero3 = lambda t, x, y: np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
-data = ProblemData(u0=hat, grad_u0=(hat_x, hat_y), u1=zero2, f=zero3)
+data = ProblemData(grad_u0=(hat_x, hat_y), u1=zero2, f=zero3)
 grid = TimeGrid.uniform(1.0, 10, 3)
 sol = march(data, space, grid)
 

@@ -56,7 +56,7 @@ def bisect(grid: TimeGrid, marked) -> TimeGrid:
                     np.insert(grid.degrees, marked, grid.degrees[marked]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdaptiveRecord:
     """State after one solve on one grid."""
 
@@ -68,7 +68,7 @@ class AdaptiveRecord:
     wall_time: float
 
 
-@dataclass
+@dataclass(eq=False)
 class AdaptiveResult:
     history: list = field(default_factory=list)
     final_solution: SlabSolution | None = None

@@ -126,7 +126,7 @@ def make_case(name: str, **params) -> ManufacturedCase:
 def problem_data(case: ManufacturedCase) -> ProblemData:
     # t^alpha sources with fractional alpha are not smooth at t = 0.
     return ProblemData(
-        u0=case.u0, grad_u0=(case.u0x, case.u0y), u1=case.u1, f=case.f, exact=case,
+        grad_u0=(case.u0x, case.u0y), u1=case.u1, f=case.f, exact=case,
         singular_load=case.name == "case2",
     )
 

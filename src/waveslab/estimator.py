@@ -161,30 +161,23 @@ def osc_terms(data: ProblemData, sol: SlabSolution, m: int,
     weights, which depend on the grid and on m, are applied
     after.
 
-    That L1 norm depends only on f, the space and the slab's key.  When
-    `data` is the problem `sol` solved (`SlabSolution.data`) and `points`
-    is "gauss", the norms are the rows of the solution's table
-    `SlabSolution.osc_l1`, which the march fills from its load's samples:
-    the known ones are read and the others (slab 0 of a singular load,
-    whose load takes the graded rule) computed and written there, with
-    their `SlabSolution.f_sq` (`slabsolver._forcing_rows`), so the
-    stability check does not sample them again.
+    That L1 norm depends only on f, the space and the slab's key.  It is
+    row 0 of `slabsolver._forcing_rows`: for the problem `sol` solved, on
+    the "gauss" points, the rows of `SlabSolution.osc_l1`, which the march
+    fills from its load's samples.
     """
     m = _target(sol, m, points)
     grid = sol.grid
-    own = data is sol.data and points == "gauss"
-    l1 = sol.osc_l1 if own else np.full(grid.n_intervals, np.nan)
-    missing = np.flatnonzero(np.isnan(l1[:m + 1]))
-    l1[missing] = _forcing_rows(data, sol, missing, points)[0, missing]
+    l1 = _forcing_rows(data, sol, m, points)[0]
     tau = np.diff(grid.nodes[:m + 2])
     c3 = _by_degree(grid.degrees[:m + 1], lambda p: c3_constant(p - 1))
     out = np.zeros(grid.n_intervals)
     last = np.arange(m + 1) == m
-    out[: m + 1] = np.where(last, 2.0 * tau, (2.0 * tau / np.pi) * c3) * l1[:m + 1]
+    out[: m + 1] = np.where(last, 2.0 * tau, (2.0 * tau / np.pi) * c3) * l1
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatorReport:
     """Estimator evaluation on one solution.
 

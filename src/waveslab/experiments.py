@@ -135,8 +135,10 @@ class Config:
     values: dict = field(default_factory=dict)
 
     def __getattr__(self, key):
+        # through the instance dict: while a copy or an unpickled config is
+        # rebuilt it has no `values` yet, and `self.values` would come back here
         try:
-            return self.values[key]
+            return self.__dict__["values"][key]
         except KeyError as exc:
             raise AttributeError(key) from exc
 

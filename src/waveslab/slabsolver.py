@@ -47,9 +47,14 @@ MAX_INTERVALS = int(np.iinfo(np.intp).max) - 1
 MAX_TIME_DEGREE = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TimeGrid:
-    """Partition of (0, T] with a temporal degree per interval."""
+    """Partition of (0, T] with a temporal degree per interval.
+
+    Grids compare and hash by identity: `slab_keys()` compares two grids
+    slab by slab, and `np.array_equal` compares their `nodes` and
+    `degrees`.
+    """
 
     nodes: np.ndarray
     degrees: np.ndarray
@@ -103,7 +108,12 @@ class TimeGrid:
 class ProblemData:
     """Wave equation data on (-1, 1)^2 with homogeneous Dirichlet walls.
 
-    All callables are vectorized over numpy arrays.  `f` takes (t, x, y)
+    All callables are vectorized over numpy arrays.  The initial
+    displacement u0 enters through its gradient `grad_u0`, a pair of
+    callables (du0/dx, du0/dy) of (x, y), from which the march takes its
+    projection in the Dirichlet inner product
+    (`TensorSpace.elliptic_project`) and the stability check its H1
+    seminorm; `u1`, the initial velocity, takes (x, y).  `f` takes (t, x, y)
     and must broadcast over an array t of shape (nt, 1, 1) against x and y
     of shapes (nx, 1) and (1, ny): the time samples of a run of slabs of
     one degree (see `STACK_BUDGET`) are evaluated in one call.  `exact` may
@@ -122,13 +132,12 @@ class ProblemData:
     fixed-order Gauss rule there would cap the convergence rate of the
     whole march at the quadrature's own algebraic rate.
 
-    The data are frozen: `march`, `estimator.osc_terms` and
-    `stability_check` reuse values computed for a problem only for the same
+    The data are frozen: `march` and the readers of the forcing tables
+    (`_forcing_rows`) reuse values computed for a problem only for the same
     data object (`SlabSolution.data`), so its fields must not change.
     """
 
-    u0: object
-    grad_u0: object  # callable -> (du/dx, du/dy)
+    grad_u0: tuple  # (du0/dx, du0/dy)
     u1: object
     f: object
     exact: object = None
@@ -349,25 +358,29 @@ def _forcing_terms(space: TensorSpace, samples: np.ndarray, p: int, tau: np.ndar
     return 0.5 * tau * np.sum(rows * w, axis=2)
 
 
-def _forcing_rows(data: ProblemData, sol: SlabSolution, slabs, points: str = "gauss"):
-    """Forcing terms (`_forcing_terms`) of `slabs` of `sol`, shape (2, N), NaN elsewhere.
+def _forcing_rows(data: ProblemData, sol: SlabSolution, m: int, points: str = "gauss"):
+    """Forcing terms (`_forcing_terms`) of slabs 0..m of `sol`, shape (2, m + 1).
 
-    f is sampled at the point set `points` of `reference_blocks`, a run
-    of slabs at a time (`_runs`).  When `data` is the problem `sol` solved
-    (`SlabSolution.data`) and `points` is "gauss", both rows are also
-    written to the solution's tables `osc_l1` and `f_sq`, so that neither
-    of their readers (`estimator.osc_terms`, `stability_check`) samples
-    these slabs again.
+    This is the one reader and writer of the solution's forcing tables
+    `osc_l1` and `f_sq`.  When `data` is the problem `sol` solved
+    (`SlabSolution.data`) and `points` is "gauss", the known rows are read
+    there and the others computed and written there, so that neither of
+    their readers (`estimator.osc_terms`, `stability_check`) samples these
+    slabs again; otherwise every row is computed and nothing is stored.  f
+    is sampled at the point set `points` of `reference_blocks`, a run of
+    slabs at a time (`_runs`).
     """
     grid, space = sol.grid, sol.space
-    out = np.full((2, grid.n_intervals), np.nan)
-    for p, run in _runs(grid, slabs, _sample_cost(space, points)):
+    own = data is sol.data and points == "gauss"
+    out = np.stack((sol.osc_l1[:m + 1], sol.f_sq[:m + 1])) if own else np.full((2, m + 1), np.nan)
+    missing = np.flatnonzero(np.isnan(out).any(axis=0))
+    for p, run in _runs(grid, missing, _sample_cost(space, points)):
         x = reference_blocks(p)[points][0]
         samples = space.grid_eval(data.f, _sample_times(grid, run, x).ravel())
         tau = grid.nodes[run + 1] - grid.nodes[run]
         out[:, run] = _forcing_terms(space, samples, p, tau, points)
-    if data is sol.data and points == "gauss":
-        sol.osc_l1[slabs], sol.f_sq[slabs] = out[:, slabs]
+    if own:
+        sol.osc_l1[missing], sol.f_sq[missing] = out[:, missing]
     return out
 
 
@@ -439,7 +452,7 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
     return loads, forcing
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SlabSolution:
     """March result: nodal-in-time coefficient blocks, one per interval.
 
@@ -454,7 +467,7 @@ class SlabSolution:
 
     A solution is a finished value: `blocks` is a tuple, and the blocks and
     `u1h` are made read-only at construction, so `jumps`, computed on first
-    use, stays in step with them.
+    use, stays in step with them.  Solutions compare and hash by identity.
 
     Every solution carries its per-slab values from construction, NaN
     until known, as attributes that are not fields (`dataclasses.replace`
@@ -462,18 +475,17 @@ class SlabSolution:
     norms of each slab's top mode and jump (`estimator.laplacian_norms`),
     `osc_l1` (N,), the time L1 norm of each slab's forcing defect
     (`estimator.osc_terms`), `f_sq` (N,), each slab's squared time L2 norm
-    of the forcing (`stability_check`), `grams` (N, 2, q, q) for the
+    of the forcing (`stability_check`), both read and filled by
+    `_forcing_rows` alone, `grams` (N, 2, q, q) for the
     grid's highest degree q - 1, the Gram matrices E E^T and (E s) E^T of
     each slab's temporal modes in eigen-coordinates, in the top-left
     (p + 1) x (p + 1) corner (`stability_check`), `partials` (N, 5), each
     slab's five error partials for `data.exact` (`errors.compute_errors`),
-    `data_norms` (2,), the H1 seminorm of u0 and the L2 norm of u1
-    (`stability_check`), and a private column of the squared jump norms
-    (`jump_sq`).  Their readers take the known rows and fill in the others
-    in place, so a second read computes nothing.  The march fills `osc_l1`
-    and `f_sq` from its load's samples, `grams` from its solves and
-    `data_norms` from the samples of its projections; a reader that
-    samples a slab's forcing fills both of its forcing terms.  A march given
+    and a private column of the squared jump norms (`jump_sq`).  Their
+    readers take the known rows and fill in the others in place, so a
+    second read computes nothing.  The march fills `osc_l1` and `f_sq` from
+    its load's samples and `grams` from its solves; a reader that samples
+    a slab's forcing fills both of its forcing terms.  A march given
     the last march's records (`kept`) seeds the rest from the last
     solution (see `march`).
     """
@@ -493,7 +505,7 @@ class SlabSolution:
         size = int(self.grid.degrees.max()) + 1
         for name, shape in (("lap", (count, 2)), ("osc_l1", count), ("f_sq", count),
                             ("grams", (count, 2, size, size)), ("partials", (count, 5)),
-                            ("data_norms", 2), ("_jump_sq", count)):
+                            ("_jump_sq", count)):
             object.__setattr__(self, name, np.full(shape, np.nan))
         object.__setattr__(self, "_jump_sq_view", self._jump_sq.view())  # what jump_sq returns
         self._jump_sq_view.flags.writeable = False
@@ -639,45 +651,16 @@ def _carry_values(sol: SlabSolution, last: SlabSolution, keys: list, resumed: in
             sol.osc_l1[n], sol.f_sq[n] = known[key]
 
 
-def _initial_samples(data: ProblemData, space: TensorSpace):
-    """The gradient of u0 and u1 on the Gauss grid: (du0/dx, du0/dy, u1)."""
-    gx, gy = data.grad_u0
-    return space.grid_eval(gx), space.grid_eval(gy), space.grid_eval(data.u1)
-
-
-def _data_norms(space: TensorSpace, vx, vy, v1) -> np.ndarray:
-    """The H1 seminorm of u0 and the L2 norm of u1 from `_initial_samples`, shape (2,).
-
-    One `integrate` of both squares gives each norm the bits of
-    `TensorSpace.h1_semi_norm` and `l2_norm` (see `integrate`).
-    """
-    return _sqrt_pos(space.integrate(np.stack((vx * vx + vy * vy, v1 * v1))))
-
-
-def _initial_data(data: ProblemData, space: TensorSpace):
-    """The projected initial displacement and velocity, and `_data_norms`.
-
-    Each initial callable is sampled once.  The projections take the
-    operations of `TensorSpace.elliptic_project` and `l2_project`, so they
-    have their bits.
-    """
-    vx, vy, v1 = _initial_samples(data, space)
-    u0h = space.solve_stiffness(space.load_vector_grad(vx, vy))
-    _check_finite(u0h, "projected initial displacement")
-    u1h = space.solve_mass(space.load_vector(v1))
-    _check_finite(u1h, "projected initial velocity")
-    return u0h, u1h, _data_norms(space, vx, vy, v1)
-
-
 @_short_buffer
 def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
           kept: dict | None = None) -> SlabSolution:
     """Solve the wave problem slab by slab over the whole grid.
 
-    The initial displacement is projected in the Dirichlet inner product and
-    the initial velocity in L2.  Every slab's load is formed before the
-    sequential solves, a run of slabs of one degree at a time, and checked
-    for finiteness (`_slab_loads`).  The factorized slab operator is reused
+    The initial displacement is projected in the Dirichlet inner product,
+    from its gradient (`TensorSpace.elliptic_project`), and the initial
+    velocity in L2 (`TensorSpace.l2_project`).  Every slab's load is formed
+    before the sequential solves, a run of slabs of one degree at a time,
+    and checked for finiteness (`_slab_loads`).  The factorized slab operator is reused
     whenever the degree repeats and the length agrees to 12 significant
     digits, so slabs of a uniform or bisected grid share it.  The factorizations are kept on
     the space (`space.slab_lu`), so a later march on the same space reuses
@@ -710,11 +693,9 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
 
     The march hands on what it computed on the way (see `SlabSolution`):
     the forcing terms `osc_l1` and `f_sq` of every slab its Gauss rule
-    loads, from that load's samples, the Grams of every slab it solves,
-    and the norms of the initial data, from the samples its projections
-    take (`_initial_data`), so the estimator and the stability check
-    sample neither f nor the initial data, nor take eigen-coordinates
-    again.
+    loads, from that load's samples, and the Grams of every slab it
+    solves, so the estimator and the stability check neither sample f
+    there nor take eigen-coordinates again.
 
     `kept` is the one way to reuse work between marches: a dict of
     `SlabRecord` that the caller passes to each of them, as `run_adaptive`
@@ -740,7 +721,10 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     projected initial displacement or velocity, or the slab and the stage
     ("load" or "solve").
     """
-    u0h, u1h, data_norms = _initial_data(data, space)
+    u0h = space.elliptic_project(*data.grad_u0)
+    _check_finite(u0h, "projected initial displacement")
+    u1h = space.l2_project(data.u1)
+    _check_finite(u1h, "projected initial velocity")
     d, s = space.n_dofs, space.stiffness_eigs
     keys = grid.slab_keys()
     last = next(iter(kept.values())).solution if kept else None
@@ -818,7 +802,6 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
     sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h, data=data)
     sol.grams[:], sol.osc_l1[:], sol.f_sq[:] = grams, *forcing
-    sol.data_norms[:] = data_norms
     if last is not None:
         _carry_values(sol, last, keys, resumed)
     if kept is not None:
@@ -828,7 +811,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     return sol
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class StabilityReport:
     satisfied: bool
     lhs: float
@@ -856,14 +839,11 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     `TensorSpace.eigen_coords` of `SlabSolution.modes`.
 
     The forcing enters through each slab's 0.5 tau sum_q w_q |f(t_q)|^2 on
-    the "gauss" points.  When `data` is the problem `sol` solved
-    (`SlabSolution.data`), these are the rows of `SlabSolution.f_sq`, which
-    the march fills from its load's samples: the known ones are read and
-    the others (slab 0 of a singular load) computed and written there, with
-    their `SlabSolution.osc_l1` (`_forcing_rows`), so the estimator does
-    not sample them again.  The data norms of u0 and u1 are likewise
-    `SlabSolution.data_norms`, which the march fills, for that data
-    object, and sampled afresh for any other (`_data_norms`).
+    the "gauss" points, row 1 of `_forcing_rows`: for the problem `sol`
+    solved these are the rows of `SlabSolution.f_sq`, which the march fills
+    from its load's samples.  The initial data enter through
+    `TensorSpace.h1_semi_norm` of the gradient of u0 and
+    `TensorSpace.l2_norm` of u1, sampled on each call.
     """
     space, grid = sol.space, sol.grid
     grams = sol.grams
@@ -888,14 +868,11 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
 
     lhs = mu * energies[m] + 0.25 * float(np.sum(sol.jump_sq[: m + 1]))
 
-    data_norms = sol.data_norms if data is sol.data else np.full(2, np.nan)
-    if np.isnan(data_norms[0]):
-        data_norms[:] = _data_norms(space, *_initial_samples(data, space))
-    h1_u0, l2_u1 = data_norms.tolist()
-    f_sq = sol.f_sq if data is sol.data else np.full(grid.n_intervals, np.nan)
-    missing = np.flatnonzero(np.isnan(f_sq[:m + 1]))
-    f_sq[missing] = _forcing_rows(data, sol, missing)[1, missing]
-    rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (t_m / mu) * float(np.sum(f_sq[:m + 1]))
+    gx, gy = data.grad_u0
+    h1_u0 = space.h1_semi_norm(space.grid_eval(gx), space.grid_eval(gy))
+    l2_u1 = space.l2_norm(space.grid_eval(data.u1))
+    f_sq = _forcing_rows(data, sol, m)[1]
+    rhs = 0.5 * (h1_u0**2 + l2_u1**2) + (t_m / mu) * float(np.sum(f_sq))
 
     return StabilityReport(
         satisfied=bool(lhs <= rhs), lhs=float(lhs), rhs=float(rhs),

@@ -143,11 +143,15 @@ MUTANTS = [
            "size = max(1, STACK_BUDGET // max(cost(p), 1))", "size = max(1, STACK_BUDGET)"),
     Mutant("stability jump weight 0.5", "src/waveslab/slabsolver.py",
            "lhs = mu * energies[m] + 0.25 * float(", "lhs = mu * energies[m] + 0.5 * float("),
-    Mutant("stability reads the forcing norms of another forcing", "src/waveslab/slabsolver.py",
-           "f_sq = sol.f_sq if data is sol.data else", "f_sq = sol.f_sq if True else"),
-    Mutant("stability reads the data norms of another data object", "src/waveslab/slabsolver.py",
-           "data_norms = sol.data_norms if data is sol.data else",
-           "data_norms = sol.data_norms if True else"),
+    # the initial data, projected and measured by the space
+    Mutant("march projects du0/dx as the initial velocity", "src/waveslab/slabsolver.py",
+           "u1h = space.l2_project(data.u1)", "u1h = space.l2_project(data.grad_u0[0])"),
+    Mutant("stability takes |u1| from du0/dx", "src/waveslab/slabsolver.py",
+           "l2_u1 = space.l2_norm(space.grid_eval(data.u1))",
+           "l2_u1 = space.l2_norm(space.grid_eval(gx))"),
+    Mutant("stability takes |u0|_H1 from du0/dx alone", "src/waveslab/slabsolver.py",
+           "space.h1_semi_norm(space.grid_eval(gx), space.grid_eval(gy))",
+           "space.h1_semi_norm(space.grid_eval(gx), space.grid_eval(gx))"),
     # the short ufunc buffer of the pipeline's passes
     Mutant("compute_errors runs at the caller's ufunc buffer", "src/waveslab/errors.py",
            "@_short_buffer\ndef compute_errors(", "def compute_errors("),
@@ -162,14 +166,18 @@ MUTANTS = [
            "if len(rule) == 1\n", "if True\n"),
     Mutant("forcing row sum by a matrix-vector product", "src/waveslab/slabsolver.py",
            "np.sum(rows * w, axis=2)", "(rows @ w)"),
-    # the forcing terms a reader samples, stored for the other reader
+    # the forcing tables, read and filled by `_forcing_rows` alone
     Mutant("the stored f_sq taken from the osc_l1 row", "src/waveslab/slabsolver.py",
-           "sol.osc_l1[slabs], sol.f_sq[slabs] = out[:, slabs]",
-           "sol.osc_l1[slabs], sol.f_sq[slabs] = out[0, slabs], out[0, slabs]"),
-    Mutant("forcing terms stored for another data object", "src/waveslab/slabsolver.py",
-           'if data is sol.data and points == "gauss":', 'if points == "gauss":'),
-    Mutant("forcing terms stored for other points", "src/waveslab/slabsolver.py",
-           'if data is sol.data and points == "gauss":', "if data is sol.data:"),
+           "sol.osc_l1[missing], sol.f_sq[missing] = out[:, missing]",
+           "sol.osc_l1[missing], sol.f_sq[missing] = out[0, missing], out[0, missing]"),
+    Mutant("the forcing terms a reader samples not stored", "src/waveslab/slabsolver.py",
+           "    if own:\n        sol.osc_l1[missing]",
+           "    if False:\n        sol.osc_l1[missing]"),
+    Mutant("forcing tables read and filled for another data object",
+           "src/waveslab/slabsolver.py",
+           'own = data is sol.data and points == "gauss"', 'own = points == "gauss"'),
+    Mutant("forcing tables read and filled on other points", "src/waveslab/slabsolver.py",
+           'own = data is sol.data and points == "gauss"', "own = data is sol.data"),
     # the estimator
     Mutant("a chunk's top modes overwrite those of its earlier degrees",
            "src/waveslab/estimator.py", "done += len(run)", "done += 0"),
@@ -185,10 +193,6 @@ MUTANTS = [
            "c3[slabs] = c3_constant(p - 1)", "c3[slabs] = c3_constant(p)"),
     Mutant("osc target slab weight tau for 2 tau", "src/waveslab/estimator.py",
            "np.where(last, 2.0 * tau,", "np.where(last, tau,"),
-    Mutant("osc reads the defects of another forcing", "src/waveslab/estimator.py",
-           'own = data is sol.data and points == "gauss"', 'own = points == "gauss"'),
-    Mutant("osc reads the defects on other points", "src/waveslab/estimator.py",
-           'own = data is sol.data and points == "gauss"', "own = data is sol.data"),
     Mutant("c4 distance factor without its sqrt(pi) cap", "src/waveslab/timebasis.py",
            "dist = np.minimum(np.abs(t_m - t_prev), float(np.sqrt(np.pi)))",
            "dist = np.abs(t_m - t_prev)"),

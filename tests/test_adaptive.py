@@ -13,6 +13,7 @@ from waveslab import (
     TimeGrid,
     make_case,
     problem_data,
+    stability_check,
 )
 from waveslab.adaptive import bisect, doerfler_mark, run_adaptive, total_dofs
 
@@ -127,7 +128,7 @@ def test_total_dofs():
 
 
 def test_zero_data_stops_immediately():
-    data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=zero3)
     space = TensorSpace(2, 2, 2)
     result = run_adaptive(data, space, TimeGrid.uniform(1.0, 4, 2))
     assert len(result.history) == 1
@@ -157,6 +158,26 @@ def test_eta_tolerance_stops_the_loop():
     space = TensorSpace(3, 3, 2)
     result = run_adaptive(data, space, TimeGrid.uniform(1.0, 4, 2), eta_tol=1e3)
     assert len(result.history) == 1
+
+
+def test_array_holding_results_compare_by_identity():
+    # equality of their arrays would be ambiguous, so these types compare
+    # (and, when frozen, hash) by identity; the error norms compare by value
+    case = make_case("case2", alpha=1.75)
+    data = problem_data(case)
+    space = TensorSpace(3, 3, 2)
+    result = run_adaptive(data, space, TimeGrid.uniform(1.0, 4, 2), max_iters=2)
+    other = run_adaptive(data, space, TimeGrid.uniform(1.0, 4, 2), max_iters=2)
+    record, sol = result.final, result.final_solution
+    pairs = [(TimeGrid.uniform(1.0, 4, 2), TimeGrid.uniform(1.0, 4, 2)),
+             (sol, other.final_solution), (record.report, other.final.report),
+             (stability_check(sol, data), stability_check(sol, data)),
+             (record, other.final), (result, other)]
+    for one, two in pairs:
+        assert (one == one) is True and (one == two) is False and (one != two) is True
+        if type(one).__dataclass_params__.frozen:
+            assert hash(one) != hash(two) and hash(one) == hash(one)
+    assert record.errors == other.final.errors and record.errors is not other.final.errors
 
 
 def test_singular_case_refines_toward_the_origin():

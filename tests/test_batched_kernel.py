@@ -270,7 +270,7 @@ def test_the_march_forcing_terms_have_the_bits_of_a_fresh_evaluation(monkeypatch
     sol = march(data, space, grid)
     fresh = dataclasses.replace(sol)
     assert np.isnan(fresh.osc_l1).all() and np.isnan(fresh.f_sq).all()
-    rows = slabsolver._forcing_rows(data, dataclasses.replace(sol), np.arange(grid.n_intervals))
+    rows = slabsolver._forcing_rows(data, dataclasses.replace(sol), grid.n_intervals - 1)
     start = int(singular)
     assert sol.osc_l1[start:].tobytes() == rows[0, start:].tobytes()
     assert sol.f_sq[start:].tobytes() == rows[1, start:].tobytes()
@@ -747,7 +747,7 @@ def test_callables_are_called_once_per_slab_or_panel():
         **vars(case),
         **{key: counted(key, getattr(case, key)) for key in ("u", "du", "ux", "uy", "f")},
     })
-    counted_data = ProblemData(u0=data.u0, grad_u0=data.grad_u0, u1=data.u1,
+    counted_data = ProblemData(grad_u0=data.grad_u0, u1=data.u1,
                                f=counted_case.f, exact=counted_case, singular_load=True)
     n_slabs = grid.n_intervals
     # the graded first slab's 46 panels, as many per call as the stack
@@ -791,7 +791,7 @@ def test_the_graded_slab_forcing_terms_are_those_of_a_fresh_evaluation(osc_first
     sol = march(data, space, grid)
     assert np.isnan(sol.osc_l1[0]) and np.isnan(sol.f_sq[0])
     # another data object with the same forcing: computed, never stored
-    fresh = slabsolver._forcing_rows(dataclasses.replace(data), sol, np.array([0]))[:, 0]
+    fresh = slabsolver._forcing_rows(dataclasses.replace(data), sol, 0)[:, 0]
     assert np.isnan(sol.osc_l1[0]) and np.isnan(sol.f_sq[0])
     readers = [lambda: osc_terms(data, sol, m), lambda: stability_check(sol, data).rhs]
     first, second = readers if osc_first else readers[::-1]
@@ -816,10 +816,11 @@ def test_other_data_and_other_points_store_no_forcing_terms():
     assert (sol.osc_l1.tobytes(), sol.f_sq.tobytes()) == before
 
 
-def test_the_initial_data_are_sampled_once_per_level():
-    # the march's projections and the stability check's data norms share
-    # one sample of each initial callable; another data object's norms are
-    # sampled afresh, and are its own
+def test_the_initial_data_go_through_the_spaces_projections_and_norms():
+    # the march samples each initial callable once, for the space's own
+    # projections; each stability check samples them once more, for the
+    # space's own norms, and another data object with a stretched u1 moves
+    # only the velocity term
     case = make_case("case1")
     calls = {}
 
@@ -830,30 +831,32 @@ def test_the_initial_data_are_sampled_once_per_level():
         return wrapped
 
     u1 = lambda x, y: x * (1.0 - x**2) * (1.0 - y**2)
-    data = ProblemData(u0=case.u0, grad_u0=(counted("u0x", case.u0x), counted("u0y", case.u0y)),
+    data = ProblemData(grad_u0=(counted("u0x", case.u0x), counted("u0y", case.u0y)),
                        u1=counted("u1", u1), f=case.f, exact=case)
     space, grid = TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2)
     sol = march(data, space, grid)
-    report = stability_check(sol, data)
     assert calls == {"u0x": 1, "u0y": 1, "u1": 1}
-    # the bits of the space's own projections and norms
     assert np.array_equal(sol.blocks[0][0], space.elliptic_project(case.u0x, case.u0y))
     assert np.array_equal(sol.u1h, space.l2_project(u1))
-    assert sol.data_norms.tolist() == [
-        space.h1_semi_norm(space.grid_eval(case.u0x), space.grid_eval(case.u0y)),
-        space.l2_norm(space.grid_eval(u1))]
-    assert stability_check(sol, data).rhs == report.rhs
-    assert calls == {"u0x": 1, "u0y": 1, "u1": 1}
+
+    h1_u0 = space.h1_semi_norm(space.grid_eval(case.u0x), space.grid_eval(case.u0y))
+    l2_u1 = space.l2_norm(space.grid_eval(u1))
+    assert h1_u0 > 0.0 and l2_u1 > 0.0
+    for _ in range(2):
+        calls.clear()
+        report = stability_check(sol, data)
+        assert calls == {"u0x": 1, "u0y": 1, "u1": 1}
+        m = report.m
+        mu = slabsolver.mu_n(int(grid.degrees[m]))
+        forcing = (grid.nodes[m + 1] / mu) * float(np.sum(sol.f_sq[:m + 1]))
+        assert report.rhs == 0.5 * (h1_u0**2 + l2_u1**2) + forcing
 
     calls.clear()
     stretched = lambda x, y: 2.0 * u1(x, y)
     other = dataclasses.replace(data, u1=counted("u1", stretched))
-    before = sol.data_norms.tobytes()
     other_rhs = stability_check(sol, other).rhs
     assert calls == {"u0x": 1, "u0y": 1, "u1": 1}
-    assert sol.data_norms.tobytes() == before
     # only the velocity term 0.5 |u1|^2 differs, fourfold
-    l2_u1 = sol.data_norms[1]
     assert other_rhs - report.rhs == pytest.approx(1.5 * l2_u1**2, rel=1e-10)
 
 
@@ -899,7 +902,7 @@ PASSES = {"march": march, "stability_check": stability_check, "estimate": estima
 def solution_values(sol):
     """Every array a solution carries, its per-slab tables included."""
     return [np.concatenate(sol.blocks), sol.u1h, sol.grams, sol.osc_l1, sol.f_sq,
-            sol.partials, sol.jump_sq, sol.lap, sol.data_norms]
+            sol.partials, sol.jump_sq, sol.lap]
 
 
 def report_values(report):
@@ -974,7 +977,7 @@ def recording_data(seen):
 
     exact = dataclasses.replace(
         case, **{key: recording(getattr(case, key)) for key in ("u", "du", "ux", "uy", "f")})
-    return ProblemData(u0=case.u0, grad_u0=(recording(case.u0x), recording(case.u0y)),
+    return ProblemData(grad_u0=(recording(case.u0x), recording(case.u0y)),
                        u1=recording(lambda x, y: x * (1.0 - x**2) * (1.0 - y**2)),
                        f=exact.f, exact=exact)
 

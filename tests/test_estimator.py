@@ -64,7 +64,7 @@ def test_zero_solution_zero_report():
     sol = SlabSolution(grid=grid, space=space,
                        blocks=[np.zeros((3, space.n_dofs)) for _ in range(3)],
                        u1h=np.zeros(space.n_dofs))
-    data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=zero3)
     report = estimate(sol, data)
     assert report.eta1 == 0.0
     assert report.eta == 0.0
@@ -185,11 +185,11 @@ def test_near_equal_jumps_pick_the_first_slab():
 def test_oscillation_closed_form_and_degenerate_cases():
     tau = 0.6
     sol, space, _ = quadratic_in_time_solution(tau)
-    flat = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2,
+    flat = ProblemData(grad_u0=(zero2, zero2), u1=zero2,
                        f=lambda t, x, y: (0.3 + 0.2 * t) * np.ones_like(x * y))
     assert np.max(np.abs(osc_terms(flat, sol, 0))) < 1e-14
 
-    quad = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2,
+    quad = ProblemData(grad_u0=(zero2, zero2), u1=zero2,
                        f=lambda t, x, y: t**2 * np.ones_like(x * y))
     got = osc_terms(quad, sol, 0)[0]
     # defect = (tau^2/6) L_2 in time, constant 1 in space with L2 norm 2
@@ -272,7 +272,7 @@ def test_quadrature_check_reports_rule_sensitivity():
     # differ structurally, and the check is there to surface exactly that
     tau = 0.7
     sol, space, _ = quadratic_in_time_solution(tau)
-    data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=zero3)
     report = estimate(sol, data)
     e_std = eta2_terms(sol, 0)[0]
     e_dbl = eta2_terms(sol, 0, points="gauss_doubled")[0]

@@ -1,8 +1,10 @@
 """Config parsing, suite execution, CSV output, and the command line."""
 
+import copy
 import csv
 import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -257,6 +259,18 @@ def test_long_yaml_text_is_not_taken_for_a_path():
     assert 256 <= len(text.encode()) <= 320
     cfg = parse_config(text)
     assert cfg.tau_list == [0.5, 0.25, 0.125] and cfg.seed == 7
+
+
+def test_a_config_copies_and_pickles():
+    config = parse_config({"suite": "tau_refine", "case": "case1", "tau_list": [0.5], "seed": 3})
+    for copied in (copy.copy(config), copy.deepcopy(config),
+                   pickle.loads(pickle.dumps(config))):
+        assert copied == config
+        assert copied.tau_list == [0.5] and copied.seed == 3 and copied.h == config.h
+        with pytest.raises(AttributeError):
+            copied.theta
+    result = ExperimentResult(columns=COLUMNS, rows=[{"level": 0}], config=config)
+    assert pickle.loads(pickle.dumps(result)) == result
 
 
 def _tiny_tau_config():

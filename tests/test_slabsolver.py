@@ -44,7 +44,7 @@ neg_lap_bump = lambda x, y: 2.0 * (1.0 - y**2) + 2.0 * (1.0 - x**2)
 
 
 def zero_data():
-    return ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=zero3)
+    return ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=zero3)
 
 
 # ------------------------------------------------------------------ grids
@@ -125,10 +125,9 @@ def test_single_dof_oscillator():
     # 2x2 bilinear mesh: one hat function, M = 4/9, K = 8/3, so with the hat
     # as initial value the semi-discrete coefficient is cos(sqrt(6) t)
     space = TensorSpace(2, 2, 1)
-    hat = lambda x, y: (1.0 - np.abs(x)) * (1.0 - np.abs(y))
     hat_x = lambda x, y: -np.sign(x) * (1.0 - np.abs(y))
     hat_y = lambda x, y: -np.sign(y) * (1.0 - np.abs(x))
-    data = ProblemData(u0=hat, grad_u0=(hat_x, hat_y), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(hat_x, hat_y), u1=zero2, f=zero3)
     grid = TimeGrid.uniform(1.0, 10, 3)
     sol = march(data, space, grid)
     assert abs(sol.blocks[0][0][0] - 1.0) < 1e-12
@@ -144,7 +143,6 @@ def test_space_time_polynomial_exactness():
     ddg = 1.6
     space = TensorSpace(3, 3, 2)
     data = ProblemData(
-        u0=lambda x, y: 0.3 * bump(x, y),
         grad_u0=(lambda x, y: 0.3 * bump_x(x, y), lambda x, y: 0.3 * bump_y(x, y)),
         u1=lambda x, y: 0.5 * bump(x, y),
         f=lambda t, x, y: ddg * bump(x, y) + neg_lap_bump(x, y) * g(t),
@@ -162,7 +160,7 @@ def test_space_time_polynomial_exactness():
 
 def test_continuity_across_slabs():
     space = TensorSpace(3, 3, 2)
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2,
                        f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
     grid = TimeGrid(np.array([0.0, 0.3, 0.45, 1.0]), np.array([2, 3, 2]))
     sol = march(data, space, grid)
@@ -175,7 +173,7 @@ def test_continuity_across_slabs():
 
 def test_jump_convention():
     space = TensorSpace(3, 3, 2)
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
     grid = TimeGrid.uniform(1.0, 3, 2)
     sol = march(data, space, grid)
     dphi_left = slabsolver.reference_blocks(2)["dphi_left"]
@@ -191,7 +189,7 @@ def test_variational_residual_per_slab():
     polynomial, verified with an independent quadrature."""
     space = TensorSpace(3, 3, 2)
     f = lambda t, x, y: np.cos(3.0 * t) * bump(x, y) + np.sin(t) * x * (1 - y**2)
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=f)
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2, f=f)
     grid = TimeGrid(np.array([0.0, 0.4, 0.7]), np.array([3, 2]))
     sol = march(data, space, grid)
     M, K = slow.mass_stiffness(space)
@@ -793,7 +791,7 @@ def test_march_matches_default_ordering_reference_in_the_local_form(monkeypatch,
 
 def test_blocks_share_their_junction_rows_read_only():
     space = TensorSpace(3, 3, 2)
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2,
                        f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
     grid = TimeGrid(np.array([0.0, 0.3, 0.45, 1.0]), np.array([2, 3, 2]))
     sol = march(data, space, grid)
@@ -836,7 +834,7 @@ def test_a_failed_solve_names_the_first_slab_using_it(monkeypatch, nodes, degree
     # values a run holds four slabs of degree 2 on this space (2 p + 2
     # rows of 25 values each), so slab 5 of the last grid fails inside the
     # run of slabs 4..7; under a budget of 1 every slab is a run of its own
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2,
                        f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
     grid = TimeGrid(np.array(nodes), np.array(degrees))
     space = TensorSpace(3, 3, 2)
@@ -853,14 +851,14 @@ def test_non_finite_load_or_solution_stops_the_march():
     space = TensorSpace(3, 3, 2)
     grid = TimeGrid.uniform(1.0, 4, 2)
     late_nan = lambda t, x, y: np.where(t > 0.6, np.nan, 1.0) * bump(x, y)
-    data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=late_nan)
+    data = ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=late_nan)
     with pytest.raises(FloatingPointError, match="load of slab 2"):
         march(data, space, grid)
     nan2 = lambda x, y: np.full(np.broadcast_shapes(np.shape(x), np.shape(y)), np.nan)
-    data = ProblemData(u0=nan2, grad_u0=(nan2, nan2), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(nan2, nan2), u1=zero2, f=zero3)
     with pytest.raises(FloatingPointError, match="projected initial displacement"):
         march(data, space, grid)
-    data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=nan2, f=zero3)
+    data = ProblemData(grad_u0=(zero2, zero2), u1=nan2, f=zero3)
     with pytest.raises(FloatingPointError, match="projected initial velocity"):
         march(data, space, grid)
 
@@ -875,9 +873,9 @@ def test_load_sees_only_low_temporal_modes():
         2.0 * t / 0.8 - 1.0, np.array([0.0] * p + [1.0])
     )
     f0 = lambda t, x, y: np.cos(3.0 * t) * bump(x, y)
-    base = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=f0)
+    base = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2, f=f0)
     spiked = ProblemData(
-        u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
+        grad_u0=(bump_x, bump_y), u1=zero2,
         f=lambda t, x, y: f0(t, x, y) + extra(t, x, y),
     )
     a = march(base, space, grid)
@@ -894,7 +892,7 @@ def test_graded_first_slab_load_moments():
         alpha * (alpha - 1.0) * t ** (alpha - 2.0) * bump(x, y)
         + t**alpha * neg_lap_bump(x, y)
     )
-    data = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=f,
+    data = ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=f,
                        singular_load=True)
     tau = 0.37
     for p in (2, 3):
@@ -930,9 +928,9 @@ def test_graded_load_only_on_the_first_slab():
     )
     space = TensorSpace(3, 3, 2)
     grid = TimeGrid.uniform(0.5, 2, 2)
-    flagged = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=f,
+    flagged = ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=f,
                           singular_load=True)
-    plain = ProblemData(u0=zero2, grad_u0=(zero2, zero2), u1=zero2, f=f)
+    plain = ProblemData(grad_u0=(zero2, zero2), u1=zero2, f=f)
     a = march(flagged, space, grid)
     b = march(plain, space, grid)
     # first slab differs by the quadrature treatment, and the mismatch is the
@@ -951,7 +949,7 @@ def test_stability_zero_data():
 
 def test_stability_on_a_forced_run():
     space = TensorSpace(3, 3, 2)
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2,
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2,
                        f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
     sol = march(data, space, TimeGrid.uniform(1.0, 5, 2))
     report = stability_check(sol, data)
@@ -962,7 +960,7 @@ def test_stability_on_a_forced_run():
 
 def test_stability_flags_a_corrupted_solution():
     space = TensorSpace(3, 3, 2)
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
     sol = march(data, space, TimeGrid.uniform(1.0, 5, 2))
     blocks = list(sol.blocks)
     blocks[3] = blocks[3] * 1e6
@@ -972,7 +970,7 @@ def test_stability_flags_a_corrupted_solution():
 
 def test_a_solution_is_a_finished_value():
     space = TensorSpace(3, 3, 2)
-    data = ProblemData(u0=bump, grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2, f=zero3)
     sol = march(data, space, TimeGrid.uniform(1.0, 3, 2))
     assert isinstance(sol.blocks, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
