@@ -246,13 +246,17 @@ def quadrature_check(sol: SlabSolution, data: ProblemData, report: EstimatorRepo
                      tol: float = 1e-6) -> float:
     """Recompute the quadrature-dependent terms on the "gauss_doubled" points.
 
-    Returns the worst relative difference and warns when it exceeds `tol`.
+    Returns the worst relative difference and warns when it exceeds `tol`,
+    a number >= 0 by the rule of `_numbers`, or inf, which never warns.
     The integrands contain absolute values, so some sensitivity to the rule
     is expected and worth surfacing.  The eta2 terms read the Laplacian
     norms the estimate left on the solution (`SlabSolution.lap`), which do
     not depend on the rule: only their Legendre L1 factor is integrated
     again.
     """
+    tol = tol if tol == np.inf else number(tol, "tol")
+    if tol < 0:
+        raise ValueError(f"tol must be >= 0, got {tol!r}")
     ref = np.concatenate([report.eta2_n, report.osc_n])
     new = np.concatenate([
         eta2_terms(sol, report.m, points="gauss_doubled"),

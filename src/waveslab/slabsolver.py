@@ -476,18 +476,16 @@ class SlabSolution:
     `osc_l1` (N,), the time L1 norm of each slab's forcing defect
     (`estimator.osc_terms`), `f_sq` (N,), each slab's squared time L2 norm
     of the forcing (`stability_check`), both read and filled by
-    `_forcing_rows` alone, `grams` (N, 2, q, q) for the
-    grid's highest degree q - 1, the Gram matrices E E^T and (E s) E^T of
-    each slab's temporal modes in eigen-coordinates, in the top-left
-    (p + 1) x (p + 1) corner (`stability_check`), `partials` (N, 5), each
-    slab's five error partials for `data.exact` (`errors.compute_errors`),
-    and a private column of the squared jump norms (`jump_sq`).  Their
-    readers take the known rows and fill in the others in place, so a
-    second read computes nothing.  The march fills `osc_l1` and `f_sq` from
-    its load's samples and `grams` from its solves; a reader that samples
-    a slab's forcing fills both of its forcing terms.  A march given
-    the last march's records (`kept`) seeds the rest from the last
-    solution (see `march`).
+    `_forcing_rows` alone, `energy` (N,), each slab's energy, the max of
+    |u'|^2 + |u|_H1^2 at its 2 p + 3 equispaced times (`_energies`,
+    `stability_check`), `partials` (N, 5), each slab's five error partials
+    for `data.exact` (`errors.compute_errors`), and a private column of the
+    squared jump norms (`jump_sq`).  Their readers take the known rows and
+    fill in the others in place, so a second read computes nothing.  The
+    march fills `osc_l1` and `f_sq` from its load's samples and `energy`
+    from its solves; a reader that samples a slab's forcing fills both of
+    its forcing terms.  A march given the last march's records (`kept`)
+    seeds the rest from the last solution (see `march`).
     """
 
     grid: TimeGrid
@@ -502,10 +500,8 @@ class SlabSolution:
             block.flags.writeable = False
         self.u1h.flags.writeable = False
         count = self.grid.n_intervals
-        size = int(self.grid.degrees.max()) + 1
         for name, shape in (("lap", (count, 2)), ("osc_l1", count), ("f_sq", count),
-                            ("grams", (count, 2, size, size)), ("partials", (count, 5)),
-                            ("_jump_sq", count)):
+                            ("energy", count), ("partials", (count, 5)), ("_jump_sq", count)):
             object.__setattr__(self, name, np.full(shape, np.nan))
         object.__setattr__(self, "_jump_sq_view", self._jump_sq.view())  # what jump_sq returns
         self._jump_sq_view.flags.writeable = False
@@ -618,33 +614,39 @@ def _resumable(last: SlabSolution, keys: list, u0h: np.ndarray, u1h: np.ndarray)
     return count
 
 
-def _grams(coords: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """Gram matrices E E^T and (E s) E^T of eigen-coordinate rows E, shape (..., 2, k, k).
+def _energies(coords: np.ndarray, s: np.ndarray, p: int, tau: np.ndarray) -> np.ndarray:
+    """Energies of S slabs of degree p from their modal eigen-coordinates, shape (S,).
 
-    `coords` has shape (..., 2 k, d) and holds E in its first k rows; s
-    holds the d stiffness eigenvalues.  The last k rows are overwritten
-    with E s, and one product of all 2 k rows with E^T gives the mass and
-    stiffness Grams of the k vectors behind E (see
-    `TensorSpace.eigen_coords`).
+    `coords` has shape (S, 2 p + 2, d) and holds in its first p + 1 rows
+    the eigen-coordinates E of a slab's temporal modes (see
+    `TensorSpace.eigen_coords`); s holds the d stiffness eigenvalues and
+    `tau` the slab lengths.  The last p + 1 rows are overwritten with E s,
+    and one product of all 2 p + 2 rows with E^T gives the mass and
+    stiffness Grams G_M = E E^T and G_K = (E s) E^T.  A slab's energy is
+    the max over the "equispaced" points x of `reference_blocks(p)` of
+    (2 / tau)^2 dleg(x) G_M dleg(x)^T + leg(x) G_K leg(x)^T, clipped at 0:
+    its squared L2 velocity plus squared H1 seminorm at 2 p + 3 times.
     """
-    k = coords.shape[-2] // 2
-    np.multiply(coords[..., :k, :], s, out=coords[..., k:, :])
-    grams = coords @ coords[..., :k, :].swapaxes(-1, -2)
-    return grams.reshape(grams.shape[:-2] + (2, k, k))
+    k = p + 1
+    np.multiply(coords[:, :k], s, out=coords[:, k:])
+    products = coords @ coords[:, :k].swapaxes(-1, -2)  # G_M over G_K, per slab
+    gram_m, gram_k = products.reshape(-1, 2, k, k).swapaxes(0, 1)
+    _, _, leg, dleg = reference_blocks(p)["equispaced"]
+    energy = (2.0 / tau[:, None]) ** 2 * np.sum((dleg @ gram_m) * dleg, axis=-1)
+    energy += np.sum((leg @ gram_k) * leg, axis=-1)
+    return np.maximum(np.max(energy, axis=1), 0.0)
 
 
 def _carry_values(sol: SlabSolution, last: SlabSolution, keys: list, resumed: int) -> None:
     """Seed the per-slab values of `sol` with those `last` knows.
 
-    The copied slabs keep their Laplacian norms, Grams, error partials and
-    squared jump norms, and every slab whose key `last` has keeps its
+    The copied slabs keep their Laplacian norms, energies, error partials
+    and squared jump norms, and every slab whose key `last` has keeps its
     forcing terms (`osc_l1`, `f_sq`), which depend only on f, the space
     and the key.
     """
-    for name in ("lap", "partials", "_jump_sq"):
+    for name in ("lap", "energy", "partials", "_jump_sq"):
         getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]
-    size = min(sol.grams.shape[-1], last.grams.shape[-1])  # a copied slab's corner fits
-    sol.grams[:resumed, :, :size, :size] = last.grams[:resumed, :, :size, :size]
     known = dict(zip(last.grid.slab_keys(), zip(last.osc_l1, last.f_sq)))
     for n, key in enumerate(keys):
         if key in known:
@@ -687,13 +689,14 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     stacked steps: one return through V into the march's array of nodal
     rows (`blocks[n]` is a view of its p_n + 1 rows, sharing the junction
     rows with its neighbours), one finiteness check, which names the first
-    slab with a non-finite value, and the Grams of its slabs from their
-    modal eigen-coordinates E = nodal_to_modal(p) @ (nodal
-    eigen-coordinates).  Each of these has a slab's bits in any run.
+    slab with a non-finite value, and the energies of its slabs
+    (`_energies`) from their modal eigen-coordinates
+    E = nodal_to_modal(p) @ (nodal eigen-coordinates).  Each of these has a
+    slab's bits in any run.
 
     The march hands on what it computed on the way (see `SlabSolution`):
     the forcing terms `osc_l1` and `f_sq` of every slab its Gauss rule
-    loads, from that load's samples, and the Grams of every slab it
+    loads, from that load's samples, and the energy of every slab it
     solves, so the estimator and the stability check neither sample f
     there nor take eigen-coordinates again.
 
@@ -712,9 +715,9 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     the space and the key, with the same bits whichever run of slabs it
     is assembled with.  So the solution has the bits a march without
     `kept` computes.  Its other per-slab values are seeded from the last
-    solution: the copied slabs' Laplacian norms, Grams, error partials and
-    squared jump norms, and the forcing terms of every slab whose key the
-    dict holds; the rest are unknown.  The dict is then left holding
+    solution: the copied slabs' Laplacian norms, energies, error partials
+    and squared jump norms, and the forcing terms of every slab whose key
+    the dict holds; the rest are unknown.  The dict is then left holding
     exactly this grid's records.  Without `kept`, nothing is kept.
 
     Raises FloatingPointError at the first non-finite value, naming the
@@ -750,8 +753,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     history = np.empty((3, d))  # V^T of M u', M u and K u at the slab's left end
     # previous slab's end derivative and value, in eigen-coordinates
     history[0], value = ends[-1] if resumed else space.eigen_coords(np.stack((u1h, u0h)))
-    size = int(grid.degrees.max()) + 1
-    grams = np.full((grid.n_intervals, 2, size, size), np.nan)
+    energy = np.full(grid.n_intervals, np.nan)
     runs = list(_runs(grid, range(resumed, grid.n_intervals), lambda p: (2 * p + 2) * d))
     # a run's nodal eigen-coordinates, junction rows shared, and its Gram
     # rows: each slab's modal eigen-coordinates E, then E s
@@ -797,11 +799,11 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
             run, (count, p + 1, d), (p * run.strides[0],) + run.strides, writeable=False)
         coords = gram_rows[:count * (2 * p + 2)].reshape(count, 2 * p + 2, d)
         np.matmul(nodal_to_modal(p), windows, out=coords[:, :p + 1])
-        grams[first:stop, :, :p + 1, :p + 1] = _grams(coords, s)
+        energy[first:stop] = _energies(coords, s, p, tau)
 
     blocks = [values[a:b + 1] for a, b in zip(starts[:-1], starts[1:])]
     sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=u1h, data=data)
-    sol.grams[:], sol.osc_l1[:], sol.f_sq[:] = grams, *forcing
+    sol.energy[:], sol.osc_l1[:], sol.f_sq[:] = energy, *forcing
     if last is not None:
         _carry_values(sol, last, keys, resumed)
     if kept is not None:
@@ -830,13 +832,11 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
 
     A slab's energy is the max over the slab of squared L2 velocity plus
     squared H1 seminorm, sampled at 2p + 3 equispaced times, endpoints
-    included.  At the reference point x it is (2 / tau)^2 dleg(x) G_M
-    dleg(x)^T + leg(x) G_K leg(x)^T, with the Gram matrices G_M = E E^T and
-    G_K = (E s) E^T of the eigen-coordinates E of the slab's p + 1 temporal
-    modes.  They are the rows of the solution's table `SlabSolution.grams`,
-    which the march fills from its solves; the unknown rows (a solution
-    the march did not build) are computed and written there from
-    `TensorSpace.eigen_coords` of `SlabSolution.modes`.
+    included (`_energies`).  The energies are the solution's table
+    `SlabSolution.energy`, which the march fills from its solves; the
+    unknown rows (a solution the march did not build) are computed and
+    written there from `TensorSpace.eigen_coords` of `SlabSolution.modes`.
+    The report's `slab_energy` is a copy of that table.
 
     The forcing enters through each slab's 0.5 tau sum_q w_q |f(t_q)|^2 on
     the "gauss" points, row 1 of `_forcing_rows`: for the problem `sol`
@@ -846,21 +846,13 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
     `TensorSpace.l2_norm` of u1, sampled on each call.
     """
     space, grid = sol.space, sol.grid
-    grams = sol.grams
-    missing = np.flatnonzero(np.isnan(grams[:, 0, 0, 0]))
-    for p, slabs in _runs(grid, missing, lambda p: (p + 1) * space.n_dofs):
+    energies = sol.energy
+    for p, slabs in _runs(grid, np.flatnonzero(np.isnan(energies)),
+                          lambda p: (p + 1) * space.n_dofs):
         coords = np.empty((len(slabs), 2 * p + 2, space.n_dofs))
         coords[:, :p + 1] = space.eigen_coords(sol.modes(slabs))
-        grams[slabs, :, :p + 1, :p + 1] = _grams(coords, space.stiffness_eigs)
-    energies = np.empty(grid.n_intervals)
-    for p in np.unique(grid.degrees).tolist():
-        slabs = np.flatnonzero(grid.degrees == p)
-        _, _, leg, dleg = reference_blocks(p)["equispaced"]
-        gram_m, gram_k = grams[slabs, :, :p + 1, :p + 1].swapaxes(0, 1)
         tau = grid.nodes[slabs + 1] - grid.nodes[slabs]
-        energy = (2.0 / tau[:, None]) ** 2 * np.sum((dleg @ gram_m) * dleg, axis=-1)
-        energy += np.sum((leg @ gram_k) * leg, axis=-1)
-        energies[slabs] = np.maximum(np.max(energy, axis=1), 0.0)
+        energies[slabs] = _energies(coords, space.stiffness_eigs, p, tau)
     m = int(np.argmax(energies))
     p_m = int(grid.degrees[m])
     mu = mu_n(p_m)
@@ -876,5 +868,5 @@ def stability_check(sol: SlabSolution, data: ProblemData) -> StabilityReport:
 
     return StabilityReport(
         satisfied=bool(lhs <= rhs), lhs=float(lhs), rhs=float(rhs),
-        m=m, slab_energy=energies,
+        m=m, slab_energy=energies.copy(),
     )

@@ -18,21 +18,29 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial import legendre as npleg
 
-from ._numbers import number
+from ._numbers import number, number_array
 
-# The degree and order arguments follow the rule of `_numbers.number`.  The
-# cached helpers check theirs inside the cached body, so a cache hit costs
-# nothing, and `typed=True` keeps True from hitting the entry of 1.  The
-# per-slab constants (`c3_constant`, `mu_n`, ...) take their degree from a
-# validated `TimeGrid` and are not checked again, as they are called once
+# The degree, order and interval arguments follow the rule of `_numbers`.
+# The cached helpers check theirs inside the cached body, so a cache hit
+# costs nothing, and `typed=True` keeps True from hitting the entry of 1.
+# The per-slab constants (`c3_constant`, `mu_n`, ...) take their degree from
+# a validated `TimeGrid` and are not checked again, as they are called once
 # per slab.
 
 
-def _degree(degree) -> int:
-    degree = number(degree, "the polynomial degree", integer=True)
-    if degree < 0:
-        raise ValueError(f"the polynomial degree must be >= 0, got {degree}")
+def _degree(degree, least: int = 0, what: str = "the polynomial degree") -> int:
+    degree = number(degree, what, integer=True)
+    if degree < least:
+        raise ValueError(f"{what} must be >= {least}, got {degree}")
     return degree
+
+
+def _interval(interval) -> tuple[float, float]:
+    """`interval` as (a, b), two numbers with a < b, or ValueError."""
+    bounds = number_array(interval, "the interval")
+    if bounds.shape != (2,) or not bounds[0] < bounds[1]:
+        raise ValueError(f"the interval must be (a, b) with a < b, got {interval!r}")
+    return float(bounds[0]), float(bounds[1])
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -137,6 +145,7 @@ class IntervalPoly:
         return out
 
     def derivative(self, m: int = 1) -> "IntervalPoly":
+        m = _degree(m, what="the derivative order")
         if self.degree - m < 0:
             shape = (1,) if self.modes.ndim == 1 else (1, self.modes.shape[1])
             return IntervalPoly(self.interval, np.zeros(shape))
@@ -151,6 +160,7 @@ class IntervalPoly:
 
         Dropping trailing Legendre modes is exactly the L2 projection.
         """
+        degree = _degree(degree)
         if degree >= self.degree:
             return self
         return IntervalPoly(self.interval, self.modes[: degree + 1].copy())
@@ -192,8 +202,7 @@ def project_L2(
     Returns:
         IntervalPoly of the given degree.
     """
-    if degree < 0:
-        raise ValueError(f"projection degree must be >= 0, got {degree}")
+    degree, interval = _degree(degree), _interval(interval)
     xq, wq = gauss_legendre(quad_order if quad_order is not None else 2 * degree + 3)
     vals = _sample(w, from_reference(xq, interval))
     vander = npleg.legvander(xq, degree)
@@ -201,7 +210,7 @@ def project_L2(
     modes = scale[:, None] * (vander.T @ (wq[:, None] * vals.reshape(len(xq), -1)))
     if vals.ndim == 1:
         modes = modes[:, 0]
-    return IntervalPoly(tuple(interval), modes)
+    return IntervalPoly(interval, modes)
 
 
 def project_H1(
@@ -213,15 +222,12 @@ def project_H1(
     r(a) = w(a); both conditions determine r uniquely.  The derivative is
     supplied analytically by the caller as `dw`.
     """
-    if degree < 1:
-        raise ValueError(f"derivative-matching projection needs degree >= 1, got {degree}")
-    a, _ = interval
-    tau = interval[1] - interval[0]
-    dproj = project_L2(dw, degree - 1, interval, quad_order=quad_order)
-    modes = npleg.legint(dproj.modes, scl=0.5 * tau, axis=0)
+    degree, (a, b) = _degree(degree, 1), _interval(interval)
+    dproj = project_L2(dw, degree - 1, (a, b), quad_order=quad_order)
+    modes = npleg.legint(dproj.modes, scl=0.5 * (b - a), axis=0)
     left = np.asarray(w(a), dtype=float)
     modes[0] += left - npleg.legval(-1.0, modes)
-    return IntervalPoly(tuple(interval), modes)
+    return IntervalPoly((a, b), modes)
 
 
 def thomee_project(
@@ -232,14 +238,13 @@ def thomee_project(
     Equals the L2 projection plus the endpoint defect carried by the top
     Legendre mode.
     """
-    if degree < 1:
-        raise ValueError(f"endpoint-matching projection needs degree >= 1, got {degree}")
+    degree = _degree(degree, 1)
     proj = project_L2(w, degree, interval, quad_order=quad_order)
-    b = interval[1]
+    b = proj.interval[1]
     defect = np.asarray(w(b), dtype=float) - proj.eval(b)
     modes = proj.modes.copy()
     modes[degree] += defect
-    return IntervalPoly(tuple(interval), modes)
+    return IntervalPoly(proj.interval, modes)
 
 
 def integrated_thomee(
@@ -250,15 +255,12 @@ def integrated_thomee(
     The result P satisfies P(a) = w(a), P(b) = w(b), P'(b) = w'(b) and, for
     degree >= 3, orthogonality of w - P to polynomials of degree - 3.
     """
-    if degree < 2:
-        raise ValueError(f"integrated projection needs degree >= 2, got {degree}")
-    a, _ = interval
-    tau = interval[1] - interval[0]
-    dproj = thomee_project(dw, degree - 1, interval, quad_order=quad_order)
-    modes = npleg.legint(dproj.modes, scl=0.5 * tau, axis=0)
+    degree, (a, b) = _degree(degree, 2), _interval(interval)
+    dproj = thomee_project(dw, degree - 1, (a, b), quad_order=quad_order)
+    modes = npleg.legint(dproj.modes, scl=0.5 * (b - a), axis=0)
     left = np.asarray(w(a), dtype=float)
     modes[0] += left - npleg.legval(-1.0, modes)
-    return IntervalPoly(tuple(interval), modes)
+    return IntervalPoly((a, b), modes)
 
 
 @lru_cache(maxsize=None, typed=True)

@@ -91,15 +91,17 @@ MUTANTS = [
     Mutant("march reuses another space's records", "src/waveslab/slabsolver.py",
            "(last.data is not data or last.space is not space)", "(last.data is not data)"),
     Mutant("carry drops lap", "src/waveslab/slabsolver.py",
-           'for name in ("lap", "partials", "_jump_sq"):',
-           'for name in ("partials", "_jump_sq"):'),
+           'for name in ("lap", "energy", "partials", "_jump_sq"):',
+           'for name in ("energy", "partials", "_jump_sq"):'),
     Mutant("carry drops partials", "src/waveslab/slabsolver.py",
-           'for name in ("lap", "partials", "_jump_sq"):', 'for name in ("lap", "_jump_sq"):'),
+           'for name in ("lap", "energy", "partials", "_jump_sq"):',
+           'for name in ("lap", "energy", "_jump_sq"):'),
     Mutant("carry drops the squared jumps", "src/waveslab/slabsolver.py",
-           'for name in ("lap", "partials", "_jump_sq"):', 'for name in ("lap", "partials"):'),
-    Mutant("carry drops the Grams", "src/waveslab/slabsolver.py",
-           "    sol.grams[:resumed, :, :size, :size] = last.grams[:resumed, :, :size, :size]\n",
-           ""),
+           'for name in ("lap", "energy", "partials", "_jump_sq"):',
+           'for name in ("lap", "energy", "partials"):'),
+    Mutant("carry drops the energies", "src/waveslab/slabsolver.py",
+           'for name in ("lap", "energy", "partials", "_jump_sq"):',
+           'for name in ("lap", "partials", "_jump_sq"):'),
     Mutant("carry drops the forcing terms", "src/waveslab/slabsolver.py",
            "        if key in known:\n", "        if False:\n"),
     Mutant("carry lap of one slab too many", "src/waveslab/slabsolver.py",
@@ -110,9 +112,10 @@ MUTANTS = [
            "getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]",
            'stop = resumed + (name == "partials")\n'
            "        getattr(sol, name)[:stop] = getattr(last, name)[:stop]"),
-    Mutant("carry Grams of one slab too many", "src/waveslab/slabsolver.py",
-           "sol.grams[:resumed, :, :size, :size] = last.grams[:resumed, :, :size, :size]",
-           "sol.grams[:resumed + 1, :, :size, :size] = last.grams[:resumed + 1, :, :size, :size]"),
+    Mutant("carry energies of one slab too many", "src/waveslab/slabsolver.py",
+           "getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]",
+           'stop = resumed + (name == "energy")\n'
+           "        getattr(sol, name)[:stop] = getattr(last, name)[:stop]"),
     Mutant("carry squared jumps of one slab too many", "src/waveslab/slabsolver.py",
            "getattr(sol, name)[:resumed] = getattr(last, name)[:resumed]",
            'stop = resumed + (name == "_jump_sq")\n'

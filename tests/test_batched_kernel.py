@@ -234,28 +234,18 @@ def test_errors_osc_and_stability_match_per_point_loops():
 
 
 @pytest.mark.parametrize("singular", [True, False])
-def test_the_march_keeps_forcing_terms_and_grams_of_the_slow_reference(singular):
+def test_the_march_keeps_forcing_terms_and_energies_of_the_slow_reference(singular):
     # the march takes each slab's forcing terms from its load's samples, all
-    # but those of a graded first slab, and each slab's Grams from its solve
+    # but those of a graded first slab, and each slab's energy from its solve
     case, data, space, grid = mixed_degree_run()
     data = dataclasses.replace(data, singular_load=singular)
     sol = march(data, space, grid)
-    M, K = slow.mass_stiffness(space)
-    for n, p in enumerate(grid.degrees.tolist()):
+    for n in range(grid.n_intervals):
         if n == 0 and singular:
             assert np.isnan(sol.f_sq[n]) and np.isnan(sol.osc_l1[n])
         else:
             assert_close(sol.f_sq[n], slow.forcing_sq(data, sol, n))
-        modes = sol.modes([n])[0]
-        coords = space.eigen_coords(modes)
-        gram_m, gram_k = sol.grams[n, :, :p + 1, :p + 1]
-        assert_close(gram_m, modes @ (M @ modes.T))
-        assert_close(gram_k, modes @ (K @ modes.T))
-        assert_close(gram_m, coords @ coords.T)
-        assert_close(gram_k, (coords * space.stiffness_eigs) @ coords.T)
-        padding = np.ones(sol.grams.shape[1:], dtype=bool)
-        padding[:, :p + 1, :p + 1] = False
-        assert np.isnan(sol.grams[n][padding]).all()
+        assert_close(sol.energy[n], slow.slab_energy(sol, n))
     osc = osc_terms(data, sol, grid.n_intervals - 1)
     assert_close(osc, slow.osc_terms(data, sol, grid.n_intervals - 1))
 
@@ -624,7 +614,7 @@ def test_runs_and_stacks_never_change_bits(monkeypatch):
         for sol, report in [(fresh, estimate(fresh, data))] + [
                 (sol, record.report) for sol, record in zip(solutions, result.history)]:
             e1, arg = eta1(sol)
-            out += [np.concatenate(sol.blocks), sol.grams, sol.jumps, report.eta2_n,
+            out += [np.concatenate(sol.blocks), sol.energy, sol.jumps, report.eta2_n,
                     np.array([report.eta, report.eta1, e1, arg])]
         return out
 
@@ -637,7 +627,6 @@ def test_runs_and_stacks_never_change_bits(monkeypatch):
         regrouped = values(budget)
         assert len(regrouped) == len(single)
         for one, other in zip(single, regrouped):
-            # the Gram corners past a slab's degree are nan in both
             assert np.array_equal(one, other, equal_nan=True)
 
     # a bisected grid of one degree whose slab lengths differ in their last
@@ -650,7 +639,7 @@ def test_runs_and_stacks_never_change_bits(monkeypatch):
     def marched(budget):
         monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
         fresh = march(data, TensorSpace(3, 3, 2), bisected)
-        return [np.concatenate(fresh.blocks), fresh.grams, fresh.jumps,
+        return [np.concatenate(fresh.blocks), fresh.energy, fresh.jumps,
                 estimate(fresh, data).eta2_n]
 
     monkeypatch.setattr(slabsolver, "STACK_BUDGET", default)
@@ -901,7 +890,7 @@ PASSES = {"march": march, "stability_check": stability_check, "estimate": estima
 
 def solution_values(sol):
     """Every array a solution carries, its per-slab tables included."""
-    return [np.concatenate(sol.blocks), sol.u1h, sol.grams, sol.osc_l1, sol.f_sq,
+    return [np.concatenate(sol.blocks), sol.u1h, sol.energy, sol.osc_l1, sol.f_sq,
             sol.partials, sol.jump_sq, sol.lap]
 
 
@@ -961,7 +950,6 @@ def test_the_short_buffer_never_changes_bits(monkeypatch, shape):
     default = values(lambda fn: fn.__wrapped__)
     assert len(short) == len(default)
     for one, other in zip(short, default):
-        # the Gram corners past a slab's degree are nan in both
         assert one.shape == other.shape and np.array_equal(one, other, equal_nan=True)
 
 

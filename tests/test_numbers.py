@@ -18,6 +18,7 @@ checks this rule replaced.
 import functools
 import math
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -30,11 +31,16 @@ from waveslab import (
     TensorSpace, TimeGrid, bisect, doerfler_mark, make_case, problem_data, run_adaptive,
 )
 from waveslab.cli import main
-from waveslab.estimator import eta2_terms, laplacian_norms, osc_terms
+from waveslab.estimator import (
+    estimate, eta2_terms, laplacian_norms, osc_terms, quadrature_check,
+)
 from waveslab.experiments import ConfigError, parse_config
 from waveslab.slabsolver import MAX_INTERVALS, MAX_TIME_DEGREE, march
 from waveslab.spacefem import ELEMENT_SIZES
-from waveslab.timebasis import equispaced_nodes, gauss_legendre, legendre_eval, nodal_to_modal
+from waveslab.timebasis import (
+    IntervalPoly, equispaced_nodes, gauss_legendre, integrated_thomee, legendre_eval,
+    nodal_to_modal, project_H1, project_L2, thomee_project,
+)
 
 settings.register_profile("waveslab", derandomize=True, database=None, deadline=None,
                           max_examples=40)
@@ -317,11 +323,31 @@ def test_case3_parameters(args):
         assert [type(v) for v in got.params.values()] == [int, int, float]
 
 
+# the projectors' functions of time and the slab they work on
+PROJECTORS = {
+    "project_L2": lambda degree, interval: project_L2(np.cos, degree, interval),
+    "project_H1": lambda degree, interval: project_H1(
+        np.cos, lambda t: -np.sin(t), degree, interval),
+    "thomee_project": lambda degree, interval: thomee_project(np.cos, degree, interval),
+    "integrated_thomee": lambda degree, interval: integrated_thomee(
+        np.cos, lambda t: -np.sin(t), degree, interval),
+}
+POLY = IntervalPoly((0.0, 1.0), np.arange(1.0, 6.0))
+
+# each entry point that takes a degree or an order, and the least it takes
 TIMEBASIS = {
-    "gauss_legendre": gauss_legendre,
-    "equispaced_nodes": equispaced_nodes,
-    "nodal_to_modal": nodal_to_modal,
-    "legendre_eval": lambda degree: legendre_eval(degree, np.linspace(-1.0, 1.0, 5)),
+    "gauss_legendre": (gauss_legendre, 0),
+    "equispaced_nodes": (equispaced_nodes, 0),
+    "nodal_to_modal": (nodal_to_modal, 0),
+    "legendre_eval": (lambda degree: legendre_eval(degree, np.linspace(-1.0, 1.0, 5)), 0),
+    "project_L2": (lambda degree: PROJECTORS["project_L2"](degree, (0.0, 1.0)).modes, 0),
+    "project_H1": (lambda degree: PROJECTORS["project_H1"](degree, (0.0, 1.0)).modes, 1),
+    "thomee_project": (
+        lambda degree: PROJECTORS["thomee_project"](degree, (0.0, 1.0)).modes, 1),
+    "integrated_thomee": (
+        lambda degree: PROJECTORS["integrated_thomee"](degree, (0.0, 1.0)).modes, 2),
+    "IntervalPoly.derivative": (lambda m: POLY.derivative(m).modes, 0),
+    "IntervalPoly.truncated": (lambda degree: POLY.truncated(degree).modes, 0),
 }
 
 
@@ -333,17 +359,59 @@ TIMEBASIS = {
 @example(2.5)
 @example(np.float64(3.0))
 def test_timebasis_degrees(name, value):
-    # a degree or order is a size, drawn small; with 1 cached first, True
-    # must still be refused, not read from the entry of 1
-    helper = TIMEBASIS[name]
-    helper(1)
+    # a degree or order is a size, drawn small; with 1 (or the least value
+    # taken) cached first, True must still be refused, not read from the
+    # entry of 1
+    helper, least = TIMEBASIS[name]
+    helper(max(1, least))
     got = outcome(lambda: helper(value))
     want = expected(value, integer=True)
-    ok = want is not None and want >= 0
+    ok = want is not None and want >= least
     if settle(got, ok):
         ref = helper(want)
         pairs = zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]
         assert all(np.array_equal(a, b) for a, b in pairs)
+
+
+@pytest.mark.parametrize("name", PROJECTORS)
+@given(arguments(st.tuples(st.integers(-2, 1), st.integers(2, 4)), scalars(-2, 4), array=True))
+@example([1, 0])
+@example([0, math.nan])
+@example([0, True])
+@example([0.0, 0.0])
+def test_projector_intervals(name, interval):
+    # an interval is two numbers a < b
+    got = outcome(lambda: PROJECTORS[name](3, tuple(interval)))
+    a, b = (expected(value) for value in interval)
+    if settle(got, None not in (a, b) and a < b, interval):
+        ref = PROJECTORS[name](3, (a, b))
+        assert got.interval == (a, b) and np.array_equal(got.modes, ref.modes)
+
+
+@pytest.fixture(scope="module")
+def estimated():
+    data = problem_data(make_case("case2"))
+    sol = march(data, TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 4, 2))
+    return sol, data, estimate(sol, data)
+
+
+@given(scalars(-1, 1))
+@example(math.inf)
+@example(math.nan)
+@example(True)
+@example("1e-3")
+@example(Fraction(1, 2))
+def test_quadrature_tolerance(estimated, tol):
+    # tol is a number >= 0, or inf; the check warns when its worst relative
+    # difference (0.139 on this run) is above it
+    sol, data, report = estimated
+    worst = quadrature_check(sol, data, report, tol=math.inf)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = outcome(lambda: quadrature_check(sol, data, report, tol=tol))
+    want = math.inf if tol == math.inf else expected(tol)
+    if settle(got, want is not None and want >= 0):
+        assert got == worst and len(caught) == (worst > want)
 
 
 FLOAT_KEYS = ("T", "alpha", "omega", "theta", "eta_tol", "h", "tau")

@@ -668,8 +668,8 @@ def test_a_stability_check_of_another_forcing_reads_no_forcing_row():
     assert_close(report.rhs, slow.stability_check(sol, second)[1])
 
 
-def test_a_resumed_march_carries_its_grams_and_forcing_terms():
-    # the copied slabs keep their Grams and the kept slabs their forcing
+def test_a_resumed_march_carries_its_energies_and_forcing_terms():
+    # the copied slabs keep their energies and the kept slabs their forcing
     # terms; the march samples f only for the slabs it loads, and every row
     # has the bits of a fresh march
     samples = []
@@ -688,10 +688,10 @@ def test_a_resumed_march_carries_its_grams_and_forcing_terms():
     sol = march(data, space, fine, kept=kept)
     assert sum(samples) == 2 * len(reference_blocks(2)["gauss"][0])  # the two new halves
     fresh = march(data, TensorSpace(3, 3, 2), fine)
-    for name in ("grams", "osc_l1", "f_sq"):
+    for name in ("energy", "osc_l1", "f_sq"):
         assert getattr(sol, name).tobytes() == getattr(fresh, name).tobytes(), name
     assert np.isnan(sol.f_sq[0]) and not np.isnan(sol.f_sq[1:]).any()
-    assert not np.isnan(sol.grams[:, :, :3, :3]).any()
+    assert not np.isnan(sol.energy).any()
 
 
 def test_graded_loads_have_the_same_bits_under_any_stack_budget(monkeypatch):
@@ -956,6 +956,37 @@ def test_stability_on_a_forced_run():
     assert report.satisfied
     assert report.lhs <= report.rhs
     assert len(report.slab_energy) == 5
+
+
+def test_stability_fills_the_energy_table_of_a_solution_without_one(monkeypatch):
+    # a solution the march did not build has no energies: the first check
+    # computes and stores them, the second takes eigen-coordinates no more,
+    # and the report holds a copy, not the solution's table
+    space = TensorSpace(3, 3, 2)
+    data = ProblemData(grad_u0=(bump_x, bump_y), u1=zero2,
+                       f=lambda t, x, y: np.cos(3.0 * t) * bump(x, y))
+    grid = TimeGrid(np.linspace(0.0, 1.0, 5), np.array([2, 3, 3, 2]))
+    marched = march(data, space, grid)
+    sol = dataclasses.replace(marched)
+    assert np.isnan(sol.energy).all()
+    calls = []
+    real = TensorSpace.eigen_coords
+
+    def counted(self, u):
+        calls.append(len(u))
+        return real(self, u)
+
+    monkeypatch.setattr(TensorSpace, "eigen_coords", counted)
+    report = stability_check(sol, data)
+    assert calls and not np.isnan(sol.energy).any()
+    assert_close(sol.energy, marched.energy)
+    known = sol.energy.tobytes()
+    assert report.slab_energy.tobytes() == known
+    calls.clear()
+    again = stability_check(sol, data)
+    assert calls == [] and (again.lhs, again.rhs, again.m) == (report.lhs, report.rhs, report.m)
+    report.slab_energy[:] = -1.0
+    assert sol.energy.tobytes() == known
 
 
 def test_stability_flags_a_corrupted_solution():
