@@ -18,7 +18,10 @@ is d decoupled p x p systems in time.  Their operator (`slab_operator`) is
 written directly in compressed-column form and factorized by SuperLU in
 its natural order, which keeps p (p + 1) factor entries per mode; at
 d = 7 921, p = 3 one solve takes 0.57 ms, against 3.0 ms under SuperLU's
-default COLAMD ordering.
+default COLAMD ordering.  No two of its columns share a sparsity pattern,
+so the factorization runs with one-column panels and no relaxed
+supernodes: the same factors bit for bit as the default panels, in
+3.6 ms against 8.8 ms at that size and with a quarter of the work memory.
 """
 
 from __future__ import annotations
@@ -773,8 +776,14 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
         for j, n in enumerate(range(first, stop)):
             key = lu_keys[n]
             if key not in factors:
+                # no two columns share a pattern, so supernodal panels have
+                # nothing to group: one-column panels give the same factors
+                # bit for bit, at d = 7 921, p = 3 in 3.6 ms against 8.8 ms
+                # with +2.6 MB of work memory against +9.5 MB, and at
+                # d = 128 881 in 69 against 189 ms, +36 against +148 MB
+                # (2-core x86-64 VM, one BLAS thread)
                 factors[key] = spla.splu(slab_operator(p, float(tau[j]), s),
-                                         permc_spec="NATURAL")
+                                         permc_spec="NATURAL", panel_size=1, relax=1)
             nodal = run[j * p:(j + 1) * p + 1]
 
             history[1] = nodal[0]

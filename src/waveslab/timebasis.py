@@ -112,11 +112,15 @@ class IntervalPoly:
     """Polynomial (scalar or vector valued) on an interval.
 
     `modes` has shape (degree + 1,) or (degree + 1, d); row k is the
-    coefficient of the Legendre polynomial L_k pulled back to the interval.
+    coefficient of the Legendre polynomial L_k pulled back to the interval,
+    two numbers a < b.
     """
 
     interval: tuple[float, float]
     modes: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "interval", _interval(self.interval))
 
     @property
     def degree(self) -> int:
@@ -130,7 +134,7 @@ class IntervalPoly:
     def from_nodal(cls, interval, values) -> "IntervalPoly":
         """Build from values at the equispaced nodes of the interval."""
         values = np.asarray(values, dtype=float)
-        return cls(tuple(interval), nodal_to_modal(values.shape[0] - 1) @ values)
+        return cls(interval, nodal_to_modal(values.shape[0] - 1) @ values)
 
     def eval(self, t):
         """Evaluate at time t (scalar or array).

@@ -80,6 +80,8 @@ MUTANTS = [
     # the march and its reuse between marches
     Mutant("LU key of 4 significant digits", "src/waveslab/slabsolver.py",
            'f"{tau:.11e}"', 'f"{tau:.3e}"'),
+    Mutant("slab LU with SuperLU's default panels", "src/waveslab/slabsolver.py",
+           'permc_spec="NATURAL", panel_size=1, relax=1)', 'permc_spec="NATURAL")'),
     Mutant("temporal degree above MAX_TIME_DEGREE accepted", "src/waveslab/slabsolver.py",
            "np.any((degrees < 2) | (degrees > MAX_TIME_DEGREE))", "np.any(degrees < 2)"),
     Mutant("resume ignores u0h", "src/waveslab/slabsolver.py",

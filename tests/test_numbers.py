@@ -333,6 +333,13 @@ PROJECTORS = {
         np.cos, lambda t: -np.sin(t), degree, interval),
 }
 POLY = IntervalPoly((0.0, 1.0), np.arange(1.0, 6.0))
+# every entry point that takes an interval
+INTERVALS = {
+    **PROJECTORS,
+    "IntervalPoly": lambda degree, interval: IntervalPoly(interval, np.arange(degree + 1.0)),
+    "IntervalPoly.from_nodal": lambda degree, interval: IntervalPoly.from_nodal(
+        interval, np.arange(degree + 1.0) ** 2),
+}
 
 # each entry point that takes a degree or an order, and the least it takes
 TIMEBASIS = {
@@ -373,7 +380,7 @@ def test_timebasis_degrees(name, value):
         assert all(np.array_equal(a, b) for a, b in pairs)
 
 
-@pytest.mark.parametrize("name", PROJECTORS)
+@pytest.mark.parametrize("name", INTERVALS)
 @given(arguments(st.tuples(st.integers(-2, 1), st.integers(2, 4)), scalars(-2, 4), array=True))
 @example([1, 0])
 @example([0, math.nan])
@@ -381,10 +388,10 @@ def test_timebasis_degrees(name, value):
 @example([0.0, 0.0])
 def test_projector_intervals(name, interval):
     # an interval is two numbers a < b
-    got = outcome(lambda: PROJECTORS[name](3, tuple(interval)))
+    got = outcome(lambda: INTERVALS[name](3, tuple(interval)))
     a, b = (expected(value) for value in interval)
     if settle(got, None not in (a, b) and a < b, interval):
-        ref = PROJECTORS[name](3, (a, b))
+        ref = INTERVALS[name](3, (a, b))
         assert got.interval == (a, b) and np.array_equal(got.modes, ref.modes)
 
 

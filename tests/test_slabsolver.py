@@ -8,6 +8,7 @@ import weakref
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from numpy.polynomial import legendre as npleg
 
 import slow_reference as slow
@@ -765,8 +766,25 @@ def test_slab_operator_is_the_kronecker_sum_in_natural_order(monkeypatch, p):
     assert system.format == "csc" and system.shape == ref.shape
     assert system.nnz == ref.nnz == p * p * d
     assert abs(system - ref).max() == 0.0
-    assert kwargs == {"permc_spec": "NATURAL"}
+    assert kwargs == {"permc_spec": "NATURAL", "panel_size": 1, "relax": 1}
     assert np.array_equal(lu.perm_c, np.arange(p * d))
+
+
+@pytest.mark.parametrize("shape, p", [((5, 5, 2), p) for p in range(2, 11)]
+                         + [((10, 10, 2), p) for p in range(2, 11)] + [((30, 30, 3), 3)])
+def test_one_column_panels_give_the_factors_of_the_default_panels(monkeypatch, shape, p):
+    # the operator's columns share no sparsity pattern, so SuperLU's
+    # supernodal panels group nothing and the march's factors keep their bits
+    [(system, lu, _)] = record_factorizations(monkeypatch, TensorSpace(*shape),
+                                              TimeGrid.uniform(1.0, 2, p))
+    ref = spla.splu(system, permc_spec="NATURAL")
+    for mine, theirs in ((lu.L, ref.L), (lu.U, ref.U)):
+        assert np.array_equal(mine.indptr, theirs.indptr)
+        assert np.array_equal(mine.indices, theirs.indices)
+        assert np.array_equal(mine.data, theirs.data)
+    assert np.array_equal(lu.perm_r, ref.perm_r)
+    rhs = np.random.default_rng(p).standard_normal(system.shape[0])
+    assert np.array_equal(lu.solve(rhs), ref.solve(rhs))
 
 
 @pytest.mark.parametrize("p", range(2, 11))
