@@ -26,6 +26,7 @@ from typing import Callable
 import numpy as np
 from scipy.linalg import blas
 
+from . import slabsolver
 from ._numbers import number, number_array
 from .slabsolver import (
     ProblemData,
@@ -164,71 +165,41 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     The slabs are scored a run at a time (`slabsolver._runs`): a stretch
     of slabs of one degree whose samples at the "gauss" and "equispaced"
     point sets together stay under `slabsolver.STACK_BUDGET`, each exact
-    callable once per run.  The space kernel evaluates values and
-    gradients of a run's p + 1 temporal modes (`SlabSolution.modes`)
-    once; the samples at both point sets follow on the Gauss grid through
-    one stacked `leg` and `(2 / tau) dleg` table, Gauss rows first, but are
-    never stored: one BLAS update C <- -A B + C per slab
-    (`scipy.linalg.blas.dgemm`) overwrites the slab's exact samples, which
-    `TensorSpace.grid_eval` returns as an array the call owns, with its
-    misfit, and a wrapper that returns a copy of C raises `RuntimeError`.  The misfits split into the Gauss columns, summed per
-    slab with the rule's weights, and the equispaced columns, maximized
-    per slab.
+    callable once per run.  A run of one slab over the budget is scored in
+    two halves of its k samples, the first ceil(k / 2) and the rest, each
+    exact callable once per half: at d = 7 921 and p = 3 a half holds 7
+    samples of the 22 500-point Gauss grid, 1.3 MB, where the whole slab
+    held 2.5 MB.  The space kernel evaluates the gradients, then the
+    values, of a run's p + 1 temporal modes (`SlabSolution.modes`) once,
+    and the gradients are gone before the values are made.  The samples
+    at both point sets follow on the Gauss grid through one stacked `leg`
+    and `(2 / tau) dleg` table, Gauss rows first, but are never stored:
+    one BLAS update C <- -A B + C per slab (`scipy.linalg.blas.dgemm`)
+    overwrites the slab's exact samples, which `TensorSpace.grid_eval`
+    returns as an array the call owns, with its misfit, and a wrapper that
+    returns a copy of C raises `RuntimeError`.  Each half's misfits are
+    squared and integrated on their own, and the per-sample results are
+    joined in sample order.  The misfits then split into the Gauss
+    columns, summed per slab with the rule's weights, and the equispaced
+    columns, maximized per slab.
 
     When `case` is the exact solution of the problem `sol` solved
     (`sol.data.exact`), the partials are the rows of the solution's table
     `SlabSolution.partials`: the known ones are read and the others scored
     and written there, so a second call for the case scores nothing.  A
     slab's partials come from the same operations whichever run it is
-    scored with, and the reduction runs over all of them in slab order, so
-    the norms have the same bits either way.
+    scored with, halves or not, and the reduction runs over all of them
+    in slab order, so the norms have the same bits either way.
     """
     space, grid = sol.space, sol.grid
     own = sol.data is not None and case is sol.data.exact
     partials = sol.partials if own else np.full((grid.n_intervals, 5), np.nan)
     missing = np.flatnonzero(np.isnan(partials[:, 0]))
 
-    def misfit_sq(exact, t, basis, coeffs):
-        # per time sample, the squared L2 norm of exact(t) - basis @ coeffs,
-        # shaped as t, (S, k) for k samples on each of S slabs; each slab's
-        # (k, ngx * ngy) block of exact(t) becomes the misfit in place, in one
-        # gemm C <- -A B + C on its transpose, which is F-ordered
-        err = space.grid_eval(exact, t.ravel())
-        blocks = err.reshape(t.shape + (-1,))
-        bases = basis.transpose(0, 2, 1) if basis.ndim == 3 else [basis.T] * len(blocks)
-        for c, a, b in zip(blocks.transpose(0, 2, 1), coeffs.transpose(0, 2, 1), bases):
-            # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c; passed by
-            # position, as keywords cost a fifth of a small slab's update
-            out = blas.dgemm(-1.0, a, b, 1.0, c, 0, 0, 1)
-            if not (out is c or np.shares_memory(out, c)):
-                raise RuntimeError("scipy.linalg.blas.dgemm returned a copy of its output "
-                                   "array, so a misfit would read as the exact solution")
-        return space.integrate(np.square(blocks, out=blocks).reshape(err.shape)).reshape(t.shape)
-
-    for p, run in _runs(grid, missing, _sample_cost(space, "gauss", "equispaced")):
-        xg, wq, leg_g, dleg_g = reference_blocks(p)["gauss"]
-        xe, _, leg_e, dleg_e = reference_blocks(p)["equispaced"]
-        ng = len(xg)
-        tau = grid.nodes[run + 1] - grid.nodes[run]
-        t = _sample_times(grid, run, np.concatenate((xg, xe)))
-        leg = np.vstack((leg_g, leg_e))
-        dt_leg = (2.0 / tau)[:, None, None] * np.vstack((dleg_g, dleg_e))
-        # values and gradients of the run's modes on the Gauss grid, each
-        # of shape (S, p + 1, ngx * ngy); samples are basis @ modes
-        modes = sol.modes(run)
-        flat = modes.reshape(-1, space.n_dofs)
-        vals, gx, gy = (v.reshape(modes.shape[:2] + (-1,))
-                        for v in (space.eval_gauss(flat), *space.eval_grad_gauss(flat)))
-        h1 = misfit_sq(case.ux, t, leg, gx) + misfit_sq(case.uy, t, leg, gy)
-        dl2 = misfit_sq(case.du, t, dt_leg, vals)
-        weights = 0.5 * tau[:, None] * wq
-        partials[run] = np.column_stack((
-            np.sum(weights * h1[:, :ng], axis=1),
-            np.sum(weights * dl2[:, :ng], axis=1),
-            np.max(h1[:, ng:], axis=1),
-            np.max(dl2[:, ng:], axis=1),
-            np.max(misfit_sq(case.u, t[:, ng:], leg_e, vals), axis=1),
-        ))
+    cost = _sample_cost(space, "gauss", "equispaced")
+    for p, run in _runs(grid, missing, cost):
+        split = len(run) == 1 and cost(p) > slabsolver.STACK_BUDGET
+        partials[run] = _run_partials(sol, case, p, run, split)
 
     sq_h1, sq_dl2 = np.sum(partials[:, :2], axis=0)
     sq_h1_max, sq_w1inf, sq_l2 = np.max(partials[:, 2:], axis=0)
@@ -240,6 +211,75 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
         Linf_L2=float(np.sqrt(sq_l2)),
         jump=float(np.sqrt(np.sum(sol.jump_sq))),
     )
+
+
+def _run_partials(sol: SlabSolution, case: ManufacturedCase, p: int, run: np.ndarray,
+                  split: bool) -> np.ndarray:
+    """The (S, 5) error partials of a run of S slabs of degree p (`compute_errors`).
+
+    With `split`, the run's one slab is scored in two halves of its k
+    samples, the first ceil(k / 2) and the rest; the cut depends on p
+    alone.  The run's arrays are locals, so they go when it returns.
+    """
+    space, grid = sol.space, sol.grid
+    xg, wq, leg_g, dleg_g = reference_blocks(p)["gauss"]
+    xe, _, leg_e, dleg_e = reference_blocks(p)["equispaced"]
+    ng = len(xg)
+    tau = grid.nodes[run + 1] - grid.nodes[run]
+    t = _sample_times(grid, run, np.concatenate((xg, xe)))
+    leg = np.vstack((leg_g, leg_e))
+    dt_leg = (2.0 / tau)[:, None, None] * np.vstack((dleg_g, dleg_e))
+    k = t.shape[1]
+    cuts = (0, -(-k // 2), k) if split else (0, k)
+
+    def misfit_sq(exact, t, basis, coeffs, cuts=cuts):
+        # `_misfit_sq` of one stretch cuts[i]:cuts[i + 1] of the samples at
+        # a time, whose samples are gone before the next one's are made,
+        # joined in sample order
+        return np.concatenate([_misfit_sq(space, exact, t[:, a:b], basis[..., a:b, :], coeffs)
+                               for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
+
+    # gradients, then values, of the run's modes on the Gauss grid, each of
+    # shape (S, p + 1, ngx * ngy), the gradients gone before the values are
+    # made; samples are basis @ modes
+    modes = sol.modes(run)
+    flat = modes.reshape(len(run) * (p + 1), space.n_dofs)
+    gx, gy = (g.reshape(modes.shape[:2] + (-1,)) for g in space.eval_grad_gauss(flat))
+    h1 = misfit_sq(case.ux, t, leg, gx) + misfit_sq(case.uy, t, leg, gy)
+    del gx, gy
+    vals = space.eval_gauss(flat).reshape(modes.shape[:2] + (-1,))
+    dl2 = misfit_sq(case.du, t, dt_leg, vals)
+    # u at the equispaced samples alone, cut where the others are
+    l2 = misfit_sq(case.u, t[:, ng:], leg_e, vals, [max(c - ng, 0) for c in cuts])
+    weights = 0.5 * tau[:, None] * wq
+    return np.column_stack((
+        np.sum(weights * h1[:, :ng], axis=1),
+        np.sum(weights * dl2[:, :ng], axis=1),
+        np.max(h1[:, ng:], axis=1),
+        np.max(dl2[:, ng:], axis=1),
+        np.max(l2, axis=1),
+    ))
+
+
+def _misfit_sq(space, exact, t, basis, coeffs) -> np.ndarray:
+    """Per time sample, the squared L2 norm of exact(t) - basis @ coeffs.
+
+    `t` holds k samples on each of S slabs, shape (S, k), and so does the
+    result; exact is called once.  Each slab's (k, ngx * ngy) block of
+    exact(t) becomes the misfit in place, in one gemm C <- -A B + C on its
+    transpose, which is F-ordered.
+    """
+    err = space.grid_eval(exact, t.ravel())
+    blocks = err.reshape(t.shape + (-1,))
+    bases = basis.transpose(0, 2, 1) if basis.ndim == 3 else [basis.T] * len(blocks)
+    for c, a, b in zip(blocks.transpose(0, 2, 1), coeffs.transpose(0, 2, 1), bases):
+        # alpha, a, b, beta, c, trans_a, trans_b, overwrite_c; passed by
+        # position, as keywords cost a fifth of a small slab's update
+        out = blas.dgemm(-1.0, a, b, 1.0, c, 0, 0, 1)
+        if not (out is c or np.shares_memory(out, c)):
+            raise RuntimeError("scipy.linalg.blas.dgemm returned a copy of its output "
+                               "array, so a misfit would read as the exact solution")
+    return space.integrate(np.square(blocks, out=blocks).reshape(err.shape)).reshape(t.shape)
 
 
 def rate(values, steps) -> np.ndarray:

@@ -214,6 +214,18 @@ MUTANTS = [
            "np.max(dl2[:, ng:], axis=1)", "np.max(dl2[:, ng + 1:], axis=1)"),
     Mutant("H1 max loses its first equispaced sample", "src/waveslab/errors.py",
            "np.max(h1[:, ng:], axis=1)", "np.max(h1[:, ng + 1:], axis=1)"),
+    Mutant("an over-budget slab scored whole", "src/waveslab/errors.py",
+           "split = len(run) == 1 and cost(p) > slabsolver.STACK_BUDGET", "split = False"),
+    Mutant("halves joined in swapped order", "src/waveslab/errors.py",
+           "for a, b in zip(cuts[:-1], cuts[1:])], axis=1)",
+           "for a, b in zip(cuts[:-1], cuts[1:])][::-1], axis=1)"),
+    Mutant("a second half starts one sample late", "src/waveslab/errors.py",
+           "t[:, a:b], basis[..., a:b, :]",
+           "t[:, a + (a > 0):b], basis[..., a + (a > 0):b, :]"),
+    Mutant("u cut where the Gauss rows are", "src/waveslab/errors.py",
+           "[max(c - ng, 0) for c in cuts]", "cuts"),
+    Mutant("modes flattened with an inferred row count", "src/waveslab/errors.py",
+           "modes.reshape(len(run) * (p + 1), space.n_dofs)", "modes.reshape(-1, space.n_dofs)"),
     # adaptivity and the time basis
     Mutant("Doerfler marking without its round-off tolerance", "src/waveslab/adaptive.py",
            "theta * total - 1e-14 * total", "theta * total"),

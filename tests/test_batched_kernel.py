@@ -404,8 +404,9 @@ def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
     expected = []
     cost = slabsolver._sample_cost(space, "gauss", "equispaced")
     for p, slabs in slabsolver._runs(grid, range(grid.n_intervals), cost):
+        # the gradients first, so that they are gone before the values come
         rows = (len(slabs) * (p + 1), space.n_dofs)
-        expected += [("eval_gauss", rows), ("eval_grad_gauss", rows)]
+        expected += [("eval_grad_gauss", rows), ("eval_gauss", rows)]
     assert calls == expected
     calls.clear()
     stability_check(sol, data)
@@ -574,6 +575,75 @@ def test_per_slab_error_partials_do_not_depend_on_the_chunks_in_the_local_form(
         monkeypatch, degree, n_slabs):
     monkeypatch.setattr(spacefem, "_LOCAL_KERNEL_DOFS", 0)
     test_per_slab_error_partials_do_not_depend_on_the_chunks(monkeypatch, degree, n_slabs)
+
+
+def sampled_exact(case, samples):
+    """`case` with `u`, `du`, `ux` and `uy` recording the number of times
+    they are called at, one list entry per call, in `samples`."""
+    def recorded(name, fn):
+        def wrapped(t, x, y):
+            samples.setdefault(name, []).append(np.size(t))
+            return fn(t, x, y)
+        return wrapped
+
+    return dataclasses.replace(case, **{name: recorded(name, getattr(case, name))
+                                        for name in ("u", "du", "ux", "uy")})
+
+
+def one_slab_runs(name):
+    """A case and a solution whose every run is one slab under the default
+    budget: the mixed-degree grid, or case3 at p = 3 on the 60 x 60 Gauss
+    grid of TensorSpace(12, 12, 3), where one slab's 14 samples (50 400
+    values) fit the budget alone."""
+    if name == "mixed_degrees":
+        case, data, space, grid = mixed_degree_run()
+        return case, march(data, space, grid)
+    case = make_case("case3")
+    return case, march(problem_data(case), TensorSpace(12, 12, 3), TimeGrid.uniform(1.0, 4, 3))
+
+
+@pytest.mark.parametrize("name", ["mixed_degrees", "case3_12x12_q3"])
+def test_an_over_budget_slab_scored_in_halves_keeps_its_bits(monkeypatch, name):
+    # the same one-slab runs scored whole under the default budget and in
+    # two halves under a budget of 1: the partials and the norms must have
+    # the same bits
+    case, sol = one_slab_runs(name)
+    grid, space = sol.grid, sol.space
+    cost = slabsolver._sample_cost(space, "gauss", "equispaced")
+    runs = list(slabsolver._runs(grid, range(grid.n_intervals), cost))
+    assert all(len(run) == 1 and cost(p) <= slabsolver.STACK_BUDGET for p, run in runs)
+
+    def scored(budget):
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+        samples = {}
+        fresh = dataclasses.replace(sol)
+        errs = compute_errors(fresh, sampled_exact(case, samples))
+        return fresh.partials.copy(), errs.as_dict(), len(samples["u"])
+
+    whole, whole_norms, whole_calls = scored(slabsolver.STACK_BUDGET)
+    halves, halves_norms, halves_calls = scored(1)
+    assert (whole_calls, halves_calls) == (len(runs), 2 * len(runs))
+    assert [v.hex() for v in halves.ravel()] == [v.hex() for v in whole.ravel()]
+    assert {k: v.hex() for k, v in halves_norms.items()} == {
+        k: v.hex() for k, v in whole_norms.items()}
+
+
+def test_an_over_budget_slab_calls_each_exact_callable_once_per_half():
+    # at p = 3 a slab has 5 Gauss and 9 equispaced samples: on the 150 x 150
+    # Gauss grid of TensorSpace(30, 30, 3) their 14 stacked samples are
+    # 315 000 values, over the budget, so each slab is scored in halves of
+    # 7 samples; u, sampled at the equispaced points alone, is cut where
+    # the others are, into 2 and 7
+    case = make_case("case3")
+    space = TensorSpace(30, 30, 3)
+    sol = march(problem_data(case), space, TimeGrid.uniform(1.0, 2, 3))
+    cost = slabsolver._sample_cost(space, "gauss", "equispaced")
+    assert cost(3) == 14 * 150 * 150 > slabsolver.STACK_BUDGET
+    samples = {}
+    errs = compute_errors(sol, sampled_exact(case, samples))
+    assert samples == {"ux": [7, 7] * 2, "uy": [7, 7] * 2, "du": [7, 7] * 2, "u": [2, 7] * 2}
+    for key, value in errs.as_dict().items():
+        assert np.isfinite(value) and value > 0.0, key
 
 
 def test_runs_and_stacks_never_change_bits(monkeypatch):

@@ -443,6 +443,20 @@ def test_cli_success(tmp_path, capsys):
     assert str(out) in capsys.readouterr().out
 
 
+def test_cli_runs_a_mesh_without_interior_dofs(tmp_path):
+    # h = 2 at p_x = 1 is one element with no interior dofs: the level's
+    # error norms are those of the exact solution, and the run exits 0
+    cfg = _write_config(
+        tmp_path,
+        "suite: tau_refine\ncase: case1\nh: 2.0\np_x: 1\ntau_list: [0.5]\n",
+    )
+    out = tmp_path / "rows.csv"
+    assert main(["run", str(cfg), "--out", str(out)]) == 0
+    with out.open(newline="") as handle:
+        (row,) = list(csv.DictReader(handle))
+    assert row["dofs"] == "0" and float(row["Linf_L2"]) > 0.0
+
+
 def test_cli_honors_config_out_key(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     cfg = _write_config(
