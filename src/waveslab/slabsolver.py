@@ -419,24 +419,30 @@ def _load(data: ProblemData, space: TensorSpace, a: np.ndarray, tau: np.ndarray,
 
 
 def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
-                known: list) -> tuple[list, np.ndarray]:
-    """Load moments of every slab in the spatial eigenbasis, (p_n, n_dofs) each.
+                known: dict, values: np.ndarray) -> np.ndarray:
+    """Write slabs' load moments, in eigen-coordinates, into their rows of `values`.
 
-    `known` holds the last march's load or None per slab (see `march`);
-    only the None slabs are assembled.  The first slab of a singular load
-    takes the graded rule on its own; every other slab is loaded with the
-    one-panel Gauss rule, a run of slabs (`_runs`) at a time (that panel
-    is the "gauss" point set).  Each load is read-only, and checked for
-    finiteness once per run.
+    `values` is the march's array of nodal rows (see `march`), whose rows
+    starts[n] + 1 .. starts[n + 1], with starts the cumulative degrees,
+    slab n's solve overwrites: they first take its p_n load rows, in
+    eigen-coordinates.  `known` maps each slab to be loaded to its load
+    from the last march, which is copied in, or to None (see `march`).
+    The None slabs are assembled: the first slab of a singular load by
+    the graded rule on its own, every other one by the one-panel Gauss
+    rule, a run of slabs (`_runs`) at a time (that panel is the "gauss"
+    point set), checked for finiteness once per run.
 
-    Returns the loads and the forcing terms of `_load`, shape (2, N):
-    those of every slab assembled by the Gauss rule, NaN for the others.
+    Returns the forcing terms of `_load`, shape (2, N): those of every slab
+    assembled by the Gauss rule, NaN for the others.
     """
-    loads = list(known)
+    starts = np.concatenate(([0], np.cumsum(grid.degrees)))
     forcing = np.full((2, grid.n_intervals), np.nan)
-    missing = np.array([n for n, load in enumerate(loads) if load is None], dtype=int)
+    for n, load in known.items():
+        if load is not None:
+            values[starts[n] + 1:starts[n + 1] + 1] = load
+    missing = np.array([n for n, load in known.items() if load is None], dtype=int)
     jobs = []
-    if data.singular_load and loads[0] is None:
+    if data.singular_load and len(missing) and missing[0] == 0:
         jobs.append((reference_blocks(int(grid.degrees[0]))["graded_load"], missing[:1]))
         missing = missing[1:]
     jobs += [(reference_blocks(p)["gauss_load"], run)
@@ -449,10 +455,8 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
         if not finite.all():
             raise FloatingPointError(
                 f"non-finite values in the load of slab {run[np.argmin(finite)]}")
-        moments.flags.writeable = False
-        for n, slab_moments in zip(run, moments):
-            loads[n] = slab_moments
-    return loads, forcing
+        values[starts[run, None] + np.arange(1, moments.shape[1] + 1)] = moments
+    return forcing
 
 
 @dataclass(frozen=True, eq=False)
@@ -581,9 +585,11 @@ class SlabRecord:
 
     The dict a caller passes to its marches maps each slab's key
     (p, t_n, t_{n+1}) (`TimeGrid.slab_keys`) to its record.  `load` is
-    the slab's read-only load moments in
-    eigen-coordinates, which depend only on the data, the space and the
-    key; `end` is the eigen-coordinate derivative and value, shape
+    the slab's read-only load moments in eigen-coordinates, shape
+    (p, n_dofs), which depend only on the data, the space and the key: an
+    array of the record's own, never a view of a solution's rows, which
+    held the load until the slab's solve overwrote them; `end` is the
+    eigen-coordinate derivative and value, shape
     (2, n_dofs), that the slab hands to the next one; `solution` is the
     march's result, which carries the slab's other values (see
     `SlabSolution`).  The march leaves the dict holding exactly its own
@@ -663,9 +669,12 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
 
     The initial displacement is projected in the Dirichlet inner product,
     from its gradient (`TensorSpace.elliptic_project`), and the initial
-    velocity in L2 (`TensorSpace.l2_project`).  Every slab's load is formed
-    before the sequential solves, a run of slabs of one degree at a time,
-    and checked for finiteness (`_slab_loads`).  The factorized slab operator is reused
+    velocity in L2 (`TensorSpace.l2_project`).  The load of every slab it
+    solves is formed before the sequential solves, a run of slabs of one
+    degree at a time, checked for finiteness and written, in
+    eigen-coordinates, into the slab's rows of the march's array of nodal
+    rows, the rows its solve then overwrites (`_slab_loads`): the loads
+    take no array of their own.  The factorized slab operator is reused
     whenever the degree repeats and the length agrees to 12 significant
     digits, so slabs of a uniform or bisected grid share it.  The factorizations are kept on
     the space (`space.slab_lu`), so a later march on the same space reuses
@@ -685,7 +694,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     consecutive slabs of one degree p whose Gram rows, 2 p + 2 of n_dofs
     values per slab, stay under `STACK_BUDGET`, or a single slab.  Per slab
     the loop does only the sequential work: the right-hand side from the
-    load and the previous slab's end derivative and value, the solve, and
+    load rows and the previous slab's end derivative and value, the solve, and
     the slab's own end derivative.  It writes the slab's nodal
     eigen-coordinates into the run's buffer, whose rows the slabs share at
     their junctions as their nodal rows do.  Each run then takes three
@@ -706,9 +715,10 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     `kept` is the one way to reuse work between marches: a dict of
     `SlabRecord` that the caller passes to each of them, as `run_adaptive`
     does.  A march reuses nothing from it unless the last march given it
-    solved the same `data` object on the same `space`.  Then a slab whose
-    key is there takes its load from it, so only the others are assembled
-    (slab 0 of a singular load by the graded rule, as always).  If the
+    solved the same `data` object on the same `space`.  Then a solved slab
+    whose key is there takes its load from it, copied into its rows, so
+    only the others are assembled (slab 0 of a singular load by the graded
+    rule, as always).  If the
     grid starts with slabs of the last march, at the same indices and from
     the same projected initial data, bit for bit, their rows are copied
     and the solves start at the first slab that differs, from the end
@@ -721,7 +731,10 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     solution: the copied slabs' Laplacian norms, energies, error partials
     and squared jump norms, and the forcing terms of every slab whose key
     the dict holds; the rest are unknown.  The dict is then left holding
-    exactly this grid's records.  Without `kept`, nothing is kept.
+    exactly this grid's records: a known load stays its record's array,
+    and a new one is a read-only copy taken from the rows before the solve
+    overwrites them, so no record shares memory with the solution.
+    Without `kept`, nothing is kept.
 
     Raises FloatingPointError at the first non-finite value, naming the
     projected initial displacement or velocity, or the slab and the stage
@@ -737,21 +750,29 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     if last is not None and (last.data is not data or last.space is not space):
         last = None
     records = [None if last is None else kept.get(key) for key in keys]
-    slab_loads, forcing = _slab_loads(
-        data, space, grid, [None if record is None else record.load for record in records])
     resumed = 0 if last is None else _resumable(last, keys, u0h, u1h)
-    taus = np.diff(grid.nodes)
-    lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, taus.tolist())]
-    factors = space.slab_lu
-    for key in set(factors) - set(lu_keys):
-        del factors[key]
     # nodal rows of the march: row 0 is u0h, slab n fills rows
-    # starts[n] + 1 .. starts[n + 1] and reads row starts[n] as its first node
+    # starts[n] + 1 .. starts[n + 1] and reads row starts[n] as its first
+    # node; until its solve, a solved slab's rows hold its load
     starts = np.concatenate(([0], np.cumsum(grid.degrees)))
     values = np.empty((starts[-1] + 1, d))
     values[0] = u0h
     for n in range(resumed):
         values[starts[n] + 1:starts[n + 1] + 1] = last.blocks[n][1:]
+    forcing = _slab_loads(data, space, grid, {
+        n: None if records[n] is None else records[n].load
+        for n in range(resumed, grid.n_intervals)}, values)
+    loads = []  # the records' loads: a new one is copied out before its solve
+    for n, record in enumerate(records if kept is not None else ()):
+        load = (record.load if record is not None
+                else values[starts[n] + 1:starts[n + 1] + 1].copy())
+        load.flags.writeable = False
+        loads.append(load)
+    taus = np.diff(grid.nodes)
+    lu_keys = [(int(p), f"{tau:.11e}") for p, tau in zip(grid.degrees, taus.tolist())]
+    factors = space.slab_lu
+    for key in set(factors) - set(lu_keys):
+        del factors[key]
     ends = [record.end for record in records[:resumed]]
     history = np.empty((3, d))  # V^T of M u', M u and K u at the slab's left end
     # previous slab's end derivative and value, in eigen-coordinates
@@ -789,7 +810,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
             history[1] = nodal[0]
             np.multiply(s, nodal[0], out=history[2])
             rhs = weights[j] @ history
-            rhs += slab_loads[n]
+            rhs += values[starts[n] + 1:starts[n + 1] + 1]
             nodal[1:] = factors[key].solve(rhs.ravel()).reshape(p, d) if d else 0.0
             # the slab's end derivative, which the next slab takes in
             np.multiply(inverse[j], ref["dphi_right"] @ nodal, out=history[0])
@@ -818,7 +839,7 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     if kept is not None:
         kept.clear()
         kept.update((key, SlabRecord(load=load, end=end, solution=sol))
-                    for key, load, end in zip(keys, slab_loads, ends))
+                    for key, load, end in zip(keys, loads, ends))
     return sol
 
 

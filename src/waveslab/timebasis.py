@@ -27,6 +27,13 @@ from ._numbers import number, number_array
 # a validated `TimeGrid` and are not checked again, as they are called once
 # per slab.
 
+# The highest order `gauss_legendre` takes.  numpy's `leggauss` solves for
+# its ceil((order + 1) / 2) nodes through a dense companion matrix of that
+# size: at order 1 000, 501 nodes, that is 2 MB and under 0.1 s, while an
+# order of 10**5 would ask for 20 GB.  The package uses at most order 46
+# ("gauss_doubled" at p = 10, `slabsolver.MAX_TIME_DEGREE`).
+MAX_QUADRATURE_ORDER = 1000
+
 
 def _degree(degree, least: int = 0, what: str = "the polynomial degree") -> int:
     degree = number(degree, what, integer=True)
@@ -51,14 +58,16 @@ def gauss_legendre(order: int) -> tuple[np.ndarray, np.ndarray]:
     cached per order and returned as read-only arrays shared by all callers.
 
     Args:
-        order: polynomial degree the rule must integrate exactly (>= 0).
+        order: polynomial degree the rule must integrate exactly, in
+            [0, MAX_QUADRATURE_ORDER].
 
     Returns:
         (nodes, weights) as float arrays of equal length.
     """
     order = number(order, "the quadrature order", integer=True)
-    if order < 0:
-        raise ValueError(f"the quadrature order must be >= 0, got {order}")
+    if not 0 <= order <= MAX_QUADRATURE_ORDER:
+        raise ValueError(
+            f"the quadrature order must lie in [0, {MAX_QUADRATURE_ORDER}], got {order}")
     n = max(1, -(-(order + 1) // 2))
     nodes, weights = npleg.leggauss(n)
     nodes.flags.writeable = False

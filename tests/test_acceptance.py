@@ -14,6 +14,7 @@ import time
 
 import numpy as np
 import pytest
+from numpy.polynomial import legendre as npleg
 
 from conftest import record_criterion
 from waveslab import (
@@ -377,6 +378,29 @@ def test_criterion_8_reliability_on_every_run(study):
         f"{len(entries)} runs, min (eta+osc)/error {worst:.2f} >= 1"
         + (f", violated by {bad}" if bad else ""),
     )])
+
+
+def test_estimator_bounds_the_error_sampled_at_257_times_per_slab(study):
+    # Linf_L2 samples 2p + 3 equispaced times per slab, which reads the
+    # maximum up to 10.6% low (case2, N = 5, p = 6): criterion 8's bound must
+    # hold for 257 equispaced samples per slab as well.  Each slab is sampled
+    # through its temporal modes; no CSV column changes its sampling
+    x = np.linspace(-1.0, 1.0, 257)
+    entries = [e for e in study["runs"] if e["group"] in MAIN_GROUPS]
+    worst = np.inf
+    for e in entries:
+        sol, case = e["sol"], e["data"].exact
+        space, grid = sol.space, sol.grid
+        error = 0.0
+        for n in range(grid.n_intervals):
+            a, b = grid.interval(n)
+            values = npleg.legvander(x, int(grid.degrees[n])) @ sol.modes([n])[0]
+            times = a + 0.5 * (b - a) * (x + 1.0)
+            misfit = space.eval_gauss(values) - space.grid_eval(case.u, times)
+            error = max(error, float(np.max(space.integrate(misfit * misfit))))
+        worst = min(worst, (e["report"].eta + e["report"].osc) / np.sqrt(error))
+    assert worst >= 1.0, (
+        f"{len(entries)} runs, min (eta+osc)/error at 257 samples per slab {worst:.2f} < 1")
 
 
 def test_criterion_9_effectivity_stays_bounded(study):

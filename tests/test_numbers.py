@@ -37,6 +37,7 @@ from waveslab.estimator import (
 from waveslab.experiments import ConfigError, parse_config
 from waveslab.slabsolver import MAX_INTERVALS, MAX_TIME_DEGREE, march
 from waveslab.spacefem import ELEMENT_SIZES
+from waveslab import timebasis
 from waveslab.timebasis import (
     IntervalPoly, equispaced_nodes, gauss_legendre, integrated_thomee, legendre_eval,
     nodal_to_modal, project_H1, project_L2, thomee_project,
@@ -378,6 +379,20 @@ def test_timebasis_degrees(name, value):
         ref = helper(want)
         pairs = zip(got, ref) if isinstance(ref, tuple) else [(got, ref)]
         assert all(np.array_equal(a, b) for a, b in pairs)
+
+
+def test_quadrature_orders_beyond_the_cap_are_refused_before_a_rule_is_built():
+    # numpy's leggauss builds a dense companion matrix with about order / 2
+    # rows, so order 10**5 would ask for 20 GB.  The cap is read first: a
+    # build without one fails here before it builds any rule
+    cap = timebasis.MAX_QUADRATURE_ORDER
+    assert cap > 61  # the highest order the tests integrate with
+    for call in (gauss_legendre,
+                 lambda order: project_L2(np.cos, 2, (0.0, 1.0), quad_order=order)):
+        for order in (cap + 1, 10**5, float(10**5)):
+            with pytest.raises(ValueError, match="the quadrature order"):
+                call(order)
+    assert len(gauss_legendre(cap)[0]) == cap // 2 + 1
 
 
 @pytest.mark.parametrize("name", INTERVALS)

@@ -3,6 +3,7 @@
 import contextlib
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -534,6 +535,47 @@ def test_kept_loads_are_read_only_and_unchanged_by_a_march(monkeypatch):
     assert all(np.array_equal(loads[key], copies[key]) for key in loads)
     assert np.array_equal(np.concatenate(again.blocks),
                           np.concatenate(march(data, space, fine).blocks))
+
+
+def test_kept_records_hold_read_only_copies_of_the_assembled_loads():
+    # a slab's load is assembled into the rows of the solution that its
+    # solve overwrites; a new record takes a read-only copy of it first,
+    # and a kept one stays the record's own array, so no record shares
+    # memory with a solution.  Each equals the slab's load assembled alone
+    data = problem_data(make_case("case2", alpha=1.75))
+    space, kept = TensorSpace(3, 3, 2), {}
+    grid = TimeGrid(np.array([0.0, 0.2, 0.5, 0.7, 1.0]), np.array([3, 3, 2, 3]))
+    # the first march makes every record; the second copies slabs 0 and 1,
+    # assembles its two new slabs and takes the last slab's load from its record
+    for grid in (grid, bisect(grid, [2])):
+        sol = march(data, space, grid, kept=kept)
+        for n, key in enumerate(grid.slab_keys()):
+            load = kept[key].load
+            assert not load.flags.writeable
+            assert not any(np.shares_memory(load, block) for block in sol.blocks)
+            a, tau = grid.nodes[n:n + 1], np.diff(grid.nodes)[n:n + 1]
+            rule = reference_blocks(key[0])["graded_load" if n == 0 else "gauss_load"]
+            assembled = space.to_eigenbasis(_load(data, space, a, tau, rule)[0])[0]
+            assert load.tobytes() == assembled.tobytes()
+
+
+def test_a_warm_march_holds_no_array_of_loads_beside_its_rows():
+    # case3 at d = 7 921, 20 slabs of degree 3: the march's array of nodal
+    # rows is 3.69 MiB, and each slab's load is assembled into the rows its
+    # solve overwrites, so the traced peak stays below twice that.  Loads
+    # held beside the rows took it to 8.91 MiB
+    data = problem_data(make_case("case3", m=1, n=1, omega=float(np.sqrt(2.0))))
+    space, grid = TensorSpace(30, 30, 3), TimeGrid.uniform(1.0, 20, 3)
+    march(data, space, grid)  # factorizes the slab operator
+    tracemalloc.start()
+    try:
+        sol = march(data, space, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = sol.blocks[0].base
+    assert rows.shape == (61, 7921) and all(block.base is rows for block in sol.blocks)
+    assert peak < 2 * rows.nbytes, f"{peak / 2**20:.2f} MiB"
 
 
 def test_march_drops_loads_its_grid_does_not_use():
