@@ -422,15 +422,15 @@ def _slab_loads(data: ProblemData, space: TensorSpace, grid: TimeGrid,
                 known: dict, values: np.ndarray) -> np.ndarray:
     """Write slabs' load moments, in eigen-coordinates, into their rows of `values`.
 
-    `values` is the march's array of nodal rows (see `march`), whose rows
-    starts[n] + 1 .. starts[n + 1], with starts the cumulative degrees,
-    slab n's solve overwrites: they first take its p_n load rows, in
-    eigen-coordinates.  `known` maps each slab to be loaded to its load
-    from the last march, which is copied in, or to None (see `march`).
-    The None slabs are assembled: the first slab of a singular load by
-    the graded rule on its own, every other one by the one-panel Gauss
-    rule, a run of slabs (`_runs`) at a time (that panel is the "gauss"
-    point set), checked for finiteness once per run.
+    `values` is the march's array of nodal rows (see `march`).  Slab n's
+    solve overwrites its rows starts[n] + 1 .. starts[n + 1], where starts
+    holds the cumulative degrees; until then they hold its p_n load rows,
+    in eigen-coordinates.  `known` maps each slab to be loaded, in
+    ascending order, to its load from the last march, which is copied in,
+    or to None (see `march`).  The None slabs are assembled: the first
+    slab of a singular load by the graded rule on its own, every other one
+    by the one-panel Gauss rule, a run of slabs (`_runs`) at a time (that
+    panel is the "gauss" point set), checked for finiteness once per run.
 
     Returns the forcing terms of `_load`, shape (2, N): those of every slab
     assembled by the Gauss rule, NaN for the others.
