@@ -169,9 +169,10 @@ def compute_errors(sol: SlabSolution, case: ManufacturedCase) -> ErrorBundle:
     two halves of its k samples, the first ceil(k / 2) and the rest, each
     exact callable once per half: at d = 7 921 and p = 3 a half holds 7
     samples of the 22 500-point Gauss grid, 1.3 MB, where the whole slab
-    held 2.5 MB.  The space kernel evaluates the gradients, then the
-    values, of a run's p + 1 temporal modes (`SlabSolution.modes`) once,
-    and the gradients are gone before the values are made.  The samples
+    held 2.5 MB.  The space kernel evaluates the x-derivative, the
+    y-derivative and then the values of a run's p + 1 temporal modes
+    (`SlabSolution.modes`) once each, and each is gone before the next is
+    made: the x-derivative is scored against `ux` first.  The samples
     at both point sets follow on the Gauss grid through one stacked `leg`
     and `(2 / tau) dleg` table, Gauss rows first, but are never stored:
     one BLAS update C <- -A B + C per slab (`scipy.linalg.blas.dgemm`)
@@ -239,14 +240,16 @@ def _run_partials(sol: SlabSolution, case: ManufacturedCase, p: int, run: np.nda
         return np.concatenate([_misfit_sq(space, exact, t[:, a:b], basis[..., a:b, :], coeffs)
                                for a, b in zip(cuts[:-1], cuts[1:])], axis=1)
 
-    # gradients, then values, of the run's modes on the Gauss grid, each of
-    # shape (S, p + 1, ngx * ngy), the gradients gone before the values are
-    # made; samples are basis @ modes
+    # the x-derivative, the y-derivative, then the values of the run's modes
+    # on the Gauss grid, each of shape (S, p + 1, ngx * ngy) and each gone
+    # before the next is made; samples are basis @ modes
     modes = sol.modes(run)
     flat = modes.reshape(len(run) * (p + 1), space.n_dofs)
-    gx, gy = (g.reshape(modes.shape[:2] + (-1,)) for g in space.eval_grad_gauss(flat))
-    h1 = misfit_sq(case.ux, t, leg, gx) + misfit_sq(case.uy, t, leg, gy)
-    del gx, gy
+
+    def grad(axis):
+        return space.eval_grad_gauss(flat, axis).reshape(modes.shape[:2] + (-1,))
+
+    h1 = misfit_sq(case.ux, t, leg, grad(0)) + misfit_sq(case.uy, t, leg, grad(1))
     vals = space.eval_gauss(flat).reshape(modes.shape[:2] + (-1,))
     dl2 = misfit_sq(case.du, t, dt_leg, vals)
     # u at the equispaced samples alone, cut where the others are

@@ -76,31 +76,35 @@ def laplacian_norms(sol: SlabSolution, m: int) -> np.ndarray:
     """Broken-Laplacian L2 norms of slabs 0..m, shape (m + 1, 2), read-only.
 
     Row n holds the norms of slab n's top Legendre mode and of its
-    derivative jump (`SlabSolution.jumps`), the rule-independent factors of
-    its eta2 term.  They are the rows of the solution's table
-    `SlabSolution.lap`: the known rows are read, and the others computed and
-    written there, so a second call costs nothing.  The slabs go through the
-    space kernel in stacks of at most `slabsolver.STACK_BUDGET` Gauss-grid
-    values, at least one slab each, whatever their degrees; each slab's
-    norms have the same bits in any stack.  The top modes of a stack take
-    one product per stretch of one degree, which gives each slab the bits
-    of its own product.
+    derivative jump, the rule-independent factors of its eta2 term.  They
+    are the rows of the solution's table `SlabSolution.lap`: the known rows
+    are read, and the others computed and written there, so a second call
+    costs nothing.  Each stretch of consecutive unknown rows goes through
+    the space kernel in stacks of at most `slabsolver.STACK_BUDGET`
+    Gauss-grid values, at least one slab each, whatever their degrees, and
+    each stack's jumps are its chunk of `SlabSolution._jump_rows`; each
+    slab's norms have the same bits in any stack.  The top modes of a
+    stack take one product per stretch of one degree, which gives each
+    slab the bits of its own product.
     """
     m = _target(sol, m)
     grid, space, lap = sol.grid, sol.space, sol.lap
     missing = np.flatnonzero(np.isnan(lap[:m + 1, 0]))
     size = max(1, slabsolver.STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
-    for start in range(0, len(missing), size):
-        chunk = missing[start:start + size]
-        tops = np.empty((len(chunk), space.n_dofs))
+    # the jump chunks of each stretch of consecutive unknown rows
+    stretches = np.split(missing, np.flatnonzero(np.diff(missing) > 1) + 1)
+    chunks = (chunk for stretch in stretches if len(stretch)
+              for chunk in sol._jump_rows(int(stretch[0]), int(stretch[-1]) + 1, size))
+    for a, b, jumps in chunks:
+        tops = np.empty((b - a, space.n_dofs))
         done = 0
         # the chunk's stretches of one degree, uncut: it is within the budget
-        for p, run in slabsolver._runs(grid, chunk, lambda p: 0):
+        for p, run in slabsolver._runs(grid, range(a, b), lambda p: 0):
             tops[done:done + len(run)] = (
                 nodal_to_modal(p)[p] @ np.stack([sol.blocks[n] for n in run.tolist()]))
             done += len(run)
-        lap[chunk, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
-        lap[chunk, 1] = space.l2_norm(space.eval_laplacian_gauss(sol.jumps[chunk]))
+        lap[a:b, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
+        lap[a:b, 1] = space.l2_norm(space.eval_laplacian_gauss(jumps))
     out = lap[:m + 1].view()
     out.flags.writeable = False
     return out

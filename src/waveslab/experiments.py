@@ -52,7 +52,8 @@ Every known key's value is validated, whichever suite it is given to.
 Refused are unknown keys, keys that the suite and case do not read, and
 numbers that the package-wide rule refuses (booleans, strings such as a
 quoted ``"2"``, infinite or nan values, fractional values of integer
-keys); all validation problems are reported at once.
+keys); all validation problems are reported at once.  A plain number in
+exponent form, ``1e-5`` as well as ``1.0e-5``, is a float (`_Loader`).
 A fixed configuration yields identical CSV output up to the wall time
 column.
 """
@@ -61,6 +62,7 @@ from __future__ import annotations
 
 import csv
 import os
+import re
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -143,9 +145,25 @@ class Config:
             raise AttributeError(key) from exc
 
 
+class _Loader(yaml.SafeLoader):
+    """PyYAML's safe loader, which also reads 1e-5 and 5E-1 as floats.
+
+    YAML 1.1, which PyYAML follows, resolves a plain scalar to a float only
+    with a dot and a signed exponent (1.0e-5), and left 1e-5 a string,
+    which the config then refused as not numeric.  A quoted "1e-5" stays a
+    string.
+    """
+
+
+_Loader.add_implicit_resolver(
+    "tag:yaml.org,2002:float",
+    re.compile(r"^[-+]?[0-9]+(?:\.[0-9]*)?[eE][-+]?[0-9]+$"),
+    list("-+0123456789"))
+
+
 def _read_yaml(text: str) -> dict:
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         raise ConfigError([f"malformed YAML: {exc}"]) from exc
     if not isinstance(raw, dict):

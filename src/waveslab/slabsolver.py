@@ -473,8 +473,11 @@ class SlabSolution:
     `data` is the problem the march solved.
 
     A solution is a finished value: `blocks` is a tuple, and the blocks and
-    `u1h` are made read-only at construction, so `jumps`, computed on first
-    use, stays in step with them.  Solutions compare and hash by identity.
+    `u1h` are made read-only at construction, so the derivative jumps stay
+    in step with them.  Its passes take the jumps a run and a chunk at a
+    time (`_jump_rows`), so none holds the N x n_dofs table `jumps`, which
+    is built on first read for whoever asks for it.  Solutions compare and
+    hash by identity.
 
     Every solution carries its per-slab values from construction, NaN
     until known, as attributes that are not fields (`dataclasses.replace`
@@ -531,51 +534,75 @@ class SlabSolution:
         p = int(self.grid.degrees[slabs[0]])
         return nodal_to_modal(p) @ np.stack([self.blocks[n] for n in slabs])
 
+    def _jump_rows(self, first: int, stop: int, size: int):
+        """Derivative jumps of slabs first..stop-1, in chunks of at most `size` rows.
+
+        Yields (a, b, rows) for the slabs a..b-1 of each chunk, in order,
+        rows of shape (b - a, n_dofs): a view of one buffer, which the next
+        chunk overwrites.  Row n is the one-sided time derivative of slab n
+        at t_n minus that of slab n - 1; for n = 0 the prescribed projected
+        velocity acts as the incoming derivative.  A chunk's slabs go
+        through the march's runs of one degree (`_runs`): one product per
+        run gives every left and every right derivative, each row is the
+        same one subtraction whatever the runs and chunks, and each run
+        hands its last right derivative to the next.  For first > 0, slab
+        first - 1 gives it from a product of its own.
+        """
+        grid, d = self.grid, self.space.n_dofs
+        scale = (2.0 / np.diff(grid.nodes))[:, None]
+
+        def derivatives(p, a, b):
+            # left and right derivatives of slabs a..b-1, of degree p; a run
+            # of one slab reads its block in place
+            ref = reference_blocks(p)
+            stack = np.stack(self.blocks[a:b]) if b - a > 1 else self.blocks[a][None]
+            return (scale[a:b] * (ref["dphi_left"] @ stack),
+                    scale[a:b] * (ref["dphi_right"] @ stack))
+
+        incoming = (self.u1h if first == 0
+                    else derivatives(int(grid.degrees[first - 1]), first - 1, first)[1][0])
+        chunk = np.empty((min(size, stop - first), d))
+        for start in range(first, stop, size):
+            end = min(start + size, stop)
+            for p, slabs in _runs(grid, range(start, end), lambda p: (2 * p + 2) * d):
+                a, b = int(slabs[0]), int(slabs[-1]) + 1
+                rows, right = derivatives(p, a, b)
+                rows[0] -= incoming
+                rows[1:] -= right[:-1]
+                incoming = right[-1]
+                chunk[a - start:b - start] = rows
+            yield start, end, chunk[:end - start]
+
     @cached_property
     def jumps(self) -> np.ndarray:
         """Derivative jumps at the left node of every interval, shape (N, n_dofs).
 
-        Row n is the one-sided time derivative of interval n at t_n minus
-        that of interval n - 1; for n = 0 the prescribed projected velocity
-        acts as the incoming derivative.  The intervals go through the
-        march's runs of one degree (`_runs`): one product per run gives
-        every left and every right derivative, and each row is the same
-        one subtraction whatever the runs.  Computed once per solution and
-        read-only: the estimator, error norms and stability check share it.
+        The rows of `_jump_rows` in one chunk, computed on first use and
+        read-only.  No pass of the package reads this table: `jump_sq` and
+        `estimator.laplacian_norms` take the rows they need a chunk at a
+        time.
         """
-        grid, d = self.grid, self.space.n_dofs
-        out = np.empty((grid.n_intervals, d))
-        scale = (2.0 / np.diff(grid.nodes))[:, None]
-        incoming = self.u1h
-        for p, slabs in _runs(grid, range(grid.n_intervals), lambda p: (2 * p + 2) * d):
-            ref = reference_blocks(p)
-            first, stop = int(slabs[0]), int(slabs[-1]) + 1
-            # a run of one slab reads its block in place
-            stack = (np.stack(self.blocks[first:stop]) if stop - first > 1
-                     else self.blocks[first][None])
-            out[first:stop] = scale[first:stop] * (ref["dphi_left"] @ stack)
-            right = scale[first:stop] * (ref["dphi_right"] @ stack)
-            out[first] -= incoming
-            out[first + 1:stop] -= right[:-1]
-            incoming = right[-1]
+        n = self.grid.n_intervals
+        _, _, out = next(self._jump_rows(0, n, n))
         out.flags.writeable = False
         return out
 
     @property
     def jump_sq(self) -> np.ndarray:
-        """Squared mass norms of the rows of `jumps`, shape (N,), read-only.
+        """Squared mass norms of the derivative jumps, shape (N,), read-only.
 
         The same array on every read: the estimator's eta1, the error norms'
         jump term and the stability check's jump sum all read it.  The
         unknown rows are a suffix (a resumed march knows those of its copied
-        slabs), filled on first read by one `m_inner` of those rows of
-        `jumps`, a view, so a fresh solution takes one product of all of
-        them, without a copy.
+        slabs), filled on first read from `_jump_rows` in chunks of at most
+        `STACK_BUDGET // n_dofs` rows, one `m_inner` per chunk; a row has
+        the bits of one product of all of them.
         """
         if np.isnan(self._jump_sq[-1]):
             start = int(np.argmax(np.isnan(self._jump_sq)))
-            rows = self.jumps[start:]
-            self._jump_sq[start:] = self.space.m_inner(rows, rows)
+            size = max(1, STACK_BUDGET // max(self.space.n_dofs, 1))
+            for a, b, rows in self._jump_rows(start, len(self._jump_sq), size):
+                self._jump_sq[a:b] = self.space.m_inner(rows, rows)
         return self._jump_sq_view
 
 
@@ -676,7 +703,11 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     rows, the rows its solve then overwrites (`_slab_loads`): the loads
     take no array of their own.  The factorized slab operator is reused
     whenever the degree repeats and the length agrees to 12 significant
-    digits, so slabs of a uniform or bisected grid share it.  The factorizations are kept on
+    digits, so slabs of a uniform or bisected grid share it.  Once the
+    loads are in the rows, each key the space lacks is factorized from the
+    first slab in grid order that the march solves with it, before the run
+    buffers below are made, so the factorization's work memory and those
+    buffers are never held at once.  The factorizations are kept on
     the space (`space.slab_lu`), so a later march on the same space reuses
     them too, as the nested grids of adaptive bisection do; each march
     first drops every kept factorization its own grid does not use, so at
@@ -773,6 +804,18 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
     factors = space.slab_lu
     for key in set(factors) - set(lu_keys):
         del factors[key]
+    # every missing key from its first solved slab in grid order, before
+    # the run buffers below exist: no two columns share a pattern, so
+    # supernodal panels have nothing to group, and one-column panels give
+    # the same factors bit for bit, at d = 7 921, p = 3 in 3.6 ms against
+    # 8.8 ms with +2.6 MB of work memory against +9.5 MB, and at
+    # d = 128 881 in 69 against 189 ms, +36 against +148 MB (2-core x86-64
+    # VM, one BLAS thread)
+    for n in range(resumed, grid.n_intervals):
+        key = lu_keys[n]
+        if key not in factors:
+            factors[key] = spla.splu(slab_operator(int(grid.degrees[n]), float(taus[n]), s),
+                                     permc_spec="NATURAL", panel_size=1, relax=1)
     ends = [record.end for record in records[:resumed]]
     history = np.empty((3, d))  # V^T of M u', M u and K u at the slab's left end
     # previous slab's end derivative and value, in eigen-coordinates
@@ -795,23 +838,13 @@ def march(data: ProblemData, space: TensorSpace, grid: TimeGrid, *,
         inverse = 2.0 / tau
         weights = ref["history"] * np.stack((np.ones(count), inverse, 0.5 * tau), axis=1)[:, None]
         for j, n in enumerate(range(first, stop)):
-            key = lu_keys[n]
-            if key not in factors:
-                # no two columns share a pattern, so supernodal panels have
-                # nothing to group: one-column panels give the same factors
-                # bit for bit, at d = 7 921, p = 3 in 3.6 ms against 8.8 ms
-                # with +2.6 MB of work memory against +9.5 MB, and at
-                # d = 128 881 in 69 against 189 ms, +36 against +148 MB
-                # (2-core x86-64 VM, one BLAS thread)
-                factors[key] = spla.splu(slab_operator(p, float(tau[j]), s),
-                                         permc_spec="NATURAL", panel_size=1, relax=1)
             nodal = run[j * p:(j + 1) * p + 1]
 
             history[1] = nodal[0]
             np.multiply(s, nodal[0], out=history[2])
             rhs = weights[j] @ history
             rhs += values[starts[n] + 1:starts[n + 1] + 1]
-            nodal[1:] = factors[key].solve(rhs.ravel()).reshape(p, d) if d else 0.0
+            nodal[1:] = factors[lu_keys[n]].solve(rhs.ravel()).reshape(p, d) if d else 0.0
             # the slab's end derivative, which the next slab takes in
             np.multiply(inverse[j], ref["dphi_right"] @ nodal, out=history[0])
             if kept is not None:

@@ -298,9 +298,18 @@ class TensorSpace:
         """Finite element function values on the global Gauss grid."""
         return self._to_grid(vec, self._kx[0], self._ky[0])
 
-    def eval_grad_gauss(self, vec: np.ndarray):
+    def eval_grad_gauss(self, vec: np.ndarray, axis: int) -> np.ndarray:
+        """One gradient component on the global Gauss grid: d/dx for axis 0, d/dy for 1.
+
+        A caller that needs both takes them one at a time, so that the first
+        can be gone before the second is made.
+        """
         (ex, dx, _), (ey, dy, _) = self._kx, self._ky
-        return self._to_grid(vec, dx, ey), self._to_grid(vec, ex, dy)
+        if axis == 0:
+            return self._to_grid(vec, dx, ey)
+        if axis == 1:
+            return self._to_grid(vec, ex, dy)
+        raise ValueError(f"axis must be 0 (d/dx) or 1 (d/dy), got {axis!r}")
 
     def eval_laplacian_gauss(self, vec: np.ndarray) -> np.ndarray:
         """Elementwise second derivatives summed, on the global Gauss grid.

@@ -97,6 +97,10 @@ MUTANTS = [
     Mutant("slab LU with SuperLU's default panels", "src/waveslab/slabsolver.py",
            'permc_spec="NATURAL", panel_size=1, relax=1)', 'permc_spec="NATURAL")',
            killer="tests/test_slabsolver.py::test_slab_operator_is_the_kronecker_sum_in_natural_order[2]"),
+    Mutant("a key is factorized from a later slab's length", "src/waveslab/slabsolver.py",
+           "    for n in range(resumed, grid.n_intervals):\n        key = lu_keys[n]\n",
+           "    for n in reversed(range(resumed, grid.n_intervals)):\n        key = lu_keys[n]\n",
+           killer="tests/test_slabsolver.py::test_each_key_is_factorized_from_its_first_solved_slab"),
     Mutant("temporal degree above MAX_TIME_DEGREE accepted", "src/waveslab/slabsolver.py",
            "np.any((degrees < 2) | (degrees > MAX_TIME_DEGREE))", "np.any(degrees < 2)",
            killer="tests/test_numbers.py::test_uniform_grid"),
@@ -185,10 +189,19 @@ MUTANTS = [
            "else values[starts[n] + 1:starts[n + 1] + 1].copy())",
            "else values[starts[n] + 1:starts[n + 1] + 1])",
            killer="tests/test_acceptance.py::test_criterion_10_adaptive_beats_uniform"),
+    # the derivative jumps, a run and a chunk at a time
     Mutant("jumps subtract slab n's right derivative where slab n - 1's belongs",
            "src/waveslab/slabsolver.py",
-           "out[first + 1:stop] -= right[:-1]", "out[first + 1:stop] -= right[1:]",
-           killer="tests/test_acceptance.py::test_criterion_4_smooth_convergence_orders"),
+           "rows[1:] -= right[:-1]", "rows[1:] -= right[1:]",
+           killer="tests/test_batched_kernel.py::test_jump_rows_have_the_bits_of_one_table[repeated-1200]"),
+    Mutant("a run's first jump row subtracts u1h for the previous slab's end derivative",
+           "src/waveslab/slabsolver.py",
+           "rows[0] -= incoming", "rows[0] -= self.u1h",
+           killer="tests/test_batched_kernel.py::test_jump_rows_have_the_bits_of_one_table[mixed-None]"),
+    Mutant("jumps from a later first slab take its predecessor's left derivative",
+           "src/waveslab/slabsolver.py",
+           "first - 1, first)[1][0])", "first - 1, first)[0][0])",
+           killer="tests/test_batched_kernel.py::test_jump_rows_have_the_bits_of_one_table[mixed-None]"),
     # the runs every stacked pass takes
     Mutant("a run crosses a degree change", "src/waveslab/slabsolver.py",
            "edges = [0, *(np.flatnonzero(degrees[1:] != degrees[:-1]) + 1).tolist(), len(slabs)]",
@@ -304,6 +317,9 @@ MUTANTS = [
     Mutant("u cut where the Gauss rows are", "src/waveslab/errors.py",
            "[max(c - ng, 0) for c in cuts]", "cuts",
            killer="tests/test_batched_kernel.py::test_an_over_budget_slab_calls_each_exact_callable_once_per_half"),
+    Mutant("uy scored against the x-derivative", "src/waveslab/errors.py",
+           "misfit_sq(case.uy, t, leg, grad(1))", "misfit_sq(case.uy, t, leg, grad(0))",
+           killer="tests/test_acceptance.py::test_criterion_4_smooth_convergence_orders"),
     Mutant("modes flattened with an inferred row count", "src/waveslab/errors.py",
            "modes.reshape(len(run) * (p + 1), space.n_dofs)", "modes.reshape(-1, space.n_dofs)",
            killer="tests/test_errors.py::test_a_space_without_interior_dofs_scores_the_exact_solution_alone[1-1-1]"),

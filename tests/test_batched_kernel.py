@@ -71,7 +71,7 @@ def test_space_kernel_matches_element_loops(degree):
 
     batched = {
         "eval": space.eval_gauss(vecs),
-        "grad": np.stack(space.eval_grad_gauss(vecs), axis=1),
+        "grad": np.stack([space.eval_grad_gauss(vecs, axis) for axis in (0, 1)], axis=1),
         "lap": space.eval_laplacian_gauss(vecs),
         "load": space.load_vector(vals),
         "load_grad": space.load_vector_grad(vals, wals),
@@ -83,7 +83,7 @@ def test_space_kernel_matches_element_loops(degree):
         v, f, g = vecs[k], vals[k], wals[k]
         single = {
             "eval": space.eval_gauss(v),
-            "grad": np.stack(space.eval_grad_gauss(v)),
+            "grad": np.stack([space.eval_grad_gauss(v, axis) for axis in (0, 1)]),
             "lap": space.eval_laplacian_gauss(v),
             "load": space.load_vector(f),
             "load_grad": space.load_vector_grad(f, g),
@@ -133,7 +133,7 @@ def test_dense_and_local_forms_agree(monkeypatch, nx, ny, domain, degree):
     wals = rng.standard_normal(vals.shape)
     terms = (
         lambda s, k: s.eval_gauss(vecs[k]),
-        lambda s, k: np.stack(s.eval_grad_gauss(vecs[k])),
+        lambda s, k: np.stack([s.eval_grad_gauss(vecs[k], axis) for axis in (0, 1)]),
         lambda s, k: s.eval_laplacian_gauss(vecs[k]),
         lambda s, k: s.load_vector(vals[k]),
         lambda s, k: s.load_vector_grad(vals[k], wals[k]),
@@ -395,18 +395,19 @@ def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
     sol = march(data, space, grid)
     calls = []
     for name in ("eval_gauss", "eval_grad_gauss"):
-        def counted(self, vec, name=name, real=getattr(TensorSpace, name)):
-            calls.append((name, np.shape(vec)))
-            return real(self, vec)
+        def counted(self, vec, *axis, name=name, real=getattr(TensorSpace, name)):
+            calls.append((name, *axis, np.shape(vec)))
+            return real(self, vec, *axis)
         monkeypatch.setattr(TensorSpace, name, counted)
 
     compute_errors(sol, case)
     expected = []
     cost = slabsolver._sample_cost(space, "gauss", "equispaced")
     for p, slabs in slabsolver._runs(grid, range(grid.n_intervals), cost):
-        # the gradients first, so that they are gone before the values come
+        # d/dx, d/dy, then the values, each gone before the next comes
         rows = (len(slabs) * (p + 1), space.n_dofs)
-        expected += [("eval_grad_gauss", rows), ("eval_gauss", rows)]
+        expected += [("eval_grad_gauss", 0, rows), ("eval_grad_gauss", 1, rows),
+                     ("eval_gauss", rows)]
     assert calls == expected
     calls.clear()
     stability_check(sol, data)
@@ -444,21 +445,25 @@ def test_error_norms_sample_within_the_stack_budget(monkeypatch, run, samples):
         assert_close(errs[key], value)
 
 
-def test_one_jump_evaluation_serves_a_whole_level(monkeypatch):
-    # the jumps and their squared mass norms are each computed once, and
-    # the norms take the level's only mass product of the jumps
+@pytest.mark.parametrize("budget", [None, 1, 12, 18])
+def test_the_passes_take_the_jumps_a_chunk_at_a_time(monkeypatch, budget):
+    # no pass builds the N x d table of jumps, and their squared norms take
+    # one mass product per chunk of at most STACK_BUDGET // d rows, once
+    # per level
     case, data, space, grid = mixed_degree_run()
+    if budget is not None:
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
     sol = march(data, space, grid)
     calls = []
     real = slabsolver.SlabSolution.jumps.func
     real_inner = TensorSpace.m_inner
 
     def counted(self):
-        calls.append(self)
+        calls.append("jumps")
         return real(self)
 
     def counted_inner(self, u, v):
-        calls.append("m_inner")
+        calls.append(("m_inner", len(u), u is v))
         return real_inner(self, u, v)
 
     monkeypatch.setattr(slabsolver.SlabSolution.jumps, "func", counted)
@@ -467,7 +472,60 @@ def test_one_jump_evaluation_serves_a_whole_level(monkeypatch):
     compute_errors(sol, case)
     stability_check(sol, data)
     quadrature_check(sol, data, report, tol=np.inf)
-    assert calls == [sol, "m_inner"]
+    size, count = max(1, slabsolver.STACK_BUDGET // space.n_dofs), grid.n_intervals
+    assert calls == [("m_inner", min(size, count - a), True) for a in range(0, count, size)]
+
+
+def jump_cases():
+    """(grid, STACK_BUDGET) for the jump passes on a Q2 space (d = 35, 588
+    Gauss-grid values per slab): mixed degrees, repeated degrees and one
+    degree, with runs and chunks that cut across each other."""
+    grids = {"mixed": mixed_degree_run()[3], "repeated": repeated_degree_run()[3],
+             "uniform": TimeGrid.uniform(1.0, 7, 2)}
+    cases = [("mixed", None), ("mixed", 1), ("repeated", 1), ("repeated", 105),
+             ("repeated", 420), ("repeated", 1200), ("uniform", 1200), ("uniform", 1800)]
+    return [pytest.param(grids[name], budget, id=f"{name}-{budget}") for name, budget in cases]
+
+
+@pytest.mark.parametrize("grid, budget", jump_cases())
+def test_jump_rows_have_the_bits_of_one_table(monkeypatch, grid, budget):
+    # the rows of every chunk, from any first slab, are those of the slab
+    # loop of the reference, and the squared norms and Laplacian norms
+    # taken a chunk at a time have the bits of one product of the whole
+    # table, also on a resumed solution
+    case, data, _, _ = mixed_degree_run()
+    space = TensorSpace(4, 3, 2)
+    if budget is not None:
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+    kept = {}
+    first = march(data, space, grid, kept=kept)
+    count = grid.n_intervals
+    table = np.stack([slow.jump(first, n) for n in range(count)])
+    for start in range(count):
+        for size in range(1, count + 1):
+            chunks = [(a, b, rows.copy()) for a, b, rows in first._jump_rows(start, count, size)]
+            assert [a for a, _, _ in chunks] == list(range(start, count, size))
+            assert np.array_equal(np.concatenate([rows for _, _, rows in chunks]), table[start:])
+            assert all(b - a == len(rows) <= size for a, b, rows in chunks)
+    assert np.array_equal(first.jumps, table)
+    assert np.array_equal(first.jump_sq, space.m_inner(table, table))
+    lap = laplacian_norms(first, count - 1)[:, 1]
+    assert np.array_equal(lap, space.l2_norm(space.eval_laplacian_gauss(table)))
+    assert np.all(lap > 0.0)
+
+    # slabs 0 and 1 are copied, the rest solved again
+    resumed = march(data, space, bisect(grid, [2]), kept=kept)
+    table = np.stack([slow.jump(resumed, n) for n in range(count + 1)])
+    norms = resumed.jump_sq
+    assert np.array_equal(norms[:2], first.jump_sq[:2])
+    assert np.array_equal(norms, space.m_inner(table, table))
+    lap = laplacian_norms(resumed, count).copy()
+    assert np.array_equal(lap[:, 1], space.l2_norm(space.eval_laplacian_gauss(table)))
+    # known rows are read, whatever they hold, and only the unknown ones
+    # computed, also where they are not a suffix
+    resumed.lap[::2], resumed.lap[1::2] = -1.0, np.nan
+    again = laplacian_norms(resumed, count)
+    assert np.all(again[::2] == -1.0) and np.array_equal(again[1::2], lap[1::2])
 
 
 def test_jumps_and_estimator_match_per_slab_loops():

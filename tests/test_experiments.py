@@ -467,6 +467,29 @@ def test_cli_honors_config_out_key(tmp_path, monkeypatch):
     assert (tmp_path / "here.csv").exists()
 
 
+@pytest.mark.parametrize("key, text, value", [
+    ("eta_tol", "1e-5", 1e-5), ("eta_tol", "1E-5", 1e-5), ("eta_tol", "+1e-05", 1e-5),
+    ("theta", "5e-1", 0.5), ("theta", "5.e-1", 0.5), ("T", "2e0", 2.0),
+    ("initial_n", "4e0", 4), ("eta_tol", "1.0e-5", 1e-5), ("eta_tol", "0", 0.0),
+])
+def test_yaml_exponent_numbers_are_floats(key, text, value):
+    # YAML 1.1 reads a float only with a dot and a signed exponent, so
+    # `eta_tol: 1e-5` was the string '1e-5' and the config was refused
+    cfg = parse_config(f"suite: adaptive\ncase: case1\n{key}: {text}\n")
+    assert getattr(cfg, key) == value
+
+
+def test_an_exponent_step_list_runs_and_a_quoted_exponent_is_refused(tmp_path, capsys):
+    cfg = _write_config(tmp_path, "suite: tau_refine\ncase: case1\nh: 1.0\ntau_list: [5e-1]\n")
+    assert parse_config(cfg).tau_list == [0.5]
+    assert main(["run", str(cfg), "--out", str(tmp_path / "x.csv")]) == 0
+    capsys.readouterr()
+    quoted = _write_config(tmp_path, 'suite: adaptive\ncase: case1\neta_tol: "1e-5"\n')
+    assert main(["run", str(quoted), "--out", str(tmp_path / "y.csv")]) == 1
+    assert "config error: eta_tol must be numeric, got '1e-5'" in capsys.readouterr().err
+    assert not (tmp_path / "y.csv").exists()
+
+
 def test_cli_config_problems_exit_1(tmp_path, capsys):
     cfg = _write_config(tmp_path, "suite: tau_refine\ncase: case1\n")
     assert main(["run", str(cfg)]) == 1

@@ -578,6 +578,67 @@ def test_a_warm_march_holds_no_array_of_loads_beside_its_rows():
     assert peak < 2 * rows.nbytes, f"{peak / 2**20:.2f} MiB"
 
 
+def test_post_processing_stays_under_the_warm_march_peak():
+    # case3 at d = 7 921, 20 slabs of degree 3: the estimate, the error
+    # norms and the stability check each keep the traced peak at or below
+    # that of a warm march, which holds the solution (6.24 MiB).  With the
+    # N x d table of jumps, whose squared norms took one mass product of
+    # all of it, the estimate reached 7.39 MiB
+    case = make_case("case3", m=1, n=1, omega=float(np.sqrt(2.0)))
+    data = problem_data(case)
+    space, grid = TensorSpace(30, 30, 3), TimeGrid.uniform(1.0, 20, 3)
+    march(data, space, grid)  # factorizes the slab operator
+    peaks = {}
+    tracemalloc.start()
+    try:
+        sol = march(data, space, grid)
+        peaks["march"] = tracemalloc.get_traced_memory()[1]
+        for name, run in (("estimate", lambda: estimate(sol, data)),
+                          ("compute_errors", lambda: compute_errors(sol, case)),
+                          ("stability_check", lambda: stability_check(sol, data))):
+            tracemalloc.reset_peak()
+            run()
+            peaks[name] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    mib = {name: f"{peak / 2**20:.2f} MiB" for name, peak in peaks.items()}
+    assert all(peak <= peaks["march"] for peak in peaks.values()), mib
+
+
+def test_each_key_is_factorized_from_its_first_solved_slab():
+    # the lengths 0.1 of these nodes share one key but not all their bits:
+    # a key's factorization is built from the first slab in grid order
+    # that a march solves, as the factorizations of a slab loop would be
+    data = problem_data(make_case("case1"))
+    space = TensorSpace(3, 3, 2)
+    grid = TimeGrid(np.array([0.0, 0.1, 0.2, 0.3, 0.4, 0.5]), np.full(5, 2))
+    kept = {}
+
+    def check(grid, first):
+        taus = np.diff(grid.nodes)
+        rhs = rng.standard_normal(2 * space.n_dofs)
+        for key, lu in space.slab_lu.items():
+            slabs = [n for n in range(first, grid.n_intervals)
+                     if (int(grid.degrees[n]), f"{taus[n]:.11e}") == key]
+            if not slabs:
+                continue  # kept from an earlier march
+            operators = [slabsolver.slab_operator(key[0], float(taus[n]), space.stiffness_eigs)
+                         for n in slabs]
+            solves = [spla.splu(a, permc_spec="NATURAL", panel_size=1, relax=1).solve(rhs)
+                      for a in operators]
+            assert np.array_equal(lu.solve(rhs), solves[0])
+            assert not all(np.array_equal(solve, solves[0]) for solve in solves[1:])
+
+    march(data, space, grid, kept=kept)
+    check(grid, 0)
+    # slabs 2, 3 and 4 are bisected and solved again; their halves share
+    # one new key
+    bisect_grid = bisect(grid, [2, 3, 4])
+    assert len(set(slab_keys(bisect_grid)) - set(slab_keys(grid))) == 1
+    march(data, space, bisect_grid, kept=kept)
+    check(bisect_grid, 2)
+
+
 def test_march_drops_loads_its_grid_does_not_use():
     data = problem_data(make_case("case2", alpha=1.75))
     space = TensorSpace(2, 2, 1)

@@ -88,7 +88,7 @@ def test_member_function_is_reproduced():
     assert np.allclose(space.l2_project(bump), coeffs, atol=1e-11)
     assert np.allclose(space.elliptic_project(bump_x, bump_y), coeffs, atol=1e-10)
     assert np.allclose(space.eval_gauss(coeffs), space.grid_eval(bump), atol=1e-12)
-    gx, gy = space.eval_grad_gauss(coeffs)
+    gx, gy = (space.eval_grad_gauss(coeffs, axis) for axis in (0, 1))
     assert np.allclose(gx, space.grid_eval(bump_x), atol=1e-11)
     assert np.allclose(gy, space.grid_eval(bump_y), atol=1e-11)
 
@@ -245,8 +245,10 @@ def test_load_vector_matches_mass_action():
     M, K = slow.mass_stiffness(space)
     load = space.load_vector(space.eval_gauss(v))
     assert np.allclose(load, M @ v, atol=1e-12)
-    gx, gy = space.eval_grad_gauss(v)
+    gx, gy = (space.eval_grad_gauss(v, axis) for axis in (0, 1))
     assert np.allclose(space.load_vector_grad(gx, gy), K @ v, atol=1e-11)
+    with pytest.raises(ValueError, match="axis must be 0"):
+        space.eval_grad_gauss(v, 2)
 
 
 @pytest.mark.parametrize("degree", [1, 2, 3])
@@ -259,7 +261,7 @@ def test_interpolation_h1_rate(degree):
     for n in sizes:
         space = TensorSpace(n, n, degree)
         coeffs = slow.interpolate(space, f)
-        gx, gy = space.eval_grad_gauss(coeffs)
+        gx, gy = (space.eval_grad_gauss(coeffs, axis) for axis in (0, 1))
         dx = gx - space.grid_eval(fx)
         dy = gy - space.grid_eval(fy)
         errs.append(space.h1_semi_norm(dx, dy))
