@@ -23,11 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import slabsolver
 from ._numbers import number
 from .slabsolver import ProblemData, SlabSolution, _forcing_rows, _short_buffer, reference_blocks
 from .spacefem import _sqrt_pos
-from .timebasis import c3_constant, c4_constant, nodal_to_modal, reconstruction_constants
+from .timebasis import c3_constant, c4_constant, reconstruction_constants
 
 
 def _distinct(degrees: np.ndarray) -> list:
@@ -78,34 +77,14 @@ def laplacian_norms(sol: SlabSolution, m: int) -> np.ndarray:
     Row n holds the norms of slab n's top Legendre mode and of its
     derivative jump, the rule-independent factors of its eta2 term.  They
     are the rows of the solution's table `SlabSolution.lap`: the known rows
-    are read, and the others computed and written there, so a second call
-    costs nothing.  Each stretch of consecutive unknown rows goes through
-    the space kernel in stacks of at most `slabsolver.STACK_BUDGET`
-    Gauss-grid values, at least one slab each, whatever their degrees, and
-    each stack's jumps are its chunk of `SlabSolution._jump_rows`; each
-    slab's norms have the same bits in any stack.  The top modes of a
-    stack take one product per stretch of one degree, which gives each
-    slab the bits of its own product.
+    are read, and the others computed and written there by
+    `SlabSolution._fill_laplacians`, which takes the squared jump norms of
+    `jump_sq` from the same jumps, so a second call costs nothing.  Each
+    slab's norms have the same bits in any stack.
     """
     m = _target(sol, m)
-    grid, space, lap = sol.grid, sol.space, sol.lap
-    missing = np.flatnonzero(np.isnan(lap[:m + 1, 0]))
-    size = max(1, slabsolver.STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
-    # the jump chunks of each stretch of consecutive unknown rows
-    stretches = np.split(missing, np.flatnonzero(np.diff(missing) > 1) + 1)
-    chunks = (chunk for stretch in stretches if len(stretch)
-              for chunk in sol._jump_rows(int(stretch[0]), int(stretch[-1]) + 1, size))
-    for a, b, jumps in chunks:
-        tops = np.empty((b - a, space.n_dofs))
-        done = 0
-        # the chunk's stretches of one degree, uncut: it is within the budget
-        for p, run in slabsolver._runs(grid, range(a, b), lambda p: 0):
-            tops[done:done + len(run)] = (
-                nodal_to_modal(p)[p] @ np.stack([sol.blocks[n] for n in run.tolist()]))
-            done += len(run)
-        lap[a:b, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
-        lap[a:b, 1] = space.l2_norm(space.eval_laplacian_gauss(jumps))
-    out = lap[:m + 1].view()
+    sol._fill_laplacians(m + 1)
+    out = sol.lap[:m + 1].view()
     out.flags.writeable = False
     return out
 
@@ -223,12 +202,20 @@ def estimate(
     is the final slab.  Oscillation terms are always computed and reported
     apart from `eta`.
 
-    The solution's known Laplacian norms and forcing defects
-    (`SlabSolution.lap`, `osc_l1`) are read, not computed again, and the
-    others are computed and kept there (`laplacian_norms`, `osc_terms`).
-    Each has the bits a fresh evaluation gives, and the weights are applied
-    after the lookup, so the report is the one a fresh solution gives.
+    The solution's known squared jump norms, Laplacian norms and forcing
+    defects (`SlabSolution.jump_sq`, `lap`, `osc_l1`) are read, not
+    computed again, and the others are computed and kept there
+    (`laplacian_norms`, `osc_terms`).  Each has the bits a fresh evaluation
+    gives, and the weights are applied after the lookup, so the report is
+    the one a fresh solution gives.  When the target is the final slab,
+    the Laplacian norms of every slab are filled first, and their pass
+    gives eta1 its squared jump norms, so each jump is derived once.  A
+    localized estimate needs every jump norm before it knows m; it then
+    derives the jumps of slabs 0..m a second time for their Laplacian
+    norms, and computes none past m.
     """
+    if not localized:
+        sol._fill_laplacians(sol.grid.n_intervals)
     e1, arg = eta1(sol)
     m = arg if localized else sol.grid.n_intervals - 1
     return EstimatorReport(

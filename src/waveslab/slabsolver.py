@@ -27,7 +27,7 @@ supernodes: the same factors bit for bit as the default panels, in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, wraps
+from functools import lru_cache, wraps
 
 import numpy as np
 import scipy.sparse as sp
@@ -404,10 +404,11 @@ def _load(data: ProblemData, space: TensorSpace, a: np.ndarray, tau: np.ndarray,
     grid_shape = (space.gauss_x.size, space.gauss_y.size)
     p, nq = rule[0][1].shape  # test functions, points per panel
     per_call = max(1, STACK_BUDGET // (len(a) * nq * grid_shape[0] * grid_shape[1]))
+    thetas = np.stack([theta for theta, _ in rule])
     moments = 0.0
     for start in range(0, len(rule), per_call):
         panels = rule[start:start + per_call]
-        times = np.stack([a + tau * theta for theta, _ in panels])  # (panels, S, nq)
+        times = a + tau * thetas[start:start + per_call, None]  # (panels, S, nq)
         samples = space.grid_eval(data.f, times.ravel()).reshape((len(panels), -1) + grid_shape)
         for j, (_, weights) in enumerate(panels):
             moments = moments + weights @ samples[j].reshape(len(a), nq, -1)
@@ -475,22 +476,22 @@ class SlabSolution:
     A solution is a finished value: `blocks` is a tuple, and the blocks and
     `u1h` are made read-only at construction, so the derivative jumps stay
     in step with them.  Its passes take the jumps a run and a chunk at a
-    time (`_jump_rows`), so none holds the N x n_dofs table `jumps`, which
-    is built on first read for whoever asks for it.  Solutions compare and
-    hash by identity.
+    time (`_jump_rows`), so none holds an N x n_dofs table of them.
+    Solutions compare and hash by identity.
 
     Every solution carries its per-slab values from construction, NaN
     until known, as attributes that are not fields (`dataclasses.replace`
     gives the copy tables of its own): `lap` (N, 2), the broken-Laplacian
-    norms of each slab's top mode and jump (`estimator.laplacian_norms`),
-    `osc_l1` (N,), the time L1 norm of each slab's forcing defect
-    (`estimator.osc_terms`), `f_sq` (N,), each slab's squared time L2 norm
-    of the forcing (`stability_check`), both read and filled by
-    `_forcing_rows` alone, `energy` (N,), each slab's energy, the max of
-    |u'|^2 + |u|_H1^2 at its 2 p + 3 equispaced times (`_energies`,
+    norms of each slab's top mode and jump (`_fill_laplacians`, read by
+    `estimator.laplacian_norms`), `osc_l1` (N,), the time L1 norm of each
+    slab's forcing defect (`estimator.osc_terms`), `f_sq` (N,), each slab's
+    squared time L2 norm of the forcing (`stability_check`), both read and
+    filled by `_forcing_rows` alone, `energy` (N,), each slab's energy, the
+    max of |u'|^2 + |u|_H1^2 at its 2 p + 3 equispaced times (`_energies`,
     `stability_check`), `partials` (N, 5), each slab's five error partials
     for `data.exact` (`errors.compute_errors`), and a private column of the
-    squared jump norms (`jump_sq`).  Their readers take the known rows and
+    squared jump norms (`jump_sq`), which `_fill_laplacians` fills too
+    wherever it derives a jump.  Their readers take the known rows and
     fill in the others in place, so a second read computes nothing.  The
     march fills `osc_l1` and `f_sq` from its load's samples and `energy`
     from its solves; a reader that samples a slab's forcing fills both of
@@ -573,19 +574,36 @@ class SlabSolution:
                 chunk[a - start:b - start] = rows
             yield start, end, chunk[:end - start]
 
-    @cached_property
-    def jumps(self) -> np.ndarray:
-        """Derivative jumps at the left node of every interval, shape (N, n_dofs).
+    def _fill_laplacians(self, stop: int) -> None:
+        """Fill the unknown rows of `lap` among slabs 0..stop-1, and their jump norms.
 
-        The rows of `_jump_rows` in one chunk, computed on first use and
-        read-only.  No pass of the package reads this table: `jump_sq` and
-        `estimator.laplacian_norms` take the rows they need a chunk at a
-        time.
+        This is the one writer of `lap`.  Its unknown rows go through
+        `_jump_rows` in chunks of at most `STACK_BUDGET` Gauss-grid values,
+        at least one slab each, whatever their degrees.  Each chunk writes
+        its Laplacian norms and the squared norms of its jumps that
+        `jump_sq` does not know yet, so each of these jumps is derived
+        once.  The known rows of `lap` and of the squared jump norms are
+        thus each a prefix, and that of `lap` is never the longer.  A
+        chunk's top modes take one product per stretch of one degree, which
+        gives each slab the bits of its own product; every row of either
+        table has the bits of one product of all of them.
         """
-        n = self.grid.n_intervals
-        _, _, out = next(self._jump_rows(0, n, n))
-        out.flags.writeable = False
-        return out
+        lap, squares, space = self.lap, self._jump_sq, self.space
+        # the known rows of either table are a prefix
+        start = stop - int(np.count_nonzero(np.isnan(lap[:stop, 0])))
+        if start == stop:
+            return
+        known = len(squares) - int(np.count_nonzero(np.isnan(squares)))
+        size = max(1, STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
+        for a, b, jumps in self._jump_rows(start, stop, size):
+            # the chunk's stretches of one degree, uncut: it is within the budget
+            tops = np.concatenate([nodal_to_modal(p)[p] @ np.stack(self.blocks[run[0]:run[-1] + 1])
+                                   for p, run in _runs(self.grid, range(a, b), lambda p: 0)])
+            lap[a:b, 0] = space.l2_norm(space.eval_laplacian_gauss(tops))
+            lap[a:b, 1] = space.l2_norm(space.eval_laplacian_gauss(jumps))
+            unknown = jumps[max(known - a, 0):]
+            if len(unknown):
+                squares[b - len(unknown):b] = space.m_inner(unknown, unknown)
 
     @property
     def jump_sq(self) -> np.ndarray:
@@ -594,9 +612,10 @@ class SlabSolution:
         The same array on every read: the estimator's eta1, the error norms'
         jump term and the stability check's jump sum all read it.  The
         unknown rows are a suffix (a resumed march knows those of its copied
-        slabs), filled on first read from `_jump_rows` in chunks of at most
-        `STACK_BUDGET // n_dofs` rows, one `m_inner` per chunk; a row has
-        the bits of one product of all of them.
+        slabs, and `_fill_laplacians` fills a prefix), filled on first read
+        from `_jump_rows` in chunks of at most `STACK_BUDGET // n_dofs`
+        rows, one `m_inner` per chunk; a row has the bits of one product of
+        all of them.
         """
         if np.isnan(self._jump_sq[-1]):
             start = int(np.argmax(np.isnan(self._jump_sq)))

@@ -260,10 +260,23 @@ MUTANTS = [
     Mutant("forcing tables read and filled on other points", "src/waveslab/slabsolver.py",
            'own = data is sol.data and points == "gauss"', "own = data is sol.data",
            killer="tests/test_batched_kernel.py::test_other_data_and_other_points_store_no_forcing_terms"),
-    # the estimator
-    Mutant("a chunk's top modes overwrite those of its earlier degrees",
-           "src/waveslab/estimator.py", "done += len(run)", "done += 0",
+    # the Laplacian norms and the squared jump norms, from one pass over the jumps
+    Mutant("a chunk's top modes in reverse order of its degrees", "src/waveslab/slabsolver.py",
+           "range(a, b), lambda p: 0)])", "range(a, b), lambda p: 0)][::-1])",
            killer="tests/test_batched_kernel.py::test_runs_and_stacks_never_change_bits"),
+    Mutant("the top mode taken from row p - 1", "src/waveslab/slabsolver.py",
+           "nodal_to_modal(p)[p] @ np.stack(", "nodal_to_modal(p)[p - 1] @ np.stack(",
+           killer="tests/test_batched_kernel.py::test_jumps_and_estimator_match_per_slab_loops"),
+    Mutant("a chunk's jump norms written one row off", "src/waveslab/slabsolver.py",
+           "squares[b - len(unknown):b]", "squares[b - len(unknown) - 1:b - 1]",
+           killer="tests/test_batched_kernel.py::test_the_passes_take_the_jumps_a_chunk_at_a_time[None]"),
+    Mutant("the Laplacian pass recomputes the known rows", "src/waveslab/slabsolver.py",
+           "start = stop - int(np.count_nonzero(np.isnan(lap[:stop, 0])))", "start = 0",
+           killer="tests/test_batched_kernel.py::test_the_passes_take_the_jumps_a_chunk_at_a_time[None]"),
+    Mutant("an estimate of the final slab derives each jump twice", "src/waveslab/estimator.py",
+           "    if not localized:\n", "    if False:\n",
+           killer="tests/test_batched_kernel.py::test_the_passes_take_the_jumps_a_chunk_at_a_time[None]"),
+    # the estimator
     Mutant("eta1 takes a plain argmax", "src/waveslab/estimator.py",
            "arg = int(np.argmax(vals * (1.0 + 1e-14) >= np.max(vals)))",
            "arg = int(np.argmax(vals))",

@@ -194,11 +194,13 @@ def test_grid_eval_copies_only_arrays_the_callable_may_still_hold():
 
 def mixed_degree_run():
     """case2 on a mixed-degree grid with the graded singular first slab, on a
-    Q1 mesh whose spatial error keeps every norm well above round-off."""
+    Q2 mesh whose spatial error keeps every norm well above round-off.  On a
+    Q1 mesh every broken Laplacian is exactly 0, so the eta2 comparisons
+    built on this run would compare zeros."""
     case = make_case("case2", alpha=1.75)
     data = problem_data(case)
     assert data.singular_load
-    space = TensorSpace(4, 3, 1)
+    space = TensorSpace(4, 3, 2)
     grid = TimeGrid(np.array([0.0, 0.15, 0.4, 0.55, 1.0]), np.array([2, 5, 3, 10]))
     return case, data, space, grid
 
@@ -256,7 +258,7 @@ def test_the_march_forcing_terms_have_the_bits_of_a_fresh_evaluation(monkeypatch
     # graded first slab, stacks the slabs otherwise than a fresh evaluation
     case, data, space, grid = repeated_degree_run()
     data = dataclasses.replace(data, singular_load=singular)
-    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 108)
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 192)
     sol = march(data, space, grid)
     fresh = dataclasses.replace(sol)
     assert np.isnan(fresh.osc_l1).all() and np.isnan(fresh.f_sq).all()
@@ -272,10 +274,11 @@ def test_the_march_forcing_terms_have_the_bits_of_a_fresh_evaluation(monkeypatch
 
 def repeated_degree_run():
     """case2 with the graded first slab on a non-uniform grid whose degrees
-    repeat, so slabs of one degree are batched."""
+    repeat, so slabs of one degree are batched, on the Q2 mesh of
+    `mixed_degree_run`, where the broken Laplacians are not 0."""
     case = make_case("case2", alpha=1.75)
     data = problem_data(case)
-    space = TensorSpace(4, 3, 1)
+    space = TensorSpace(4, 3, 2)
     nodes = np.array([0.0, 0.1, 0.25, 0.3, 0.5, 0.6, 0.8, 1.0])
     grid = TimeGrid(nodes, np.array([2, 2, 3, 2, 3, 3, 2]))
     return case, data, space, grid
@@ -283,11 +286,11 @@ def repeated_degree_run():
 
 def test_repeated_degrees_in_split_chunks_match_per_point_loops(monkeypatch):
     case, data, space, grid = repeated_degree_run()
-    # 14 time samples of the 12 x 9 Gauss grid: two or three slabs per run
+    # 14 time samples of the 16 x 12 Gauss grid: two or three slabs per run
     # at the 4 and 5 "gauss" points of degrees 2 and 3, and one at the 7 and
     # 9 "equispaced" points; the degrees 2, 2, 3, 2, 3, 3, 2 split each
     # degree's slabs into several runs, and the budget cuts slabs 4 and 5
-    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 108)
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 192)
     for points, expected in [("gauss", [[0, 1], [2], [3], [4, 5], [6]]),
                              ("equispaced", [[0, 1], [2], [3], [4], [5], [6]])]:
         cost = slabsolver._sample_cost(space, points)
@@ -391,7 +394,7 @@ def test_runs_cut_where_the_degree_changes(monkeypatch):
 @pytest.mark.parametrize("run", [mixed_degree_run, repeated_degree_run])
 def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
     case, data, space, grid = run()
-    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 108)
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", 14 * 192)
     sol = march(data, space, grid)
     calls = []
     for name in ("eval_gauss", "eval_grad_gauss"):
@@ -418,8 +421,8 @@ def test_space_kernel_evaluates_temporal_modes_once_per_chunk(monkeypatch, run):
 @pytest.mark.parametrize("run", [mixed_degree_run, repeated_degree_run])
 def test_error_norms_sample_within_the_stack_budget(monkeypatch, run, samples):
     case, data, space, grid = run()
-    # `samples` time samples of the 12 x 9 Gauss grid per stacked array
-    monkeypatch.setattr(slabsolver, "STACK_BUDGET", samples * 108)
+    # `samples` time samples of the 16 x 12 Gauss grid per stacked array
+    monkeypatch.setattr(slabsolver, "STACK_BUDGET", samples * 192)
     sol = march(data, space, grid)
     chunk_sizes, sizes = [], []
     real_modes, real_eval = slabsolver.SlabSolution.modes, TensorSpace.grid_eval
@@ -445,39 +448,90 @@ def test_error_norms_sample_within_the_stack_budget(monkeypatch, run, samples):
         assert_close(errs[key], value)
 
 
-@pytest.mark.parametrize("budget", [None, 1, 12, 18])
+def counting_jump_rows(monkeypatch):
+    """The (a, b) of every chunk `SlabSolution._jump_rows` yields, in order."""
+    chunks = []
+    real = slabsolver.SlabSolution._jump_rows
+
+    def counted(self, first, stop, size):
+        for a, b, rows in real(self, first, stop, size):
+            chunks.append((a, b))
+            yield a, b, rows
+
+    monkeypatch.setattr(slabsolver.SlabSolution, "_jump_rows", counted)
+    return chunks
+
+
+def counting_mass_products(monkeypatch):
+    """(rows, whether both arguments are one array) of every `m_inner` call."""
+    calls = []
+    real = TensorSpace.m_inner
+
+    def counted(self, u, v):
+        calls.append((len(u), u is v))
+        return real(self, u, v)
+
+    monkeypatch.setattr(TensorSpace, "m_inner", counted)
+    return calls
+
+
+@pytest.mark.parametrize("budget", [None, 1, 2 * 192, 3 * 192])
 def test_the_passes_take_the_jumps_a_chunk_at_a_time(monkeypatch, budget):
-    # no pass builds the N x d table of jumps, and their squared norms take
-    # one mass product per chunk of at most STACK_BUDGET // d rows, once
-    # per level
+    # an estimate targeting the last slab, the error norms, the stability
+    # check and the quadrature check derive each slab's jump once per level,
+    # in chunks of at most STACK_BUDGET // (Gauss-grid size) rows, each
+    # with one mass product; the budgets 2 * 192 and 3 * 192 take chunks of
+    # two and three slabs on the 16 x 12 Gauss grid
     case, data, space, grid = mixed_degree_run()
     if budget is not None:
         monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
     sol = march(data, space, grid)
-    calls = []
-    real = slabsolver.SlabSolution.jumps.func
-    real_inner = TensorSpace.m_inner
-
-    def counted(self):
-        calls.append("jumps")
-        return real(self)
-
-    def counted_inner(self, u, v):
-        calls.append(("m_inner", len(u), u is v))
-        return real_inner(self, u, v)
-
-    monkeypatch.setattr(slabsolver.SlabSolution.jumps, "func", counted)
-    monkeypatch.setattr(TensorSpace, "m_inner", counted_inner)
+    chunks, calls = counting_jump_rows(monkeypatch), counting_mass_products(monkeypatch)
     report = estimate(sol, data)
     compute_errors(sol, case)
     stability_check(sol, data)
     quadrature_check(sol, data, report, tol=np.inf)
-    size, count = max(1, slabsolver.STACK_BUDGET // space.n_dofs), grid.n_intervals
-    assert calls == [("m_inner", min(size, count - a), True) for a in range(0, count, size)]
+    count = grid.n_intervals
+    size = max(1, slabsolver.STACK_BUDGET // (space.gauss_x.size * space.gauss_y.size))
+    assert chunks == [(a, min(a + size, count)) for a in range(0, count, size)]
+    assert calls == [(b - a, True) for a, b in chunks]
+
+    # without an estimate the error norms and the stability check take the
+    # squared jump norms alone, in chunks of at most STACK_BUDGET // d rows
+    chunks.clear()
+    calls.clear()
+    fresh = dataclasses.replace(sol)
+    compute_errors(fresh, case)
+    stability_check(fresh, data)
+    size = max(1, slabsolver.STACK_BUDGET // space.n_dofs)
+    assert chunks == [(a, min(a + size, count)) for a in range(0, count, size)]
+    assert calls == [(b - a, True) for a, b in chunks]
+    assert np.isnan(fresh.lap).all()
+    assert fresh.jump_sq.tobytes() == sol.jump_sq.tobytes()
+
+
+@pytest.mark.parametrize("budget", [None, 1])
+def test_a_localized_estimate_computes_no_laplacian_norm_past_its_target(monkeypatch, budget):
+    # eta1 needs every squared jump norm before it knows m: one pass over
+    # every jump, then one over slabs 0..m for their Laplacian norms, and
+    # no Laplacian norm past m
+    case, data, space, grid = mixed_degree_run()
+    if budget is not None:
+        monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
+    sol = march(data, space, grid)
+    chunks = counting_jump_rows(monkeypatch)
+    report = estimate(sol, data, localized=True)
+    m, count = report.m, grid.n_intervals
+    assert m < count - 1
+    rows = [n for a, b in chunks for n in range(a, b)]
+    assert rows == list(range(count)) + list(range(m + 1))
+    assert not np.isnan(sol.lap[:m + 1]).any() and np.isnan(sol.lap[m + 1:]).all()
+    fresh = dataclasses.replace(sol)
+    assert laplacian_norms(sol, m).tobytes() == laplacian_norms(fresh, m).tobytes()
 
 
 def jump_cases():
-    """(grid, STACK_BUDGET) for the jump passes on a Q2 space (d = 35, 588
+    """(grid, STACK_BUDGET) for the jump passes on a Q2 space (d = 35, 192
     Gauss-grid values per slab): mixed degrees, repeated degrees and one
     degree, with runs and chunks that cut across each other."""
     grids = {"mixed": mixed_degree_run()[3], "repeated": repeated_degree_run()[3],
@@ -493,8 +547,7 @@ def test_jump_rows_have_the_bits_of_one_table(monkeypatch, grid, budget):
     # loop of the reference, and the squared norms and Laplacian norms
     # taken a chunk at a time have the bits of one product of the whole
     # table, also on a resumed solution
-    case, data, _, _ = mixed_degree_run()
-    space = TensorSpace(4, 3, 2)
+    case, data, space, _ = mixed_degree_run()
     if budget is not None:
         monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
     kept = {}
@@ -507,11 +560,14 @@ def test_jump_rows_have_the_bits_of_one_table(monkeypatch, grid, budget):
             assert [a for a, _, _ in chunks] == list(range(start, count, size))
             assert np.array_equal(np.concatenate([rows for _, _, rows in chunks]), table[start:])
             assert all(b - a == len(rows) <= size for a, b, rows in chunks)
-    assert np.array_equal(first.jumps, table)
     assert np.array_equal(first.jump_sq, space.m_inner(table, table))
     lap = laplacian_norms(first, count - 1)[:, 1]
     assert np.array_equal(lap, space.l2_norm(space.eval_laplacian_gauss(table)))
     assert np.all(lap > 0.0)
+    # the Laplacian pass alone, on a copy, fills the same squared norms
+    fresh = dataclasses.replace(first)
+    assert laplacian_norms(fresh, count - 1)[:, 1].tobytes() == lap.tobytes()
+    assert fresh._jump_sq.tobytes() == first.jump_sq.tobytes()
 
     # slabs 0 and 1 are copied, the rest solved again
     resumed = march(data, space, bisect(grid, [2]), kept=kept)
@@ -521,22 +577,20 @@ def test_jump_rows_have_the_bits_of_one_table(monkeypatch, grid, budget):
     assert np.array_equal(norms, space.m_inner(table, table))
     lap = laplacian_norms(resumed, count).copy()
     assert np.array_equal(lap[:, 1], space.l2_norm(space.eval_laplacian_gauss(table)))
-    # known rows are read, whatever they hold, and only the unknown ones
-    # computed, also where they are not a suffix
-    resumed.lap[::2], resumed.lap[1::2] = -1.0, np.nan
+    # the known rows, a prefix, are read, whatever they hold, and only the
+    # unknown ones computed
+    resumed.lap[:3], resumed.lap[3:] = -1.0, np.nan
     again = laplacian_norms(resumed, count)
-    assert np.all(again[::2] == -1.0) and np.array_equal(again[1::2], lap[1::2])
+    assert np.all(again[:3] == -1.0) and again[3:].tobytes() == lap[3:].tobytes()
 
 
 def test_jumps_and_estimator_match_per_slab_loops():
     case, data, space, grid = mixed_degree_run()
     sol = march(data, space, grid)
 
-    jumps = sol.jumps
-    assert jumps.shape == (grid.n_intervals, space.n_dofs)
+    jumps = np.stack([slow.jump(sol, n) for n in range(grid.n_intervals)])
     norms = space.m_norm(jumps)
     for n in range(grid.n_intervals):
-        assert np.array_equal(jumps[n], slow.jump(sol, n))
         assert_close(norms[n], space.m_norm(jumps[n]))
         # each cached squared norm is the same product, to the bit
         assert sol.jump_sq[n] == space.m_inner(jumps[n], jumps[n])
@@ -704,6 +758,13 @@ def test_an_over_budget_slab_calls_each_exact_callable_once_per_half():
         assert np.isfinite(value) and value > 0.0, key
 
 
+def jump_table(sol):
+    """Every derivative jump of `sol`, shape (N, n_dofs), from one chunk of
+    `SlabSolution._jump_rows`, which takes them through the march's runs."""
+    count = sol.grid.n_intervals
+    return next(sol._jump_rows(0, count, count))[2].copy()
+
+
 def test_runs_and_stacks_never_change_bits(monkeypatch):
     # the march solves and checks slabs in runs of one degree cut to
     # `STACK_BUDGET`, and the jumps go through the same runs; every value,
@@ -742,7 +803,7 @@ def test_runs_and_stacks_never_change_bits(monkeypatch):
         for sol, report in [(fresh, estimate(fresh, data))] + [
                 (sol, record.report) for sol, record in zip(solutions, result.history)]:
             e1, arg = eta1(sol)
-            out += [np.concatenate(sol.blocks), sol.energy, sol.jumps, report.eta2_n,
+            out += [np.concatenate(sol.blocks), sol.energy, jump_table(sol), report.eta2_n,
                     np.array([report.eta, report.eta1, e1, arg])]
         return out
 
@@ -767,7 +828,7 @@ def test_runs_and_stacks_never_change_bits(monkeypatch):
     def marched(budget):
         monkeypatch.setattr(slabsolver, "STACK_BUDGET", budget)
         fresh = march(data, TensorSpace(3, 3, 2), bisected)
-        return [np.concatenate(fresh.blocks), fresh.energy, fresh.jumps,
+        return [np.concatenate(fresh.blocks), fresh.energy, jump_table(fresh),
                 estimate(fresh, data).eta2_n]
 
     monkeypatch.setattr(slabsolver, "STACK_BUDGET", default)

@@ -86,7 +86,7 @@ def test_single_slab_consistency_term_closed_form():
     # 2 tau * (tau/2)(tau^2/6)|L_2|_1 * |Lap bump|
     tau = 0.7
     sol, space, c = quadratic_in_time_solution(tau)
-    assert np.max(np.abs(sol.jumps[0])) < 1e-14
+    assert np.max(np.abs(slow.jump(sol, 0))) < 1e-14
     terms = eta2_terms(sol, 0)
     expect = 2.0 * tau * (0.5 * tau * tau**2 / 6.0 * L1_LEG2) * LAP_BUMP
     assert abs(terms[0] - expect) < 1e-12 * expect
@@ -112,9 +112,8 @@ def test_kinked_solution_jump_terms():
     # c4-weighted jump of the broken Laplacian on the middle slab
     tau, beta = 0.3, 0.9
     sol, space, c = quadratic_in_time_solution(tau, slabs=3, kink=beta, kink_at=1)
-    jumps = sol.jumps
-    assert np.allclose(jumps[1], beta * c, atol=1e-10)
-    assert np.max(np.abs(jumps[2])) < 1e-10
+    assert np.allclose(slow.jump(sol, 1), beta * c, atol=1e-10)
+    assert np.max(np.abs(slow.jump(sol, 2))) < 1e-10
 
     _, c2_sq, _ = reconstruction_constants(2)
     l1 = 0.5 * tau * tau**2 / 6.0 * L1_LEG2 * LAP_BUMP
@@ -158,9 +157,8 @@ def test_equal_jumps_pick_the_first_slab():
     ts = np.linspace(tau, 2 * tau, 3)
     blocks = [np.zeros((3, space.n_dofs)), np.outer(beta * (ts - tau), c)]
     sol = SlabSolution(grid=grid, space=space, blocks=blocks, u1h=-beta * c)
-    jumps = sol.jumps
-    assert np.allclose(jumps[0], beta * c, atol=1e-12)
-    assert np.allclose(jumps[1], beta * c, atol=1e-12)
+    assert np.allclose(slow.jump(sol, 0), beta * c, atol=1e-12)
+    assert np.allclose(slow.jump(sol, 1), beta * c, atol=1e-12)
     _, arg = eta1(sol)
     assert arg == 0
 

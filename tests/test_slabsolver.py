@@ -114,7 +114,7 @@ def test_zero_data_gives_zero_solution():
     sol = march(zero_data(), space, grid)
     for n in range(3):
         assert np.max(np.abs(sol.blocks[n])) < 1e-14
-        assert np.max(np.abs(sol.jumps[n])) < 1e-14
+        assert np.max(np.abs(slow.jump(sol, n))) < 1e-14
 
 
 def test_empty_space_smoke():
@@ -157,7 +157,7 @@ def test_space_time_polynomial_exactness():
         got = sol.poly(n).eval(t)
         assert np.max(np.abs(got - g(t) * coeffs)) < 1e-9, t
     for n in range(4):
-        assert np.max(np.abs(sol.jumps[n])) < 1e-9
+        assert np.max(np.abs(slow.jump(sol, n))) < 1e-9
 
 
 def test_continuity_across_slabs():
@@ -180,8 +180,8 @@ def test_jump_convention():
     sol = march(data, space, grid)
     dphi_left = slabsolver.reference_blocks(2)["dphi_left"]
     start_deriv = (2.0 / grid.tau(0)) * (dphi_left @ sol.blocks[0])
-    assert np.allclose(sol.jumps[0], start_deriv - sol.u1h, atol=0.0)
-    got = sol.jumps[2]
+    assert np.allclose(slow.jump(sol, 0), start_deriv - sol.u1h, atol=0.0)
+    got = slow.jump(sol, 2)
     ref = sol.poly(2).deriv(grid.nodes[2]) - sol.poly(1).deriv(grid.nodes[2])
     assert np.allclose(got, ref, atol=1e-10)
 
@@ -508,6 +508,65 @@ def test_an_adaptive_march_knows_the_values_of_its_copied_slabs(monkeypatch):
                           (sol.osc_l1, fresh.osc_l1)):
             assert got.tobytes() == want.tobytes()
     assert copied == grid.n_intervals  # the last march copied every slab
+
+
+def known_rows(column):
+    """The length of the known prefix of a per-slab column, after checking
+    that no row past it is known."""
+    known = ~np.isnan(column)
+    count = len(known) if known.all() else int(np.argmin(known))
+    assert not known[count:].any(), column
+    return count
+
+
+def assert_jump_tables_are_prefixes(sol):
+    # the known rows of `lap` and of the squared jump norms are each a
+    # prefix, and that of `lap` is never the longer
+    lap = known_rows(sol.lap[:, 0])
+    assert known_rows(sol.lap[:, 1]) == lap <= known_rows(sol._jump_sq)
+
+
+def test_the_known_jump_tables_are_prefixes_over_an_adaptive_history(monkeypatch):
+    # every solution of the history, after its march and after each later
+    # step, which estimates, scores and checks it and resumes from it
+    data = problem_data(make_case("case2", alpha=1.75))
+    solutions = []
+
+    def checking_march(*args, **kwargs):
+        solutions.append(slabsolver.march(*args, **kwargs))
+        for sol in solutions:
+            assert_jump_tables_are_prefixes(sol)
+        return solutions[-1]
+
+    monkeypatch.setattr(waveslab.adaptive, "march", checking_march)
+    result = run_adaptive(data, TensorSpace(3, 3, 2), TimeGrid.uniform(1.0, 3, 2), max_iters=6)
+    assert len(solutions) == len(result.history) == 6
+    for sol in solutions:
+        assert_jump_tables_are_prefixes(sol)
+    # a localized target short of the last slab leaves a suffix unknown
+    assert any(known_rows(sol.lap[:, 0]) < sol.grid.n_intervals for sol in solutions)
+
+
+@pytest.mark.parametrize("steps", [("estimate", "errors", "stability"),
+                                   ("errors", "stability", "estimate"),
+                                   ("localized", "stability", "estimate")])
+def test_the_known_jump_tables_are_prefixes_after_each_pass(steps):
+    # on fresh and resumed solutions, whatever the order of the passes
+    case = make_case("case2", alpha=1.75)
+    data, space, kept = problem_data(case), TensorSpace(3, 3, 2), {}
+    passes = {"estimate": lambda sol: estimate(sol, data),
+              "localized": lambda sol: estimate(sol, data, localized=True),
+              "errors": lambda sol: compute_errors(sol, case),
+              "stability": lambda sol: stability_check(sol, data)}
+    grid = TimeGrid.uniform(1.0, 5, 2)
+    for marks in (None, [3], [0], [2]):
+        grid = grid if marks is None else bisect(grid, marks)
+        sol = march(data, space, grid, kept=kept)
+        assert_jump_tables_are_prefixes(sol)
+        for name in steps:
+            passes[name](sol)
+            assert_jump_tables_are_prefixes(sol)
+        assert known_rows(sol.lap[:, 0]) == known_rows(sol._jump_sq) == grid.n_intervals
 
 
 def test_kept_loads_are_read_only_and_unchanged_by_a_march(monkeypatch):
@@ -1127,8 +1186,8 @@ def test_a_solution_is_a_finished_value():
     assert isinstance(sol.blocks, tuple)
     with pytest.raises(dataclasses.FrozenInstanceError):
         sol.blocks = ()
-    # the blocks and velocity behind the cached jumps cannot change either
-    for array in (sol.jumps, sol.blocks[1], sol.u1h):
+    # the blocks and velocity behind the cached jump norms cannot change either
+    for array in (sol.jump_sq, sol.blocks[1], sol.u1h):
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
-    assert sol.jumps is sol.jumps
+    assert sol.jump_sq is sol.jump_sq
